@@ -28,11 +28,11 @@ def frac(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     game = builtin_game()
 

@@ -369,6 +369,8 @@ def classical_bound_audit(
     The deterministic maximum IS the classical bound (total payoff is affine
     in the mixture weights), so the sampled part is a consistency audit.
     """
+    if samples < 0:
+        raise ValidationError(f"sample count must be non-negative, got {samples}")
     payoffs = _all_profile_payoffs(table, prior)
     det_max = max(p.total() for p in payoffs.values())
     attaining = tuple(

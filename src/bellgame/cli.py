@@ -33,12 +33,12 @@ from .game import (
     GameDefinition,
     PayoffTriple,
     ValidationError,
-    check_no_signalling,
     check_player_symmetry,
     expected_payoffs,
     format_rational,
     game_digest,
     load_game,
+    no_signalling_residual,
 )
 from .optimize import (
     BestResponseVerdict,
@@ -291,17 +291,10 @@ def cmd_check(args) -> int:
     dist.validate(1e-9)
     row_err = max(abs(sum(row) - 1) for row in dist.rows)
     min_entry = min(v for row in dist.rows for v in row)
-    # tol=-1 turns every marginal comparison into a reported pair, which
-    # makes the largest residual observable.
-    residual = max(
-        (abs(v.lhs - v.rhs) for v in check_no_signalling(dist, tol=-1.0)),
-        default=0.0,
-    )
+    residual = no_signalling_residual(dist)
     payoffs = expected_payoffs(game.utilities, game.prior, dist)
     mode = "planar" if args.mode == "planar" else "full_sphere"
-    verdict = best_response_check(
-        setting, mode, _config_from_args(args), game, advisor
-    )
+    verdict = best_response_check(setting, mode, _config_from_args(args), game)
     results = {
         "setting": {k: fmt_real(v) for k, v in setting_to_json_dict(setting).items()},
         "planar": setting.is_planar(),

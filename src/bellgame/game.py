@@ -309,16 +309,13 @@ class NoSignallingViolation(NamedTuple):
     rhs: Numeric  # marginal with player's type = 1
 
 
-def check_no_signalling(
-    dist: ConditionalDistribution, tol: float = DEFAULT_TOL
-) -> list[NoSignallingViolation]:
-    """Check that each two-player marginal ignores the third player's type.
+def _marginal_pairs(dist: ConditionalDistribution):
+    """Yield every no-signalling comparison as (player, other types, other
+    actions, marginal with player's type 0, marginal with player's type 1).
 
-    For every player s: summing p(y|x) over y_s must give the same value
-    whether x_s is 0 or 1, for all types and actions of the other two
-    players.  Empty result means no-signalling holds within tol.
+    For each player s the marginal sums p(y|x) over y_s; it must not depend
+    on x_s for any types and actions of the other two players.
     """
-    violations = []
     for s in PLAYERS:
         others = [p for p in PLAYERS if p != s]
         for ot in product((0, 1), repeat=2):
@@ -337,11 +334,27 @@ def check_no_signalling(
                             (y[0], y[1], y[2]), (x[0], x[1], x[2])
                         )
                     marg.append(total)
-                if abs(marg[0] - marg[1]) > tol:
-                    violations.append(
-                        NoSignallingViolation(s, ot, oa, marg[0], marg[1])
-                    )
-    return violations
+                yield s, ot, oa, marg[0], marg[1]
+
+
+def check_no_signalling(
+    dist: ConditionalDistribution, tol: float = DEFAULT_TOL
+) -> list[NoSignallingViolation]:
+    """Check that each two-player marginal ignores the third player's type.
+
+    Empty result means no-signalling holds within tol.
+    """
+    return [
+        NoSignallingViolation(*pair)
+        for pair in _marginal_pairs(dist)
+        if abs(pair[3] - pair[4]) > tol
+    ]
+
+
+def no_signalling_residual(dist: ConditionalDistribution) -> Numeric:
+    """Largest |difference| between the two marginals of any no-signalling
+    comparison; exactly 0 for an exact no-signalling distribution."""
+    return max(abs(lhs - rhs) for *_, lhs, rhs in _marginal_pairs(dist))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ classical-vs-quantum advantage summary.
 The objective landscape is smooth and low-dimensional (four free azimuths
 once the gauge a0 = b0 = 0 is fixed), so a seeded coarse grid scan followed
 by Nelder-Mead polish from the best starts finds the optimum reliably.  The
-contract is the value reached, not the search path.
+contract is the value reached, not the search path.  Every game takes the
+same path: payoffs come from the GHZ weights of its utility table
+(quantum.ghz_weights); the trace rule only reports the final payoffs and
+Bell values.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import sin
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +27,7 @@ from .builtin import builtin_game
 from .classical import ALL_PROFILES, BellVariant, deterministic_payoffs
 from .game import (
     PLAYERS,
+    PROFILES,
     GameDefinition,
     PayoffTriple,
     Player,
@@ -31,10 +37,9 @@ from .quantum import (
     BlochObservable,
     MeasurementSetting,
     PlanarAngles,
-    QuantumAdvisor,
     ghz_advisor,
-    planar_payoff,
-    planar_payoff_grid,
+    ghz_payoffs,
+    ghz_weights,
     quantum_bell,
     quantum_payoffs,
     wrap_angle,
@@ -56,10 +61,12 @@ class OptimizationConfig:
     def __post_init__(self) -> None:
         if self.grid < 8:
             raise ValidationError("grid resolution must be at least 8")
-        if self.tol <= 0:
-            raise ValidationError("convergence tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError("convergence tolerance must be finite and positive")
         if self.restarts < 1 or self.max_iter < 1:
             raise ValidationError("restarts and max_iter must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -116,58 +123,65 @@ def _multistart_max(
     return winner[2], winner[0], winner[3]
 
 
-def _min_payoff_objective(
-    game: GameDefinition, advisor: QuantumAdvisor
-) -> Callable[[np.ndarray], float]:
-    def objective(x: np.ndarray) -> float:
-        angles = PlanarAngles(0.0, x[0], 0.0, x[1], x[2], x[3])
-        f = quantum_payoffs(
-            game.utilities, game.prior, advisor, MeasurementSetting.planar(angles)
-        )
-        return min(f)
+def _grid_starts(
+    const: np.ndarray, coef: np.ndarray, config: OptimizationConfig
+) -> list[tuple[float, float, float, float]]:
+    """The ``restarts`` best points of the planar objective on the grid.
 
-    return objective
+    The grid has ``config.grid`` points per free angle (a1, b1, c0, c1).
+    Each type profile's sine depends on at most three of the angles, so it
+    is evaluated on a broadcast axis and added into the (3, grid**4) payoff
+    array in place; no full mesh of the four angles is built.
+    """
+    g = config.grid
+    axis = np.linspace(-math.pi, math.pi, g, endpoint=False)
+    a = (0.0, axis.reshape(g, 1, 1, 1))
+    b = (0.0, axis.reshape(1, g, 1, 1))
+    c = (axis.reshape(1, 1, g, 1), axis.reshape(1, 1, 1, g))
+    values = np.empty((3, g, g, g, g))
+    values[:] = const.reshape(3, 1, 1, 1, 1)
+    for xi, (xa, xb, xc) in enumerate(PROFILES):
+        values += coef[:, xi].reshape(3, 1, 1, 1, 1) * np.sin(a[xa] + b[xb] + c[xc])
+    top = np.argsort(values.min(axis=0).ravel())[::-1][: config.restarts]
+    return list(zip(*(axis[i] for i in np.unravel_index(top, (g,) * 4))))
 
 
 def maximize_planar(
     config: OptimizationConfig | None = None,
     game: GameDefinition | None = None,
 ) -> OptimumReport:
-    """Maximize the planar quantum payoff in the canonical gauge.
+    """Maximize the minimum player payoff (the guaranteed value of a fair
+    outcome) over planar GHZ settings in the canonical gauge.
 
-    For the bundled game the objective is the closed-form common payoff,
-    scanned on a full grid whose top points seed the polish stage; for any
-    other game it is the minimum player payoff through the trace rule (the
-    guaranteed value of a fair outcome), started from the center plus the
-    seeded random points.  Each start is polished by Nelder-Mead; more
+    On the equator only the triple correlator survives, so each payoff is
+    const_i + sum_x coef_i[x] sin(a(x_A) + b(x_B) + c(x_C)) with constants
+    and coefficients read off the game's GHZ weights.  The top points of a
+    grid scan and seeded random points start Nelder-Mead polishes; more
     restarts can only improve the reported value (up to the tie window).
     """
     config = config or OptimizationConfig()
+    game = game or builtin_game()
     advisor = ghz_advisor()
-    bundled = game is None or game == builtin_game()
+    weights = ghz_weights(game.utilities, game.prior)
+    const = weights[:, :, 0].sum(axis=1)
+    coef = -weights[:, :, 4]
+    # Players with identical rows (all three in a symmetric game) share one
+    # evaluation; the minimum is unchanged.
+    rows = list(dict.fromkeys(zip(const.tolist(), map(tuple, coef.tolist()))))
+
+    def objective(x: np.ndarray) -> float:
+        # math.sin on Python floats: Nelder-Mead makes thousands of scalar
+        # calls, and numpy's per-call overhead would dominate them.
+        a1, b1, c0, c1 = x.tolist()
+        sines = (
+            sin(c0), sin(c1), sin(b1 + c0), sin(b1 + c1),
+            sin(a1 + c0), sin(a1 + c1), sin(a1 + b1 + c0), sin(a1 + b1 + c1),
+        )
+        return min([k + sum(map(mul, row, sines)) for k, row in rows])
 
     rng = np.random.default_rng(config.seed)
     random_starts = rng.uniform(-math.pi, math.pi, size=(config.restarts, 4))
-
-    if bundled:
-        game = builtin_game()
-
-        def objective(x: np.ndarray) -> float:
-            return planar_payoff(PlanarAngles(0.0, x[0], 0.0, x[1], x[2], x[3]))
-
-        axis = np.linspace(-math.pi, math.pi, config.grid, endpoint=False)
-        a1, b1, c0, c1 = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-        values = planar_payoff_grid(0.0, a1, 0.0, b1, c0, c1)
-        flat = values.ravel()
-        top = np.argsort(flat)[::-1][: config.restarts]
-        grid_starts = [
-            (a1.ravel()[i], b1.ravel()[i], c0.ravel()[i], c1.ravel()[i])
-            for i in top
-        ]
-        starts = grid_starts + list(random_starts)
-    else:
-        objective = _min_payoff_objective(game, advisor)
-        starts = [np.zeros(4)] + list(random_starts)
+    starts = _grid_starts(const, coef, config) + list(random_starts)
 
     x, _, ok = _multistart_max(objective, starts, config)
     canonical = PlanarAngles(
@@ -227,57 +241,63 @@ def best_response_check(
     mode: str = "planar",
     config: OptimizationConfig | None = None,
     game: GameDefinition | None = None,
-    advisor: QuantumAdvisor | None = None,
 ) -> BestResponseVerdict:
-    """Search each player's unilateral deviations for a payoff improvement.
+    """Search each player's unilateral deviations for a payoff improvement
+    under GHZ advice.
 
     Planar mode deviates within the equatorial family (two azimuths per
     player); full-sphere mode frees the polar angles as well, probing
     whether the equatorial restriction hides profitable deviations.  The
     improvement is relative to the candidate's own payoff; the candidate's
     own observables seed the search, so the reported maximum is never
-    materially negative.
+    materially negative.  The whole deviation grid is scored in one
+    ghz_payoffs call, and the same engine gives the baseline and the polish.
     """
     if mode not in ("planar", "full_sphere"):
         raise ValidationError(f"unknown best-response mode {mode!r}")
     config = config or OptimizationConfig()
     game = game or builtin_game()
-    advisor = advisor or ghz_advisor()
-    baseline = quantum_payoffs(game.utilities, game.prior, advisor, candidate)
+    weights = ghz_weights(game.utilities, game.prior)
+    theta0, phi0 = candidate.bloch_angles()
+    baseline = PayoffTriple(*ghz_payoffs(weights, theta0, phi0).tolist())
 
     rng = np.random.default_rng(config.seed)
     dim = 2 if mode == "planar" else 4
     responses = []
     for player in PLAYERS:
-        def objective(x: np.ndarray, player: Player = player) -> float:
-            deviated = candidate.replace_player(
-                player, _deviation_observables(mode, x)
-            )
-            return float(
-                quantum_payoffs(game.utilities, game.prior, advisor, deviated)[player]
-            )
+        def payoff(x: np.ndarray, player: Player = player) -> np.ndarray:
+            """Own payoff after deviating to x, for x of shape (..., dim)."""
+            shape = x.shape[:-1] + (3, 2)
+            theta = np.broadcast_to(theta0, shape).copy()
+            phi = np.broadcast_to(phi0, shape).copy()
+            if mode == "planar":
+                theta[..., player, :] = math.pi / 2
+                phi[..., player, :] = x
+            else:
+                theta[..., player, :] = x[..., 0::2]
+                phi[..., player, :] = x[..., 1::2]
+            return ghz_payoffs(weights, theta, phi)[..., player]
 
-        own = candidate.observables(player)
         if mode == "planar":
-            own_x = [own[0].phi, own[1].phi]
+            own_x = phi0[player].tolist()
             res = config.grid
         else:
-            own_x = [own[0].theta, own[0].phi, own[1].theta, own[1].phi]
+            own_x = [theta0[player, 0], phi0[player, 0], theta0[player, 1], phi0[player, 1]]
             res = min(config.grid, 6)  # keep the 4-D scan affordable
         axes = [np.linspace(-math.pi, math.pi, res, endpoint=False)] * dim
         if mode == "full_sphere":
             axes[0] = axes[2] = np.linspace(0, math.pi, res)
         mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        scores = np.array([objective(x) for x in mesh])
+        scores = payoff(mesh)
         top = np.argsort(scores)[::-1][:3]
         starts = [own_x] + [mesh[i] for i in top] + list(
             rng.uniform(-math.pi, math.pi, size=(min(config.restarts, 8), dim))
         )
-        x, value, _ = _multistart_max(objective, starts, config)
+        x, value, _ = _multistart_max(lambda x: float(payoff(x)), starts, config)
         responses.append(
             PlayerBestResponse(
                 player=player,
-                improvement=value - float(baseline[player]),
+                improvement=value - baseline[player],
                 payoff=value,
                 observables=_deviation_observables(mode, x),
             )

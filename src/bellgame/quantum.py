@@ -1,6 +1,6 @@
 """Quantum advisor: GHZ state, Bloch-parameterized projective measurements,
-conditional distributions, the planar closed-form payoff and its gauge
-symmetry.
+trace-rule conditional distributions, the GHZ payoff engine derived from a
+game's utility table, and the gauge symmetry of planar settings.
 
 Conventions (load-bearing, fixed once here):
 
@@ -145,6 +145,14 @@ class MeasurementSetting:
             self.c[0].phi, self.c[1].phi,
         )
 
+    def bloch_angles(self) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, phi) arrays of shape (3, 2), indexed by player and type
+        bit, as ghz_payoffs takes them."""
+        pairs = (self.a, self.b, self.c)
+        theta = np.array([[o.theta for o in pair] for pair in pairs])
+        phi = np.array([[o.phi for o in pair] for pair in pairs])
+        return theta, phi
+
 
 @dataclass(frozen=True, eq=False)
 class QuantumAdvisor:
@@ -220,45 +228,56 @@ def quantum_payoffs(
     return expected_payoffs(table, prior, dist)
 
 
-def planar_payoff(angles: PlanarAngles) -> float:
-    """Common payoff of all three players for GHZ advice with equatorial
-    measurements at the bundled game's utilities.
+#: Outcome-sign features of the GHZ distribution, one row per action
+#: profile y: (1, s_A s_B, s_A s_C, s_B s_C, s_A s_B s_C) with s = 2y - 1.
+GHZ_FEATURES = tuple(
+    (1, sa * sb, sa * sc, sb * sc, sa * sb * sc)
+    for sa, sb, sc in ((2 * a - 1, 2 * b - 1, 2 * c - 1) for a, b, c in PROFILES)
+)
 
-    Closed form: only the triple correlator of the GHZ state survives on the
-    equator and equals -sin of the summed azimuths, which contracts the
-    64-term payoff sum to eight sine terms over a constant 26/48.
+_TYPE_BITS = tuple(np.array(bits) for bits in zip(*PROFILES))
+
+
+def ghz_weights(table: UtilityTable, prior: Prior) -> np.ndarray:
+    """Payoff weights of a game under GHZ advice, shape (3, 8, 5).
+
+    W[i, x, k] = P(x) * sum_y f_k(y) u_i(x, y) / 8 with f the outcome-sign
+    features of GHZ_FEATURES.  The sums are exact; each entry is rounded
+    once.  With these weights the GHZ payoff of any game is linear in the
+    five correlation features of each type profile (see ghz_payoffs).
     """
-    a0, a1, b0, b1, c0, c1 = angles
-    s = math.sin
-    return (
-        26
-        + 3 * s(a0 + b0 + c0)
-        + 2 * s(a1 + b0 + c0)
-        + 2 * s(a0 + b1 + c0)
-        - 3 * s(a1 + b1 + c0)
-        + 2 * s(a0 + b0 + c1)
-        - 3 * s(a1 + b0 + c1)
-        - 3 * s(a0 + b1 + c1)
-        - 2 * s(a1 + b1 + c1)
-    ) / 48
+    weights = np.empty((3, 8, 5))
+    for player in PLAYERS:
+        for xi, urow in enumerate(table.values[player]):
+            for k in range(5):
+                exact = sum(f[k] * u for f, u in zip(GHZ_FEATURES, urow))
+                weights[player, xi, k] = float(prior.weights[xi] * exact / 8)
+    return weights
 
 
-def planar_payoff_grid(
-    a0, a1, b0, b1, c0, c1
-):
-    """Vectorized (numpy broadcasting) form of planar_payoff."""
-    s = np.sin
-    return (
-        26
-        + 3 * s(a0 + b0 + c0)
-        + 2 * s(a1 + b0 + c0)
-        + 2 * s(a0 + b1 + c0)
-        - 3 * s(a1 + b1 + c0)
-        + 2 * s(a0 + b0 + c1)
-        - 3 * s(a1 + b0 + c1)
-        - 3 * s(a0 + b1 + c1)
-        - 2 * s(a1 + b1 + c1)
-    ) / 48
+def ghz_payoffs(weights: np.ndarray, theta, phi) -> np.ndarray:
+    """Expected payoffs under GHZ advice for a batch of measurement settings.
+
+    ``theta`` and ``phi`` have shape (..., 3, 2), indexed by player and type
+    bit; the result has shape (..., 3).  For the GHZ state the trace rule
+    reduces to p(y|x) = (1 + sum_{i<j} cos t_i cos t_j s_i s_j
+    - sin t_A sin t_B sin t_C sin(p_A + p_B + p_C) s_A s_B s_C) / 8, so the
+    payoff is the features of each type profile dotted with ``weights``
+    (from ghz_weights).
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    xa, xb, xc = _TYPE_BITS
+    cos, sin = np.cos(theta), np.sin(theta)
+    ca, cb, cc = cos[..., 0, xa], cos[..., 1, xb], cos[..., 2, xc]
+    triple = -(
+        sin[..., 0, xa] * sin[..., 1, xb] * sin[..., 2, xc]
+        * np.sin(phi[..., 0, xa] + phi[..., 1, xb] + phi[..., 2, xc])
+    )
+    features = np.stack(
+        [np.ones_like(ca), ca * cb, ca * cc, cb * cc, triple], axis=-1
+    )
+    return features.reshape(*features.shape[:-2], 40) @ weights.reshape(3, 40).T
 
 
 def gauge_transform(
@@ -356,13 +375,22 @@ def setting_to_json_dict(setting: MeasurementSetting) -> dict:
     return doc
 
 
+def _angle(doc: dict, key: str) -> float:
+    """An angle value as the schema types it: a JSON number, not a string or
+    a boolean (``bool`` is an ``int`` subclass in Python)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key}: angle must be a number, got {value!r}")
+    return float(value)
+
+
 def setting_from_json_dict(doc: dict) -> MeasurementSetting:
     if not isinstance(doc, dict):
         raise ValidationError("setting document must be a JSON object")
     keys = set(doc)
     if keys == set(PLANAR_KEYS):
         return MeasurementSetting.planar(
-            PlanarAngles(*(float(doc[k]) for k in PLANAR_KEYS))
+            PlanarAngles(*(_angle(doc, k) for k in PLANAR_KEYS))
         )
     missing = set(FULL_KEYS) - keys
     extra = keys - set(FULL_KEYS)
@@ -376,7 +404,7 @@ def setting_from_json_dict(doc: dict) -> MeasurementSetting:
         pairs.append(
             tuple(
                 BlochObservable(
-                    float(doc[f"theta_{name}{t}"]), float(doc[f"phi_{name}{t}"])
+                    _angle(doc, f"theta_{name}{t}"), _angle(doc, f"phi_{name}{t}")
                 )
                 for t in (0, 1)
             )

@@ -2,8 +2,8 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -s``).
 
 Tolerances are pinned here and nowhere else: exact rational comparison on
-the classical path, 1e-12 for algebraic identities, 1e-10 for closed-form
-versus trace equivalence, 1e-6 around the optimizer, 1e-3 against the
+the classical path, 1e-12 for algebraic identities, 1e-10 for the GHZ
+payoff engine versus the trace rule, 1e-6 around the optimizer, 1e-3 against the
 reference four-digit values.
 """
 
@@ -38,8 +38,9 @@ from bellgame.quantum import (
     MeasurementSetting,
     PlanarAngles,
     gauge_equivalent,
+    ghz_payoffs,
     ghz_single_party_marginal,
-    planar_payoff,
+    ghz_weights,
     quantum_distribution,
     quantum_payoffs,
 )
@@ -175,18 +176,19 @@ def test_criterion_05_quantum_beats_classical(optimum):
 def test_criterion_06_closed_form_equivalence(table1, ghz):
     started = time.perf_counter()
     rng = np.random.default_rng(SEED)
+    weights = ghz_weights(table1.utilities, table1.prior)
     worst = 0.0
     for _ in range(1000):
-        angles = PlanarAngles(*rng.uniform(-math.pi, math.pi, 6))
-        closed = planar_payoff(angles)
-        payoffs = quantum_payoffs(
-            table1.utilities, table1.prior, ghz, MeasurementSetting.planar(angles)
+        setting = MeasurementSetting.planar(
+            PlanarAngles(*rng.uniform(-math.pi, math.pi, 6))
         )
-        worst = max(worst, max(abs(v - closed) for v in payoffs))
+        engine = ghz_payoffs(weights, *setting.bloch_angles())
+        payoffs = quantum_payoffs(table1.utilities, table1.prior, ghz, setting)
+        worst = max(worst, float(np.abs(engine - payoffs).max()))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-10 and elapsed < 30.0
     report(
-        "criterion 6: closed form equals trace payoffs for all players",
+        "criterion 6: GHZ payoff engine equals trace payoffs for all players",
         ok,
         f"max deviation {worst:.2e} over 1000 settings, {elapsed:.2f}s",
     )

@@ -280,6 +280,30 @@ class TestCheckCommand:
         assert code == 2
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit-bound", "--samples", "-5"],
+            ["optimize", "--tol", "nan"],
+            ["optimize", "--tol", "inf"],
+            ["optimize", "--tol=-1e-10"],
+            ["optimize", "--seed", "-1"],
+            ["check", "--setting", "{setting}", "--tol", "nan"],
+            ["bell", "--setting", "{string_angles}"],
+        ],
+    )
+    def test_exits_2(self, capsys, tmp_path, optimum_setting_file, argv):
+        string_angles = tmp_path / "strings.json"
+        doc = json.loads(Path(optimum_setting_file).read_text())
+        doc["phi_A0"], doc["phi_A1"] = "1e0", True
+        string_angles.write_text(json.dumps(doc))
+        files = {"setting": optimum_setting_file, "string_angles": str(string_angles)}
+        code = main([arg.format(**files) for arg in argv])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

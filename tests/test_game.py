@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellgame.classical import strategy_to_distribution
+from bellgame.classical import ALL_PROFILES, strategy_to_distribution
 from bellgame.game import (
     PLAYERS,
     PROFILES,
@@ -25,6 +25,7 @@ from bellgame.game import (
     game_from_json_dict,
     game_to_json_dict,
     load_game,
+    no_signalling_residual,
 )
 
 RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -216,6 +217,32 @@ class TestNoSignalling:
         violations = check_no_signalling(dist, tol=0)
         assert violations
         assert all(v.player == Player.C for v in violations)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_residual_is_largest_marginal_difference(self, seed):
+        dist = random_exact_distribution(seed)
+        largest = Fraction(0)
+        for s in PLAYERS:
+            for x in PROFILES:
+                if x[s]:
+                    continue
+                x1 = tuple(1 if i == s else b for i, b in enumerate(x))
+                for y in PROFILES:
+                    if y[s]:
+                        continue
+                    y1 = tuple(1 if i == s else b for i, b in enumerate(y))
+                    m0 = dist.prob(y, x) + dist.prob(y1, x)
+                    m1 = dist.prob(y, x1) + dist.prob(y1, x1)
+                    largest = max(largest, abs(m0 - m1))
+        assert largest > 0
+        assert no_signalling_residual(dist) == largest
+        assert largest == max(
+            abs(v.lhs - v.rhs) for v in check_no_signalling(dist, tol=0)
+        )
+
+    def test_residual_is_zero_on_deterministic_profiles(self):
+        for profile in ALL_PROFILES:
+            assert no_signalling_residual(strategy_to_distribution(profile)) == 0
 
     def test_ghz_distribution_passes_at_1e12(self, ghz):
         from bellgame.quantum import MeasurementSetting, PlanarAngles, quantum_distribution

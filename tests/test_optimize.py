@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellgame.game import Prior, UtilityTable, ValidationError
+from bellgame.game import Prior, UtilityTable, ValidationError, affine_transform
 from bellgame.builtin import builtin_game
 from bellgame.game import GameDefinition
 from bellgame.optimize import (
@@ -15,10 +15,14 @@ from bellgame.optimize import (
     quantum_advantage_report,
 )
 from bellgame.quantum import (
+    BlochObservable,
     MeasurementSetting,
     PlanarAngles,
     gauge_equivalent,
-    planar_payoff,
+    ghz_advisor,
+    ghz_payoffs,
+    ghz_weights,
+    quantum_payoffs,
 )
 
 #: Exact maximum of the reduced planar objective, derived by maximizing
@@ -55,10 +59,24 @@ class TestMaximizePlanar:
         assert default_report.angles.b0 == 0.0
         assert gauge_equivalent(default_report.angles, reference_angles, tol=1e-3)
 
-    def test_value_consistent_with_closed_form(self, default_report):
-        assert abs(
-            default_report.value - planar_payoff(default_report.angles)
-        ) < 1e-10
+    def test_value_consistent_with_closed_form(self, default_report, table1):
+        weights = ghz_weights(table1.utilities, table1.prior)
+        theta, phi = MeasurementSetting.planar(default_report.angles).bloch_angles()
+        engine = ghz_payoffs(weights, theta, phi)
+        assert abs(default_report.value - min(engine)) < 1e-10
+        assert abs(default_report.value - max(engine)) < 1e-10
+
+    def test_affine_copy_reaches_mapped_optimum_on_same_orbit(
+        self, table1, reference_angles
+    ):
+        alpha, beta = Fraction(7, 3), Fraction(-5, 2)
+        game = GameDefinition(affine_transform(table1.utilities, alpha, beta), table1.prior)
+        report = maximize_planar(OptimizationConfig(restarts=4, grid=8, seed=3), game)
+        assert report.value == pytest.approx(
+            float(alpha) * ANALYTIC_OPTIMUM + float(beta), abs=1e-9
+        )
+        assert gauge_equivalent(report.angles, reference_angles, tol=1e-3)
+        assert report.converged
 
     def test_payoffs_and_bells_at_optimum(self, default_report):
         for v in default_report.payoffs:
@@ -98,8 +116,11 @@ class TestMaximizePlanar:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValidationError, match="grid"):
             OptimizationConfig(grid=4)
-        with pytest.raises(ValidationError, match="tolerance"):
-            OptimizationConfig(tol=0)
+        for tol in (0, -1e-10, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="tolerance"):
+                OptimizationConfig(tol=tol)
+        with pytest.raises(ValidationError, match="seed"):
+            OptimizationConfig(seed=-1)
         with pytest.raises(ValidationError, match="restarts"):
             OptimizationConfig(restarts=0)
 
@@ -136,6 +157,23 @@ class TestBestResponse:
             assert math.isfinite(response.improvement)
             assert response.improvement < 1e-5
         assert {r.player.name for r in verdict.responses} == {"A", "B", "C"}
+
+    def test_baseline_matches_trace_rule_at_tilted_candidate(self, table1):
+        candidate = MeasurementSetting(
+            (BlochObservable(0.3, 0.1), BlochObservable(1.2, -2.0)),
+            (BlochObservable(2.5, 0.7), BlochObservable(0.9, 1.4)),
+            (BlochObservable(1.7, -0.4), BlochObservable(0.2, 3.0)),
+        )
+        verdict = best_response_check(candidate, "full_sphere", FAST)
+        oracle = quantum_payoffs(table1.utilities, table1.prior, ghz_advisor(), candidate)
+        assert verdict.baseline == pytest.approx(oracle, abs=1e-10)
+        assert verdict.max_improvement > 0.01
+        for response in verdict.responses:
+            deviated = candidate.replace_player(response.player, response.observables)
+            payoff = quantum_payoffs(
+                table1.utilities, table1.prior, ghz_advisor(), deviated
+            )[response.player]
+            assert response.payoff == pytest.approx(payoff, abs=1e-10)
 
     def test_unknown_mode_rejected(self, reference_angles):
         with pytest.raises(ValidationError, match="mode"):

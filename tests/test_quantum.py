@@ -1,16 +1,24 @@
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellgame.builtin import builtin_game
 from bellgame.classical import BellVariant, bell_expression, correlator
 from bellgame.game import (
     PROFILES,
     ConditionalDistribution,
+    GameDefinition,
     Player,
+    Prior,
+    UtilityTable,
     ValidationError,
+    affine_transform,
     check_no_signalling,
     expected_payoffs,
 )
@@ -27,12 +35,13 @@ from bellgame.quantum import (
     gauge_canonicalize,
     gauge_equivalent,
     gauge_transform,
+    ghz_payoffs,
     ghz_single_party_marginal,
     ghz_state,
+    ghz_weights,
     load_setting,
     maximally_mixed_advisor,
     observable_matrix,
-    planar_payoff,
     projectors,
     quantum_bell,
     quantum_distribution,
@@ -43,6 +52,30 @@ from bellgame.quantum import (
 )
 
 ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
+
+SETTING_SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "setting.schema.json").read_text()
+)
+TABLE1_WEIGHTS = ghz_weights(builtin_game().utilities, builtin_game().prior)
+
+
+def planar_payoffs(angles: PlanarAngles) -> np.ndarray:
+    """GHZ payoffs of the three table1 players at a planar setting."""
+    theta, phi = MeasurementSetting.planar(angles).bloch_angles()
+    return ghz_payoffs(TABLE1_WEIGHTS, theta, phi)
+
+
+def relabelled_affine_copy(game: GameDefinition) -> GameDefinition:
+    """Flip every type and action bit, map u -> 7/3 u - 5/2 and use a
+    non-uniform prior."""
+    def flip(bits):
+        return tuple(1 - b for b in bits)
+
+    flipped = UtilityTable.from_function(
+        lambda i, x, y: game.utilities.utility(i, flip(x), flip(y))
+    )
+    prior = Prior(tuple(Fraction(k, 36) for k in range(1, 9)))
+    return GameDefinition(affine_transform(flipped, Fraction(7, 3), Fraction(-5, 2)), prior)
 
 
 def random_setting(rng, planar: bool) -> MeasurementSetting:
@@ -229,28 +262,76 @@ class TestQuantumPayoffs:
 
 class TestPlanarPayoff:
     def test_all_zero_angles(self):
-        assert planar_payoff(PlanarAngles(0, 0, 0, 0, 0, 0)) == pytest.approx(26 / 48)
+        assert planar_payoffs(PlanarAngles(0, 0, 0, 0, 0, 0)) == pytest.approx(
+            [26 / 48] * 3
+        )
 
     def test_all_right_angles(self):
         a = math.pi / 2
-        assert planar_payoff(PlanarAngles(a, a, a, a, a, a)) == pytest.approx(28 / 48)
+        assert planar_payoffs(PlanarAngles(a, a, a, a, a, a)) == pytest.approx(
+            [28 / 48] * 3
+        )
 
     def test_reference_optimum_value(self, reference_angles):
-        assert planar_payoff(reference_angles) == pytest.approx(0.842, abs=1e-3)
+        assert planar_payoffs(reference_angles) == pytest.approx([0.842] * 3, abs=1e-3)
+
+    def test_derived_table1_coefficients(self):
+        # the equatorial payoff of table1 is (26 + sum_x c_x sin(...)) / 48
+        coefficients = [float(Fraction(c, 48)) for c in (3, 2, 2, -3, 2, -3, -3, -2)]
+        for player in Player:
+            assert sum(TABLE1_WEIGHTS[player, :, 0]) == pytest.approx(26 / 48, abs=1e-15)
+            assert (-TABLE1_WEIGHTS[player, :, 4]).tolist() == coefficients
 
     def test_matches_trace_payoffs_on_random_planar_settings(self, table1, ghz):
         rng = np.random.default_rng(0)
         for _ in range(100):
             angles = PlanarAngles(*rng.uniform(-math.pi, math.pi, 6))
-            closed = planar_payoff(angles)
+            engine = planar_payoffs(angles)
             f = quantum_payoffs(
                 table1.utilities,
                 table1.prior,
                 ghz,
                 MeasurementSetting.planar(angles),
             )
-            for v in f:
-                assert abs(v - closed) < 1e-10
+            assert np.abs(engine - f).max() < 1e-10
+
+
+class TestGhzPayoffs:
+    @pytest.mark.parametrize("relabel", [False, True], ids=["table1", "relabelled-affine"])
+    def test_matches_trace_payoffs_on_full_sphere(self, relabel, ghz):
+        game = builtin_game()
+        if relabel:
+            game = relabelled_affine_copy(game)
+        weights = ghz_weights(game.utilities, game.prior)
+        rng = np.random.default_rng(21)
+        settings_ = [random_setting(rng, planar=False) for _ in range(200)]
+        angles = [s.bloch_angles() for s in settings_]
+        batch = ghz_payoffs(
+            weights, np.array([t for t, _ in angles]), np.array([p for _, p in angles])
+        )
+        assert batch.shape == (200, 3)
+        for setting, engine in zip(settings_, batch):
+            oracle = quantum_payoffs(game.utilities, game.prior, ghz, setting)
+            assert np.abs(engine - oracle).max() < 1e-10
+
+    def test_batch_matches_single_settings(self):
+        rng = np.random.default_rng(2)
+        theta = rng.uniform(0, math.pi, (4, 5, 3, 2))
+        phi = rng.uniform(-math.pi, math.pi, (4, 5, 3, 2))
+        batch = ghz_payoffs(TABLE1_WEIGHTS, theta, phi)
+        assert batch.shape == (4, 5, 3)
+        assert batch[2, 3] == pytest.approx(
+            ghz_payoffs(TABLE1_WEIGHTS, theta[2, 3], phi[2, 3]), abs=1e-15
+        )
+
+    def test_constant_game_is_constant(self):
+        c = Fraction(7, 3)
+        weights = ghz_weights(UtilityTable.constant(c), Prior.uniform())
+        rng = np.random.default_rng(6)
+        values = ghz_payoffs(
+            weights, rng.uniform(0, math.pi, (50, 3, 2)), rng.uniform(-3, 3, (50, 3, 2))
+        )
+        assert np.abs(values - float(c)).max() < 1e-14
 
 
 class TestGaugeSymmetry:
@@ -259,23 +340,23 @@ class TestGaugeSymmetry:
 
     def test_half_turn_shift_invariance(self, reference_angles):
         shifted = gauge_transform(reference_angles, math.pi, math.pi, 0)
-        assert planar_payoff(shifted) == pytest.approx(0.842, abs=1e-3)
-        assert planar_payoff(shifted) == pytest.approx(
-            planar_payoff(reference_angles), abs=1e-12
+        assert planar_payoffs(shifted) == pytest.approx([0.842] * 3, abs=1e-3)
+        assert planar_payoffs(shifted) == pytest.approx(
+            planar_payoffs(reference_angles), abs=1e-12
         )
 
     def test_third_roots_shift(self, reference_angles):
         shifted = gauge_transform(
             reference_angles, math.pi / 3, math.pi / 3, -2 * math.pi / 3
         )
-        assert abs(planar_payoff(shifted) - planar_payoff(reference_angles)) < 1e-12
+        assert np.abs(planar_payoffs(shifted) - planar_payoffs(reference_angles)).max() < 1e-12
 
     @settings(max_examples=60)
     @given(chi1=ANGLES, chi2=ANGLES, a=ANGLES, b=ANGLES, c=ANGLES)
     def test_random_valid_shifts_preserve_payoff(self, chi1, chi2, a, b, c):
         angles = PlanarAngles(a, -b, b, c, -a, a + b)
         shifted = gauge_transform(angles, chi1, chi2, -chi1 - chi2)
-        assert abs(planar_payoff(shifted) - planar_payoff(angles)) < 1e-12
+        assert np.abs(planar_payoffs(shifted) - planar_payoffs(angles)).max() < 1e-12
 
     def test_invalid_shift_rejected(self, reference_angles):
         with pytest.raises(ValidationError, match="2\\*pi"):
@@ -361,7 +442,7 @@ class TestQuantumBell:
         v100 = quantum_bell(ghz, setting, BellVariant.V100)
         assert v011 == pytest.approx(12 / math.sqrt(13), abs=1e-4)
         assert v100 == pytest.approx(-8 / math.sqrt(13), abs=1e-4)
-        triple = 3 * planar_payoff(reference_angles)
+        triple = sum(planar_payoffs(reference_angles))
         assert triple == pytest.approx((26 + 3 * v011 - 2 * v100) / 16, abs=1e-10)
 
 
@@ -390,6 +471,27 @@ class TestSettingSerialization:
         doc = setting_to_json_dict(MeasurementSetting.planar(reference_angles))
         del doc["theta_B1"]
         with pytest.raises(ValidationError, match="theta_B1"):
+            setting_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "planar, key, value",
+        [
+            (True, "phi_A0", "1e0"),
+            (True, "phi_A1", True),
+            (False, "theta_B1", "0.5"),
+            (False, "phi_C0", False),
+            (False, "theta_A0", None),
+        ],
+    )
+    def test_non_numeric_angle_rejected(self, planar, key, value, reference_angles):
+        jsonschema = pytest.importorskip("jsonschema")
+        doc = setting_to_json_dict(MeasurementSetting.planar(reference_angles))
+        if planar:
+            doc = {k: v for k, v in doc.items() if k.startswith("phi_")}
+        doc[key] = value
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, SETTING_SCHEMA)
+        with pytest.raises(ValidationError, match=key):
             setting_from_json_dict(doc)
 
     def test_planar_angles_none_for_tilted_setting(self):
