@@ -6,15 +6,23 @@ the reachable conditional distributions are exactly the finite mixtures of
 products of per-player response rows.  The extreme points of that polytope
 are the 64 deterministic strategy profiles, so equilibrium checks and the
 total-payoff bound reduce to exact scans over them.
+
+Those scans run on integers: :func:`profile_table` computes the payoffs of
+the 64 profiles once per game as integer numerators over one common
+denominator, and the equilibrium scan, the Nash check, the bound audit and
+its sampled mixtures all read that table.  Reported values stay exact
+``Fraction`` s; :func:`deterministic_payoffs` is the ``Fraction`` oracle.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .game import (
@@ -223,13 +231,57 @@ def deterministic_payoffs(
     return PayoffTriple(*sums)
 
 
-def _all_profile_payoffs(
-    table: UtilityTable, prior: Prior
-) -> dict[StrategyProfile, PayoffTriple]:
-    return {
-        prof: deterministic_payoffs(table, prior, prof)
-        for prof in ALL_PROFILES
-    }
+class ProfileTable(NamedTuple):
+    """Exact payoffs of the 64 deterministic profiles of one game, as
+    integers over one common denominator.
+
+    ``numerators[k][i] / denominator`` is player i's payoff at
+    ``ALL_PROFILES[k]``.  Profile k plays strategies
+    ``STRATEGIES[k // 16]``, ``STRATEGIES[k // 4 % 4]`` and
+    ``STRATEGIES[k % 4]``.
+    """
+
+    numerators: tuple[tuple[int, int, int], ...]
+    denominator: int
+
+    def payoffs(self, k: int) -> PayoffTriple:
+        return PayoffTriple(
+            *(Fraction(n, self.denominator) for n in self.numerators[k])
+        )
+
+    def max_total(self) -> Fraction:
+        """The largest total payoff of a deterministic profile: the
+        classical bound."""
+        return Fraction(max(map(sum, self.numerators)), self.denominator)
+
+
+def profile_table(table: UtilityTable, prior: Prior) -> ProfileTable:
+    """Integer payoff table of the 64 deterministic profiles.
+
+    The denominator is the LCM of the prior denominators times the LCM of
+    the utility denominators, so each numerator is an integer sum of
+    prior-numerator times utility-numerator products; Python integers keep
+    it exact for any size of input.
+    """
+    prior_den = lcm(*(w.denominator for w in prior.weights))
+    util_den = lcm(
+        *(v.denominator for rows in table.values for row in rows for v in row)
+    )
+    weights = [w.numerator * (prior_den // w.denominator) for w in prior.weights]
+    utils = [
+        [[v.numerator * (util_den // v.denominator) for v in row] for row in rows]
+        for rows in table.values
+    ]
+    numerators = []
+    for sa, sb, sc in ALL_PROFILES:
+        played = [profile_index((sa[x[0]], sb[x[1]], sc[x[2]])) for x in PROFILES]
+        numerators.append(
+            tuple(
+                sum(w * row[yi] for w, row, yi in zip(weights, u, played))
+                for u in utils
+            )
+        )
+    return ProfileTable(tuple(numerators), prior_den * util_den)
 
 
 @dataclass(frozen=True)
@@ -257,13 +309,13 @@ def enumerate_deterministic_equilibria(
     default the exact maximum total over the 64 profiles (9/4 for the
     bundled game).
     """
-    payoffs = _all_profile_payoffs(table, prior)
+    profiles = profile_table(table, prior)
     if bound is None:
-        bound = max(p.total() for p in payoffs.values())
+        bound = profiles.max_total()
     reports = []
-    for prof in ALL_PROFILES:
-        own = payoffs[prof]
-        if _best_deviation(payoffs, prof, own) is None:
+    for k, prof in enumerate(ALL_PROFILES):
+        if _best_deviation(profiles, k) is None:
+            own = profiles.payoffs(k)
             reports.append(
                 EquilibriumReport(
                     profile=prof,
@@ -276,22 +328,24 @@ def enumerate_deterministic_equilibria(
 
 
 def _best_deviation(
-    payoffs: dict[StrategyProfile, PayoffTriple],
-    prof: StrategyProfile,
-    own: PayoffTriple,
+    profiles: ProfileTable, k: int
 ) -> tuple[Player, Strategy, Fraction] | None:
-    """Strictly improving deviation with the largest gain, if any exists."""
+    """Strictly improving deviation from profile k with the largest gain,
+    if any exists."""
+    nums = profiles.numerators
     best = None
     for player in PLAYERS:
-        for dev in STRATEGIES:
-            if dev == prof[player]:
+        place = 4 ** (2 - player)
+        own = k // place % 4
+        for d, dev in enumerate(STRATEGIES):
+            if d == own:
                 continue
-            alt = list(prof)
-            alt[player] = dev
-            gain = payoffs[(alt[0], alt[1], alt[2])][player] - own[player]
+            gain = nums[k + (d - own) * place][player] - nums[k][player]
             if gain > 0 and (best is None or gain > best[2]):
                 best = (player, dev, gain)
-    return best
+    if best is None:
+        return None
+    return best[0], best[1], Fraction(best[2], profiles.denominator)
 
 
 class NashVerdict(NamedTuple):
@@ -307,8 +361,7 @@ def is_nash(
     table: UtilityTable, prior: Prior, profile: StrategyProfile
 ) -> NashVerdict:
     """Exact Nash check of one profile against deterministic deviations."""
-    payoffs = _all_profile_payoffs(table, prior)
-    best = _best_deviation(payoffs, profile, payoffs[profile])
+    best = _best_deviation(profile_table(table, prior), ALL_PROFILES.index(profile))
     if best is None:
         return NashVerdict(True, None, None, None)
     return NashVerdict(False, best[0], best[1], best[2])
@@ -332,29 +385,106 @@ class BoundAuditReport:
         return self.deterministic_max / 3
 
 
-def random_hidden_variable_model(
-    rng: random.Random, max_atoms: int = 8, denominator: int = 16
-) -> HiddenVariableModel:
-    """Seeded random mixture with exact rational weights and responses."""
+#: Atom count limit and response denominator of the seeded random mixtures.
+MIXTURE_MAX_ATOMS = 8
+MIXTURE_DENOMINATOR = 16
+
+
+def _draw_mixture(
+    rng: random.Random, max_atoms: int, denominator: int
+) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
+    """Draw a random mixture as integers: the raw atom weights (an atom's
+    weight is its raw weight over their sum) and, per atom and player, the
+    numerators of p(y=0|x=0) and p(y=0|x=1) over ``denominator``.  Half of
+    the responses are deterministic strategies."""
     n = rng.randint(1, max_atoms)
     raw = [rng.randint(1, 100) for _ in range(n)]
-    total = sum(raw)
     atoms = []
-    for w in raw:
+    for _ in raw:
         responses = []
         for _ in PLAYERS:
             if rng.random() < 0.5:
+                s = rng.choice(STRATEGIES)
                 responses.append(
-                    deterministic_response(rng.choice(STRATEGIES))
+                    (denominator * (1 - s[0]), denominator * (1 - s[1]))
                 )
             else:
-                rows = []
-                for _ in (0, 1):
-                    p0 = Fraction(rng.randint(0, denominator), denominator)
-                    rows.append((p0, 1 - p0))
-                responses.append((rows[0], rows[1]))
-        atoms.append((Fraction(w, total), tuple(responses)))
-    return HiddenVariableModel(tuple(atoms))
+                responses.append(
+                    (rng.randint(0, denominator), rng.randint(0, denominator))
+                )
+        atoms.append(tuple(responses))
+    return raw, atoms
+
+
+def random_hidden_variable_model(
+    rng: random.Random,
+    max_atoms: int = MIXTURE_MAX_ATOMS,
+    denominator: int = MIXTURE_DENOMINATOR,
+) -> HiddenVariableModel:
+    """Seeded random mixture with exact rational weights and responses."""
+    raw, atoms = _draw_mixture(rng, max_atoms, denominator)
+    total = sum(raw)
+    return HiddenVariableModel(
+        tuple(
+            (
+                Fraction(w, total),
+                tuple(
+                    tuple(
+                        (Fraction(k, denominator), 1 - Fraction(k, denominator))
+                        for k in p0
+                    )
+                    for p0 in responses
+                ),
+            )
+            for w, responses in zip(raw, atoms)
+        )
+    )
+
+
+def _strategy_weights(p0: tuple[int, int], d: int) -> list[tuple[int, int]]:
+    """(index into STRATEGIES, numerator over d**2) of every strategy that a
+    response row pair plays with nonzero probability."""
+    r0, r1 = (p0[0], d - p0[0]), (p0[1], d - p0[1])
+    return [
+        (2 * s0 + s1, r0[s0] * r1[s1])
+        for s0 in (0, 1)
+        for s1 in (0, 1)
+        if r0[s0] and r1[s1]
+    ]
+
+
+def _sampled_payoffs(
+    profiles: ProfileTable, rng: random.Random, samples: int
+) -> Iterator[PayoffTriple]:
+    """Exact payoffs of ``samples`` random mixtures, drawn as by
+    :func:`random_hidden_variable_model` from the same ``rng``.
+
+    Each response row pair is a mixture of the four deterministic
+    strategies, so a mixture is a convex combination of the 64 profiles;
+    its payoffs contract the integer strategy weights against the profile
+    table, with one division per player at the end.  Equals
+    expected_payoffs over hv_model_to_distribution (tested).
+    """
+    d = MIXTURE_DENOMINATOR
+    nums = profiles.numerators
+    scale = d**6 * profiles.denominator
+    for _ in range(samples):
+        raw, atoms = _draw_mixture(rng, MIXTURE_MAX_ATOMS, d)
+        fa = fb = fc = 0
+        for w, (ra, rb, rc) in zip(raw, atoms):
+            bs, cs = _strategy_weights(rb, d), _strategy_weights(rc, d)
+            for ia, qa in _strategy_weights(ra, d):
+                for ib, qb in bs:
+                    wab = w * qa * qb
+                    base = 16 * ia + 4 * ib
+                    for ic, qc in cs:
+                        q = wab * qc
+                        na, nb, nc = nums[base + ic]
+                        fa += q * na
+                        fb += q * nb
+                        fc += q * nc
+        den = sum(raw) * scale
+        yield PayoffTriple(Fraction(fa, den), Fraction(fb, den), Fraction(fc, den))
 
 
 def classical_bound_audit(
@@ -371,19 +501,20 @@ def classical_bound_audit(
     """
     if samples < 0:
         raise ValidationError(f"sample count must be non-negative, got {samples}")
-    payoffs = _all_profile_payoffs(table, prior)
-    det_max = max(p.total() for p in payoffs.values())
+    profiles = profile_table(table, prior)
+    totals = [sum(n) for n in profiles.numerators]
+    top = max(totals)
+    det_max = Fraction(top, profiles.denominator)
     attaining = tuple(
-        prof for prof in ALL_PROFILES if payoffs[prof].total() == det_max
+        prof for prof, total in zip(ALL_PROFILES, totals) if total == top
     )
-    max_min = max(min(p) for p in payoffs.values())
+    max_min = Fraction(
+        max(min(n) for n in profiles.numerators), profiles.denominator
+    )
 
-    rng = random.Random(seed)
     sample_max: Fraction | None = None
     within = True
-    for _ in range(samples):
-        model = random_hidden_variable_model(rng)
-        triple = _mixture_payoffs(payoffs, model)
+    for triple in _sampled_payoffs(profiles, random.Random(seed), samples):
         total = triple.total()
         if sample_max is None or total > sample_max:
             sample_max = total
@@ -403,38 +534,14 @@ def classical_bound_audit(
     )
 
 
-def _mixture_payoffs(
-    payoffs: dict[StrategyProfile, PayoffTriple], model: HiddenVariableModel
-) -> PayoffTriple:
-    """Payoffs of a hidden-variable model via its decomposition into
-    deterministic profiles.
-
-    Each stochastic response row is itself a mixture of the two deterministic
-    responses, so the model is a convex combination of the 64 profiles and
-    its payoffs follow from the precomputed profile payoffs.  Agrees exactly
-    with expected_payoffs over hv_model_to_distribution (tested).
-    """
-    sums = [Fraction(0)] * 3
-    for weight, responses in model.atoms:
-        if weight == 0:
-            continue
-        supports = []
-        for resp in responses:
-            support = [
-                (s, q)
-                for s in STRATEGIES
-                if (q := resp[0][s[0]] * resp[1][s[1]]) != 0
-            ]
-            supports.append(support)
-        for sa, qa in supports[0]:
-            for sb, qb in supports[1]:
-                wab = qa * qb
-                for sc, qc in supports[2]:
-                    w = weight * wab * qc
-                    triple = payoffs[(sa, sb, sc)]
-                    for i in PLAYERS:
-                        sums[i] += w * triple[i]
-    return PayoffTriple(*sums)
+def _deterministic_correlator(profile: StrategyProfile, x: Profile) -> int:
+    """The correlator of a deterministic profile in context x: the +/-1
+    product of (2 s_i(x_i) - 1) over the players."""
+    return (
+        (2 * profile[0][x[0]] - 1)
+        * (2 * profile[1][x[1]] - 1)
+        * (2 * profile[2][x[2]] - 1)
+    )
 
 
 def deterministic_bell_extremes() -> dict[BellVariant, tuple[Fraction, Fraction]]:
@@ -442,8 +549,9 @@ def deterministic_bell_extremes() -> dict[BellVariant, tuple[Fraction, Fraction]
     out = {}
     for variant in BellVariant:
         values = [
-            bell_expression(strategy_to_distribution(prof), variant)
+            sum(_deterministic_correlator(prof, x) for x in variant.positive_contexts)
+            - _deterministic_correlator(prof, variant.negative_context)
             for prof in ALL_PROFILES
         ]
-        out[variant] = (min(values), max(values))
+        out[variant] = (Fraction(min(values)), Fraction(max(values)))
     return out

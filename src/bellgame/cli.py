@@ -21,13 +21,12 @@ from pathlib import Path
 from . import __version__
 from .builtin import builtin_game
 from .classical import (
-    ALL_PROFILES,
     BellVariant,
     EquilibriumReport,
     classical_bound_audit,
     deterministic_bell_extremes,
-    deterministic_payoffs,
     enumerate_deterministic_equilibria,
+    profile_table,
 )
 from .game import (
     GameDefinition,
@@ -170,10 +169,7 @@ def _config_from_args(args) -> OptimizationConfig:
 def cmd_equilibria(args) -> int:
     started = time.perf_counter()
     game = _resolve_game(args.game)
-    bound = max(
-        deterministic_payoffs(game.utilities, game.prior, prof).total()
-        for prof in ALL_PROFILES
-    )
+    bound = profile_table(game.utilities, game.prior).max_total()
     reports = enumerate_deterministic_equilibria(game.utilities, game.prior, bound)
     results = {
         "total_payoff_bound": format_rational(bound),

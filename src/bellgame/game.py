@@ -7,9 +7,11 @@ profiles y together with a prior over type profiles.  Every advisor kind
 conditional distribution p(y | x), so expected payoffs are a single bilinear
 form shared by both engines.
 
-All classical-path arithmetic uses ``fractions.Fraction`` so that payoff
-comparisons and equilibrium checks are exact; quantum-path distributions
-carry floats and are validated against explicit tolerances.
+Classical-path values are exact ``fractions.Fraction`` s (the 64-profile
+scans of :mod:`bellgame.classical` run on integers over a common
+denominator), so payoff comparisons and equilibrium checks are exact;
+quantum-path distributions carry floats and are validated against explicit
+tolerances.
 
 Profile indexing convention: a profile (a, b, c) of bits for players
 (A, B, C) maps to index 4*a + 2*b + c, i.e. player A owns the most
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -364,7 +367,7 @@ def no_signalling_residual(dist: ConditionalDistribution) -> Numeric:
 #  "prior": {"0 0 0": "1/8", ...},                    # keyed "x_A x_B x_C"
 #  "utilities": {"A": [[...8 rationals...] x 8], ...}} # [x_index][y_index]
 #
-# Rationals are "num/den" strings; bare integers are accepted on input.
+# Rationals are "num/den" strings; bare integer strings are accepted on input.
 # The JSON schema ships in docs/game.schema.json.
 # ---------------------------------------------------------------------------
 
@@ -381,7 +384,20 @@ def format_rational(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+#: The ``rational`` pattern of docs/game.schema.json, matched against the
+#: whole string.
+RATIONAL_PATTERN = r"-?[0-9]+(/[0-9]+)?"
+
+
 def parse_rational(s: str, field: str) -> Fraction:
+    """Read a "num/den" or bare-integer string, exactly as the schema's
+    ``rational`` accepts it; numbers, booleans, decimals and exponents are
+    rejected, and so is a zero denominator."""
+    if not isinstance(s, str) or re.fullmatch(RATIONAL_PATTERN, s) is None:
+        raise ValidationError(
+            f'{field}: invalid rational {s!r}; expected a "num/den" or '
+            f"integer string"
+        )
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .builtin import builtin_game
-from .classical import ALL_PROFILES, BellVariant, deterministic_payoffs
+from .classical import BellVariant, profile_table
 from .game import (
     PLAYERS,
     PROFILES,
@@ -321,11 +321,7 @@ def quantum_advantage_report(
 ) -> QuantumAdvantageReport:
     """Side-by-side of the classical fair cap and the quantum optimum."""
     game = game or builtin_game()
-    totals = [
-        deterministic_payoffs(game.utilities, game.prior, prof).total()
-        for prof in ALL_PROFILES
-    ]
-    bound = max(totals)
+    bound = profile_table(game.utilities, game.prior).max_total()
     cap = bound / 3
     optimum = maximize_planar(config, game)
     quantum_total = float(sum(optimum.payoffs))

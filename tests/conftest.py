@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from bellgame.builtin import builtin_game
-from bellgame.game import Prior
+from bellgame.game import GameDefinition, Prior, UtilityTable, affine_transform
 from bellgame.quantum import PlanarAngles, ghz_advisor
 
 
@@ -20,6 +21,28 @@ def utilities(table1):
 @pytest.fixture(scope="session")
 def uniform_prior():
     return Prior.uniform()
+
+
+@pytest.fixture(scope="session")
+def nonuniform_game(table1):
+    """table1's utilities under the prior P(x) = (index(x) + 1) / 36."""
+    return GameDefinition(
+        table1.utilities, Prior(tuple(Fraction(k, 36) for k in range(1, 9)))
+    )
+
+
+@pytest.fixture(scope="session")
+def affine_game(table1):
+    """table1 with every type and action bit flipped and u -> 7/3 u - 5/2."""
+    def flip(bits):
+        return tuple(1 - b for b in bits)
+
+    flipped = UtilityTable.from_function(
+        lambda i, x, y: table1.utilities.utility(i, flip(x), flip(y))
+    )
+    return GameDefinition(
+        affine_transform(flipped, Fraction(7, 3), Fraction(-5, 2)), Prior.uniform()
+    )
 
 
 @pytest.fixture(scope="session")

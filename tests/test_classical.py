@@ -3,20 +3,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellgame.classical import (
     ALL_PROFILES,
     STRATEGIES,
     BellVariant,
     HiddenVariableModel,
+    _deterministic_correlator,
+    _sampled_payoffs,
     bell_expression,
     classical_bound_audit,
+    correlator,
     deterministic_bell_extremes,
     deterministic_payoffs,
     enumerate_deterministic_equilibria,
     flip_types,
     hv_model_to_distribution,
     is_nash,
+    profile_table,
     random_hidden_variable_model,
     strategy_to_distribution,
 )
@@ -25,6 +31,7 @@ from bellgame.game import (
     PROFILES,
     ConditionalDistribution,
     Player,
+    Prior,
     UtilityTable,
     ValidationError,
     affine_transform,
@@ -48,6 +55,34 @@ KNOWN_EQUILIBRIA = [
 ]
 
 BOUND = F(9, 4)
+
+GAMES = ["table1", "affine_game", "nonuniform_game"]
+
+#: Rationals with large denominators, for utility tables and priors.
+BIG_RATIONALS = st.fractions(
+    min_value=-(10**6), max_value=10**6, max_denominator=10**9
+)
+
+#: random_hidden_variable_model(random.Random(seed)) for three seeds: per atom
+#: the weight and, per player, the numerators of p(y=0|x=0) and p(y=0|x=1)
+#: over 16.
+PINNED_MODELS = {
+    0: [
+        (F(98, 373), ((9, 15), (16, 0), (9, 4))),
+        (F(54, 373), ((8, 4), (16, 16), (10, 15))),
+        (F(6, 373), ((11, 13), (16, 0), (15, 14))),
+        (F(34, 373), ((8, 1), (0, 2), (12, 0))),
+        (F(66, 373), ((10, 7), (2, 6), (7, 7))),
+        (F(63, 373), ((4, 14), (0, 16), (15, 3))),
+        (F(52, 373), ((0, 16), (10, 6), (9, 14))),
+    ],
+    1: [
+        (F(73, 180), ((0, 0), (15, 12), (3, 15))),
+        (F(49, 90), ((0, 0), (16, 16), (8, 7))),
+        (F(1, 20), ((3, 10), (16, 16), (0, 12))),
+    ],
+    2: [(F(1, 1), ((16, 0), (9, 8), (1, 5)))],
+}
 
 
 class TestStrategyDistribution:
@@ -118,6 +153,22 @@ class TestHiddenVariableModels:
                             expected[i] += w * f[i]
             assert via_dist == tuple(expected)
 
+    @pytest.mark.parametrize("seed", sorted(PINNED_MODELS))
+    def test_random_model_draws_are_pinned(self, seed):
+        expected = HiddenVariableModel(
+            tuple(
+                (
+                    weight,
+                    tuple(
+                        tuple((F(k, 16), 1 - F(k, 16)) for k in p0)
+                        for p0 in responses
+                    ),
+                )
+                for weight, responses in PINNED_MODELS[seed]
+            )
+        )
+        assert random_hidden_variable_model(random.Random(seed)) == expected
+
     def test_random_models_are_no_signalling(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -147,6 +198,17 @@ class TestBellExpression:
         for variant in BellVariant:
             lo, hi = extremes[variant]
             assert lo == -2 and hi == 2
+
+    def test_deterministic_correlators_match_distribution_route(self):
+        extremes = deterministic_bell_extremes()
+        for variant in BellVariant:
+            values = []
+            for profile in ALL_PROFILES:
+                dist = strategy_to_distribution(profile)
+                for x in PROFILES:
+                    assert _deterministic_correlator(profile, x) == correlator(dist, x)
+                values.append(bell_expression(dist, variant))
+            assert extremes[variant] == (min(values), max(values))
 
     def test_mixtures_within_bound(self):
         rng = random.Random(1)
@@ -362,3 +424,46 @@ class TestBoundAudit:
         a = classical_bound_audit(utilities, uniform_prior, samples=50, seed=7)
         b = classical_bound_audit(utilities, uniform_prior, samples=50, seed=7)
         assert a == b
+
+
+class TestProfileTable:
+    @pytest.mark.parametrize("game", GAMES)
+    def test_entries_match_deterministic_payoffs(self, game, request):
+        game = request.getfixturevalue(game)
+        profiles = profile_table(game.utilities, game.prior)
+        assert len(profiles.numerators) == 64
+        for k, profile in enumerate(ALL_PROFILES):
+            assert profiles.payoffs(k) == deterministic_payoffs(
+                game.utilities, game.prior, profile
+            )
+        assert profiles.max_total() == max(
+            deterministic_payoffs(game.utilities, game.prior, p).total()
+            for p in ALL_PROFILES
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(BIG_RATIONALS, min_size=16, max_size=16),
+        st.lists(st.integers(0, 10**9), min_size=8, max_size=8).filter(any),
+        st.randoms(use_true_random=False),
+    )
+    def test_entries_match_on_large_denominators(self, pool, raw_prior, rng):
+        table = UtilityTable.from_function(lambda i, x, y: rng.choice(pool))
+        prior = Prior(tuple(F(w, sum(raw_prior)) for w in raw_prior))
+        profiles = profile_table(table, prior)
+        for k, profile in enumerate(ALL_PROFILES):
+            assert profiles.payoffs(k) == deterministic_payoffs(table, prior, profile)
+
+    @pytest.mark.parametrize("game", GAMES)
+    def test_sampled_payoffs_match_fraction_oracle(self, game, request):
+        game = request.getfixturevalue(game)
+        profiles = profile_table(game.utilities, game.prior)
+        for seed in (11, 12):
+            # both routes draw from their own copy of one seeded rng, so
+            # they stay in step only if every draw makes the same rng calls
+            model_rng, audit_rng = random.Random(seed), random.Random(seed)
+            for triple in _sampled_payoffs(profiles, audit_rng, 100):
+                model = random_hidden_variable_model(model_rng)
+                assert triple == expected_payoffs(
+                    game.utilities, game.prior, hv_model_to_distribution(model)
+                )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -27,6 +28,20 @@ from bellgame.quantum import (
 )
 
 F = Fraction
+
+
+#: sha256 of each report's results as one sorted-key JSON line
+#: (json.dumps(results, sort_keys=True) + "\n"), recorded before the profile
+#: scans moved to integers; audit-bound runs with --seed 0 and 1000 samples.
+PINNED_RESULTS = {
+    ("audit-bound", "table1"): "9600c69b834e0231aa2db49638a73567f0c74c2083185cd0453b1729b216d730",
+    ("audit-bound", "nonuniform_game"): "753c0c6c70e985cd3c21f17b0798c2420e726b77d03b631a4678f742e52e3e62",
+    ("audit-bound", "affine_game"): "617326a10c82371e09204519ad481d984136cbba4139b1008d08ee1f210364d2",
+    ("equilibria", "table1"): "2afb1d31e6733c8d115d6ec3ee1e76abebe9f7165fe9fa952e700acf59d24cf8",
+    ("equilibria", "nonuniform_game"): "0467d699bd7a3fcd36dda75853cf31858f87e664be75d4e0782aff1f588253f9",
+    ("equilibria", "affine_game"): "6cddb916d66b7be83ec5982918d3ef65ebd72381a954c5c72031c37f0eba2fc3",
+    ("bell", "table1"): "abd7851fb34874c424b5a25b4e8958221fd6e48a67deaccdd3f0c741c049f2de",
+}
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict]:
@@ -90,6 +105,18 @@ class TestEquilibriaCommand:
         assert code == 2
         assert "prior" in captured.err
 
+    @pytest.mark.parametrize("value", [1.5, True, "0.5", "1e400"])
+    def test_non_schema_utility_exits_2_naming_field(self, capsys, tmp_path, value):
+        doc = game_to_json_dict(builtin_game())
+        doc["utilities"]["A"][0][0] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["equilibria", "--game", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "utilities['A'][0][0]" in captured.err
+
     def test_missing_file_exits_4(self, capsys):
         code = main(["equilibria", "--game", "/nonexistent/game.json"])
         assert code == 4
@@ -150,6 +177,21 @@ class TestAuditCommand:
         _, first = run_cli(capsys, "audit-bound", "--samples", "150", "--seed", "3")
         _, second = run_cli(capsys, "audit-bound", "--samples", "150", "--seed", "3")
         assert json.dumps(first["results"]) == json.dumps(second["results"])
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize(("command", "game"), sorted(PINNED_RESULTS))
+    def test_results_match_pinned_hash(self, capsys, tmp_path, request, command, game):
+        if game == "table1":
+            selector = "builtin:table1"
+        else:
+            selector = str(tmp_path / f"{game}.json")
+            dump_game(request.getfixturevalue(game), selector)
+        extra = ["--seed", "0"] if command == "audit-bound" else []
+        code, report = run_cli(capsys, command, "--game", selector, *extra)
+        assert code == 0
+        line = json.dumps(report["results"], sort_keys=True) + "\n"
+        assert hashlib.sha256(line.encode()).hexdigest() == PINNED_RESULTS[command, game]
 
 
 class TestBellCommand:

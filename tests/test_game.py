@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,27 @@ from bellgame.game import (
 )
 
 RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+GAME_SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "game.schema.json").read_text()
+)
+RATIONAL_DEF = GAME_SCHEMA["$defs"]["rational"]
+RATIONAL_PATTERN = RATIONAL_DEF["pattern"]
+
+#: Values for one rational field: schema rationals, zero denominators,
+#: near misses (decimals, exponents, spaces, underscores, newlines) and
+#: JSON values of other types.
+RATIONAL_FIELD_VALUES = st.one_of(
+    st.from_regex(RATIONAL_PATTERN, fullmatch=True),
+    st.from_regex(r"-?[0-9]+/0+", fullmatch=True),
+    st.text(alphabet="-+/0123456789.eE _\n", max_size=8),
+    st.text(max_size=4),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+)
 
 
 def random_exact_distribution(seed: int) -> ConditionalDistribution:
@@ -305,6 +328,37 @@ class TestSerialization:
         path.write_text('{"players": ["A", "B", "C"],\n  oops\n}')
         with pytest.raises(ValidationError, match="line 2"):
             load_game(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATIONAL_FIELD_VALUES)
+    def test_loader_accepts_exactly_the_schema_rationals(self, table1, value):
+        """A utility entry loads if and only if it matches the schema's
+        ``rational`` and its denominator is nonzero.
+
+        JSON Schema patterns are ECMA-262 regexes, whose "$" matches only at
+        the end of the string; jsonschema applies them with Python's
+        re.search, whose "$" also matches before a final newline, so the
+        pattern is checked again with re.fullmatch.
+        """
+        jsonschema = pytest.importorskip("jsonschema")
+        doc = game_to_json_dict(table1)
+        doc["utilities"]["B"][3][4] = value
+        expected = (
+            jsonschema.Draft202012Validator(RATIONAL_DEF).is_valid(value)
+            and re.fullmatch(RATIONAL_PATTERN, value) is not None
+            and int(value.partition("/")[2] or 1) != 0
+        )
+        try:
+            game = game_from_json_dict(doc)
+        except ValidationError as exc:
+            assert "utilities['B'][3][4]" in str(exc)
+            assert not expected
+        else:
+            assert expected
+            num, _, den = value.partition("/")
+            assert game.utilities.values[Player.B][3][4] == Fraction(
+                int(num), int(den or 1)
+            )
 
     def test_integer_rationals_accepted_on_input(self, table1):
         doc = game_to_json_dict(table1)
