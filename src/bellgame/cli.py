@@ -33,7 +33,6 @@ from .game import (
     PayoffTriple,
     ValidationError,
     check_player_symmetry,
-    expected_payoffs,
     format_rational,
     game_digest,
     load_game,
@@ -49,8 +48,8 @@ from .optimize import (
 from .quantum import (
     MeasurementSetting,
     ghz_advisor,
+    ghz_bell,
     load_setting,
-    quantum_bell,
     quantum_distribution,
     setting_to_json_dict,
 )
@@ -89,6 +88,24 @@ def fmt_equilibrium(report: EquilibriumReport) -> dict:
 def fmt_planar_angles(angles) -> dict:
     keys = ["phi_A0", "phi_A1", "phi_B0", "phi_B1", "phi_C0", "phi_C1"]
     return {k: fmt_real(v) for k, v in zip(keys, angles)}
+
+
+def fmt_setting(setting: MeasurementSetting) -> dict:
+    return {k: fmt_real(v) for k, v in setting_to_json_dict(setting).items()}
+
+
+def fmt_bell_extremes(extremes: dict[BellVariant, tuple[Fraction, Fraction]]) -> dict:
+    return {
+        variant.name: {"min": format_rational(lo), "max": format_rational(hi)}
+        for variant, (lo, hi) in extremes.items()
+    }
+
+
+def fmt_ghz_bell(setting: MeasurementSetting) -> dict:
+    theta, phi = setting.bloch_angles()
+    return {
+        variant.name: fmt_real(ghz_bell(theta, phi, variant)) for variant in BellVariant
+    }
 
 
 def fmt_optimum(report: OptimumReport) -> dict:
@@ -186,7 +203,6 @@ def cmd_audit_bound(args) -> int:
     audit = classical_bound_audit(
         game.utilities, game.prior, samples=args.samples, seed=args.seed
     )
-    extremes = deterministic_bell_extremes()
     results = {
         "deterministic": {
             "max_total": format_rational(audit.deterministic_max),
@@ -205,13 +221,7 @@ def cmd_audit_bound(args) -> int:
         },
         "fair_cap": format_rational(audit.fair_cap),
         "max_min_payoff": format_rational(audit.max_min_payoff),
-        "bell_extremes": {
-            variant.name: {
-                "min": format_rational(lo),
-                "max": format_rational(hi),
-            }
-            for variant, (lo, hi) in extremes.items()
-        },
+        "bell_extremes": fmt_bell_extremes(deterministic_bell_extremes()),
     }
     _write_report(args.out, "audit-bound", game, results, started)
     return EXIT_OK
@@ -221,29 +231,18 @@ def cmd_bell(args) -> int:
     started = time.perf_counter()
     game = _resolve_game(args.game)
     if args.setting is None:
-        extremes = deterministic_bell_extremes()
         results = {
             "source": "deterministic-profiles",
             "classical_bound": 2,
-            "extremes": {
-                variant.name: {
-                    "min": format_rational(lo),
-                    "max": format_rational(hi),
-                }
-                for variant, (lo, hi) in extremes.items()
-            },
+            "extremes": fmt_bell_extremes(deterministic_bell_extremes()),
         }
         inputs = None
     else:
         setting = load_setting(args.setting)
-        advisor = ghz_advisor()
-        values = {
-            variant.name: fmt_real(quantum_bell(advisor, setting, variant))
-            for variant in BellVariant
-        }
+        values = fmt_ghz_bell(setting)
         results = {
             "source": "ghz-advisor",
-            "setting": {k: fmt_real(v) for k, v in setting_to_json_dict(setting).items()},
+            "setting": fmt_setting(setting),
             "values": values,
             "difference": fmt_real(values["V011"] - values["V100"]),
         }
@@ -282,26 +281,23 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     game = _resolve_game(args.game)
     setting = load_setting(args.setting)
-    advisor = ghz_advisor()
-    dist = quantum_distribution(advisor, setting)
-    dist.validate(1e-9)
+    # The trace-rule distribution is built only for its own diagnostics; the
+    # payoffs and Bell values come from the GHZ engine.
+    dist = quantum_distribution(ghz_advisor(), setting)
+    dist.validate()
     row_err = max(abs(sum(row) - 1) for row in dist.rows)
     min_entry = min(v for row in dist.rows for v in row)
     residual = no_signalling_residual(dist)
-    payoffs = expected_payoffs(game.utilities, game.prior, dist)
     mode = "planar" if args.mode == "planar" else "full_sphere"
     verdict = best_response_check(setting, mode, _config_from_args(args), game)
     results = {
-        "setting": {k: fmt_real(v) for k, v in setting_to_json_dict(setting).items()},
+        "setting": fmt_setting(setting),
         "planar": setting.is_planar(),
-        "payoffs": fmt_payoffs(payoffs),
+        "payoffs": fmt_payoffs(verdict.baseline),
         "row_sum_max_error": fmt_real(row_err),
         "min_probability": fmt_real(min_entry),
         "no_signalling_max_residual": fmt_real(residual),
-        "bell_values": {
-            variant.name: fmt_real(quantum_bell(advisor, setting, variant))
-            for variant in BellVariant
-        },
+        "bell_values": fmt_ghz_bell(setting),
         "best_response": fmt_best_response(verdict),
     }
     _write_report(

@@ -4,8 +4,9 @@ Players A, B, C each receive a private type bit and answer with an action
 bit.  A game is a utility table u_i(x, y) over type profiles x and action
 profiles y together with a prior over type profiles.  Every advisor kind
 (classical or quantum) enters payoff computations only through the
-conditional distribution p(y | x), so expected payoffs are a single bilinear
-form shared by both engines.
+conditional distribution p(y | x); expected_payoffs is that bilinear form,
+kept as the exact oracle that the integer classical scans and the GHZ float
+engine are tested against.
 
 Classical-path values are exact ``fractions.Fraction`` s (the 64-profile
 scans of :mod:`bellgame.classical` run on integers over a common
@@ -145,12 +146,13 @@ class Prior:
         for i, w in enumerate(self.weights):
             if w < 0:
                 raise ValidationError(
-                    f"prior entry for type profile {PROFILES[i]} is negative: {w}"
+                    f"prior entry for type profile {PROFILES[i]} is negative: "
+                    f"{format_rational(w)}"
                 )
         total = sum(self.weights)
         if total != 1:
             raise ValidationError(
-                f"prior entries sum to {total}, expected exactly 1"
+                f"prior entries sum to {format_rational(total)}, expected exactly 1"
             )
 
     @classmethod
@@ -192,22 +194,20 @@ class ConditionalDistribution:
     def prob(self, y: Profile, x: Profile) -> Numeric:
         return self.rows[profile_index(x)][profile_index(y)]
 
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for row in self.rows for v in row)
-
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        """Check nonnegativity and row normalization, naming the bad row."""
+    def validate(self) -> None:
+        """Check nonnegativity and row normalization within DEFAULT_TOL,
+        naming the bad row."""
         if len(self.rows) != 8 or any(len(row) != 8 for row in self.rows):
             raise ValidationError("conditional distribution must be 8 x 8")
         for xi, row in enumerate(self.rows):
             for v in row:
-                if v < -tol:
+                if v < -DEFAULT_TOL:
                     raise ValidationError(
                         f"negative probability {v} in row for type profile "
                         f"{PROFILES[xi]}"
                     )
             s = sum(row)
-            if abs(s - 1) > tol:
+            if abs(s - 1) > DEFAULT_TOL:
                 raise ValidationError(
                     f"row for type profile {PROFILES[xi]} sums to {s}, "
                     f"expected 1"
@@ -215,20 +215,19 @@ class ConditionalDistribution:
 
 
 def expected_payoffs(
-    table: UtilityTable,
-    prior: Prior,
-    dist: ConditionalDistribution,
-    *,
-    validate: bool = True,
-    tol: float = DEFAULT_TOL,
+    table: UtilityTable, prior: Prior, dist: ConditionalDistribution
 ) -> PayoffTriple:
-    """Average payoff of each player under the advice distribution.
+    """Average payoff of each player under the advice distribution, after
+    validating it.
 
     F_i = sum over (x, y) of P(x) p(y|x) u_i(x, y).  Exact (Fraction)
-    whenever the prior, utilities and distribution are all exact.
+    whenever the prior, utilities and distribution are all exact.  This is
+    the oracle: reports take classical payoffs from classical.profile_table
+    and quantum payoffs from quantum.ghz_payoffs, and tests hold both to
+    this form (quantum.quantum_payoffs applies it to a trace-rule
+    distribution).
     """
-    if validate:
-        dist.validate(tol)
+    dist.validate()
     out = []
     for player in PLAYERS:
         u = table.values[player]
@@ -380,8 +379,36 @@ class GameDefinition:
     prior: Prior
 
 
+#: Longest decimal digit string converted to or from an int in one step.
+#: Python refuses such conversions above 4300 digits by default
+#: (sys.get_int_max_str_digits), but the schema bounds no rational's length,
+#: so longer numbers are converted in halves.
+_CHUNK_DIGITS = 4000
+_CHUNK_LIMIT = 10**_CHUNK_DIGITS
+
+
+def _int_from_digits(digits: str) -> int:
+    """The nonnegative integer written by a decimal digit string of any
+    length."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    high, low = digits[: len(digits) // 2], digits[len(digits) // 2 :]
+    return _int_from_digits(high) * 10 ** len(low) + _int_from_digits(low)
+
+
+def _digits_of_int(n: int) -> str:
+    """Decimal digits of a nonnegative integer of any size."""
+    if n < _CHUNK_LIMIT:
+        return str(n)
+    # about half of n's digits (n.bit_length() * log10(2) of them) go low
+    low_digits = int(n.bit_length() * 0.30103) // 2
+    high, low = divmod(n, 10**low_digits)
+    return _digits_of_int(high) + _digits_of_int(low).zfill(low_digits)
+
+
 def format_rational(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
+    sign = "-" if v.numerator < 0 else ""
+    return f"{sign}{_digits_of_int(abs(v.numerator))}/{_digits_of_int(v.denominator)}"
 
 
 #: The ``rational`` pattern of docs/game.schema.json, matched against the
@@ -398,10 +425,15 @@ def parse_rational(s: str, field: str) -> Fraction:
             f'{field}: invalid rational {s!r}; expected a "num/den" or '
             f"integer string"
         )
+    num, _, den = s.partition("/")
+    numerator = _int_from_digits(num.lstrip("-"))
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{field}: invalid rational {s!r}") from exc
+        return Fraction(
+            -numerator if num.startswith("-") else numerator,
+            _int_from_digits(den or "1"),
+        )
+    except ZeroDivisionError as exc:
+        raise ValidationError(f"{field}: zero denominator in rational") from exc
 
 
 def game_to_json_dict(game: GameDefinition) -> dict:

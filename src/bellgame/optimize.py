@@ -6,9 +6,10 @@ The objective landscape is smooth and low-dimensional (four free azimuths
 once the gauge a0 = b0 = 0 is fixed), so a seeded coarse grid scan followed
 by Nelder-Mead polish from the best starts finds the optimum reliably.  The
 contract is the value reached, not the search path.  Every game takes the
-same path: payoffs come from the GHZ weights of its utility table
-(quantum.ghz_weights); the trace rule only reports the final payoffs and
-Bell values.
+same path: the search, the best-response check and the reported payoffs
+and Bell values all come from the GHZ engine (quantum.ghz_weights,
+ghz_payoffs and ghz_bell).  The trace rule is not used here; tests hold the
+engine to it.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ from .quantum import (
     BlochObservable,
     MeasurementSetting,
     PlanarAngles,
-    ghz_advisor,
+    ghz_bell,
     ghz_payoffs,
     ghz_weights,
-    quantum_bell,
-    quantum_payoffs,
     wrap_angle,
 )
 
@@ -55,7 +54,6 @@ class OptimizationConfig:
     restarts: int = 12
     grid: int = 16  # scan resolution per angle
     tol: float = 1e-10  # simplex convergence tolerance on the value
-    max_iter: int = 2000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -63,8 +61,8 @@ class OptimizationConfig:
             raise ValidationError("grid resolution must be at least 8")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError("convergence tolerance must be finite and positive")
-        if self.restarts < 1 or self.max_iter < 1:
-            raise ValidationError("restarts and max_iter must be positive")
+        if self.restarts < 1:
+            raise ValidationError("restarts must be positive")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 
@@ -78,6 +76,11 @@ class OptimumReport:
     converged: bool
 
 
+#: Iteration cap of one Nelder-Mead polish; it may evaluate the objective
+#: four times as often.
+NM_MAX_ITER = 2000
+
+
 def _nelder_mead(
     objective: Callable[[np.ndarray], float], x0: Sequence[float], config: OptimizationConfig
 ) -> tuple[np.ndarray, float, bool]:
@@ -88,8 +91,8 @@ def _nelder_mead(
         options={
             "xatol": 1e-9,
             "fatol": config.tol,
-            "maxiter": config.max_iter,
-            "maxfev": 4 * config.max_iter,
+            "maxiter": NM_MAX_ITER,
+            "maxfev": 4 * NM_MAX_ITER,
         },
     )
     return res.x, -float(res.fun), bool(res.success)
@@ -161,7 +164,6 @@ def maximize_planar(
     """
     config = config or OptimizationConfig()
     game = game or builtin_game()
-    advisor = ghz_advisor()
     weights = ghz_weights(game.utilities, game.prior)
     const = weights[:, :, 0].sum(axis=1)
     coef = -weights[:, :, 4]
@@ -190,17 +192,15 @@ def maximize_planar(
     )
     value = float(objective(np.array([canonical.a1, canonical.b1,
                                       canonical.c0, canonical.c1])))
-    setting = MeasurementSetting.planar(canonical)
-    payoffs = quantum_payoffs(game.utilities, game.prior, advisor, setting)
-    bells = (
-        quantum_bell(advisor, setting, BellVariant.V011),
-        quantum_bell(advisor, setting, BellVariant.V100),
-    )
+    theta, phi = MeasurementSetting.planar(canonical).bloch_angles()
     return OptimumReport(
         angles=canonical,
         value=value,
-        payoffs=payoffs,
-        bell_values=bells,
+        payoffs=PayoffTriple(*ghz_payoffs(weights, theta, phi).tolist()),
+        bell_values=(
+            float(ghz_bell(theta, phi, BellVariant.V011)),
+            float(ghz_bell(theta, phi, BellVariant.V100)),
+        ),
         converged=ok,
     )
 

@@ -1,6 +1,14 @@
 """Quantum advisor: GHZ state, Bloch-parameterized projective measurements,
-trace-rule conditional distributions, the GHZ payoff engine derived from a
-game's utility table, and the gauge symmetry of planar settings.
+trace-rule conditional distributions, the GHZ engine derived from a game's
+utility table, and the gauge symmetry of planar settings.
+
+Two routes give the same quantum numbers.  The GHZ engine (ghz_weights,
+ghz_payoffs, ghz_bell) evaluates batches of settings in closed form; it is
+the only source of the payoffs and Bell values that searches and reports
+use.  The trace rule (quantum_distribution, and quantum_payoffs and
+quantum_bell on top of it) builds the full 8 x 8 distribution for any
+advisor state; it is the oracle the engine is tested against, and the
+source of the distribution diagnostics of ``bellgame check``.
 
 Conventions (load-bearing, fixed once here):
 
@@ -35,6 +43,7 @@ from .game import (
     UtilityTable,
     ValidationError,
     expected_payoffs,
+    profile_index,
 )
 
 TAU = 2 * math.pi
@@ -222,8 +231,12 @@ def quantum_payoffs(
     advisor: QuantumAdvisor,
     setting: MeasurementSetting,
 ) -> PayoffTriple:
-    """Expected payoffs with quantum advice: the shared bilinear form applied
-    to the trace-rule distribution (utilities become floats on this path)."""
+    """Expected payoffs with quantum advice: the exact bilinear form
+    (game.expected_payoffs) applied to the trace-rule distribution.
+
+    This is the oracle that tests hold ghz_payoffs to; reports take their
+    payoffs from ghz_payoffs.
+    """
     dist = quantum_distribution(advisor, setting)
     return expected_payoffs(table, prior, dist)
 
@@ -255,15 +268,15 @@ def ghz_weights(table: UtilityTable, prior: Prior) -> np.ndarray:
     return weights
 
 
-def ghz_payoffs(weights: np.ndarray, theta, phi) -> np.ndarray:
-    """Expected payoffs under GHZ advice for a batch of measurement settings.
+def _ghz_features(theta, phi) -> np.ndarray:
+    """Outcome-sign correlations of the GHZ distribution, shape (..., 8, 5).
 
     ``theta`` and ``phi`` have shape (..., 3, 2), indexed by player and type
-    bit; the result has shape (..., 3).  For the GHZ state the trace rule
-    reduces to p(y|x) = (1 + sum_{i<j} cos t_i cos t_j s_i s_j
-    - sin t_A sin t_B sin t_C sin(p_A + p_B + p_C) s_A s_B s_C) / 8, so the
-    payoff is the features of each type profile dotted with ``weights``
-    (from ghz_weights).
+    bit.  Row x holds E[f_k(y) | x] for the features of GHZ_FEATURES: for the
+    GHZ state the trace rule reduces to p(y|x) = (1 + sum_{i<j} cos t_i
+    cos t_j s_i s_j - sin t_A sin t_B sin t_C sin(p_A + p_B + p_C)
+    s_A s_B s_C) / 8, so the expectations are 1, the three pair products of
+    cosines and the triple correlator.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -274,10 +287,27 @@ def ghz_payoffs(weights: np.ndarray, theta, phi) -> np.ndarray:
         sin[..., 0, xa] * sin[..., 1, xb] * sin[..., 2, xc]
         * np.sin(phi[..., 0, xa] + phi[..., 1, xb] + phi[..., 2, xc])
     )
-    features = np.stack(
-        [np.ones_like(ca), ca * cb, ca * cc, cb * cc, triple], axis=-1
-    )
+    return np.stack([np.ones_like(ca), ca * cb, ca * cc, cb * cc, triple], axis=-1)
+
+
+def ghz_payoffs(weights: np.ndarray, theta, phi) -> np.ndarray:
+    """Expected payoffs under GHZ advice for a batch of measurement settings.
+
+    ``theta`` and ``phi`` have shape (..., 3, 2), indexed by player and type
+    bit; the result has shape (..., 3): the features of each type profile
+    (see _ghz_features) dotted with ``weights`` (from ghz_weights).
+    """
+    features = _ghz_features(theta, phi)
     return features.reshape(*features.shape[:-2], 40) @ weights.reshape(3, 40).T
+
+
+def ghz_bell(theta, phi, variant: BellVariant) -> np.ndarray:
+    """Bell-variant value under GHZ advice, shape (...) for angle arrays of
+    shape (..., 3, 2): the triple correlators of the positive contexts minus
+    that of the negative context; may exceed 2."""
+    triple = _ghz_features(theta, phi)[..., 4]
+    value = sum(triple[..., profile_index(x)] for x in variant.positive_contexts)
+    return value - triple[..., profile_index(variant.negative_context)]
 
 
 def gauge_transform(
@@ -351,7 +381,11 @@ def ghz_single_party_marginal(projector: np.ndarray, party: Player) -> float:
 def quantum_bell(
     advisor: QuantumAdvisor, setting: MeasurementSetting, variant: BellVariant
 ) -> float:
-    """Bell-variant value of the quantum distribution; may exceed 2."""
+    """Bell-variant value of the trace-rule distribution; may exceed 2.
+
+    This is the oracle that tests hold ghz_bell to; reports take their Bell
+    values from ghz_bell.
+    """
     return float(bell_expression(quantum_distribution(advisor, setting), variant))
 
 

@@ -9,15 +9,23 @@ import pytest
 
 from bellgame import __version__
 from bellgame.builtin import builtin_game
-from bellgame.classical import BellVariant, HiddenVariableModel, hv_model_to_distribution
+from bellgame.classical import (
+    BellVariant,
+    HiddenVariableModel,
+    hv_model_to_distribution,
+    profile_table,
+)
 from bellgame.cli import main
 from bellgame.game import (
     GameDefinition,
+    Player,
     Prior,
     UtilityTable,
     dump_game,
     expected_payoffs,
     game_to_json_dict,
+    load_game,
+    parse_rational,
 )
 from bellgame.quantum import (
     BlochObservable,
@@ -31,8 +39,10 @@ F = Fraction
 
 
 #: sha256 of each report's results as one sorted-key JSON line
-#: (json.dumps(results, sort_keys=True) + "\n"), recorded before the profile
-#: scans moved to integers; audit-bound runs with --seed 0 and 1000 samples.
+#: (json.dumps(results, sort_keys=True) + "\n"). The audit-bound, equilibria
+#: and bell cases were recorded before the profile scans moved to integers;
+#: the optimize, bell --setting and check cases before their payoffs and Bell
+#: values moved from the trace rule to the GHZ engine.
 PINNED_RESULTS = {
     ("audit-bound", "table1"): "9600c69b834e0231aa2db49638a73567f0c74c2083185cd0453b1729b216d730",
     ("audit-bound", "nonuniform_game"): "753c0c6c70e985cd3c21f17b0798c2420e726b77d03b631a4678f742e52e3e62",
@@ -41,6 +51,32 @@ PINNED_RESULTS = {
     ("equilibria", "nonuniform_game"): "0467d699bd7a3fcd36dda75853cf31858f87e664be75d4e0782aff1f588253f9",
     ("equilibria", "affine_game"): "6cddb916d66b7be83ec5982918d3ef65ebd72381a954c5c72031c37f0eba2fc3",
     ("bell", "table1"): "abd7851fb34874c424b5a25b4e8958221fd6e48a67deaccdd3f0c741c049f2de",
+    ("optimize", "table1"): "b5e57c4d17f1281872278cfbebcd6f2f67397e261441dcdb32d050dffba227ef",
+    ("optimize", "nonuniform_game"): "253b91f7836443d0fdda2490a7b9d86f040588053a2a27cf09fcec3fbbc01c11",
+    ("optimize", "affine_game"): "bd2e52ddf362ed1bf87ca33540b0c10edf449436dbfec26a8d1876c4acf65f7e",
+    ("bell-optimum", "table1"): "5e8234dfae27d70369ec4910d95d1c116dde2153d37d1e7e3032a03bb0d81642",
+    ("check-optimum-planar", "table1"): "092b3306e0930cf1d55fccbbf4a49ef74b4dd1c3ec4a0c55a5c5c9884ce53e00",
+    ("check-optimum-full", "table1"): "07402d4b014a240baeaec81339e19ff34b703876d8b5d1afc0d71b846e0e580b",
+    ("check-tilted-planar", "table1"): "5228bb8efa7b39d2ea7613e005d7e50dd72c003666c71d17d924319946b16b9c",
+    ("check-tilted-full", "table1"): "c330cd9771fddcc8ee0342d44114afceb27c6e6b2c9cb540cfbfd32882da454c",
+}
+
+#: Command line of each pinned case apart from --game; {optimum} and
+#: {tilted} stand for the setting files of the fixtures of those names.
+PINNED_ARGS = {
+    "audit-bound": ["audit-bound", "--seed", "0"],
+    "equilibria": ["equilibria"],
+    "bell": ["bell"],
+    "optimize": ["optimize", "--seed", "1"],
+    "bell-optimum": ["bell", "--setting", "{optimum}"],
+    **{
+        f"check-{name}-{mode}": [
+            "check", "--setting", f"{{{name}}}", "--mode", mode,
+            "--restarts", "1", "--grid", "8",
+        ]
+        for name in ("optimum", "tilted")
+        for mode in ("planar", "full")
+    },
 }
 
 
@@ -65,6 +101,18 @@ def optimum_setting_file(tmp_path, reference_angles):
             }
         )
     )
+    return str(path)
+
+
+@pytest.fixture()
+def tilted_setting_file(tmp_path):
+    doc = {}
+    for i, name in enumerate("ABC"):
+        for t in (0, 1):
+            doc[f"theta_{name}{t}"] = 0.4 + 0.3 * i + 0.2 * t
+            doc[f"phi_{name}{t}"] = 0.1 * (i + t)
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -116,6 +164,32 @@ class TestEquilibriaCommand:
         assert code == 2
         assert captured.out == ""
         assert "utilities['A'][0][0]" in captured.err
+
+    def test_rationals_beyond_the_int_string_limit(self, capsys, tmp_path, table1):
+        """Two utility denominators of 2501 digits give a bound whose
+        denominator has about 5000, past Python's 4300-digit limit on int
+        <-> str conversion; the reports still carry it exactly."""
+        doc = game_to_json_dict(table1)
+        for name, den in (("A", 10**2500 + 1), ("B", 10**2500 + 3)):
+            # raise every entry of the row x = (0, 0, 0) by 1/den
+            doc["utilities"][name][0] = [
+                f"{u.numerator * den + u.denominator}/{u.denominator * den}"
+                for u in table1.utilities.values[Player[name]][0]
+            ]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        game = load_game(path)
+        bound = profile_table(game.utilities, game.prior).max_total()
+        assert bound == F(9, 4) + F(1, 8) * (F(1, 10**2500 + 1) + F(1, 10**2500 + 3))
+        assert bound.denominator > 10**5000
+
+        code, report = run_cli(capsys, "equilibria", "--game", str(path))
+        assert code == 0
+        assert parse_rational(report["results"]["total_payoff_bound"], "bound") == bound
+        code, report = run_cli(capsys, "audit-bound", "--samples", "5", "--game", str(path))
+        assert code == 0
+        deterministic = report["results"]["deterministic"]
+        assert parse_rational(deterministic["max_total"], "max_total") == bound
 
     def test_missing_file_exits_4(self, capsys):
         code = main(["equilibria", "--game", "/nonexistent/game.json"])
@@ -180,18 +254,22 @@ class TestAuditCommand:
 
 
 class TestPinnedResults:
-    @pytest.mark.parametrize(("command", "game"), sorted(PINNED_RESULTS))
-    def test_results_match_pinned_hash(self, capsys, tmp_path, request, command, game):
+    @pytest.mark.parametrize(("case", "game"), sorted(PINNED_RESULTS))
+    def test_results_match_pinned_hash(
+        self, capsys, tmp_path, request, optimum_setting_file, tilted_setting_file,
+        case, game,
+    ):
         if game == "table1":
             selector = "builtin:table1"
         else:
             selector = str(tmp_path / f"{game}.json")
             dump_game(request.getfixturevalue(game), selector)
-        extra = ["--seed", "0"] if command == "audit-bound" else []
-        code, report = run_cli(capsys, command, "--game", selector, *extra)
+        files = {"optimum": optimum_setting_file, "tilted": tilted_setting_file}
+        argv = [arg.format(**files) for arg in PINNED_ARGS[case]]
+        code, report = run_cli(capsys, *argv, "--game", selector)
         assert code == 0
         line = json.dumps(report["results"], sort_keys=True) + "\n"
-        assert hashlib.sha256(line.encode()).hexdigest() == PINNED_RESULTS[command, game]
+        assert hashlib.sha256(line.encode()).hexdigest() == PINNED_RESULTS[case, game]
 
 
 class TestBellCommand:
@@ -296,17 +374,10 @@ class TestCheckCommand:
         for key, value in zip("ABC", classical):
             assert results["payoffs"][key] == pytest.approx(float(value), abs=1e-9)
 
-    def test_tilted_setting_reports_three_payoffs(self, capsys, tmp_path):
-        doc = {}
-        for i, name in enumerate("ABC"):
-            for t in (0, 1):
-                doc[f"theta_{name}{t}"] = 0.4 + 0.3 * i + 0.2 * t
-                doc[f"phi_{name}{t}"] = 0.1 * (i + t)
-        path = tmp_path / "tilted.json"
-        path.write_text(json.dumps(doc))
+    def test_tilted_setting_reports_three_payoffs(self, capsys, tilted_setting_file):
         code, report = run_cli(
             capsys,
-            "check", "--setting", str(path), "--restarts", "2", "--grid", "8",
+            "check", "--setting", tilted_setting_file, "--restarts", "2", "--grid", "8",
         )
         assert code == 0
         results = report["results"]

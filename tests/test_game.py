@@ -2,11 +2,12 @@ import json
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellgame.classical import ALL_PROFILES, strategy_to_distribution
@@ -323,6 +324,13 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="prior"):
             load_game(path)
 
+    def test_unnormalized_prior_beyond_the_int_string_limit_named(self, table1):
+        doc = game_to_json_dict(table1)
+        for key in doc["prior"]:
+            doc["prior"][key] = "1/8" + "0" * 4400
+        with pytest.raises(ValidationError, match="prior entries sum to 1/10+, "):
+            game_from_json_dict(doc)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"players": ["A", "B", "C"],\n  oops\n}')
@@ -331,14 +339,19 @@ class TestSerialization:
 
     @settings(max_examples=300, deadline=None)
     @given(RATIONAL_FIELD_VALUES)
+    @example("1" * 5000)
+    @example("-" + "9" * 5000 + "/7")
+    @example("1/" + "0" * 5000)
     def test_loader_accepts_exactly_the_schema_rationals(self, table1, value):
         """A utility entry loads if and only if it matches the schema's
-        ``rational`` and its denominator is nonzero.
+        ``rational`` and its denominator is nonzero, whatever its length.
 
         JSON Schema patterns are ECMA-262 regexes, whose "$" matches only at
         the end of the string; jsonschema applies them with Python's
         re.search, whose "$" also matches before a final newline, so the
-        pattern is checked again with re.fullmatch.
+        pattern is checked again with re.fullmatch.  The expected value is
+        read through Decimal, which has no limit on the digits of an int
+        conversion.
         """
         jsonschema = pytest.importorskip("jsonschema")
         doc = game_to_json_dict(table1)
@@ -346,7 +359,7 @@ class TestSerialization:
         expected = (
             jsonschema.Draft202012Validator(RATIONAL_DEF).is_valid(value)
             and re.fullmatch(RATIONAL_PATTERN, value) is not None
-            and int(value.partition("/")[2] or 1) != 0
+            and (value.partition("/")[2] or "1").strip("0") != ""
         )
         try:
             game = game_from_json_dict(doc)
@@ -357,8 +370,8 @@ class TestSerialization:
             assert expected
             num, _, den = value.partition("/")
             assert game.utilities.values[Player.B][3][4] == Fraction(
-                int(num), int(den or 1)
-            )
+                Decimal(num)
+            ) / Fraction(Decimal(den or "1"))
 
     def test_integer_rationals_accepted_on_input(self, table1):
         doc = game_to_json_dict(table1)

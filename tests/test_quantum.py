@@ -35,6 +35,7 @@ from bellgame.quantum import (
     gauge_canonicalize,
     gauge_equivalent,
     gauge_transform,
+    ghz_bell,
     ghz_payoffs,
     ghz_single_party_marginal,
     ghz_state,
@@ -299,6 +300,8 @@ class TestPlanarPayoff:
 class TestGhzPayoffs:
     @pytest.mark.parametrize("relabel", [False, True], ids=["table1", "relabelled-affine"])
     def test_matches_trace_payoffs_on_full_sphere(self, relabel, ghz):
+        """Payoffs and both Bell values of the GHZ engine against the trace
+        rule, on a batch of 200 full-sphere settings."""
         game = builtin_game()
         if relabel:
             game = relabelled_affine_copy(game)
@@ -306,13 +309,17 @@ class TestGhzPayoffs:
         rng = np.random.default_rng(21)
         settings_ = [random_setting(rng, planar=False) for _ in range(200)]
         angles = [s.bloch_angles() for s in settings_]
-        batch = ghz_payoffs(
-            weights, np.array([t for t, _ in angles]), np.array([p for _, p in angles])
-        )
+        theta = np.array([t for t, _ in angles])
+        phi = np.array([p for _, p in angles])
+        batch = ghz_payoffs(weights, theta, phi)
         assert batch.shape == (200, 3)
-        for setting, engine in zip(settings_, batch):
+        bells = {variant: ghz_bell(theta, phi, variant) for variant in BellVariant}
+        assert all(values.shape == (200,) for values in bells.values())
+        for i, (setting, engine) in enumerate(zip(settings_, batch)):
             oracle = quantum_payoffs(game.utilities, game.prior, ghz, setting)
             assert np.abs(engine - oracle).max() < 1e-10
+            for variant, values in bells.items():
+                assert abs(values[i] - quantum_bell(ghz, setting, variant)) < 1e-12
 
     def test_batch_matches_single_settings(self):
         rng = np.random.default_rng(2)
