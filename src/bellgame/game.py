@@ -503,15 +503,22 @@ def dump_game(game: GameDefinition, path: str | Path) -> None:
     )
 
 
-def load_game(path: str | Path) -> GameDefinition:
-    text = Path(path).read_text()
+def read_json(path: str | Path) -> object:
+    """The JSON document in a file; a file that is not UTF-8 JSON, or holds a
+    number too long for Python to read, is a ValidationError."""
     try:
-        doc = json.loads(text)
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # int-string limit, or not UTF-8
+        raise ValidationError(f"{path}: unreadable JSON: {exc}") from exc
+
+
+def load_game(path: str | Path) -> GameDefinition:
+    doc = read_json(path)
     try:
         return game_from_json_dict(doc)
     except ValidationError as exc:

@@ -5,6 +5,8 @@ classical-vs-quantum advantage summary.
 The objective landscape is smooth and low-dimensional (four free azimuths
 once the gauge a0 = b0 = 0 is fixed), so a seeded coarse grid scan followed
 by Nelder-Mead polish from the best starts finds the optimum reliably.  The
+polish is in-house: it follows SciPy's Nelder-Mead path exactly, float for
+float, without SciPy's per-iteration numpy overhead or its import.  The
 contract is the value reached, not the search path.  Every game takes the
 same path: the search, the best-response check and the reported payoffs
 and Bell values all come from the GHZ engine (quantum.ghz_weights,
@@ -15,14 +17,15 @@ engine to it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import sin
-from operator import mul
+from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .builtin import builtin_game
 from .classical import BellVariant, profile_table
@@ -79,23 +82,145 @@ class OptimumReport:
 #: Iteration cap of one Nelder-Mead polish; it may evaluate the objective
 #: four times as often.
 NM_MAX_ITER = 2000
+#: Simplex convergence tolerance on the vertices.
+NM_XATOL = 1e-9
+
+
+class _Exhausted(Exception):
+    """The evaluation budget of a polish ran out."""
+
+
+def _sort_simplex(
+    sim: list[list[float]], fsim: list[float]
+) -> tuple[list[list[float]], list[float], bool]:
+    """Vertices and values in the order of ``np.argsort(fsim)``, and whether
+    the values are distinct.
+
+    Distinct values have one ascending order, which Python's sort finds.
+    Tied (or NaN) values go through ``np.argsort`` itself: it is not a
+    stable sort on every CPU, and the order of tied vertices steers the
+    rest of the path.
+    """
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    strict = all(fsim[i] < fsim[j] for i, j in zip(order, order[1:]))
+    if not strict:
+        order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order], strict
+
+
+def _resort_last(
+    sim: list[list[float]], fsim: list[float]
+) -> tuple[list[list[float]], list[float], bool]:
+    """``_sort_simplex`` when only the last vertex has changed and the others
+    have distinct values in ascending order: the last one is moved into
+    place unless its value ties another or is NaN."""
+    f = fsim[-1]
+    i = bisect_left(fsim, f, 0, len(fsim) - 1)
+    if f != f or (i < len(fsim) - 1 and fsim[i] == f):
+        return _sort_simplex(sim, fsim)
+    sim.insert(i, sim.pop())
+    fsim.insert(i, fsim.pop())
+    return sim, fsim, True
 
 
 def _nelder_mead(
-    objective: Callable[[np.ndarray], float], x0: Sequence[float], config: OptimizationConfig
-) -> tuple[np.ndarray, float, bool]:
-    res = minimize(
-        lambda x: -objective(x),
-        np.asarray(x0, dtype=float),
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-9,
-            "fatol": config.tol,
-            "maxiter": NM_MAX_ITER,
-            "maxfev": 4 * NM_MAX_ITER,
-        },
-    )
-    return res.x, -float(res.fun), bool(res.success)
+    objective: Callable[[list[float]], float],
+    x0: Sequence[float],
+    config: OptimizationConfig,
+) -> tuple[list[float], float, bool]:
+    """Maximize ``objective`` from ``x0``; returns (x, value, converged).
+
+    This is SciPy 1.17's ``minimize(lambda x: -objective(x), x0,
+    method="Nelder-Mead")`` with xatol NM_XATOL, fatol ``config.tol``,
+    maxiter NM_MAX_ITER and maxfev 4 * NM_MAX_ITER, on Python float lists:
+    the same initial simplex, the same steps with the coefficients rho = 1,
+    chi = 2, psi = sigma = 1/2 substituted into SciPy's expressions, the
+    centroid summed row by row and the same vertex order, so every point
+    and value is the same float as SciPy's.  ``objective`` gets each point
+    as a list and must not change it.
+    """
+    max_fev = 4 * NM_MAX_ITER
+    n = len(x0)
+    nfev = 0
+
+    def f(x: list[float]) -> float:
+        nonlocal nfev
+        if nfev >= max_fev:
+            raise _Exhausted
+        nfev += 1
+        return -objective(x)
+
+    start = [float(v) for v in x0]
+    sim = [start]
+    for k in range(n):
+        y = list(start)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _Exhausted:
+        pass
+    # SciPy sorts twice here; a second sort can only move tied vertices.
+    sim, fsim, strict = _sort_simplex(sim, fsim)
+    if not strict:
+        sim, fsim, strict = _sort_simplex(sim, fsim)
+
+    nit = 1
+    while nfev < max_fev and nit < NM_MAX_ITER:
+        best = sim[0]
+        # fsim is ascending with any NaN last, so fsim[-1] - fsim[0] is
+        # SciPy's max |fsim[0] - fsim[1:]|, NaN included.
+        if fsim[-1] - fsim[0] <= config.tol and all(
+            abs(v - b) <= NM_XATOL for row in sim[1:] for v, b in zip(row, best)
+        ):
+            break
+        shrink = False
+        try:
+            worst = sim[-1]
+            xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
+            xr = [2 * c - w for c, w in zip(xbar, worst)]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (v - b) for v, b in zip(sim[j], best)]
+                    fsim[j] = f(sim[j])
+            nit += 1
+        except _Exhausted:
+            pass
+        if strict and not shrink:
+            sim, fsim, strict = _resort_last(sim, fsim)
+        else:
+            sim, fsim, strict = _sort_simplex(sim, fsim)
+
+    # SciPy reports np.min(fsim), which is fsim[0] unless values tie (the
+    # sign of a zero) or one is NaN.
+    fmin = fsim[0] if strict else float(np.min(fsim))
+    return sim[0], -fmin, nfev < max_fev and nit < NM_MAX_ITER
 
 
 #: Runs whose values lie within this window of the best are treated as ties
@@ -106,10 +231,10 @@ TIE_WINDOW = 1e-9
 
 
 def _multistart_max(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[list[float]], float],
     starts: Sequence[Sequence[float]],
     config: OptimizationConfig,
-) -> tuple[np.ndarray, float, bool]:
+) -> tuple[list[float], float, bool]:
     """Best local maximum over the given starts.
 
     Order-independent merge: highest value wins; runs within TIE_WINDOW of
@@ -171,10 +296,10 @@ def maximize_planar(
     # evaluation; the minimum is unchanged.
     rows = list(dict.fromkeys(zip(const.tolist(), map(tuple, coef.tolist()))))
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: list[float]) -> float:
         # math.sin on Python floats: Nelder-Mead makes thousands of scalar
         # calls, and numpy's per-call overhead would dominate them.
-        a1, b1, c0, c1 = x.tolist()
+        a1, b1, c0, c1 = x
         sines = (
             sin(c0), sin(c1), sin(b1 + c0), sin(b1 + c1),
             sin(a1 + c0), sin(a1 + c1), sin(a1 + b1 + c0), sin(a1 + b1 + c1),
@@ -190,8 +315,7 @@ def maximize_planar(
         0.0, wrap_angle(x[0]), 0.0, wrap_angle(x[1]),
         wrap_angle(x[2]), wrap_angle(x[3]),
     )
-    value = float(objective(np.array([canonical.a1, canonical.b1,
-                                      canonical.c0, canonical.c1])))
+    value = objective([canonical.a1, canonical.b1, canonical.c0, canonical.c1])
     theta, phi = MeasurementSetting.planar(canonical).bloch_angles()
     return OptimumReport(
         angles=canonical,
@@ -229,7 +353,7 @@ class BestResponseVerdict:
         return self.max_improvement < self.threshold
 
 
-def _deviation_observables(mode: str, x: np.ndarray) -> tuple[BlochObservable, BlochObservable]:
+def _deviation_observables(mode: str, x: Sequence[float]) -> tuple[BlochObservable, BlochObservable]:
     if mode == "planar":
         half = math.pi / 2
         return (BlochObservable(half, x[0]), BlochObservable(half, x[1]))
@@ -293,7 +417,9 @@ def best_response_check(
         starts = [own_x] + [mesh[i] for i in top] + list(
             rng.uniform(-math.pi, math.pi, size=(min(config.restarts, 8), dim))
         )
-        x, value, _ = _multistart_max(lambda x: float(payoff(x)), starts, config)
+        x, value, _ = _multistart_max(
+            lambda x: float(payoff(np.array(x))), starts, config
+        )
         responses.append(
             PlayerBestResponse(
                 player=player,

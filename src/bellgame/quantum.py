@@ -44,6 +44,7 @@ from .game import (
     ValidationError,
     expected_payoffs,
     profile_index,
+    read_json,
 )
 
 TAU = 2 * math.pi
@@ -415,7 +416,10 @@ def _angle(doc: dict, key: str) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key}: angle must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{key}: angle is too large for a float") from None
 
 
 def setting_from_json_dict(doc: dict) -> MeasurementSetting:
@@ -447,12 +451,7 @@ def setting_from_json_dict(doc: dict) -> MeasurementSetting:
 
 
 def load_setting(path: str | Path) -> MeasurementSetting:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
-        ) from exc
+    doc = read_json(path)
     try:
         return setting_from_json_dict(doc)
     except ValidationError as exc:

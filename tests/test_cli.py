@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bellgame import __version__
+from bellgame import __version__, optimize
 from bellgame.builtin import builtin_game
 from bellgame.classical import (
     BellVariant,
@@ -15,7 +15,7 @@ from bellgame.classical import (
     hv_model_to_distribution,
     profile_table,
 )
-from bellgame.cli import main
+from bellgame.cli import EXIT_NO_CONVERGENCE, main
 from bellgame.game import (
     GameDefinition,
     Player,
@@ -329,6 +329,12 @@ class TestOptimizeCommand:
         code = main(["optimize", "--grid", "2"])
         assert code == 2
 
+    def test_polish_cut_short_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(optimize, "NM_MAX_ITER", 5)
+        code, report = run_cli(capsys, "optimize", "--restarts", "1", "--grid", "8")
+        assert code == EXIT_NO_CONVERGENCE == 3
+        assert report["results"]["optimum"]["converged"] is False
+
 
 class TestCheckCommand:
     def test_reference_optimum_certified(self, capsys, optimum_setting_file):
@@ -416,6 +422,40 @@ class TestBadNumbers:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("digits", [401, 5001])
+    def test_long_integer_angle_exits_2(self, capsys, tmp_path, optimum_setting_file, digits):
+        """401 digits overflow a float; 5001 pass Python's int-string limit."""
+        doc = json.loads(Path(optimum_setting_file).read_text())
+        doc["phi_A0"] = "BIG"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', "9" * digits))
+        code = main(["bell", "--setting", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert str(path) in captured.err
+        if digits == 401:
+            assert "phi_A0" in captured.err
+
+    def test_long_integer_in_game_exits_2(self, capsys, tmp_path, table1):
+        doc = game_to_json_dict(table1)
+        doc["utilities"]["A"][0][0] = "BIG"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', "9" * 5001))
+        code = main(["equilibria", "--game", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert str(path) in captured.err
+
+    @pytest.mark.parametrize("option", ["--game", "--setting"])
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, option):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"phi_A0": "\xe9"}')
+        code = main(["bell", option, str(path)])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -426,6 +466,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+    def test_starts_without_scipy(self):
+        code = (
+            "import sys, bellgame, bellgame.cli\n"
+            "bellgame.cli._resolve_game('builtin:table1')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "[]\n"
 
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"

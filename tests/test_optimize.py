@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from bellgame import optimize
 from bellgame.game import Prior, UtilityTable, ValidationError, affine_transform
 from bellgame.builtin import builtin_game
 from bellgame.game import GameDefinition
@@ -206,3 +208,145 @@ class TestAdvantageReport:
         config = OptimizationConfig(restarts=2, grid=8, seed=0)
         report = quantum_advantage_report(builtin_game(), config)
         assert report.optimum == maximize_planar(config)
+
+
+def _polishes(run) -> list:
+    """(objective, start, config) of every Nelder-Mead polish that run() makes."""
+    polishes = []
+    real = optimize._nelder_mead
+
+    def record(objective, x0, config):
+        polishes.append((objective, list(x0), config))
+        return real(objective, x0, config)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optimize, "_nelder_mead", record)
+        run()
+    return polishes
+
+
+def _rounded_bowl(x: list[float]) -> float:
+    """A quadratic rounded to 1e-2: whole simplexes tie near its top."""
+    return -round(sum((v - 0.3) ** 2 for v in x), 2)
+
+
+def _hash_noise(x: list[float]) -> float:
+    """A pseudo-random value of the point: Nelder-Mead shrinks and shrinks
+    on it and may spend its whole evaluation budget."""
+    s = sum(math.sin(12.9898 * (k + 1) * v) for k, v in enumerate(x))
+    return (s * 43758.5453) % 1.0
+
+
+class TestPolishMatchesScipy:
+    """The in-house Nelder-Mead against scipy.optimize.minimize with the same
+    options, the oracle: the same point, value and success flag, by ==."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        minimize = pytest.importorskip("scipy.optimize").minimize
+
+        def oracle(objective, x0, config):
+            return minimize(
+                lambda x: -objective(x.tolist()),
+                np.asarray(x0, dtype=float),
+                method="Nelder-Mead",
+                options={
+                    "xatol": optimize.NM_XATOL,
+                    "fatol": config.tol,
+                    "maxiter": optimize.NM_MAX_ITER,
+                    "maxfev": 4 * optimize.NM_MAX_ITER,
+                },
+            )
+
+        return oracle
+
+    @staticmethod
+    def assert_same_paths(oracle, polishes) -> list:
+        results = []
+        for objective, x0, config in polishes:
+            res = oracle(objective, x0, config)
+            got = optimize._nelder_mead(objective, x0, config)
+            expected = (res.x.tolist(), -float(res.fun), bool(res.success))
+            assert got == expected
+            assert repr(got) == repr(expected)  # the signs of zeros too
+            results.append(res)
+        return results
+
+    def test_planar_objective_on_table1(self, oracle):
+        polishes = _polishes(
+            lambda: [maximize_planar(OptimizationConfig(seed=s)) for s in range(4)]
+        )
+        assert len(polishes) == 4 * 24
+        self.assert_same_paths(oracle, polishes)
+
+    def test_planar_objective_on_affine_game(self, oracle, affine_game):
+        polishes = _polishes(
+            lambda: [
+                maximize_planar(OptimizationConfig(seed=s), affine_game) for s in range(2)
+            ]
+        )
+        assert len(polishes) == 2 * 24
+        self.assert_same_paths(oracle, polishes)
+
+    def test_best_response_objective_in_2d(self, oracle, reference_angles):
+        polishes = _polishes(
+            lambda: best_response_check(
+                MeasurementSetting.planar(reference_angles), "planar",
+                OptimizationConfig(seed=1),
+            )
+        )
+        assert len(polishes) == 3 * 12 and len(polishes[0][1]) == 2
+        self.assert_same_paths(oracle, polishes)
+
+    def test_best_response_objective_in_4d(self, oracle):
+        candidate = MeasurementSetting(
+            (BlochObservable(0.3, 0.1), BlochObservable(1.2, -2.0)),
+            (BlochObservable(2.5, 0.7), BlochObservable(0.9, 1.4)),
+            (BlochObservable(1.7, -0.4), BlochObservable(0.2, 3.0)),
+        )
+        polishes = _polishes(
+            lambda: best_response_check(
+                candidate, "full_sphere", OptimizationConfig(restarts=2, grid=8, seed=2)
+            )
+        )
+        assert len(polishes) == 3 * 6 and len(polishes[0][1]) == 4
+        self.assert_same_paths(oracle, polishes)
+
+    def test_run_to_the_evaluation_limit(self, oracle):
+        rng = np.random.default_rng(7)
+        polishes = [
+            (_hash_noise, list(x0), OptimizationConfig())
+            for x0 in rng.uniform(-3, 3, size=(8, 4))
+        ]
+        results = self.assert_same_paths(oracle, polishes)
+        limited = [r for r in results if r.nfev == 4 * optimize.NM_MAX_ITER]
+        assert limited and not any(r.success for r in limited)
+
+    def test_tied_values_follow_numpy_argsort(self, oracle, monkeypatch):
+        """Tied vertices are ordered as np.argsort orders them, which need
+        not be the order of a stable sort."""
+        real_sort = optimize._sort_simplex
+        tie_sorts = []
+
+        def spy(sim, fsim):
+            sorted_sim = real_sort(sim, fsim)
+            tie_sorts.append(not sorted_sim[2])
+            return sorted_sim
+
+        monkeypatch.setattr(optimize, "_sort_simplex", spy)
+        rng = np.random.default_rng(11)
+        polishes = [
+            (_rounded_bowl, list(x0), OptimizationConfig())
+            for dim in (2, 4)
+            for x0 in rng.uniform(-3, 3, size=(10, dim))
+        ]
+        self.assert_same_paths(oracle, polishes)
+        assert any(tie_sorts)
+
+    def test_value_of_tied_signed_zeros_is_numpy_min(self, oracle):
+        """With tied vertex values the reported value is np.min's pick, as
+        in scipy: here the sort keeps 0.0 first and np.min returns -0.0."""
+        def signed_zero(x: list[float]) -> float:
+            return 0.0 if x[0] > 0.3 else -0.0
+
+        self.assert_same_paths(oracle, [(signed_zero, [0.3], OptimizationConfig())])
