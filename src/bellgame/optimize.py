@@ -17,7 +17,6 @@ engine to it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -92,9 +91,8 @@ class _Exhausted(Exception):
 
 def _sort_simplex(
     sim: list[list[float]], fsim: list[float]
-) -> tuple[list[list[float]], list[float], bool]:
-    """Vertices and values in the order of ``np.argsort(fsim)``, and whether
-    the values are distinct.
+) -> tuple[list[list[float]], list[float]]:
+    """Vertices and values in the order of ``np.argsort(fsim)``.
 
     Distinct values have one ascending order, which Python's sort finds.
     Tied (or NaN) values go through ``np.argsort`` itself: it is not a
@@ -102,25 +100,9 @@ def _sort_simplex(
     rest of the path.
     """
     order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    strict = all(fsim[i] < fsim[j] for i, j in zip(order, order[1:]))
-    if not strict:
+    if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
         order = np.argsort(fsim).tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order], strict
-
-
-def _resort_last(
-    sim: list[list[float]], fsim: list[float]
-) -> tuple[list[list[float]], list[float], bool]:
-    """``_sort_simplex`` when only the last vertex has changed and the others
-    have distinct values in ascending order: the last one is moved into
-    place unless its value ties another or is NaN."""
-    f = fsim[-1]
-    i = bisect_left(fsim, f, 0, len(fsim) - 1)
-    if f != f or (i < len(fsim) - 1 and fsim[i] == f):
-        return _sort_simplex(sim, fsim)
-    sim.insert(i, sim.pop())
-    fsim.insert(i, fsim.pop())
-    return sim, fsim, True
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 def _nelder_mead(
@@ -156,22 +138,16 @@ def _nelder_mead(
         y = list(start)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
-    fsim = [math.inf] * (n + 1)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _Exhausted:
-        pass
+    fsim = [f(v) for v in sim]  # n + 1 <= 5 evaluations, within budget
     # SciPy sorts twice here; a second sort can only move tied vertices.
-    sim, fsim, strict = _sort_simplex(sim, fsim)
-    if not strict:
-        sim, fsim, strict = _sort_simplex(sim, fsim)
+    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
 
     nit = 1
     while nfev < max_fev and nit < NM_MAX_ITER:
         best = sim[0]
         # fsim is ascending with any NaN last, so fsim[-1] - fsim[0] is
-        # SciPy's max |fsim[0] - fsim[1:]|, NaN included.
+        # SciPy's max |fsim[0] - fsim[1:]|, NaN included.  SciPy's break
+        # here skips its end-of-iteration sort; so does this one.
         if fsim[-1] - fsim[0] <= config.tol and all(
             abs(v - b) <= NM_XATOL for row in sim[1:] for v, b in zip(row, best)
         ):
@@ -212,15 +188,11 @@ def _nelder_mead(
             nit += 1
         except _Exhausted:
             pass
-        if strict and not shrink:
-            sim, fsim, strict = _resort_last(sim, fsim)
-        else:
-            sim, fsim, strict = _sort_simplex(sim, fsim)
+        sim, fsim = _sort_simplex(sim, fsim)
 
-    # SciPy reports np.min(fsim), which is fsim[0] unless values tie (the
-    # sign of a zero) or one is NaN.
-    fmin = fsim[0] if strict else float(np.min(fsim))
-    return sim[0], -fmin, nfev < max_fev and nit < NM_MAX_ITER
+    # np.min(fsim), as SciPy reports: with tied values (zeros of either
+    # sign) or a NaN it need not be fsim[0].
+    return sim[0], -float(np.min(fsim)), nfev < max_fev and nit < NM_MAX_ITER
 
 
 #: Runs whose values lie within this window of the best are treated as ties

@@ -230,6 +230,12 @@ def _rounded_bowl(x: list[float]) -> float:
     return -round(sum((v - 0.3) ** 2 for v in x), 2)
 
 
+def _stepped_cone(x: list[float]) -> float:
+    """A cone rounded to 1e-10, the value tolerance: converged simplexes
+    hold values that tie and values a step apart."""
+    return -round(sum(abs(v - 0.3) for v in x) / 1e-10) * 1e-10
+
+
 def _hash_noise(x: list[float]) -> float:
     """A pseudo-random value of the point: Nelder-Mead shrinks and shrinks
     on it and may spend its whole evaluation budget."""
@@ -329,9 +335,8 @@ class TestPolishMatchesScipy:
         tie_sorts = []
 
         def spy(sim, fsim):
-            sorted_sim = real_sort(sim, fsim)
-            tie_sorts.append(not sorted_sim[2])
-            return sorted_sim
+            tie_sorts.append(len(set(fsim)) < len(fsim))
+            return real_sort(sim, fsim)
 
         monkeypatch.setattr(optimize, "_sort_simplex", spy)
         rng = np.random.default_rng(11)
@@ -342,6 +347,24 @@ class TestPolishMatchesScipy:
         ]
         self.assert_same_paths(oracle, polishes)
         assert any(tie_sorts)
+
+    def test_converge_with_a_tie_at_the_minimum_only(self, oracle):
+        """Runs that stop with some, not all, vertex values tied: scipy
+        leaves the loop before its end-of-iteration sort, and so does the
+        port."""
+        rng = np.random.default_rng(5)
+        polishes = [
+            (_stepped_cone, list(x0), OptimizationConfig())
+            for dim in (2, 3)
+            for x0 in rng.uniform(-3, 3, size=(10, dim))
+        ]
+        results = self.assert_same_paths(oracle, polishes)
+        partial = [
+            r for r in results
+            if r.success and r.final_simplex[1][0] == r.final_simplex[1][1]
+            and r.final_simplex[1][0] != r.final_simplex[1][-1]
+        ]
+        assert partial
 
     def test_value_of_tied_signed_zeros_is_numpy_min(self, oracle):
         """With tied vertex values the reported value is np.min's pick, as
