@@ -80,9 +80,7 @@ def main(argv: list[str] | None = None) -> None:
           f"vs classical bound {frac(summary.classical_total_bound)}")
 
     print("\n== equilibrium certification at the optimum ==")
-    verdict = best_response_check(
-        MeasurementSetting.planar(opt.angles), mode="planar", config=config
-    )
+    verdict = best_response_check(MeasurementSetting.planar(opt.angles), mode="planar")
     for r in verdict.responses:
         print(f"  player {r.player.name}: best unilateral improvement "
               f"{r.improvement:+.3e}")

@@ -289,7 +289,10 @@ def cmd_check(args) -> int:
     min_entry = min(v for row in dist.rows for v in row)
     residual = no_signalling_residual(dist)
     mode = "planar" if args.mode == "planar" else "full_sphere"
-    verdict = best_response_check(setting, mode, _config_from_args(args), game)
+    # check runs no search and ignores the optimizer flags, but still
+    # rejects the values optimize rejects.
+    _config_from_args(args)
+    verdict = best_response_check(setting, mode, game)
     results = {
         "setting": fmt_setting(setting),
         "planar": setting.is_planar(),
@@ -364,7 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--setting", required=True, help="measurement-setting JSON")
     p.add_argument("--mode", choices=["planar", "full"], default="planar")
-    add_config(p)
+    add_config(
+        p.add_argument_group(
+            "optimizer flags",
+            "validated as for optimize, but unused: the best responses are "
+            "exact and involve no search",
+        )
+    )
     p.set_defaults(func=cmd_check)
 
     return parser

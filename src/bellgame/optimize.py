@@ -1,17 +1,23 @@
-"""Derivative-free maximization of the quantum payoff over measurement
-angles, with gauge fixing, best-response certification and the
-classical-vs-quantum advantage summary.
+"""Maximization of the quantum payoff over measurement angles, exact
+best-response certification, and the classical-vs-quantum advantage
+summary.
 
 The objective landscape is smooth and low-dimensional (four free azimuths
 once the gauge a0 = b0 = 0 is fixed), so a seeded coarse grid scan followed
 by Nelder-Mead polish from the best starts finds the optimum reliably.  The
 polish is in-house: it follows SciPy's Nelder-Mead path exactly, float for
 float, without SciPy's per-iteration numpy overhead or its import.  The
-contract is the value reached, not the search path.  Every game takes the
-same path: the search, the best-response check and the reported payoffs
-and Bell values all come from the GHZ engine (quantum.ghz_weights,
-ghz_payoffs and ghz_bell).  The trace rule is not used here; tests hold the
-engine to it.
+contract is the value reached, not the search path.
+
+Certification needs no search.  With the other two players' observables
+fixed, a player's GHZ payoff is affine in the Bloch vectors of their own two
+observables, so the best deviation is the unit vector along each gradient
+and the improvement it buys is exact (see best_response_check).
+
+Every game takes the same path: the search, the best responses and the
+reported payoffs and Bell values all come from the GHZ engine
+(quantum.ghz_weights, ghz_payoffs and ghz_bell).  The trace rule is not
+used here; tests hold the engine to it.
 """
 
 from __future__ import annotations
@@ -242,7 +248,14 @@ def _grid_starts(
     values[:] = const.reshape(3, 1, 1, 1, 1)
     for xi, (xa, xb, xc) in enumerate(PROFILES):
         values += coef[:, xi].reshape(3, 1, 1, 1, 1) * np.sin(a[xa] + b[xb] + c[xc])
-    top = np.argsort(values.min(axis=0).ravel())[::-1][: config.restarts]
+    # The objective's symmetric maxima tie on the grid.  Which tied points
+    # become starts must not depend on the CPU, so the few points at or
+    # above the k-th best value are put in order by a stable sort: best
+    # first, and of tied points the last in grid order first.
+    flat = values.min(axis=0).ravel()
+    k = min(config.restarts, flat.size)
+    best = np.flatnonzero(flat >= np.partition(flat, flat.size - k)[flat.size - k])
+    top = best[np.argsort(flat[best], kind="stable")[::-1][:k]]
     return list(zip(*(axis[i] for i in np.unravel_index(top, (g,) * 4))))
 
 
@@ -304,8 +317,8 @@ def maximize_planar(
 @dataclass(frozen=True)
 class PlayerBestResponse:
     player: Player
-    improvement: float  # best own-payoff gain found (may be <= 0)
-    payoff: float  # own payoff at the best deviation found
+    improvement: float  # payoff - baseline, exact (see best_response_check)
+    payoff: float  # own payoff at the best deviation
     observables: tuple[BlochObservable, BlochObservable]
 
 
@@ -325,82 +338,90 @@ class BestResponseVerdict:
         return self.max_improvement < self.threshold
 
 
-def _deviation_observables(mode: str, x: Sequence[float]) -> tuple[BlochObservable, BlochObservable]:
-    if mode == "planar":
-        half = math.pi / 2
-        return (BlochObservable(half, x[0]), BlochObservable(half, x[1]))
-    return (BlochObservable(x[0], x[1]), BlochObservable(x[2], x[3]))
+#: Bloch angles (theta, phi) of the probe observables along x, y, +z and
+#: -z: a player's payoffs at these four read off the affine map of one of
+#: their observables.
+_PROBE_THETA = np.array([math.pi / 2, math.pi / 2, 0.0, math.pi])
+_PROBE_PHI = np.array([0.0, math.pi / 2, 0.0, 0.0])
 
 
 def best_response_check(
     candidate: MeasurementSetting,
     mode: str = "planar",
-    config: OptimizationConfig | None = None,
     game: GameDefinition | None = None,
 ) -> BestResponseVerdict:
-    """Search each player's unilateral deviations for a payoff improvement
-    under GHZ advice.
+    """Each player's exact best unilateral deviation under GHZ advice.
 
-    Planar mode deviates within the equatorial family (two azimuths per
-    player); full-sphere mode frees the polar angles as well, probing
-    whether the equatorial restriction hides profitable deviations.  The
-    improvement is relative to the candidate's own payoff; the candidate's
-    own observables seed the search, so the reported maximum is never
-    materially negative.  The whole deviation grid is scored in one
-    ghz_payoffs call, and the same engine gives the baseline and the polish.
+    With the other two players' observables fixed, a player's GHZ payoff is
+    affine in the Bloch vectors n_0, n_1 of their own two observables,
+    u = c + g_0.n_0 + g_1.n_1, because the GHZ features are linear in each
+    observable's (sin t cos p, sin t sin p, cos t).  Over unit vectors the
+    maximum is c + |g_0| + |g_1|, at n_t = g_t/|g_t|.  Planar mode keeps the
+    deviations on the equator, where the xy-part of g_t takes the place of
+    g_t; full-sphere mode frees the polar angles as well.  The improvement
+    over the candidate's own payoff is therefore the certificate
+    sum_t (|g_t| - g_t.n_t) with the candidate's own n_t and the full g_t.
+    It is never negative beyond rounding, except in planar mode at a
+    non-planar candidate, whose own observables may pay more than any
+    planar deviation.  An observable whose g_t has no part to align with
+    stays the candidate's own (its azimuth on the equator, in planar mode).
+
+    Each g_t comes from the player's payoffs with that observable swapped
+    for the probes x, y, +z and -z: g_z = (u_+z - u_-z)/2 and, with
+    c' = (u_+z + u_-z)/2, g_x = u_x - c' and g_y = u_y - c'.  All 24 probe
+    settings go through one ghz_payoffs call.
     """
     if mode not in ("planar", "full_sphere"):
         raise ValidationError(f"unknown best-response mode {mode!r}")
-    config = config or OptimizationConfig()
     game = game or builtin_game()
     weights = ghz_weights(game.utilities, game.prior)
     theta0, phi0 = candidate.bloch_angles()
-    baseline = PayoffTriple(*ghz_payoffs(weights, theta0, phi0).tolist())
+    baseline = ghz_payoffs(weights, theta0, phi0)
 
-    rng = np.random.default_rng(config.seed)
-    dim = 2 if mode == "planar" else 4
-    responses = []
-    for player in PLAYERS:
-        def payoff(x: np.ndarray, player: Player = player) -> np.ndarray:
-            """Own payoff after deviating to x, for x of shape (..., dim)."""
-            shape = x.shape[:-1] + (3, 2)
-            theta = np.broadcast_to(theta0, shape).copy()
-            phi = np.broadcast_to(phi0, shape).copy()
-            if mode == "planar":
-                theta[..., player, :] = math.pi / 2
-                phi[..., player, :] = x
-            else:
-                theta[..., player, :] = x[..., 0::2]
-                phi[..., player, :] = x[..., 1::2]
-            return ghz_payoffs(weights, theta, phi)[..., player]
+    # Axes: deviating player, their type bit, probe, then the setting's own
+    # (player, type bit) axes.
+    shape = (3, 2, 4, 3, 2)
+    theta = np.broadcast_to(theta0, shape).copy()
+    phi = np.broadcast_to(phi0, shape).copy()
+    player, bit = np.arange(3)[:, None], np.arange(2)[None, :]
+    theta[player, bit, :, player, bit] = _PROBE_THETA
+    phi[player, bit, :, player, bit] = _PROBE_PHI
+    own = ghz_payoffs(weights, theta, phi)[player, bit, :, player]
+    u_x, u_y, u_up, u_down = np.moveaxis(own, -1, 0)
+    rest = (u_up + u_down) / 2
+    g = np.stack([u_x - rest, u_y - rest, (u_up - u_down) / 2], axis=-1)
+    sin0 = np.sin(theta0)
+    n = np.stack([sin0 * np.cos(phi0), sin0 * np.sin(phi0), np.cos(theta0)], axis=-1)
+    reach = g.copy()  # the part of g that a deviation can align with
+    if mode == "planar":
+        reach[..., 2] = 0.0
+    norm = np.sqrt((reach * reach).sum(axis=-1))
+    payoffs = baseline + (norm - (g * n).sum(axis=-1)).sum(axis=-1)
 
-        if mode == "planar":
-            own_x = phi0[player].tolist()
-            res = config.grid
-        else:
-            own_x = [theta0[player, 0], phi0[player, 0], theta0[player, 1], phi0[player, 1]]
-            res = min(config.grid, 6)  # keep the 4-D scan affordable
-        axes = [np.linspace(-math.pi, math.pi, res, endpoint=False)] * dim
-        if mode == "full_sphere":
-            axes[0] = axes[2] = np.linspace(0, math.pi, res)
-        mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        scores = payoff(mesh)
-        top = np.argsort(scores)[::-1][:3]
-        starts = [own_x] + [mesh[i] for i in top] + list(
-            rng.uniform(-math.pi, math.pi, size=(min(config.restarts, 8), dim))
+    aligned = norm > 0
+    best_theta = np.where(
+        aligned,
+        np.arctan2(np.hypot(reach[..., 0], reach[..., 1]), reach[..., 2]),
+        theta0 if mode == "full_sphere" else math.pi / 2,
+    )
+    best_phi = np.where(aligned, np.arctan2(reach[..., 1], reach[..., 0]), phi0)
+    # improvement is payoff - baseline exactly, as floats, so that the
+    # reported payoff and improvement agree.
+    responses = tuple(
+        PlayerBestResponse(
+            player=p,
+            improvement=payoff - base,
+            payoff=payoff,
+            observables=tuple(map(BlochObservable, ts, ps)),
         )
-        x, value, _ = _multistart_max(
-            lambda x: float(payoff(np.array(x))), starts, config
+        for p, base, payoff, ts, ps in zip(
+            PLAYERS, baseline.tolist(), payoffs.tolist(),
+            best_theta.tolist(), best_phi.tolist(),
         )
-        responses.append(
-            PlayerBestResponse(
-                player=player,
-                improvement=value - baseline[player],
-                payoff=value,
-                observables=_deviation_observables(mode, x),
-            )
-        )
-    return BestResponseVerdict(mode=mode, baseline=baseline, responses=tuple(responses))
+    )
+    return BestResponseVerdict(
+        mode=mode, baseline=PayoffTriple(*baseline.tolist()), responses=responses
+    )
 
 
 @dataclass(frozen=True)

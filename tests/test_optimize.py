@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellgame import optimize
-from bellgame.game import Prior, UtilityTable, ValidationError, affine_transform
+from bellgame.game import PLAYERS, Prior, UtilityTable, ValidationError, affine_transform
 from bellgame.builtin import builtin_game
 from bellgame.game import GameDefinition
 from bellgame.optimize import (
@@ -32,8 +32,6 @@ from bellgame.quantum import (
 #: a1 = b1 = -pi/2: each bracket peaks at sqrt(52), so the value is
 #: (26 + 2*sqrt(52)) / 48 = (13 + 2*sqrt(13)) / 24.
 ANALYTIC_OPTIMUM = (13 + 2 * math.sqrt(13)) / 24
-
-FAST = OptimizationConfig(restarts=4, grid=8, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -127,32 +125,117 @@ class TestMaximizePlanar:
             OptimizationConfig(restarts=0)
 
 
+TILTED = MeasurementSetting(
+    (BlochObservable(0.3, 0.1), BlochObservable(1.2, -2.0)),
+    (BlochObservable(2.5, 0.7), BlochObservable(0.9, 1.4)),
+    (BlochObservable(1.7, -0.4), BlochObservable(0.2, 3.0)),
+)
+
+
+def _setting(theta: np.ndarray, phi: np.ndarray) -> MeasurementSetting:
+    """The setting of (3, 2) angle arrays indexed by player and type bit."""
+    return MeasurementSetting(
+        *(tuple(map(BlochObservable, t, p)) for t, p in zip(theta.tolist(), phi.tolist()))
+    )
+
+
+def _random_angles(rng, count: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of ``count`` random candidates, shape (count, 3, 2).  In
+    planar mode every other candidate is planar and the rest are not."""
+    theta = rng.uniform(0, math.pi, size=(count, 3, 2))
+    phi = rng.uniform(-math.pi, math.pi, size=(count, 3, 2))
+    if mode == "planar":
+        theta[::2] = math.pi / 2
+    return theta, phi
+
+
+def _deviate(theta0, phi0, player, x: np.ndarray, mode: str):
+    """Angles of the candidates (theta0, phi0), of shape (..., 3, 2), with
+    the player's observables replaced by the deviations x, of shape
+    (..., 2) in planar mode (two azimuths) and (..., 4) on the full sphere
+    (theta_0, phi_0, theta_1, phi_1)."""
+    shape = np.broadcast_shapes(theta0.shape[:-2], x.shape[:-1]) + (3, 2)
+    theta = np.broadcast_to(theta0, shape).copy()
+    phi = np.broadcast_to(phi0, shape).copy()
+    if mode == "planar":
+        theta[..., player, :] = math.pi / 2
+        phi[..., player, :] = x
+    else:
+        theta[..., player, :] = x[..., 0::2]
+        phi[..., player, :] = x[..., 1::2]
+    return theta, phi
+
+
+def _deviation_grid(mode: str, res: int) -> np.ndarray:
+    """Every deviation of one player on a grid of ``res`` points per angle,
+    shape (res**dim, dim), in _deviate's layout."""
+    azimuths = np.linspace(-math.pi, math.pi, res, endpoint=False)
+    axes = [azimuths] * (2 if mode == "planar" else 4)
+    if mode == "full_sphere":
+        axes[0] = axes[2] = np.linspace(0, math.pi, res)
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def _searched_best_responses(
+    candidate: MeasurementSetting, mode: str, config: OptimizationConfig
+) -> list[float]:
+    """The search that best_response_check's closed form replaced, kept as
+    its oracle: each player's best own payoff on table1 found by Nelder-Mead
+    from the candidate's own observables, the three best points of the
+    deviation grid (``config.grid`` points per angle, at most 6 on the full
+    sphere) and min(restarts, 8) seeded random points."""
+    game = builtin_game()
+    weights = ghz_weights(game.utilities, game.prior)
+    theta0, phi0 = candidate.bloch_angles()
+    rng = np.random.default_rng(config.seed)
+    dim = 2 if mode == "planar" else 4
+    best = []
+    for player in PLAYERS:
+        def payoff(x: np.ndarray, player=player) -> np.ndarray:
+            theta, phi = _deviate(theta0, phi0, player, x, mode)
+            return ghz_payoffs(weights, theta, phi)[..., player]
+
+        if mode == "planar":
+            own_x = phi0[player].tolist()
+            mesh = _deviation_grid(mode, config.grid)
+        else:
+            own_x = [theta0[player, 0], phi0[player, 0], theta0[player, 1], phi0[player, 1]]
+            mesh = _deviation_grid(mode, min(config.grid, 6))
+        top = np.argsort(payoff(mesh), kind="stable")[::-1][:3]
+        starts = [own_x] + [mesh[i] for i in top] + list(
+            rng.uniform(-math.pi, math.pi, size=(min(config.restarts, 8), dim))
+        )
+        _, value, _ = optimize._multistart_max(
+            lambda x: float(payoff(np.array(x))), starts, config
+        )
+        best.append(value)
+    return best
+
+
 class TestBestResponse:
     def test_optimum_is_certified_planar_equilibrium(self, default_report):
         verdict = best_response_check(
-            MeasurementSetting.planar(default_report.angles), "planar", FAST
+            MeasurementSetting.planar(default_report.angles), "planar"
         )
         assert verdict.mode == "planar"
         for response in verdict.responses:
             assert response.improvement < EQUILIBRIUM_IMPROVEMENT_TOL
+            assert type(response.improvement) is float
         assert verdict.is_equilibrium
+        assert type(verdict.is_equilibrium) is bool
 
     def test_zero_angles_are_not_optimal(self):
         verdict = best_response_check(
-            MeasurementSetting.planar(PlanarAngles(0, 0, 0, 0, 0, 0)),
-            "planar",
-            FAST,
+            MeasurementSetting.planar(PlanarAngles(0, 0, 0, 0, 0, 0)), "planar"
         )
         assert verdict.max_improvement > 0.01
         assert not verdict.is_equilibrium
 
     def test_full_sphere_probe_at_optimum(self, default_report):
-        # exploratory: polar deviations are allowed; regression anchor is
-        # that none of the players gains anything measurable
+        # polar deviations are allowed; none of the players gains anything
+        # measurable
         verdict = best_response_check(
-            MeasurementSetting.planar(default_report.angles),
-            "full_sphere",
-            OptimizationConfig(restarts=2, grid=8, seed=0),
+            MeasurementSetting.planar(default_report.angles), "full_sphere"
         )
         assert verdict.mode == "full_sphere"
         for response in verdict.responses:
@@ -161,27 +244,128 @@ class TestBestResponse:
         assert {r.player.name for r in verdict.responses} == {"A", "B", "C"}
 
     def test_baseline_matches_trace_rule_at_tilted_candidate(self, table1):
-        candidate = MeasurementSetting(
-            (BlochObservable(0.3, 0.1), BlochObservable(1.2, -2.0)),
-            (BlochObservable(2.5, 0.7), BlochObservable(0.9, 1.4)),
-            (BlochObservable(1.7, -0.4), BlochObservable(0.2, 3.0)),
+        oracle = quantum_payoffs(table1.utilities, table1.prior, ghz_advisor(), TILTED)
+        for mode in ("planar", "full_sphere"):
+            verdict = best_response_check(TILTED, mode)
+            assert verdict.baseline == pytest.approx(oracle, abs=1e-10)
+            assert verdict.max_improvement > 0.01
+            for response in verdict.responses:
+                if mode == "planar":
+                    assert all(o.theta == math.pi / 2 for o in response.observables)
+                deviated = TILTED.replace_player(response.player, response.observables)
+                payoff = quantum_payoffs(
+                    table1.utilities, table1.prior, ghz_advisor(), deviated
+                )[response.player]
+                assert response.payoff == pytest.approx(payoff, abs=1e-10)
+
+    @pytest.mark.parametrize("mode", ["planar", "full_sphere"])
+    @pytest.mark.parametrize(
+        ("seed", "game_name"), enumerate(["table1", "affine_game", "nonuniform_game"])
+    )
+    def test_at_least_the_best_grid_deviation(self, request, seed, game_name, mode):
+        """On 34 random candidates per game and mode (204 in all), each
+        player's exact best response pays at least the best deviation on a
+        grid, and exactly what its reported observables pay."""
+        game = request.getfixturevalue(game_name)
+        weights = ghz_weights(game.utilities, game.prior)
+        rng = np.random.default_rng([seed, mode == "planar"])
+        theta0, phi0 = _random_angles(rng, 34, mode)
+        grid = _deviation_grid(mode, 12 if mode == "planar" else 5)
+        # one call for every (player, candidate, grid point)
+        angles = [
+            _deviate(theta0[:, None], phi0[:, None], player, grid, mode)
+            for player in PLAYERS
+        ]
+        scores = ghz_payoffs(
+            weights, np.stack([t for t, _ in angles]), np.stack([p for _, p in angles])
         )
-        verdict = best_response_check(candidate, "full_sphere", FAST)
-        oracle = quantum_payoffs(table1.utilities, table1.prior, ghz_advisor(), candidate)
-        assert verdict.baseline == pytest.approx(oracle, abs=1e-10)
-        assert verdict.max_improvement > 0.01
+        best_grid = np.stack([scores[p, :, :, p].max(axis=1) for p in PLAYERS], axis=1)
+
+        verdicts = [
+            best_response_check(_setting(t, p), mode, game) for t, p in zip(theta0, phi0)
+        ]
+        deviated = [
+            _setting(t, p).replace_player(r.player, r.observables).bloch_angles()
+            for v, t, p in zip(verdicts, theta0, phi0)
+            for r in v.responses
+        ]
+        reached = ghz_payoffs(
+            weights, np.stack([t for t, _ in deviated]), np.stack([p for _, p in deviated])
+        ).reshape(34, 3, 3)
+        for k, verdict in enumerate(verdicts):
+            for r in verdict.responses:
+                assert r.payoff >= best_grid[k, r.player] - 1e-12
+                if mode == "full_sphere" or k % 2 == 0:  # candidate in the mode's reach
+                    assert r.improvement >= -1e-12
+                assert abs(r.payoff - reached[k, r.player, r.player]) <= 1e-12
+                if mode == "planar":
+                    assert all(o.theta == math.pi / 2 for o in r.observables)
+
+    @pytest.mark.parametrize("mode", ["planar", "full_sphere"])
+    def test_at_least_the_searched_best_response(self, mode, reference_angles):
+        """The reference optimum and 11 random candidates (5 of them
+        non-planar in planar mode): the closed form pays at least what the
+        grid-and-Nelder-Mead search finds."""
+        theta0, phi0 = _random_angles(np.random.default_rng(17), 11, mode)
+        candidates = [MeasurementSetting.planar(reference_angles)] + [
+            _setting(t, p) for t, p in zip(theta0, phi0)
+        ]
+        config = OptimizationConfig(restarts=1, grid=8, seed=0)
+        for candidate in candidates:
+            verdict = best_response_check(candidate, mode)
+            searched = _searched_best_responses(candidate, mode, config)
+            for response, value in zip(verdict.responses, searched):
+                assert response.payoff >= value - 1e-12
+
+    @pytest.mark.parametrize(
+        ("mode", "candidate"),
+        [("planar", "optimum"), ("planar", "tilted"), ("full_sphere", "tilted")],
+    )
+    def test_constant_game_keeps_the_candidate(self, reference_angles, mode, candidate):
+        """No deviation changes a constant payoff: the improvement is exactly
+        0 and each player keeps their own observables (their azimuths on the
+        equator, when planar mode meets a tilted candidate)."""
+        game = GameDefinition(UtilityTable.constant(Fraction(7, 3)), Prior.uniform())
+        setting = (
+            MeasurementSetting.planar(reference_angles) if candidate == "optimum" else TILTED
+        )
+        verdict = best_response_check(setting, mode, game)
         for response in verdict.responses:
-            deviated = candidate.replace_player(response.player, response.observables)
-            payoff = quantum_payoffs(
-                table1.utilities, table1.prior, ghz_advisor(), deviated
-            )[response.player]
-            assert response.payoff == pytest.approx(payoff, abs=1e-10)
+            own = setting.observables(response.player)
+            if mode == "planar":
+                own = tuple(BlochObservable(math.pi / 2, o.phi) for o in own)
+            assert response.improvement == 0.0
+            assert response.payoff == verdict.baseline[response.player]
+            assert response.observables == own
 
     def test_unknown_mode_rejected(self, reference_angles):
         with pytest.raises(ValidationError, match="mode"):
-            best_response_check(
-                MeasurementSetting.planar(reference_angles), "spherical", FAST
-            )
+            best_response_check(MeasurementSetting.planar(reference_angles), "spherical")
+
+
+class TestGridStarts:
+    def test_tied_grid_values_give_pinned_starts(self, table1):
+        """On table1's grid of 8 the second-best value is shared by more
+        points than are left to pick; the stable sort takes the last of them
+        in grid order, on any CPU."""
+        weights = ghz_weights(table1.utilities, table1.prior)
+        starts = optimize._grid_starts(
+            weights[:, :, 0].sum(axis=1), -weights[:, :, 4],
+            OptimizationConfig(restarts=4, grid=8),
+        )
+        step = math.pi / 4
+        indices = [tuple(round((v + math.pi) / step) for v in x) for x in starts]
+        assert indices == [(6, 6, 5, 7), (2, 2, 7, 5), (7, 6, 5, 7), (6, 7, 5, 7)]
+
+        def value(a1, b1, c0, c1):
+            angles = PlanarAngles(0, a1 * step, 0, b1 * step, c0 * step, c1 * step)
+            theta, phi = MeasurementSetting.planar(angles).bloch_angles()
+            return min(ghz_payoffs(weights, theta, phi))
+
+        # the two picked and two passed over: a tie, up to rounding
+        tied = [value(*(i - 4 for i in x)) for x in indices[2:] + [(6, 6, 6, 7), (2, 2, 6, 5)]]
+        assert max(tied) - min(tied) < 1e-12
+        assert value(*(i - 4 for i in indices[1])) > max(tied) + 0.01
 
 
 class TestAdvantageReport:
@@ -296,7 +480,7 @@ class TestPolishMatchesScipy:
 
     def test_best_response_objective_in_2d(self, oracle, reference_angles):
         polishes = _polishes(
-            lambda: best_response_check(
+            lambda: _searched_best_responses(
                 MeasurementSetting.planar(reference_angles), "planar",
                 OptimizationConfig(seed=1),
             )
@@ -305,14 +489,9 @@ class TestPolishMatchesScipy:
         self.assert_same_paths(oracle, polishes)
 
     def test_best_response_objective_in_4d(self, oracle):
-        candidate = MeasurementSetting(
-            (BlochObservable(0.3, 0.1), BlochObservable(1.2, -2.0)),
-            (BlochObservable(2.5, 0.7), BlochObservable(0.9, 1.4)),
-            (BlochObservable(1.7, -0.4), BlochObservable(0.2, 3.0)),
-        )
         polishes = _polishes(
-            lambda: best_response_check(
-                candidate, "full_sphere", OptimizationConfig(restarts=2, grid=8, seed=2)
+            lambda: _searched_best_responses(
+                TILTED, "full_sphere", OptimizationConfig(restarts=2, grid=8, seed=2)
             )
         )
         assert len(polishes) == 3 * 6 and len(polishes[0][1]) == 4
