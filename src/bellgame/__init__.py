@@ -5,143 +5,7 @@ The package splits into: exact game core (:mod:`bellgame.game`), classical
 hidden-variable engine and equilibrium enumeration (:mod:`bellgame.classical`),
 GHZ measurement engine (:mod:`bellgame.quantum`), payoff optimizer
 (:mod:`bellgame.optimize`) and the ``bellgame`` CLI (:mod:`bellgame.cli`).
+Import from those modules; the package itself exports only ``__version__``.
 """
 
 __version__ = "0.1.0"
-
-from .builtin import builtin_game
-from .classical import (
-    ALL_PROFILES,
-    STRATEGIES,
-    BellVariant,
-    BoundAuditReport,
-    EquilibriumReport,
-    HiddenVariableModel,
-    NashVerdict,
-    ProfileTable,
-    bell_expression,
-    classical_bound_audit,
-    correlator,
-    deterministic_payoffs,
-    enumerate_deterministic_equilibria,
-    flip_types,
-    hv_model_to_distribution,
-    is_nash,
-    profile_table,
-    strategy_to_distribution,
-)
-from .game import (
-    PROFILES,
-    ConditionalDistribution,
-    GameDefinition,
-    PayoffTriple,
-    Player,
-    Prior,
-    UtilityTable,
-    ValidationError,
-    affine_transform,
-    check_no_signalling,
-    check_player_symmetry,
-    expected_payoffs,
-    game_digest,
-    load_game,
-    no_signalling_residual,
-)
-from .optimize import (
-    BestResponseVerdict,
-    OptimizationConfig,
-    OptimumReport,
-    QuantumAdvantageReport,
-    best_response_check,
-    maximize_planar,
-    quantum_advantage_report,
-)
-from .quantum import (
-    BlochObservable,
-    MeasurementSetting,
-    PlanarAngles,
-    QuantumAdvisor,
-    gauge_canonicalize,
-    gauge_equivalent,
-    gauge_transform,
-    ghz_advisor,
-    ghz_bell,
-    ghz_payoffs,
-    ghz_single_party_marginal,
-    ghz_weights,
-    load_setting,
-    maximally_mixed_advisor,
-    observable_matrix,
-    projectors,
-    quantum_bell,
-    quantum_distribution,
-    quantum_payoffs,
-)
-
-__all__ = [
-    "__version__",
-    "builtin_game",
-    # game core
-    "PROFILES",
-    "Player",
-    "UtilityTable",
-    "Prior",
-    "ConditionalDistribution",
-    "PayoffTriple",
-    "GameDefinition",
-    "ValidationError",
-    "expected_payoffs",
-    "check_player_symmetry",
-    "affine_transform",
-    "check_no_signalling",
-    "no_signalling_residual",
-    "game_digest",
-    "load_game",
-    # classical engine
-    "STRATEGIES",
-    "ALL_PROFILES",
-    "BellVariant",
-    "HiddenVariableModel",
-    "EquilibriumReport",
-    "NashVerdict",
-    "BoundAuditReport",
-    "strategy_to_distribution",
-    "hv_model_to_distribution",
-    "bell_expression",
-    "correlator",
-    "flip_types",
-    "deterministic_payoffs",
-    "ProfileTable",
-    "profile_table",
-    "enumerate_deterministic_equilibria",
-    "is_nash",
-    "classical_bound_audit",
-    # quantum engine
-    "BlochObservable",
-    "MeasurementSetting",
-    "PlanarAngles",
-    "QuantumAdvisor",
-    "observable_matrix",
-    "projectors",
-    "ghz_advisor",
-    "maximally_mixed_advisor",
-    "quantum_distribution",
-    "quantum_payoffs",
-    "ghz_weights",
-    "ghz_payoffs",
-    "ghz_bell",
-    "gauge_transform",
-    "gauge_canonicalize",
-    "gauge_equivalent",
-    "ghz_single_party_marginal",
-    "quantum_bell",
-    "load_setting",
-    # optimizer
-    "OptimizationConfig",
-    "OptimumReport",
-    "BestResponseVerdict",
-    "QuantumAdvantageReport",
-    "maximize_planar",
-    "best_response_check",
-    "quantum_advantage_report",
-]

@@ -9,9 +9,11 @@ total-payoff bound reduce to exact scans over them.
 
 Those scans run on integers: :func:`profile_table` computes the payoffs of
 the 64 profiles once per game as integer numerators over one common
-denominator, and the equilibrium scan, the Nash check, the bound audit and
-its sampled mixtures all read that table.  Reported values stay exact
-``Fraction`` s; :func:`deterministic_payoffs` is the ``Fraction`` oracle.
+denominator, and the equilibrium scan, the bound audit and its sampled
+mixtures all read that table.  Reported values stay exact ``Fraction`` s.
+The ``Fraction`` routes beside them (deterministic_payoffs, the
+hidden-variable models and the distribution-level Bell expressions) are the
+oracles the tests hold the scans to.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .game import (
     ConditionalDistribution,
     Numeric,
     PayoffTriple,
-    Player,
     Prior,
     Profile,
     UtilityTable,
@@ -124,10 +125,6 @@ class HiddenVariableModel:
                 for w, prof in weighted
             )
         )
-
-    @classmethod
-    def point_mass(cls, profile: StrategyProfile) -> "HiddenVariableModel":
-        return cls.from_profiles([(Fraction(1), profile)])
 
 
 def hv_model_to_distribution(
@@ -293,9 +290,7 @@ class EquilibriumReport:
 
 
 def enumerate_deterministic_equilibria(
-    table: UtilityTable,
-    prior: Prior,
-    bound: Fraction | None = None,
+    table: UtilityTable, prior: Prior
 ) -> list[EquilibriumReport]:
     """Scan all 64 deterministic profiles for Nash equilibria, exactly.
 
@@ -305,16 +300,14 @@ def enumerate_deterministic_equilibria(
     their own response rows, so the maximum over the mixed set is attained
     at an extreme point.
 
-    ``bound`` is the total-payoff cap used for the saturation flag; by
-    default the exact maximum total over the 64 profiles (9/4 for the
-    bundled game).
+    A profile saturates the bound when its total payoff is the exact maximum
+    total over the 64 profiles (9/4 for the bundled game).
     """
     profiles = profile_table(table, prior)
-    if bound is None:
-        bound = profiles.max_total()
+    bound = profiles.max_total()
     reports = []
     for k, prof in enumerate(ALL_PROFILES):
-        if _best_deviation(profiles, k) is None:
+        if not _can_improve(profiles, k):
             own = profiles.payoffs(k)
             reports.append(
                 EquilibriumReport(
@@ -327,44 +320,17 @@ def enumerate_deterministic_equilibria(
     return reports
 
 
-def _best_deviation(
-    profiles: ProfileTable, k: int
-) -> tuple[Player, Strategy, Fraction] | None:
-    """Strictly improving deviation from profile k with the largest gain,
-    if any exists."""
+def _can_improve(profiles: ProfileTable, k: int) -> bool:
+    """Whether some player has a unilateral deterministic deviation from
+    profile k with strictly greater own payoff."""
     nums = profiles.numerators
-    best = None
     for player in PLAYERS:
         place = 4 ** (2 - player)
         own = k // place % 4
-        for d, dev in enumerate(STRATEGIES):
-            if d == own:
-                continue
-            gain = nums[k + (d - own) * place][player] - nums[k][player]
-            if gain > 0 and (best is None or gain > best[2]):
-                best = (player, dev, gain)
-    if best is None:
-        return None
-    return best[0], best[1], Fraction(best[2], profiles.denominator)
-
-
-class NashVerdict(NamedTuple):
-    """Equilibrium check result with the best deviation when one exists."""
-
-    is_equilibrium: bool
-    player: Player | None
-    strategy: Strategy | None
-    gain: Fraction | None
-
-
-def is_nash(
-    table: UtilityTable, prior: Prior, profile: StrategyProfile
-) -> NashVerdict:
-    """Exact Nash check of one profile against deterministic deviations."""
-    best = _best_deviation(profile_table(table, prior), ALL_PROFILES.index(profile))
-    if best is None:
-        return NashVerdict(True, None, None, None)
-    return NashVerdict(False, best[0], best[1], best[2])
+        for d in range(4):
+            if nums[k + (d - own) * place][player] > nums[k][player]:
+                return True
+    return False
 
 
 @dataclass(frozen=True)

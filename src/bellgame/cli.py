@@ -187,7 +187,7 @@ def cmd_equilibria(args) -> int:
     started = time.perf_counter()
     game = _resolve_game(args.game)
     bound = profile_table(game.utilities, game.prior).max_total()
-    reports = enumerate_deterministic_equilibria(game.utilities, game.prior, bound)
+    reports = enumerate_deterministic_equilibria(game.utilities, game.prior)
     results = {
         "total_payoff_bound": format_rational(bound),
         "count": len(reports),
@@ -286,7 +286,7 @@ def cmd_check(args) -> int:
     dist = quantum_distribution(ghz_advisor(), setting)
     dist.validate()
     row_err = max(abs(sum(row) - 1) for row in dist.rows)
-    min_entry = min(v for row in dist.rows for v in row)
+    min_prob = min(v for row in dist.rows for v in row)
     residual = no_signalling_residual(dist)
     mode = "planar" if args.mode == "planar" else "full_sphere"
     # check runs no search and ignores the optimizer flags, but still
@@ -298,7 +298,7 @@ def cmd_check(args) -> int:
         "planar": setting.is_planar(),
         "payoffs": fmt_payoffs(verdict.baseline),
         "row_sum_max_error": fmt_real(row_err),
-        "min_probability": fmt_real(min_entry),
+        "min_probability": fmt_real(min_prob),
         "no_signalling_max_residual": fmt_real(residual),
         "bell_values": fmt_ghz_bell(setting),
         "best_response": fmt_best_response(verdict),

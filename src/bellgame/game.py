@@ -12,7 +12,8 @@ Classical-path values are exact ``fractions.Fraction`` s (the 64-profile
 scans of :mod:`bellgame.classical` run on integers over a common
 denominator), so payoff comparisons and equilibrium checks are exact;
 quantum-path distributions carry floats and are validated against explicit
-tolerances.
+tolerances.  Two audits live here: check_player_symmetry on a utility table
+and no_signalling_residual on a distribution.
 
 Profile indexing convention: a profile (a, b, c) of bits for players
 (A, B, C) maps to index 4*a + 2*b + c, i.e. player A owns the most
@@ -29,7 +30,7 @@ from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 Bit = int
 Profile = tuple[Bit, Bit, Bit]
@@ -86,10 +87,6 @@ class PayoffTriple(NamedTuple):
     def is_fair(self) -> bool:
         return self.a == self.b == self.c
 
-    def permuted(self, perm: Sequence[int]) -> "PayoffTriple":
-        """Payoffs after relabelling players: entry i comes from perm[i]."""
-        return PayoffTriple(self[perm[0]], self[perm[1]], self[perm[2]])
-
 
 @dataclass(frozen=True)
 class UtilityTable:
@@ -129,9 +126,6 @@ class UtilityTable:
 
     def utility(self, player: Player, x: Profile, y: Profile) -> Fraction:
         return self.values[player][profile_index(x)][profile_index(y)]
-
-    def min_entry(self) -> Fraction:
-        return min(v for rows in self.values for row in rows for v in row)
 
 
 @dataclass(frozen=True)
@@ -174,22 +168,8 @@ class ConditionalDistribution:
     rows: tuple[tuple[Numeric, ...], ...]
 
     @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence[Numeric]]
-    ) -> "ConditionalDistribution":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @classmethod
     def uniform(cls) -> "ConditionalDistribution":
         return cls(((Fraction(1, 8),) * 8,) * 8)
-
-    @classmethod
-    def point_mass(cls, y: Profile) -> "ConditionalDistribution":
-        row = tuple(
-            Fraction(1) if i == profile_index(y) else Fraction(0)
-            for i in range(8)
-        )
-        return cls((row,) * 8)
 
     def prob(self, y: Profile, x: Profile) -> Numeric:
         return self.rows[profile_index(x)][profile_index(y)]
@@ -301,19 +281,9 @@ def affine_transform(
     )
 
 
-class NoSignallingViolation(NamedTuple):
-    """A marginal of two players that depends on the third player's type."""
-
-    player: Player  # whose type moves the other players' marginal
-    other_types: tuple[Bit, Bit]
-    other_actions: tuple[Bit, Bit]
-    lhs: Numeric  # marginal with player's type = 0
-    rhs: Numeric  # marginal with player's type = 1
-
-
 def _marginal_pairs(dist: ConditionalDistribution):
-    """Yield every no-signalling comparison as (player, other types, other
-    actions, marginal with player's type 0, marginal with player's type 1).
+    """Yield every no-signalling comparison as the pair of marginals with
+    player s's type 0 and 1.
 
     For each player s the marginal sums p(y|x) over y_s; it must not depend
     on x_s for any types and actions of the other two players.
@@ -336,27 +306,14 @@ def _marginal_pairs(dist: ConditionalDistribution):
                             (y[0], y[1], y[2]), (x[0], x[1], x[2])
                         )
                     marg.append(total)
-                yield s, ot, oa, marg[0], marg[1]
-
-
-def check_no_signalling(
-    dist: ConditionalDistribution, tol: float = DEFAULT_TOL
-) -> list[NoSignallingViolation]:
-    """Check that each two-player marginal ignores the third player's type.
-
-    Empty result means no-signalling holds within tol.
-    """
-    return [
-        NoSignallingViolation(*pair)
-        for pair in _marginal_pairs(dist)
-        if abs(pair[3] - pair[4]) > tol
-    ]
+                yield marg[0], marg[1]
 
 
 def no_signalling_residual(dist: ConditionalDistribution) -> Numeric:
     """Largest |difference| between the two marginals of any no-signalling
-    comparison; exactly 0 for an exact no-signalling distribution."""
-    return max(abs(lhs - rhs) for *_, lhs, rhs in _marginal_pairs(dist))
+    comparison: no two-player marginal may depend on the third player's type.
+    Exactly 0 for an exact no-signalling distribution."""
+    return max(abs(lhs - rhs) for lhs, rhs in _marginal_pairs(dist))
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +452,6 @@ def game_from_json_dict(doc: dict) -> GameDefinition:
             )
         tables.append(tuple(rows))
     return GameDefinition(UtilityTable(tuple(tables)), prior)
-
-
-def dump_game(game: GameDefinition, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(game_to_json_dict(game), indent=2) + "\n"
-    )
 
 
 def read_json(path: str | Path) -> object:

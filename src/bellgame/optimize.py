@@ -67,10 +67,15 @@ class OptimizationConfig:
     def __post_init__(self) -> None:
         if self.grid < 8:
             raise ValidationError("grid resolution must be at least 8")
+        # The grid scan holds 3 * grid**4 floats, 0.4 GB at 64.
+        if self.grid > 64:
+            raise ValidationError("grid resolution must be at most 64")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError("convergence tolerance must be finite and positive")
         if self.restarts < 1:
             raise ValidationError("restarts must be positive")
+        if self.restarts > 10_000:
+            raise ValidationError("restarts must be at most 10000")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 

@@ -24,7 +24,6 @@ Conventions (load-bearing, fixed once here):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,28 +130,12 @@ class MeasurementSetting:
     def observables(self, player: Player) -> tuple[BlochObservable, BlochObservable]:
         return (self.a, self.b, self.c)[player]
 
-    def replace_player(
-        self, player: Player, obs: tuple[BlochObservable, BlochObservable]
-    ) -> "MeasurementSetting":
-        parts = [self.a, self.b, self.c]
-        parts[player] = obs
-        return MeasurementSetting(*parts)
-
     def is_planar(self, tol: float = ALGEBRA_TOL) -> bool:
         half = math.pi / 2
         return all(
             abs(o.theta - half) <= tol
             for pair in (self.a, self.b, self.c)
             for o in pair
-        )
-
-    def planar_angles(self, tol: float = ALGEBRA_TOL) -> PlanarAngles | None:
-        if not self.is_planar(tol):
-            return None
-        return PlanarAngles(
-            self.a[0].phi, self.a[1].phi,
-            self.b[0].phi, self.b[1].phi,
-            self.c[0].phi, self.c[1].phi,
         )
 
     def bloch_angles(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,10 +177,6 @@ class QuantumAdvisor:
 def ghz_advisor() -> QuantumAdvisor:
     vec = ghz_state()
     return QuantumAdvisor(np.outer(vec, vec.conj()))
-
-
-def maximally_mixed_advisor() -> QuantumAdvisor:
-    return QuantumAdvisor(np.eye(8, dtype=complex) / 8)
 
 
 def quantum_distribution(
@@ -343,16 +322,11 @@ def gauge_canonicalize(angles: PlanarAngles) -> PlanarAngles:
     return PlanarAngles(0.0, shifted.a1, 0.0, shifted.b1, shifted.c0, shifted.c1)
 
 
-def angle_distance(x: float, y: float) -> float:
-    """Distance between two angles modulo 2*pi."""
-    return abs(wrap_angle(x - y))
-
-
 def gauge_equivalent(
     first: PlanarAngles, second: PlanarAngles, tol: float = 1e-4
 ) -> bool:
     ca, cb = gauge_canonicalize(first), gauge_canonicalize(second)
-    return all(angle_distance(u, v) <= tol for u, v in zip(ca, cb))
+    return all(abs(wrap_angle(u - v)) <= tol for u, v in zip(ca, cb))
 
 
 def ghz_single_party_marginal(projector: np.ndarray, party: Player) -> float:
@@ -456,7 +430,3 @@ def load_setting(path: str | Path) -> MeasurementSetting:
         return setting_from_json_dict(doc)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def dump_setting(setting: MeasurementSetting, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(setting_to_json_dict(setting), indent=2) + "\n")

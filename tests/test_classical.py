@@ -21,7 +21,6 @@ from bellgame.classical import (
     enumerate_deterministic_equilibria,
     flip_types,
     hv_model_to_distribution,
-    is_nash,
     profile_table,
     random_hidden_variable_model,
     strategy_to_distribution,
@@ -30,13 +29,13 @@ from bellgame.game import (
     PLAYERS,
     PROFILES,
     ConditionalDistribution,
-    Player,
+    GameDefinition,
     Prior,
     UtilityTable,
     ValidationError,
     affine_transform,
-    check_no_signalling,
     expected_payoffs,
+    no_signalling_residual,
 )
 
 F = Fraction
@@ -55,6 +54,11 @@ KNOWN_EQUILIBRIA = [
 ]
 
 BOUND = F(9, 4)
+
+
+@pytest.fixture(scope="module")
+def constant_game():
+    return GameDefinition(UtilityTable.constant(F(5, 7)), Prior.uniform())
 
 GAMES = ["table1", "affine_game", "nonuniform_game"]
 
@@ -105,13 +109,13 @@ class TestStrategyDistribution:
 
     @pytest.mark.parametrize("profile", [p for i, p in enumerate(ALL_PROFILES) if i % 7 == 0])
     def test_exact_no_signalling(self, profile):
-        assert check_no_signalling(strategy_to_distribution(profile), tol=0) == []
+        assert no_signalling_residual(strategy_to_distribution(profile)) == 0
 
 
 class TestHiddenVariableModels:
     def test_point_mass_equals_strategy_distribution(self):
         profile = ((1, 0), (0, 1), (1, 1))
-        model = HiddenVariableModel.point_mass(profile)
+        model = HiddenVariableModel.from_profiles([(1, profile)])
         assert hv_model_to_distribution(model) == strategy_to_distribution(profile)
 
     def test_two_point_mixture(self):
@@ -173,7 +177,7 @@ class TestHiddenVariableModels:
         rng = random.Random(5)
         for _ in range(10):
             dist = hv_model_to_distribution(random_hidden_variable_model(rng))
-            assert check_no_signalling(dist, tol=0) == []
+            assert no_signalling_residual(dist) == 0
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ValidationError, match="sum"):
@@ -337,15 +341,10 @@ class TestEquilibria:
                 swapped[i], swapped[j] = swapped[j], swapped[i]
                 assert tuple(swapped) in eq
 
-    def test_is_nash_on_known_equilibrium(self, utilities, uniform_prior):
-        verdict = is_nash(utilities, uniform_prior, ((0, 1), (0, 0), (0, 0)))
-        assert verdict.is_equilibrium
-        assert verdict.player is None
-
     def test_all_constant_zero_profile_is_not_nash(self, utilities, uniform_prior):
         profile = ((0, 0), (0, 0), (0, 0))
-        verdict = is_nash(utilities, uniform_prior, profile)
-        assert not verdict.is_equilibrium
+        reports = enumerate_deterministic_equilibria(utilities, uniform_prior)
+        assert profile not in {r.profile for r in reports}
         # oracle: scan player A's four deviations directly
         best_gain = F(0)
         best_strategy = None
@@ -360,24 +359,41 @@ class TestEquilibria:
             if gain > best_gain:
                 best_gain, best_strategy = gain, s
         assert best_strategy == (0, 1)  # follow the type, toward 5/8
-        assert verdict.gain >= best_gain
-        if verdict.player == Player.A:
-            assert verdict.strategy == best_strategy
+        assert best_gain > 0
 
     def test_constant_game_everything_is_nash(self, uniform_prior):
         table = UtilityTable.constant(2)
-        for profile in ALL_PROFILES[::17]:
-            assert is_nash(table, uniform_prior, profile).is_equilibrium
+        reports = enumerate_deterministic_equilibria(table, uniform_prior)
+        assert [r.profile for r in reports] == list(ALL_PROFILES)
 
-    def test_is_nash_matches_enumeration(self, utilities, uniform_prior):
-        eq = {
-            r.profile
-            for r in enumerate_deterministic_equilibria(utilities, uniform_prior)
+    @pytest.mark.parametrize("game", [*GAMES, "constant_game"])
+    def test_scan_matches_deviation_oracle(self, game, request):
+        """The scan returns exactly the profiles where no player has a
+        strictly better unilateral deterministic deviation, each with its
+        Fraction-oracle payoffs; 64 profiles x 3 players x 3 deviations."""
+        game = request.getfixturevalue(game)
+        payoffs = {
+            p: deterministic_payoffs(game.utilities, game.prior, p)
+            for p in ALL_PROFILES
         }
-        for profile in ALL_PROFILES:
-            assert is_nash(utilities, uniform_prior, profile).is_equilibrium == (
-                profile in eq
+
+        def deviate(profile, player, strategy):
+            return tuple(strategy if i == player else s for i, s in enumerate(profile))
+
+        expected = [
+            profile
+            for profile in ALL_PROFILES
+            if not any(
+                payoffs[deviate(profile, i, s)][i] > payoffs[profile][i]
+                for i in PLAYERS
+                for s in STRATEGIES
+                if s != profile[i]
             )
+        ]
+        reports = enumerate_deterministic_equilibria(game.utilities, game.prior)
+        assert [r.profile for r in reports] == expected
+        for r in reports:
+            assert r.payoffs == payoffs[r.profile]
 
     def test_deterministic_payoffs_match_distribution_route(
         self, utilities, uniform_prior

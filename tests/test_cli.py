@@ -21,7 +21,6 @@ from bellgame.game import (
     Player,
     Prior,
     UtilityTable,
-    dump_game,
     expected_payoffs,
     game_to_json_dict,
     load_game,
@@ -30,9 +29,9 @@ from bellgame.game import (
 from bellgame.quantum import (
     BlochObservable,
     MeasurementSetting,
-    dump_setting,
     ghz_advisor,
     quantum_bell,
+    setting_to_json_dict,
 )
 
 F = Fraction
@@ -139,7 +138,7 @@ class TestEquilibriaCommand:
     def test_constant_utility_file_yields_64(self, capsys, tmp_path):
         game = GameDefinition(UtilityTable.constant(F(1, 2)), Prior.uniform())
         path = tmp_path / "constant.json"
-        dump_game(game, path)
+        path.write_text(json.dumps(game_to_json_dict(game)))
         code, report = run_cli(capsys, "equilibria", "--game", str(path))
         assert code == 0
         assert report["results"]["count"] == 64
@@ -218,7 +217,7 @@ class TestEquilibriaCommand:
 
     def test_round_tripped_game_gives_identical_digest(self, capsys, tmp_path):
         path = tmp_path / "copy.json"
-        dump_game(builtin_game(), path)
+        path.write_text(json.dumps(game_to_json_dict(builtin_game())))
         _, builtin_report = run_cli(capsys, "equilibria")
         _, file_report = run_cli(capsys, "equilibria", "--game", str(path))
         assert (
@@ -264,8 +263,9 @@ class TestPinnedResults:
         if game == "table1":
             selector = "builtin:table1"
         else:
-            selector = str(tmp_path / f"{game}.json")
-            dump_game(request.getfixturevalue(game), selector)
+            path = tmp_path / f"{game}.json"
+            path.write_text(json.dumps(game_to_json_dict(request.getfixturevalue(game))))
+            selector = str(path)
         files = {"optimum": optimum_setting_file, "tilted": tilted_setting_file}
         argv = [arg.format(**files) for arg in PINNED_ARGS[case]]
         code, report = run_cli(capsys, *argv, "--game", selector)
@@ -419,6 +419,10 @@ class TestBadNumbers:
             ["optimize", "--seed", "-1"],
             ["check", "--setting", "{setting}", "--tol", "nan"],
             ["bell", "--setting", "{string_angles}"],
+            # the limits that keep the grid scan and the random starts small
+            ["optimize", "--grid", "65"],
+            ["optimize", "--restarts", "10001"],
+            ["check", "--setting", "{setting}", "--grid", "65"],
         ],
     )
     def test_exits_2(self, capsys, tmp_path, optimum_setting_file, argv):
@@ -502,20 +506,18 @@ class TestSchemas:
         )
         jsonschema.validate(doc, schema)
 
-    def test_setting_documents_match_schema(self, tmp_path, reference_angles):
+    def test_setting_documents_match_schema(self, reference_angles):
         jsonschema = pytest.importorskip("jsonschema")
 
         schema = json.loads((DOCS / "setting.schema.json").read_text())
-        full = tmp_path / "full.json"
-        dump_setting(
+        full = setting_to_json_dict(
             MeasurementSetting(
                 (BlochObservable(0.1, 0.2), BlochObservable(0.3, 0.4)),
                 (BlochObservable(0.5, 0.6), BlochObservable(0.7, 0.8)),
                 (BlochObservable(0.9, 1.0), BlochObservable(1.1, 1.2)),
-            ),
-            full,
+            )
         )
-        jsonschema.validate(json.loads(full.read_text()), schema)
+        jsonschema.validate(full, schema)
         planar = {
             f"phi_{name}{t}": 0.5 for name in "ABC" for t in (0, 1)
         }

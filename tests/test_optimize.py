@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,8 @@ class TestMaximizePlanar:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValidationError, match="grid"):
             OptimizationConfig(grid=4)
+        with pytest.raises(ValidationError, match="grid resolution must be at most 64"):
+            OptimizationConfig(grid=65)
         for tol in (0, -1e-10, float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="tolerance"):
                 OptimizationConfig(tol=tol)
@@ -123,6 +126,13 @@ class TestMaximizePlanar:
             OptimizationConfig(seed=-1)
         with pytest.raises(ValidationError, match="restarts"):
             OptimizationConfig(restarts=0)
+        with pytest.raises(ValidationError, match="restarts must be at most 10000"):
+            OptimizationConfig(restarts=10_001)
+
+    def test_largest_config_accepted(self):
+        # constructed only: running it would allocate the 0.4 GB grid scan
+        config = OptimizationConfig(grid=64, restarts=10_000)
+        assert (config.grid, config.restarts) == (64, 10_000)
 
 
 TILTED = MeasurementSetting(
@@ -252,7 +262,7 @@ class TestBestResponse:
             for response in verdict.responses:
                 if mode == "planar":
                     assert all(o.theta == math.pi / 2 for o in response.observables)
-                deviated = TILTED.replace_player(response.player, response.observables)
+                deviated = replace(TILTED, **{"abc"[response.player]: response.observables})
                 payoff = quantum_payoffs(
                     table1.utilities, table1.prior, ghz_advisor(), deviated
                 )[response.player]
@@ -285,7 +295,7 @@ class TestBestResponse:
             best_response_check(_setting(t, p), mode, game) for t, p in zip(theta0, phi0)
         ]
         deviated = [
-            _setting(t, p).replace_player(r.player, r.observables).bloch_angles()
+            replace(_setting(t, p), **{"abc"[r.player]: r.observables}).bloch_angles()
             for v, t, p in zip(verdicts, theta0, phi0)
             for r in v.responses
         ]

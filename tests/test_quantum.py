@@ -19,8 +19,8 @@ from bellgame.game import (
     UtilityTable,
     ValidationError,
     affine_transform,
-    check_no_signalling,
     expected_payoffs,
+    no_signalling_residual,
 )
 from bellgame.quantum import (
     PAULI_X,
@@ -30,8 +30,6 @@ from bellgame.quantum import (
     MeasurementSetting,
     PlanarAngles,
     QuantumAdvisor,
-    angle_distance,
-    dump_setting,
     gauge_canonicalize,
     gauge_equivalent,
     gauge_transform,
@@ -41,7 +39,6 @@ from bellgame.quantum import (
     ghz_state,
     ghz_weights,
     load_setting,
-    maximally_mixed_advisor,
     observable_matrix,
     projectors,
     quantum_bell,
@@ -58,6 +55,7 @@ SETTING_SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "setting.schema.json").read_text()
 )
 TABLE1_WEIGHTS = ghz_weights(builtin_game().utilities, builtin_game().prior)
+MAXIMALLY_MIXED = QuantumAdvisor(np.eye(8, dtype=complex) / 8)
 
 
 def planar_payoffs(angles: PlanarAngles) -> np.ndarray:
@@ -190,7 +188,7 @@ class TestQuantumDistribution:
 
     def test_maximally_mixed_gives_uniform(self, reference_angles):
         dist = quantum_distribution(
-            maximally_mixed_advisor(), MeasurementSetting.planar(reference_angles)
+            MAXIMALLY_MIXED, MeasurementSetting.planar(reference_angles)
         )
         for row in dist.rows:
             assert row == pytest.approx((0.125,) * 8, abs=1e-12)
@@ -214,7 +212,7 @@ class TestQuantumDistribution:
         rng = np.random.default_rng(4)
         for i in range(40):
             dist = quantum_distribution(ghz, random_setting(rng, i % 2 == 0))
-            assert check_no_signalling(dist, tol=1e-12) == []
+            assert no_signalling_residual(dist) <= 1e-12
 
 
 class TestQuantumPayoffs:
@@ -232,7 +230,7 @@ class TestQuantumPayoffs:
         rng = np.random.default_rng(8)
         setting = random_setting(rng, planar=False)
         f = quantum_payoffs(
-            table1.utilities, table1.prior, maximally_mixed_advisor(), setting
+            table1.utilities, table1.prior, MAXIMALLY_MIXED, setting
         )
         g = expected_payoffs(
             table1.utilities, table1.prior, ConditionalDistribution.uniform()
@@ -378,7 +376,7 @@ class TestGaugeSymmetry:
         )
         back = gauge_canonicalize(shifted)
         for u, v in zip(back, reference_angles):
-            assert angle_distance(u, v) < 1e-12
+            assert abs(wrap_angle(u - v)) < 1e-12
 
     def test_all_zero_is_fixed_point(self):
         zero = PlanarAngles(0, 0, 0, 0, 0, 0)
@@ -433,7 +431,7 @@ class TestQuantumBell:
         setting = MeasurementSetting.planar(reference_angles)
         for variant in BellVariant:
             assert quantum_bell(
-                maximally_mixed_advisor(), setting, variant
+                MAXIMALLY_MIXED, setting, variant
             ) == pytest.approx(0.0, abs=1e-12)
 
     def test_ghz_all_x_vanishes(self, ghz):
@@ -458,7 +456,7 @@ class TestSettingSerialization:
         rng = np.random.default_rng(1)
         setting = random_setting(rng, planar=False)
         path = tmp_path / "setting.json"
-        dump_setting(setting, path)
+        path.write_text(json.dumps(setting_to_json_dict(setting)))
         assert load_setting(path) == setting
 
     def test_planar_shorthand(self, reference_angles):
@@ -472,7 +470,8 @@ class TestSettingSerialization:
         }
         setting = setting_from_json_dict(doc)
         assert setting == MeasurementSetting.planar(reference_angles)
-        assert setting.planar_angles() == reference_angles
+        assert setting.is_planar()
+        assert PlanarAngles(*setting.bloch_angles()[1].ravel()) == reference_angles
 
     def test_missing_key_rejected(self, reference_angles):
         doc = setting_to_json_dict(MeasurementSetting.planar(reference_angles))
@@ -501,11 +500,11 @@ class TestSettingSerialization:
         with pytest.raises(ValidationError, match=key):
             setting_from_json_dict(doc)
 
-    def test_planar_angles_none_for_tilted_setting(self):
+    def test_tilted_setting_is_not_planar(self):
         z = BlochObservable(0, 0)
         x = BlochObservable(math.pi / 2, 0)
         setting = MeasurementSetting((z, x), (x, x), (x, x))
-        assert setting.planar_angles() is None
+        assert not setting.is_planar()
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
