@@ -15,13 +15,14 @@ from bellgame.classical import (
     classical_bound_audit,
     deterministic_bell_extremes,
     enumerate_deterministic_equilibria,
+    profile_table,
 )
 from bellgame.optimize import (
     OptimizationConfig,
     best_response_check,
     quantum_advantage_report,
 )
-from bellgame.quantum import MeasurementSetting
+from bellgame.quantum import MeasurementSetting, ghz_bell
 
 
 def frac(v: Fraction) -> str:
@@ -35,9 +36,10 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
 
     game = builtin_game()
+    profiles = profile_table(game.utilities, game.prior)
 
     print("== deterministic Nash equilibria ==")
-    reports = enumerate_deterministic_equilibria(game.utilities, game.prior)
+    reports = enumerate_deterministic_equilibria(profiles)
     for r in reports:
         tag = "fair" if r.fair else "unfair"
         sat = "saturates 9/4" if r.saturates_bound else ""
@@ -48,9 +50,7 @@ def main(argv: list[str] | None = None) -> None:
           f"{sum(r.fair for r in reports)} fair")
 
     print("\n== classical bound audit ==")
-    audit = classical_bound_audit(
-        game.utilities, game.prior, samples=args.samples, seed=args.seed
-    )
+    audit = classical_bound_audit(profiles, samples=args.samples, seed=args.seed)
     print(f"  max total over 64 deterministic profiles: "
           f"{frac(audit.deterministic_max)} "
           f"({len(audit.attaining_profiles)} profiles attain it)")
@@ -72,15 +72,17 @@ def main(argv: list[str] | None = None) -> None:
     print(f"  canonical angles: ({angles})")
     print(f"  common payoff: {opt.value:.9f}  "
           f"(analytic (13+2*sqrt(13))/24 = {(13 + 2 * math.sqrt(13)) / 24:.9f})")
-    print(f"  Bell values: V011 = {opt.bell_values[0]:+.6f}, "
-          f"V100 = {opt.bell_values[1]:+.6f}")
+    theta, phi = MeasurementSetting.planar(opt.angles).bloch_angles()
+    print("  Bell values: " + ", ".join(
+        f"{v.name} = {ghz_bell(theta, phi, v):+.6f}" for v in BellVariant
+    ))
     print(f"  classical fair cap: {frac(summary.classical_fair_cap)}; "
           f"advantage: {summary.advantage:.6f}")
     print(f"  quantum total {summary.quantum_total:.6f} "
           f"vs classical bound {frac(summary.classical_total_bound)}")
 
     print("\n== equilibrium certification at the optimum ==")
-    verdict = best_response_check(MeasurementSetting.planar(opt.angles), mode="planar")
+    verdict = best_response_check(game, MeasurementSetting.planar(opt.angles), "planar")
     for r in verdict.responses:
         print(f"  player {r.player.name}: best unilateral improvement "
               f"{r.improvement:+.3e}")

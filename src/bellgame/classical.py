@@ -290,9 +290,10 @@ class EquilibriumReport:
 
 
 def enumerate_deterministic_equilibria(
-    table: UtilityTable, prior: Prior
+    profiles: ProfileTable,
 ) -> list[EquilibriumReport]:
-    """Scan all 64 deterministic profiles for Nash equilibria, exactly.
+    """Scan a game's 64 deterministic profiles (its :func:`profile_table`)
+    for Nash equilibria, exactly.
 
     A profile is an equilibrium when no player has a unilateral deterministic
     deviation with strictly greater own payoff.  Restricting deviations to
@@ -303,7 +304,6 @@ def enumerate_deterministic_equilibria(
     A profile saturates the bound when its total payoff is the exact maximum
     total over the 64 profiles (9/4 for the bundled game).
     """
-    profiles = profile_table(table, prior)
     bound = profiles.max_total()
     reports = []
     for k, prof in enumerate(ALL_PROFILES):
@@ -454,20 +454,19 @@ def _sampled_payoffs(
 
 
 def classical_bound_audit(
-    table: UtilityTable,
-    prior: Prior,
-    samples: int = 1000,
-    seed: int = 0,
+    profiles: ProfileTable, samples: int = 1000, seed: int = 0
 ) -> BoundAuditReport:
-    """Verify the total-payoff cap on all 64 deterministic profiles and on
-    seeded random hidden-variable mixtures.
+    """Verify the total-payoff cap on a game's 64 deterministic profiles
+    (its :func:`profile_table`) and on seeded random hidden-variable
+    mixtures.
 
     The deterministic maximum IS the classical bound (total payoff is affine
     in the mixture weights), so the sampled part is a consistency audit.
     """
     if samples < 0:
         raise ValidationError(f"sample count must be non-negative, got {samples}")
-    profiles = profile_table(table, prior)
+    if seed < 0:  # random.Random(-n) would draw the samples of seed n
+        raise ValidationError("seed must be non-negative")
     totals = [sum(n) for n in profiles.numerators]
     top = max(totals)
     det_max = Fraction(top, profiles.denominator)

@@ -1,11 +1,15 @@
 """Command-line entry point emitting reproducible JSON reports.
 
 Subcommands: equilibria, audit-bound, bell, optimize, check.  Games are
-addressed as ``builtin:table1`` or a path to a game-definition file.  Every
-report carries the command, input digests, engine version and wall time;
-the ``results`` payload is deterministic for fixed inputs and seed.
+addressed as ``builtin:table1`` or a path to a game-definition file.  Each
+``cmd_*`` maps the parsed arguments and the game to (exit code, ``results``,
+the setting it read or None); ``main`` alone resolves the game, times the
+run, builds ``inputs`` (``game_digest``, plus ``setting_digest`` when a
+setting was read) and writes the report: command, inputs, engine version,
+wall time and ``results``, which are deterministic for fixed inputs and seed.
 
-Exit codes: 0 success, 2 validation failure, 3 non-convergence, 4 I/O.
+Exit codes: 0 success, 2 validation failure (also for a non-finite result,
+from utilities too large for the float engine), 3 non-convergence, 4 I/O.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from . import __version__
 from .builtin import builtin_game
 from .classical import (
     BellVariant,
-    EquilibriumReport,
     classical_bound_audit,
     deterministic_bell_extremes,
     enumerate_deterministic_equilibria,
@@ -39,13 +42,12 @@ from .game import (
     no_signalling_residual,
 )
 from .optimize import (
-    BestResponseVerdict,
     OptimizationConfig,
-    OptimumReport,
     best_response_check,
     quantum_advantage_report,
 )
 from .quantum import (
+    PLANAR_KEYS,
     MeasurementSetting,
     ghz_advisor,
     ghz_bell,
@@ -76,20 +78,6 @@ def fmt_profile(profile) -> dict:
     return {name: list(strategy) for name, strategy in zip("ABC", profile)}
 
 
-def fmt_equilibrium(report: EquilibriumReport) -> dict:
-    return {
-        "profile": fmt_profile(report.profile),
-        "payoffs": fmt_payoffs(report.payoffs),
-        "fair": report.fair,
-        "saturates_bound": report.saturates_bound,
-    }
-
-
-def fmt_planar_angles(angles) -> dict:
-    keys = ["phi_A0", "phi_A1", "phi_B0", "phi_B1", "phi_C0", "phi_C1"]
-    return {k: fmt_real(v) for k, v in zip(keys, angles)}
-
-
 def fmt_setting(setting: MeasurementSetting) -> dict:
     return {k: fmt_real(v) for k, v in setting_to_json_dict(setting).items()}
 
@@ -105,32 +93,6 @@ def fmt_ghz_bell(setting: MeasurementSetting) -> dict:
     theta, phi = setting.bloch_angles()
     return {
         variant.name: fmt_real(ghz_bell(theta, phi, variant)) for variant in BellVariant
-    }
-
-
-def fmt_optimum(report: OptimumReport) -> dict:
-    return {
-        "angles": fmt_planar_angles(report.angles),
-        "value": fmt_real(report.value),
-        "payoffs": fmt_payoffs(report.payoffs),
-        "bell_values": {
-            "V011": fmt_real(report.bell_values[0]),
-            "V100": fmt_real(report.bell_values[1]),
-        },
-        "converged": report.converged,
-    }
-
-
-def fmt_best_response(verdict: BestResponseVerdict) -> dict:
-    return {
-        "mode": verdict.mode,
-        "baseline": fmt_payoffs(verdict.baseline),
-        "improvements": {
-            r.player.name: fmt_real(r.improvement) for r in verdict.responses
-        },
-        "max_improvement": fmt_real(verdict.max_improvement),
-        "threshold": verdict.threshold,
-        "certified_equilibrium": verdict.is_equilibrium,
     }
 
 
@@ -155,53 +117,38 @@ def _setting_digest(setting: MeasurementSetting) -> str:
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_report(
-    out: str,
-    command: str,
-    game: GameDefinition,
-    results: dict,
-    started: float,
-    inputs: dict | None = None,
-) -> None:
-    report = {
-        "command": command,
-        "inputs": {"game_digest": game_digest(game), **(inputs or {})},
-        "engine_version": __version__,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-        "results": results,
-    }
-    text = json.dumps(report, indent=2) + "\n"
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def _config_from_args(args) -> OptimizationConfig:
     return OptimizationConfig(
         restarts=args.restarts, grid=args.grid, tol=args.tol, seed=args.seed
     )
 
 
-def cmd_equilibria(args) -> int:
-    started = time.perf_counter()
-    game = _resolve_game(args.game)
-    bound = profile_table(game.utilities, game.prior).max_total()
-    reports = enumerate_deterministic_equilibria(game.utilities, game.prior)
+#: (exit code, results, the setting read or None); see the module docstring.
+Outcome = tuple[int, dict, MeasurementSetting | None]
+
+
+def cmd_equilibria(args, game: GameDefinition) -> Outcome:
+    profiles = profile_table(game.utilities, game.prior)
+    reports = enumerate_deterministic_equilibria(profiles)
     results = {
-        "total_payoff_bound": format_rational(bound),
+        "total_payoff_bound": format_rational(profiles.max_total()),
         "count": len(reports),
-        "equilibria": [fmt_equilibrium(r) for r in reports],
+        "equilibria": [
+            {
+                "profile": fmt_profile(r.profile),
+                "payoffs": fmt_payoffs(r.payoffs),
+                "fair": r.fair,
+                "saturates_bound": r.saturates_bound,
+            }
+            for r in reports
+        ],
     }
-    _write_report(args.out, "equilibria", game, results, started)
-    return EXIT_OK
+    return EXIT_OK, results, None
 
 
-def cmd_audit_bound(args) -> int:
-    started = time.perf_counter()
-    game = _resolve_game(args.game)
+def cmd_audit_bound(args, game: GameDefinition) -> Outcome:
     audit = classical_bound_audit(
-        game.utilities, game.prior, samples=args.samples, seed=args.seed
+        profile_table(game.utilities, game.prior), args.samples, args.seed
     )
     results = {
         "deterministic": {
@@ -223,45 +170,46 @@ def cmd_audit_bound(args) -> int:
         "max_min_payoff": format_rational(audit.max_min_payoff),
         "bell_extremes": fmt_bell_extremes(deterministic_bell_extremes()),
     }
-    _write_report(args.out, "audit-bound", game, results, started)
-    return EXIT_OK
+    return EXIT_OK, results, None
 
 
-def cmd_bell(args) -> int:
-    started = time.perf_counter()
-    game = _resolve_game(args.game)
+def cmd_bell(args, game: GameDefinition) -> Outcome:
     if args.setting is None:
         results = {
             "source": "deterministic-profiles",
             "classical_bound": 2,
             "extremes": fmt_bell_extremes(deterministic_bell_extremes()),
         }
-        inputs = None
-    else:
-        setting = load_setting(args.setting)
-        values = fmt_ghz_bell(setting)
-        results = {
-            "source": "ghz-advisor",
-            "setting": fmt_setting(setting),
-            "values": values,
-            "difference": fmt_real(values["V011"] - values["V100"]),
-        }
-        inputs = {"setting_digest": _setting_digest(setting)}
-    _write_report(args.out, "bell", game, results, started, inputs)
-    return EXIT_OK
+        return EXIT_OK, results, None
+    setting = load_setting(args.setting)
+    values = fmt_ghz_bell(setting)
+    results = {
+        "source": "ghz-advisor",
+        "setting": fmt_setting(setting),
+        "values": values,
+        "difference": fmt_real(values["V011"] - values["V100"]),
+    }
+    return EXIT_OK, results, setting
 
 
-def cmd_optimize(args) -> int:
-    started = time.perf_counter()
-    game = _resolve_game(args.game)
+def cmd_optimize(args, game: GameDefinition) -> Outcome:
     config = _config_from_args(args)
     report = quantum_advantage_report(game, config)
+    optimum = report.optimum
     results = {
-        "optimum": fmt_optimum(report.optimum),
+        "optimum": {
+            "angles": {
+                k: fmt_real(v) for k, v in zip(PLANAR_KEYS, optimum.angles)
+            },
+            "value": fmt_real(optimum.value),
+            "payoffs": fmt_payoffs(optimum.payoffs),
+            "bell_values": fmt_ghz_bell(MeasurementSetting.planar(optimum.angles)),
+            "converged": optimum.converged,
+        },
         "advantage": {
             "classical_total_bound": format_rational(report.classical_total_bound),
             "classical_fair_cap": format_rational(report.classical_fair_cap),
-            "quantum_value": fmt_real(report.optimum.value),
+            "quantum_value": fmt_real(optimum.value),
             "quantum_total": fmt_real(report.quantum_total),
             "advantage": fmt_real(report.advantage),
             "beats_classical": report.beats_classical,
@@ -273,13 +221,11 @@ def cmd_optimize(args) -> int:
             "seed": config.seed,
         },
     }
-    _write_report(args.out, "optimize", game, results, started)
-    return EXIT_OK if report.optimum.converged else EXIT_NO_CONVERGENCE
+    code = EXIT_OK if optimum.converged else EXIT_NO_CONVERGENCE
+    return code, results, None
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
-    game = _resolve_game(args.game)
+def cmd_check(args, game: GameDefinition) -> Outcome:
     setting = load_setting(args.setting)
     # The trace-rule distribution is built only for its own diagnostics; the
     # payoffs and Bell values come from the GHZ engine.
@@ -292,7 +238,7 @@ def cmd_check(args) -> int:
     # check runs no search and ignores the optimizer flags, but still
     # rejects the values optimize rejects.
     _config_from_args(args)
-    verdict = best_response_check(setting, mode, game)
+    verdict = best_response_check(game, setting, mode)
     results = {
         "setting": fmt_setting(setting),
         "planar": setting.is_planar(),
@@ -301,17 +247,18 @@ def cmd_check(args) -> int:
         "min_probability": fmt_real(min_prob),
         "no_signalling_max_residual": fmt_real(residual),
         "bell_values": fmt_ghz_bell(setting),
-        "best_response": fmt_best_response(verdict),
+        "best_response": {
+            "mode": verdict.mode,
+            "baseline": fmt_payoffs(verdict.baseline),
+            "improvements": {
+                r.player.name: fmt_real(r.improvement) for r in verdict.responses
+            },
+            "max_improvement": fmt_real(verdict.max_improvement),
+            "threshold": verdict.threshold,
+            "certified_equilibrium": verdict.is_equilibrium,
+        },
     }
-    _write_report(
-        args.out,
-        "check",
-        game,
-        results,
-        started,
-        {"setting_digest": _setting_digest(setting)},
-    )
-    return EXIT_OK
+    return EXIT_OK, results, setting
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,8 +328,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        game = _resolve_game(args.game)
+        code, results, setting = args.func(args, game)
+        inputs = {"game_digest": game_digest(game)}
+        if setting is not None:
+            inputs["setting_digest"] = _setting_digest(setting)
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "engine_version": __version__,
+            "wall_time_s": round(time.perf_counter() - started, 6),
+            "results": results,
+        }
+        try:
+            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # Infinity or NaN, which JSON cannot carry
+            raise ValidationError(
+                "utilities too large: a result is not a finite float"
+            ) from None
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text)
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

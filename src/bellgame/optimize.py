@@ -14,10 +14,10 @@ fixed, a player's GHZ payoff is affine in the Bloch vectors of their own two
 observables, so the best deviation is the unit vector along each gradient
 and the improvement it buys is exact (see best_response_check).
 
-Every game takes the same path: the search, the best responses and the
-reported payoffs and Bell values all come from the GHZ engine
-(quantum.ghz_weights, ghz_payoffs and ghz_bell).  The trace rule is not
-used here; tests hold the engine to it.
+Every game takes the same path, and every engine takes its game
+explicitly: the search, the best responses and the reported payoffs all
+come from the GHZ engine (quantum.ghz_weights and ghz_payoffs).  The trace
+rule is not used here; tests hold the engine to it.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .builtin import builtin_game
-from .classical import BellVariant, profile_table
+from .classical import profile_table
 from .game import (
     PLAYERS,
     PROFILES,
@@ -46,7 +45,6 @@ from .quantum import (
     BlochObservable,
     MeasurementSetting,
     PlanarAngles,
-    ghz_bell,
     ghz_payoffs,
     ghz_weights,
     wrap_angle,
@@ -85,7 +83,6 @@ class OptimumReport:
     angles: PlanarAngles  # canonical gauge: a0 = b0 = 0
     value: float
     payoffs: PayoffTriple
-    bell_values: tuple[float, float]  # (V011, V100) at the optimum
     converged: bool
 
 
@@ -253,11 +250,15 @@ def _grid_starts(
     values[:] = const.reshape(3, 1, 1, 1, 1)
     for xi, (xa, xb, xc) in enumerate(PROFILES):
         values += coef[:, xi].reshape(3, 1, 1, 1, 1) * np.sin(a[xa] + b[xb] + c[xc])
+    # The minimum over the players goes into values[0] in place, where
+    # values.min(axis=0) would allocate another third of values.
+    np.minimum(values[0], values[1], out=values[0])
+    np.minimum(values[0], values[2], out=values[0])
     # The objective's symmetric maxima tie on the grid.  Which tied points
     # become starts must not depend on the CPU, so the few points at or
     # above the k-th best value are put in order by a stable sort: best
     # first, and of tied points the last in grid order first.
-    flat = values.min(axis=0).ravel()
+    flat = values[0].ravel()
     k = min(config.restarts, flat.size)
     best = np.flatnonzero(flat >= np.partition(flat, flat.size - k)[flat.size - k])
     top = best[np.argsort(flat[best], kind="stable")[::-1][:k]]
@@ -265,8 +266,7 @@ def _grid_starts(
 
 
 def maximize_planar(
-    config: OptimizationConfig | None = None,
-    game: GameDefinition | None = None,
+    game: GameDefinition, config: OptimizationConfig | None = None
 ) -> OptimumReport:
     """Maximize the minimum player payoff (the guaranteed value of a fair
     outcome) over planar GHZ settings in the canonical gauge.
@@ -278,7 +278,6 @@ def maximize_planar(
     restarts can only improve the reported value (up to the tie window).
     """
     config = config or OptimizationConfig()
-    game = game or builtin_game()
     weights = ghz_weights(game.utilities, game.prior)
     const = weights[:, :, 0].sum(axis=1)
     coef = -weights[:, :, 4]
@@ -311,10 +310,6 @@ def maximize_planar(
         angles=canonical,
         value=value,
         payoffs=PayoffTriple(*ghz_payoffs(weights, theta, phi).tolist()),
-        bell_values=(
-            float(ghz_bell(theta, phi, BellVariant.V011)),
-            float(ghz_bell(theta, phi, BellVariant.V100)),
-        ),
         converged=ok,
     )
 
@@ -351,9 +346,7 @@ _PROBE_PHI = np.array([0.0, math.pi / 2, 0.0, 0.0])
 
 
 def best_response_check(
-    candidate: MeasurementSetting,
-    mode: str = "planar",
-    game: GameDefinition | None = None,
+    game: GameDefinition, candidate: MeasurementSetting, mode: str = "planar"
 ) -> BestResponseVerdict:
     """Each player's exact best unilateral deviation under GHZ advice.
 
@@ -378,7 +371,6 @@ def best_response_check(
     """
     if mode not in ("planar", "full_sphere"):
         raise ValidationError(f"unknown best-response mode {mode!r}")
-    game = game or builtin_game()
     weights = ghz_weights(game.utilities, game.prior)
     theta0, phi0 = candidate.bloch_angles()
     baseline = ghz_payoffs(weights, theta0, phi0)
@@ -440,20 +432,22 @@ class QuantumAdvantageReport:
 
 
 def quantum_advantage_report(
-    game: GameDefinition | None = None,
-    config: OptimizationConfig | None = None,
+    game: GameDefinition, config: OptimizationConfig | None = None
 ) -> QuantumAdvantageReport:
     """Side-by-side of the classical fair cap and the quantum optimum."""
-    game = game or builtin_game()
     bound = profile_table(game.utilities, game.prior).max_total()
     cap = bound / 3
-    optimum = maximize_planar(config, game)
+    try:
+        cap_float = float(cap)
+    except OverflowError:
+        raise ValidationError("utilities too large: the fair cap overflows") from None
+    optimum = maximize_planar(game, config)
     quantum_total = float(sum(optimum.payoffs))
     return QuantumAdvantageReport(
         classical_total_bound=bound,
         classical_fair_cap=cap,
         optimum=optimum,
-        advantage=optimum.value - float(cap),
+        advantage=optimum.value - cap_float,
         quantum_total=quantum_total,
-        beats_classical=optimum.value > float(cap),
+        beats_classical=optimum.value > cap_float,
     )

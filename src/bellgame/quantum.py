@@ -236,15 +236,19 @@ def ghz_weights(table: UtilityTable, prior: Prior) -> np.ndarray:
 
     W[i, x, k] = P(x) * sum_y f_k(y) u_i(x, y) / 8 with f the outcome-sign
     features of GHZ_FEATURES.  The sums are exact; each entry is rounded
-    once.  With these weights the GHZ payoff of any game is linear in the
-    five correlation features of each type profile (see ghz_payoffs).
+    once, and a weight beyond the float range is a ValidationError.  With
+    these weights the GHZ payoff of any game is linear in the five
+    correlation features of each type profile (see ghz_payoffs).
     """
     weights = np.empty((3, 8, 5))
-    for player in PLAYERS:
-        for xi, urow in enumerate(table.values[player]):
-            for k in range(5):
-                exact = sum(f[k] * u for f, u in zip(GHZ_FEATURES, urow))
-                weights[player, xi, k] = float(prior.weights[xi] * exact / 8)
+    try:
+        for player in PLAYERS:
+            for xi, urow in enumerate(table.values[player]):
+                for k in range(5):
+                    exact = sum(f[k] * u for f, u in zip(GHZ_FEATURES, urow))
+                    weights[player, xi, k] = float(prior.weights[xi] * exact / 8)
+    except OverflowError:
+        raise ValidationError("utilities too large: a GHZ weight overflows") from None
     return weights
 
 

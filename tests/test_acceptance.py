@@ -22,6 +22,7 @@ from bellgame.classical import (
     classical_bound_audit,
     deterministic_payoffs,
     enumerate_deterministic_equilibria,
+    profile_table,
     strategy_to_distribution,
 )
 from bellgame.game import Player, affine_transform, no_signalling_residual
@@ -74,13 +75,14 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def optimum():
-    return maximize_planar()
+def optimum(table1):
+    return maximize_planar(table1)
 
 
 def test_criterion_01_known_equilibria_reproduced_exactly(table1):
     started = time.perf_counter()
-    reports = enumerate_deterministic_equilibria(table1.utilities, table1.prior)
+    profiles = profile_table(table1.utilities, table1.prior)
+    reports = enumerate_deterministic_equilibria(profiles)
     elapsed = time.perf_counter() - started
     found = {r.profile: tuple(r.payoffs) for r in reports}
     ok = (
@@ -103,7 +105,8 @@ def test_criterion_02_classical_total_payoff_bound(table1):
         prof: deterministic_payoffs(table1.utilities, table1.prior, prof).total()
         for prof in ALL_PROFILES
     }
-    audit = classical_bound_audit(table1.utilities, table1.prior, samples=1000, seed=SEED)
+    profiles = profile_table(table1.utilities, table1.prior)
+    audit = classical_bound_audit(profiles, samples=1000, seed=SEED)
     elapsed = time.perf_counter() - started
     ok = (
         all(total <= BOUND for total in totals.values())
@@ -144,9 +147,9 @@ def test_criterion_03_bell_bound_classical():
     )
 
 
-def test_criterion_04_quantum_optimum(optimum):
+def test_criterion_04_quantum_optimum(optimum, table1):
     started = time.perf_counter()
-    rerun = maximize_planar()
+    rerun = maximize_planar(table1)
     elapsed = time.perf_counter() - started
     ok = (
         abs(optimum.value - 0.842) < 1e-3
@@ -251,9 +254,9 @@ def test_criterion_08_unfair_equilibria_not_quantum_realizable():
     )
 
 
-def test_criterion_09_optimum_is_certified_equilibrium(optimum):
+def test_criterion_09_optimum_is_certified_equilibrium(optimum, table1):
     verdict = best_response_check(
-        MeasurementSetting.planar(optimum.angles), mode="planar"
+        table1, MeasurementSetting.planar(optimum.angles), mode="planar"
     )
     ok = verdict.is_equilibrium and all(
         r.improvement < EQUILIBRIUM_IMPROVEMENT_TOL for r in verdict.responses
@@ -267,10 +270,8 @@ def test_criterion_09_optimum_is_certified_equilibrium(optimum):
 
 
 def test_criterion_10_equilibrium_set_invariant_under_affine_maps(table1):
-    base = {
-        r.profile
-        for r in enumerate_deterministic_equilibria(table1.utilities, table1.prior)
-    }
+    profiles = profile_table(table1.utilities, table1.prior)
+    base = {r.profile for r in enumerate_deterministic_equilibria(profiles)}
     rng = random.Random(SEED)
     checked = 0
     for _ in range(100):
@@ -279,7 +280,9 @@ def test_criterion_10_equilibrium_set_invariant_under_affine_maps(table1):
         moved = {
             r.profile
             for r in enumerate_deterministic_equilibria(
-                affine_transform(table1.utilities, alpha, beta), table1.prior
+                profile_table(
+                    affine_transform(table1.utilities, alpha, beta), table1.prior
+                )
             )
         }
         if moved != base:

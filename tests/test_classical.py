@@ -289,7 +289,7 @@ class TestBellExpression:
 
 class TestEquilibria:
     def test_known_equilibria_reproduced_exactly(self, utilities, uniform_prior):
-        reports = enumerate_deterministic_equilibria(utilities, uniform_prior)
+        reports = enumerate_deterministic_equilibria(profile_table(utilities, uniform_prior))
         assert len(reports) == 9
         found = {r.profile: r for r in reports}
         assert set(found) == {profile for profile, _ in KNOWN_EQUILIBRIA}
@@ -301,13 +301,13 @@ class TestEquilibria:
         assert sum(r.fair for r in reports) == 3
 
     def test_reports_in_canonical_order(self, utilities, uniform_prior):
-        reports = enumerate_deterministic_equilibria(utilities, uniform_prior)
+        reports = enumerate_deterministic_equilibria(profile_table(utilities, uniform_prior))
         profiles = [r.profile for r in reports]
         assert profiles == sorted(profiles)
 
     def test_constant_game_everything_is_a_fair_equilibrium(self, uniform_prior):
         reports = enumerate_deterministic_equilibria(
-            UtilityTable.constant(F(1, 3)), uniform_prior
+            profile_table(UtilityTable.constant(F(1, 3)), uniform_prior)
         )
         assert len(reports) == 64
         assert all(r.fair for r in reports)
@@ -317,13 +317,13 @@ class TestEquilibria:
     ):
         base = {
             r.profile
-            for r in enumerate_deterministic_equilibria(utilities, uniform_prior)
+            for r in enumerate_deterministic_equilibria(profile_table(utilities, uniform_prior))
         }
         for alpha, beta in [(2, 0), (2, 1), (F(1, 3), F(-7, 2))]:
             moved = {
                 r.profile
                 for r in enumerate_deterministic_equilibria(
-                    affine_transform(utilities, alpha, beta), uniform_prior
+                    profile_table(affine_transform(utilities, alpha, beta), uniform_prior)
                 )
             }
             assert moved == base
@@ -333,7 +333,7 @@ class TestEquilibria:
     ):
         eq = {
             r.profile
-            for r in enumerate_deterministic_equilibria(utilities, uniform_prior)
+            for r in enumerate_deterministic_equilibria(profile_table(utilities, uniform_prior))
         }
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             for profile in eq:
@@ -343,7 +343,7 @@ class TestEquilibria:
 
     def test_all_constant_zero_profile_is_not_nash(self, utilities, uniform_prior):
         profile = ((0, 0), (0, 0), (0, 0))
-        reports = enumerate_deterministic_equilibria(utilities, uniform_prior)
+        reports = enumerate_deterministic_equilibria(profile_table(utilities, uniform_prior))
         assert profile not in {r.profile for r in reports}
         # oracle: scan player A's four deviations directly
         best_gain = F(0)
@@ -363,7 +363,7 @@ class TestEquilibria:
 
     def test_constant_game_everything_is_nash(self, uniform_prior):
         table = UtilityTable.constant(2)
-        reports = enumerate_deterministic_equilibria(table, uniform_prior)
+        reports = enumerate_deterministic_equilibria(profile_table(table, uniform_prior))
         assert [r.profile for r in reports] == list(ALL_PROFILES)
 
     @pytest.mark.parametrize("game", [*GAMES, "constant_game"])
@@ -390,7 +390,7 @@ class TestEquilibria:
                 if s != profile[i]
             )
         ]
-        reports = enumerate_deterministic_equilibria(game.utilities, game.prior)
+        reports = enumerate_deterministic_equilibria(profile_table(game.utilities, game.prior))
         assert [r.profile for r in reports] == expected
         for r in reports:
             assert r.payoffs == payoffs[r.profile]
@@ -408,7 +408,7 @@ class TestEquilibria:
 
 class TestBoundAudit:
     def test_deterministic_bound_and_attainers(self, utilities, uniform_prior):
-        audit = classical_bound_audit(utilities, uniform_prior, samples=0)
+        audit = classical_bound_audit(profile_table(utilities, uniform_prior), samples=0)
         assert audit.deterministic_max == BOUND
         assert len(audit.attaining_profiles) == 16
         for profile, _ in KNOWN_EQUILIBRIA:
@@ -423,22 +423,22 @@ class TestBoundAudit:
 
     def test_sampled_mixtures_stay_within_bound(self, utilities, uniform_prior):
         audit = classical_bound_audit(
-            utilities, uniform_prior, samples=300, seed=0
+            profile_table(utilities, uniform_prior), samples=300, seed=0
         )
         assert audit.samples_within_bound
         assert audit.sample_max is not None and audit.sample_max <= BOUND
 
     def test_fair_cap(self, utilities, uniform_prior):
         audit = classical_bound_audit(
-            utilities, uniform_prior, samples=300, seed=1
+            profile_table(utilities, uniform_prior), samples=300, seed=1
         )
         assert audit.fair_cap == F(3, 4)
         # nothing audited pays every player more than the cap
         assert audit.max_min_payoff <= F(3, 4)
 
     def test_audit_is_reproducible(self, utilities, uniform_prior):
-        a = classical_bound_audit(utilities, uniform_prior, samples=50, seed=7)
-        b = classical_bound_audit(utilities, uniform_prior, samples=50, seed=7)
+        a = classical_bound_audit(profile_table(utilities, uniform_prior), samples=50, seed=7)
+        b = classical_bound_audit(profile_table(utilities, uniform_prior), samples=50, seed=7)
         assert a == b
 
 

@@ -62,6 +62,28 @@ PINNED_RESULTS = {
     ("check-tilted-full", "table1"): "c330cd9771fddcc8ee0342d44114afceb27c6e6b2c9cb540cfbfd32882da454c",
 }
 
+#: sha256 of each pinned case's results as json.dumps(results) + "\n", with
+#: keys in report order: this pins the order of every key, which the
+#: sorted-key hashes above do not see.  Recorded before the commands' shared
+#: timing, digest and writing code moved into main.
+PINNED_KEY_ORDER = {
+    ("audit-bound", "table1"): "1933bf6cc134ae9b44cc9a2c3ed2aa8bdcf3c28125e2c984e90a9e5fed0a3b48",
+    ("audit-bound", "nonuniform_game"): "a43bee72805bc4c3e871c36cfbf0b144f8f1f22d969c484e2f2ba3af6fe08858",
+    ("audit-bound", "affine_game"): "b85ac5ebc1b25bee0f0dddb0f97fd195736a8ed402a7f8b543bd65e05136b335",
+    ("equilibria", "table1"): "e680ce42ef39aca4d74e6b975ab34b25daa69ab70c75519ae03ae8c5f81a6b63",
+    ("equilibria", "nonuniform_game"): "177a65fd12c5f0162a2b7d7b6ddc930d38aadb1cc35258d0ba3e006665c22d8b",
+    ("equilibria", "affine_game"): "266d6d798a2202a58e79556a116fff8f47e77de1d21406771cfc8bdda579bb26",
+    ("bell", "table1"): "7286f5425d75a018c0cf4a469eb55b9bad68c7a07e6901994fe545da92c8a496",
+    ("optimize", "table1"): "8e59e83850ef8aff9f2b55c64d5d239e48523bcb4bac5d1f421ff45355756243",
+    ("optimize", "nonuniform_game"): "8199fc39bfbbddeb331d6ac8fb8a0e1cf5058a35dbb081626ee09d3dd4e6fac3",
+    ("optimize", "affine_game"): "c4642c271d8e2569cd7b91f0f922007f3b414080b7cee2022c4cf3b8702503fb",
+    ("bell-optimum", "table1"): "6e824f35970bd331b532458a30214c9bbe28d725d1ec30b781433c43c943b8e6",
+    ("check-optimum-planar", "table1"): "793ac0f1051647c8bd885a7ee0804947459b8ead9c8319dd339c817e8064429b",
+    ("check-optimum-full", "table1"): "614bd5c78caf8ce08b07158fa9c943b9fd2320f83930fed281146216f751abd3",
+    ("check-tilted-planar", "table1"): "136fc2e46a81902a3e2360d3d994b06b95fc7849786a02b9b4e6c89a0ea500ee",
+    ("check-tilted-full", "table1"): "31fbe75f3d6cfa9a9dc2f2d033fa6a52bcbef7474ec01b008acc937d0d060228",
+}
+
 #: Command line of each pinned case apart from --game; {optimum} and
 #: {tilted} stand for the setting files of the fixtures of those names.
 PINNED_ARGS = {
@@ -272,6 +294,15 @@ class TestPinnedResults:
         assert code == 0
         line = json.dumps(report["results"], sort_keys=True) + "\n"
         assert hashlib.sha256(line.encode()).hexdigest() == PINNED_RESULTS[case, game]
+        line = json.dumps(report["results"]) + "\n"
+        assert hashlib.sha256(line.encode()).hexdigest() == PINNED_KEY_ORDER[case, game]
+        # the envelope: every subcommand, with and without a setting file
+        assert list(report) == [
+            "command", "inputs", "engine_version", "wall_time_s", "results",
+        ]
+        assert report["command"] == argv[0]
+        digests = ["game_digest"] + (["setting_digest"] if "--setting" in argv else [])
+        assert list(report["inputs"]) == digests
 
 
 class TestBellCommand:
@@ -423,6 +454,8 @@ class TestBadNumbers:
             ["optimize", "--grid", "65"],
             ["optimize", "--restarts", "10001"],
             ["check", "--setting", "{setting}", "--grid", "65"],
+            # random.Random(-1) would draw the samples of seed 1
+            ["audit-bound", "--seed", "-1"],
         ],
     )
     def test_exits_2(self, capsys, tmp_path, optimum_setting_file, argv):
@@ -460,6 +493,41 @@ class TestBadNumbers:
         assert code == 2
         assert captured.out == ""
         assert str(path) in captured.err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        ("command", "digits", "expected"),
+        [
+            ("optimize", 160, 0),
+            ("check", 160, 2),  # the best-response norms overflow to Infinity
+            ("optimize", 310, 2),  # the fair cap overflows a float
+            ("check", 310, 2),  # Infinity - Infinity gives NaN improvements
+            ("optimize", 401, 2),
+            ("check", 401, 2),  # the GHZ weights overflow a float
+        ],
+    )
+    def test_utilities_beyond_the_float_range(
+        self, capsys, tmp_path, table1, optimum_setting_file, command, digits, expected
+    ):
+        """A schema-valid utility that the float engine cannot carry exits 2
+        with a message and no report, never with a traceback or a report
+        holding Infinity or NaN, which JSON cannot carry."""
+        doc = game_to_json_dict(table1)
+        doc["utilities"]["A"][0][0] = "9" * digits
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--game", str(path), "--restarts", "1", "--grid", "8"]
+        if command == "check":
+            argv += ["--setting", optimum_setting_file]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == expected
+        if expected == 0:
+            json.loads(captured.out, parse_constant=pytest.fail)
+        else:
+            assert captured.out == ""
+            assert "error: utilities too large" in captured.err
 
     @pytest.mark.parametrize("option", ["--game", "--setting"])
     def test_non_utf8_file_exits_2(self, capsys, tmp_path, option):

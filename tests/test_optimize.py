@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from bellgame import optimize
 from bellgame.game import PLAYERS, Prior, UtilityTable, ValidationError, affine_transform
 from bellgame.builtin import builtin_game
+from bellgame.classical import BellVariant
 from bellgame.game import GameDefinition
 from bellgame.optimize import (
     EQUILIBRIUM_IMPROVEMENT_TOL,
@@ -23,6 +25,7 @@ from bellgame.quantum import (
     PlanarAngles,
     gauge_equivalent,
     ghz_advisor,
+    ghz_bell,
     ghz_payoffs,
     ghz_weights,
     quantum_payoffs,
@@ -36,8 +39,8 @@ ANALYTIC_OPTIMUM = (13 + 2 * math.sqrt(13)) / 24
 
 
 @pytest.fixture(scope="module")
-def default_report():
-    return maximize_planar()
+def default_report(table1):
+    return maximize_planar(table1)
 
 
 class TestMaximizePlanar:
@@ -72,7 +75,7 @@ class TestMaximizePlanar:
     ):
         alpha, beta = Fraction(7, 3), Fraction(-5, 2)
         game = GameDefinition(affine_transform(table1.utilities, alpha, beta), table1.prior)
-        report = maximize_planar(OptimizationConfig(restarts=4, grid=8, seed=3), game)
+        report = maximize_planar(game, OptimizationConfig(restarts=4, grid=8, seed=3))
         assert report.value == pytest.approx(
             float(alpha) * ANALYTIC_OPTIMUM + float(beta), abs=1e-9
         )
@@ -82,30 +85,31 @@ class TestMaximizePlanar:
     def test_payoffs_and_bells_at_optimum(self, default_report):
         for v in default_report.payoffs:
             assert v == pytest.approx(default_report.value, abs=1e-10)
-        v011, v100 = default_report.bell_values
+        theta, phi = MeasurementSetting.planar(default_report.angles).bloch_angles()
+        v011, v100 = (ghz_bell(theta, phi, variant) for variant in BellVariant)
         assert v011 == pytest.approx(12 / math.sqrt(13), abs=1e-6)
         assert v100 == pytest.approx(-8 / math.sqrt(13), abs=1e-6)
         assert default_report.converged
 
-    def test_coarse_config_is_close(self):
-        report = maximize_planar(OptimizationConfig(restarts=1, grid=8))
+    def test_coarse_config_is_close(self, table1):
+        report = maximize_planar(table1, OptimizationConfig(restarts=1, grid=8))
         assert report.value > ANALYTIC_OPTIMUM - 0.05
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_deterministic_for_fixed_seed(self, table1):
         config = OptimizationConfig(restarts=3, grid=8, seed=5)
-        assert maximize_planar(config) == maximize_planar(config)
+        assert maximize_planar(table1, config) == maximize_planar(table1, config)
 
-    def test_value_monotone_in_restarts(self):
+    def test_value_monotone_in_restarts(self, table1):
         values = [
-            maximize_planar(OptimizationConfig(restarts=r, grid=8, seed=0)).value
+            maximize_planar(table1, OptimizationConfig(restarts=r, grid=8, seed=0)).value
             for r in (1, 2, 4, 8)
         ]
         for earlier, later in zip(values, values[1:]):
             assert later >= earlier - TIE_WINDOW
 
-    def test_seeds_agree_on_value_and_orbit(self):
+    def test_seeds_agree_on_value_and_orbit(self, table1):
         reports = [
-            maximize_planar(OptimizationConfig(restarts=6, grid=8, seed=s))
+            maximize_planar(table1, OptimizationConfig(restarts=6, grid=8, seed=s))
             for s in range(4)
         ]
         for r in reports[1:]:
@@ -223,9 +227,9 @@ def _searched_best_responses(
 
 
 class TestBestResponse:
-    def test_optimum_is_certified_planar_equilibrium(self, default_report):
+    def test_optimum_is_certified_planar_equilibrium(self, default_report, table1):
         verdict = best_response_check(
-            MeasurementSetting.planar(default_report.angles), "planar"
+            table1, MeasurementSetting.planar(default_report.angles), "planar"
         )
         assert verdict.mode == "planar"
         for response in verdict.responses:
@@ -234,18 +238,18 @@ class TestBestResponse:
         assert verdict.is_equilibrium
         assert type(verdict.is_equilibrium) is bool
 
-    def test_zero_angles_are_not_optimal(self):
+    def test_zero_angles_are_not_optimal(self, table1):
         verdict = best_response_check(
-            MeasurementSetting.planar(PlanarAngles(0, 0, 0, 0, 0, 0)), "planar"
+            table1, MeasurementSetting.planar(PlanarAngles(0, 0, 0, 0, 0, 0)), "planar"
         )
         assert verdict.max_improvement > 0.01
         assert not verdict.is_equilibrium
 
-    def test_full_sphere_probe_at_optimum(self, default_report):
+    def test_full_sphere_probe_at_optimum(self, default_report, table1):
         # polar deviations are allowed; none of the players gains anything
         # measurable
         verdict = best_response_check(
-            MeasurementSetting.planar(default_report.angles), "full_sphere"
+            table1, MeasurementSetting.planar(default_report.angles), "full_sphere"
         )
         assert verdict.mode == "full_sphere"
         for response in verdict.responses:
@@ -256,7 +260,7 @@ class TestBestResponse:
     def test_baseline_matches_trace_rule_at_tilted_candidate(self, table1):
         oracle = quantum_payoffs(table1.utilities, table1.prior, ghz_advisor(), TILTED)
         for mode in ("planar", "full_sphere"):
-            verdict = best_response_check(TILTED, mode)
+            verdict = best_response_check(table1, TILTED, mode)
             assert verdict.baseline == pytest.approx(oracle, abs=1e-10)
             assert verdict.max_improvement > 0.01
             for response in verdict.responses:
@@ -292,7 +296,7 @@ class TestBestResponse:
         best_grid = np.stack([scores[p, :, :, p].max(axis=1) for p in PLAYERS], axis=1)
 
         verdicts = [
-            best_response_check(_setting(t, p), mode, game) for t, p in zip(theta0, phi0)
+            best_response_check(game, _setting(t, p), mode) for t, p in zip(theta0, phi0)
         ]
         deviated = [
             replace(_setting(t, p), **{"abc"[r.player]: r.observables}).bloch_angles()
@@ -312,7 +316,7 @@ class TestBestResponse:
                     assert all(o.theta == math.pi / 2 for o in r.observables)
 
     @pytest.mark.parametrize("mode", ["planar", "full_sphere"])
-    def test_at_least_the_searched_best_response(self, mode, reference_angles):
+    def test_at_least_the_searched_best_response(self, mode, reference_angles, table1):
         """The reference optimum and 11 random candidates (5 of them
         non-planar in planar mode): the closed form pays at least what the
         grid-and-Nelder-Mead search finds."""
@@ -322,7 +326,7 @@ class TestBestResponse:
         ]
         config = OptimizationConfig(restarts=1, grid=8, seed=0)
         for candidate in candidates:
-            verdict = best_response_check(candidate, mode)
+            verdict = best_response_check(table1, candidate, mode)
             searched = _searched_best_responses(candidate, mode, config)
             for response, value in zip(verdict.responses, searched):
                 assert response.payoff >= value - 1e-12
@@ -339,7 +343,7 @@ class TestBestResponse:
         setting = (
             MeasurementSetting.planar(reference_angles) if candidate == "optimum" else TILTED
         )
-        verdict = best_response_check(setting, mode, game)
+        verdict = best_response_check(game, setting, mode)
         for response in verdict.responses:
             own = setting.observables(response.player)
             if mode == "planar":
@@ -348,9 +352,11 @@ class TestBestResponse:
             assert response.payoff == verdict.baseline[response.player]
             assert response.observables == own
 
-    def test_unknown_mode_rejected(self, reference_angles):
+    def test_unknown_mode_rejected(self, reference_angles, table1):
         with pytest.raises(ValidationError, match="mode"):
-            best_response_check(MeasurementSetting.planar(reference_angles), "spherical")
+            best_response_check(
+                table1, MeasurementSetting.planar(reference_angles), "spherical"
+            )
 
 
 class TestGridStarts:
@@ -378,9 +384,24 @@ class TestGridStarts:
         assert value(*(i - 4 for i in indices[1])) > max(tied) + 0.01
 
 
+    def test_peak_memory_stays_near_the_payoff_array(self, table1):
+        """At grid 16 the scan allocates at most 1.4 times its (3, 16**4)
+        payoff array; a minimum over the players taken into a new array
+        would add a third of it."""
+        weights = ghz_weights(table1.utilities, table1.prior)
+        const, coef = weights[:, :, 0].sum(axis=1), -weights[:, :, 4]
+        tracemalloc.start()
+        try:
+            optimize._grid_starts(const, coef, OptimizationConfig(grid=16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * 3 * 16**4 * 8
+
+
 class TestAdvantageReport:
-    def test_bundled_game_summary(self):
-        report = quantum_advantage_report()
+    def test_bundled_game_summary(self, table1):
+        report = quantum_advantage_report(table1)
         assert report.classical_total_bound == Fraction(9, 4)
         assert report.classical_fair_cap == Fraction(3, 4)
         assert report.optimum.value == pytest.approx(0.842, abs=1e-3)
@@ -398,10 +419,10 @@ class TestAdvantageReport:
         assert report.optimum.value == pytest.approx(float(c), abs=1e-9)
         assert report.advantage == pytest.approx(0.0, abs=1e-9)
 
-    def test_report_optimum_matches_direct_call(self):
+    def test_report_optimum_matches_direct_call(self, table1):
         config = OptimizationConfig(restarts=2, grid=8, seed=0)
-        report = quantum_advantage_report(builtin_game(), config)
-        assert report.optimum == maximize_planar(config)
+        report = quantum_advantage_report(table1, config)
+        assert report.optimum == maximize_planar(table1, config)
 
 
 def _polishes(run) -> list:
@@ -472,9 +493,9 @@ class TestPolishMatchesScipy:
             results.append(res)
         return results
 
-    def test_planar_objective_on_table1(self, oracle):
+    def test_planar_objective_on_table1(self, oracle, table1):
         polishes = _polishes(
-            lambda: [maximize_planar(OptimizationConfig(seed=s)) for s in range(4)]
+            lambda: [maximize_planar(table1, OptimizationConfig(seed=s)) for s in range(4)]
         )
         assert len(polishes) == 4 * 24
         self.assert_same_paths(oracle, polishes)
@@ -482,7 +503,7 @@ class TestPolishMatchesScipy:
     def test_planar_objective_on_affine_game(self, oracle, affine_game):
         polishes = _polishes(
             lambda: [
-                maximize_planar(OptimizationConfig(seed=s), affine_game) for s in range(2)
+                maximize_planar(affine_game, OptimizationConfig(seed=s)) for s in range(2)
             ]
         )
         assert len(polishes) == 2 * 24
