@@ -23,6 +23,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--resolution", type=int, default=90)
     parser.add_argument("--out", default="-")
     args = parser.parse_args(argv)
+    if args.resolution < 1:
+        parser.error("--resolution must be at least 1")
 
     game = builtin_game()
     axis = np.linspace(-math.pi, math.pi, args.resolution)

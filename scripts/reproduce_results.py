@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from bellgame.builtin import builtin_game
 from bellgame.classical import (
+    AUDIT_MAX_SAMPLES,
     BellVariant,
     classical_bound_audit,
     deterministic_bell_extremes,
@@ -22,7 +23,7 @@ from bellgame.optimize import (
     best_response_check,
     quantum_advantage_report,
 )
-from bellgame.quantum import MeasurementSetting, ghz_bell
+from bellgame.quantum import ghz_bell
 
 
 def frac(v: Fraction) -> str:
@@ -34,6 +35,10 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if not 0 <= args.samples <= AUDIT_MAX_SAMPLES:
+        parser.error(f"--samples must be between 0 and {AUDIT_MAX_SAMPLES}")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
 
     game = builtin_game()
     profiles = profile_table(game.utilities, game.prior)
@@ -54,8 +59,9 @@ def main(argv: list[str] | None = None) -> None:
     print(f"  max total over 64 deterministic profiles: "
           f"{frac(audit.deterministic_max)} "
           f"({len(audit.attaining_profiles)} profiles attain it)")
+    sample_max = "none" if audit.sample_max is None else frac(audit.sample_max)
     print(f"  max total over {audit.samples} random mixtures: "
-          f"{frac(audit.sample_max)} (within bound: {audit.samples_within_bound})")
+          f"{sample_max} (within bound: {audit.samples_within_bound})")
     print(f"  fair cap: {frac(audit.fair_cap)}; "
           f"max min-payoff audited: {frac(audit.max_min_payoff)}")
     extremes = deterministic_bell_extremes()
@@ -68,13 +74,13 @@ def main(argv: list[str] | None = None) -> None:
     config = OptimizationConfig(seed=args.seed)
     summary = quantum_advantage_report(game, config)
     opt = summary.optimum
-    angles = ", ".join(f"{v:+.6f}" for v in opt.angles)
+    angles = ", ".join(f"{v:+.6f}" for v in opt.setting.phi.flat)
     print(f"  canonical angles: ({angles})")
     print(f"  common payoff: {opt.value:.9f}  "
           f"(analytic (13+2*sqrt(13))/24 = {(13 + 2 * math.sqrt(13)) / 24:.9f})")
-    theta, phi = MeasurementSetting.planar(opt.angles).bloch_angles()
     print("  Bell values: " + ", ".join(
-        f"{v.name} = {ghz_bell(theta, phi, v):+.6f}" for v in BellVariant
+        f"{v.name} = {ghz_bell(opt.setting.theta, opt.setting.phi, v):+.6f}"
+        for v in BellVariant
     ))
     print(f"  classical fair cap: {frac(summary.classical_fair_cap)}; "
           f"advantage: {summary.advantage:.6f}")
@@ -82,7 +88,7 @@ def main(argv: list[str] | None = None) -> None:
           f"vs classical bound {frac(summary.classical_total_bound)}")
 
     print("\n== equilibrium certification at the optimum ==")
-    verdict = best_response_check(game, MeasurementSetting.planar(opt.angles), "planar")
+    verdict = best_response_check(game, opt.setting, "planar")
     for r in verdict.responses:
         print(f"  player {r.player.name}: best unilateral improvement "
               f"{r.improvement:+.3e}")

@@ -76,12 +76,6 @@ def strategy_to_distribution(
 ResponseTable = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 
-def deterministic_response(strategy: Strategy) -> ResponseTable:
-    return tuple(
-        (Fraction(1 - strategy[x]), Fraction(strategy[x])) for x in (0, 1)
-    )
-
-
 @dataclass(frozen=True)
 class HiddenVariableModel:
     """Finite mixture of product response tables.
@@ -120,7 +114,10 @@ class HiddenVariableModel:
             tuple(
                 (
                     Fraction(w),
-                    tuple(deterministic_response(s) for s in prof),
+                    tuple(
+                        tuple((Fraction(1 - s[x]), Fraction(s[x])) for x in (0, 1))
+                        for s in prof
+                    ),
                 )
                 for w, prof in weighted
             )
@@ -354,6 +351,9 @@ class BoundAuditReport:
 #: Atom count limit and response denominator of the seeded random mixtures.
 MIXTURE_MAX_ATOMS = 8
 MIXTURE_DENOMINATOR = 16
+#: Most mixtures one audit draws: each costs about 0.07 ms, so the cap keeps
+#: an audit near a minute.
+AUDIT_MAX_SAMPLES = 1_000_000
 
 
 def _draw_mixture(
@@ -465,6 +465,8 @@ def classical_bound_audit(
     """
     if samples < 0:
         raise ValidationError(f"sample count must be non-negative, got {samples}")
+    if samples > AUDIT_MAX_SAMPLES:
+        raise ValidationError(f"sample count must be at most {AUDIT_MAX_SAMPLES}")
     if seed < 0:  # random.Random(-n) would draw the samples of seed n
         raise ValidationError("seed must be non-negative")
     totals = [sum(n) for n in profiles.numerators]

@@ -22,6 +22,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .builtin import builtin_game
 from .classical import (
@@ -90,9 +92,9 @@ def fmt_bell_extremes(extremes: dict[BellVariant, tuple[Fraction, Fraction]]) ->
 
 
 def fmt_ghz_bell(setting: MeasurementSetting) -> dict:
-    theta, phi = setting.bloch_angles()
     return {
-        variant.name: fmt_real(ghz_bell(theta, phi, variant)) for variant in BellVariant
+        variant.name: fmt_real(ghz_bell(setting.theta, setting.phi, variant))
+        for variant in BellVariant
     }
 
 
@@ -199,11 +201,11 @@ def cmd_optimize(args, game: GameDefinition) -> Outcome:
     results = {
         "optimum": {
             "angles": {
-                k: fmt_real(v) for k, v in zip(PLANAR_KEYS, optimum.angles)
+                k: fmt_real(v) for k, v in zip(PLANAR_KEYS, optimum.setting.phi.flat)
             },
             "value": fmt_real(optimum.value),
             "payoffs": fmt_payoffs(optimum.payoffs),
-            "bell_values": fmt_ghz_bell(MeasurementSetting.planar(optimum.angles)),
+            "bell_values": fmt_ghz_bell(optimum.setting),
             "converged": optimum.converged,
         },
         "advantage": {
@@ -331,7 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         game = _resolve_game(args.game)
-        code, results, setting = args.func(args, game)
+        # Utilities near the float range overflow inside numpy; the report's
+        # serialisation below turns every non-finite result into exit 2.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, results, setting = args.func(args, game)
         inputs = {"game_digest": game_digest(game)}
         if setting is not None:
             inputs["setting_digest"] = _setting_digest(setting)

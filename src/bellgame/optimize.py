@@ -18,6 +18,11 @@ Every game takes the same path, and every engine takes its game
 explicitly: the search, the best responses and the reported payoffs all
 come from the GHZ engine (quantum.ghz_weights and ghz_payoffs).  The trace
 rule is not used here; tests hold the engine to it.
+
+Settings come in and go out as quantum.MeasurementSetting, whose (3, 2)
+angle arrays the engine reads as they are: the optimum is a planar setting
+in the canonical gauge, and each best response is the candidate with one
+player's two observables replaced.
 """
 
 from __future__ import annotations
@@ -41,14 +46,7 @@ from .game import (
     Player,
     ValidationError,
 )
-from .quantum import (
-    BlochObservable,
-    MeasurementSetting,
-    PlanarAngles,
-    ghz_payoffs,
-    ghz_weights,
-    wrap_angle,
-)
+from .quantum import MeasurementSetting, ghz_payoffs, ghz_weights, wrap_angle
 
 #: A candidate counts as a numerical equilibrium when no player can gain
 #: more than this by a unilateral change of their own observables.
@@ -80,7 +78,7 @@ class OptimizationConfig:
 
 @dataclass(frozen=True)
 class OptimumReport:
-    angles: PlanarAngles  # canonical gauge: a0 = b0 = 0
+    setting: MeasurementSetting  # planar, in the canonical gauge a0 = b0 = 0
     value: float
     payoffs: PayoffTriple
     converged: bool
@@ -300,16 +298,13 @@ def maximize_planar(
     starts = _grid_starts(const, coef, config) + list(random_starts)
 
     x, _, ok = _multistart_max(objective, starts, config)
-    canonical = PlanarAngles(
-        0.0, wrap_angle(x[0]), 0.0, wrap_angle(x[1]),
-        wrap_angle(x[2]), wrap_angle(x[3]),
-    )
-    value = objective([canonical.a1, canonical.b1, canonical.c0, canonical.c1])
-    theta, phi = MeasurementSetting.planar(canonical).bloch_angles()
+    a1, b1, c0, c1 = (wrap_angle(v) for v in x)
+    setting = MeasurementSetting.planar([0.0, a1, 0.0, b1, c0, c1])
+    payoffs = ghz_payoffs(weights, setting.theta, setting.phi)
     return OptimumReport(
-        angles=canonical,
-        value=value,
-        payoffs=PayoffTriple(*ghz_payoffs(weights, theta, phi).tolist()),
+        setting=setting,
+        value=objective([a1, b1, c0, c1]),
+        payoffs=PayoffTriple(*payoffs.tolist()),
         converged=ok,
     )
 
@@ -319,7 +314,7 @@ class PlayerBestResponse:
     player: Player
     improvement: float  # payoff - baseline, exact (see best_response_check)
     payoff: float  # own payoff at the best deviation
-    observables: tuple[BlochObservable, BlochObservable]
+    deviation: MeasurementSetting  # the candidate with this player's best observables
 
 
 @dataclass(frozen=True)
@@ -372,7 +367,7 @@ def best_response_check(
     if mode not in ("planar", "full_sphere"):
         raise ValidationError(f"unknown best-response mode {mode!r}")
     weights = ghz_weights(game.utilities, game.prior)
-    theta0, phi0 = candidate.bloch_angles()
+    theta0, phi0 = candidate.theta, candidate.phi
     baseline = ghz_payoffs(weights, theta0, phi0)
 
     # Axes: deviating player, their type bit, probe, then the setting's own
@@ -409,12 +404,12 @@ def best_response_check(
             player=p,
             improvement=payoff - base,
             payoff=payoff,
-            observables=tuple(map(BlochObservable, ts, ps)),
+            deviation=MeasurementSetting(
+                np.where(player == p, best_theta, theta0),
+                np.where(player == p, best_phi, phi0),
+            ),
         )
-        for p, base, payoff, ts, ps in zip(
-            PLAYERS, baseline.tolist(), payoffs.tolist(),
-            best_theta.tolist(), best_phi.tolist(),
-        )
+        for p, base, payoff in zip(PLAYERS, baseline.tolist(), payoffs.tolist())
     )
     return BestResponseVerdict(
         mode=mode, baseline=PayoffTriple(*baseline.tolist()), responses=responses

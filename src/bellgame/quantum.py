@@ -17,9 +17,13 @@ Conventions (load-bearing, fixed once here):
   phase i is what turns the planar triple correlator into a sine.
 * Outcome y = 1 corresponds to eigenvalue +1 (projector (I + M)/2),
   y = 0 to eigenvalue -1.  This also fixes the sign of Bell correlators.
+* A measurement setting is one MeasurementSetting: the Bloch angles theta
+  and phi of the six observables as two arrays of shape (3, 2), indexed by
+  player and type bit.  The engine, the trace rule, the best responses and
+  the setting file format all read this one layout.
 * Planar restriction: all polar angles theta = pi/2, leaving one azimuth
-  per observable; the six azimuths are (a0, a1, b0, b1, c0, c1) where the
-  digit is the player's type bit.
+  per observable; in C order the six azimuths are (a0, a1, b0, b1, c0, c1),
+  where the digit is the player's type bit.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,81 +73,61 @@ def ghz_state() -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
-class BlochObservable:
-    """A +/-1 observable n.sigma given by Bloch angles (theta, phi)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValidationError("Bloch angles must be finite")
-
-
-def observable_matrix(obs: BlochObservable) -> np.ndarray:
+def observable_matrix(theta: float, phi: float) -> np.ndarray:
     """n.sigma for the unit vector n(theta, phi); Hermitian with n^2 = 1."""
-    st, ct = math.sin(obs.theta), math.cos(obs.theta)
-    sp, cp = math.sin(obs.phi), math.cos(obs.phi)
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
     return st * cp * PAULI_X + st * sp * PAULI_Y + ct * PAULI_Z
 
 
-def projectors(obs: BlochObservable) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral projectors (P0, P1): P1 = (I+M)/2 (outcome 1, eigenvalue +1),
-    P0 = (I-M)/2 (outcome 0, eigenvalue -1)."""
-    m = observable_matrix(obs)
+def projectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral projectors (P0, P1) of the observable at Bloch angles (theta,
+    phi): P1 = (I+M)/2 (outcome 1, eigenvalue +1), P0 = (I-M)/2 (outcome 0,
+    eigenvalue -1)."""
+    m = observable_matrix(theta, phi)
     return (IDENTITY2 - m) / 2, (IDENTITY2 + m) / 2
 
 
-class PlanarAngles(NamedTuple):
-    """Azimuths of the six equatorial observables, one per (player, type)."""
-
-    a0: float
-    a1: float
-    b0: float
-    b1: float
-    c0: float
-    c1: float
-
-    def wrapped(self) -> "PlanarAngles":
-        return PlanarAngles(*(wrap_angle(v) for v in self))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSetting:
-    """Two Bloch observables per player, indexed by the player's type bit."""
+    """Two +/-1 observables n.sigma per player, one per type bit, given by
+    their Bloch angles: ``theta`` and ``phi`` are read-only float arrays of
+    shape (3, 2), indexed by player and type bit, as ghz_payoffs takes them.
+    Two settings are equal when their angles are; a setting is unhashable.
+    """
 
-    a: tuple[BlochObservable, BlochObservable]
-    b: tuple[BlochObservable, BlochObservable]
-    c: tuple[BlochObservable, BlochObservable]
+    theta: np.ndarray
+    phi: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("theta", "phi"):
+            angles = np.array(getattr(self, name), dtype=float)
+            if angles.shape != (3, 2):
+                raise ValidationError(
+                    f"{name} must have shape (3, 2), got {angles.shape}"
+                )
+            if not np.isfinite(angles).all():
+                raise ValidationError("Bloch angles must be finite")
+            angles.setflags(write=False)
+            object.__setattr__(self, name, angles)
 
     @classmethod
-    def planar(cls, angles: PlanarAngles) -> "MeasurementSetting":
-        half = math.pi / 2
-        return cls(
-            a=(BlochObservable(half, angles.a0), BlochObservable(half, angles.a1)),
-            b=(BlochObservable(half, angles.b0), BlochObservable(half, angles.b1)),
-            c=(BlochObservable(half, angles.c0), BlochObservable(half, angles.c1)),
-        )
-
-    def observables(self, player: Player) -> tuple[BlochObservable, BlochObservable]:
-        return (self.a, self.b, self.c)[player]
+    def planar(cls, phi) -> "MeasurementSetting":
+        """The equatorial setting of six azimuths in the order a0, a1, b0,
+        b1, c0, c1 (or already of shape (3, 2)); every theta is pi/2."""
+        return cls(np.full((3, 2), math.pi / 2), np.reshape(phi, (3, 2)))
 
     def is_planar(self, tol: float = ALGEBRA_TOL) -> bool:
-        half = math.pi / 2
-        return all(
-            abs(o.theta - half) <= tol
-            for pair in (self.a, self.b, self.c)
-            for o in pair
+        return bool((np.abs(self.theta - math.pi / 2) <= tol).all())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MeasurementSetting):
+            return NotImplemented
+        return np.array_equal(self.theta, other.theta) and np.array_equal(
+            self.phi, other.phi
         )
 
-    def bloch_angles(self) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, phi) arrays of shape (3, 2), indexed by player and type
-        bit, as ghz_payoffs takes them."""
-        pairs = (self.a, self.b, self.c)
-        theta = np.array([[o.theta for o in pair] for pair in pairs])
-        phi = np.array([[o.phi for o in pair] for pair in pairs])
-        return theta, phi
+    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,13 +172,10 @@ def quantum_distribution(
     """
     advisor.validate()
     rho6 = np.asarray(advisor.rho).reshape(2, 2, 2, 2, 2, 2)
-    stacks = []
-    for player in PLAYERS:
-        per_type = []
-        for obs in setting.observables(player):
-            p0, p1 = projectors(obs)
-            per_type.append(np.stack([p0, p1]))
-        stacks.append(per_type)
+    stacks = [
+        [np.stack(projectors(t, p)) for t, p in zip(thetas, phis)]
+        for thetas, phis in zip(setting.theta.tolist(), setting.phi.tolist())
+    ]
     rows = []
     for x in PROFILES:
         pa, pb, pc = (stacks[i][x[i]] for i in PLAYERS)
@@ -294,10 +274,10 @@ def ghz_bell(theta, phi, variant: BellVariant) -> np.ndarray:
     return value - triple[..., profile_index(variant.negative_context)]
 
 
-def gauge_transform(
-    angles: PlanarAngles, chi1: float, chi2: float, chi3: float
-) -> PlanarAngles:
-    """Shift each player's pair of azimuths by a common phase.
+def gauge_transform(phi, chi1: float, chi2: float, chi3: float) -> np.ndarray:
+    """Shift each player's pair of azimuths by a common phase: ``phi`` and
+    the result, wrapped to (-pi, pi], have shape (3, 2), indexed by player
+    and type bit.
 
     Valid only when chi1 + chi2 + chi3 is a multiple of 2*pi: the shift then
     acts on the GHZ state as a global sign, so the payoff is unchanged.
@@ -308,29 +288,28 @@ def gauge_transform(
             f"gauge shifts must sum to a multiple of 2*pi "
             f"(residue {residue:.3e})"
         )
-    return PlanarAngles(
-        angles.a0 + chi1, angles.a1 + chi1,
-        angles.b0 + chi2, angles.b1 + chi2,
-        angles.c0 + chi3, angles.c1 + chi3,
-    ).wrapped()
+    shifted = np.asarray(phi, dtype=float) + np.array([[chi1], [chi2], [chi3]])
+    # wrap_angle rounds to the nearest turn (math.remainder); np.remainder
+    # floors, and would give other canonical angles
+    return np.reshape([wrap_angle(v) for v in shifted.flat], (3, 2))
 
 
-def gauge_canonicalize(angles: PlanarAngles) -> PlanarAngles:
-    """The unique gauge-equivalent angle tuple with a0 = b0 = 0.
+def gauge_canonicalize(phi) -> np.ndarray:
+    """The unique gauge-equivalent (3, 2) azimuth array with a0 = b0 = 0.
 
     Two planar settings are gauge-equivalent iff their canonical forms agree
     componentwise modulo 2*pi.
     """
-    shifted = gauge_transform(angles, -angles.a0, -angles.b0, angles.a0 + angles.b0)
+    a0, b0 = phi[0][0], phi[1][0]
+    canonical = gauge_transform(phi, -a0, -b0, a0 + b0)
     # force the fixed components to exact zeros (they are zero up to -0.0)
-    return PlanarAngles(0.0, shifted.a1, 0.0, shifted.b1, shifted.c0, shifted.c1)
+    canonical[:2, 0] = 0.0
+    return canonical
 
 
-def gauge_equivalent(
-    first: PlanarAngles, second: PlanarAngles, tol: float = 1e-4
-) -> bool:
+def gauge_equivalent(first, second, tol: float = 1e-4) -> bool:
     ca, cb = gauge_canonicalize(first), gauge_canonicalize(second)
-    return all(abs(wrap_angle(u - v)) <= tol for u, v in zip(ca, cb))
+    return all(abs(wrap_angle(u - v)) <= tol for u, v in zip(ca.flat, cb.flat))
 
 
 def ghz_single_party_marginal(projector: np.ndarray, party: Player) -> float:
@@ -381,10 +360,9 @@ PLANAR_KEYS = [f"phi_{s}" for s in _SLOTS]
 
 def setting_to_json_dict(setting: MeasurementSetting) -> dict:
     doc = {}
-    for player, name in zip(PLAYERS, "ABC"):
-        for t, obs in enumerate(setting.observables(player)):
-            doc[f"theta_{name}{t}"] = obs.theta
-            doc[f"phi_{name}{t}"] = obs.phi
+    for slot, theta, phi in zip(_SLOTS, setting.theta.flat, setting.phi.flat):
+        doc[f"theta_{slot}"] = float(theta)
+        doc[f"phi_{slot}"] = float(phi)
     return doc
 
 
@@ -405,9 +383,7 @@ def setting_from_json_dict(doc: dict) -> MeasurementSetting:
         raise ValidationError("setting document must be a JSON object")
     keys = set(doc)
     if keys == set(PLANAR_KEYS):
-        return MeasurementSetting.planar(
-            PlanarAngles(*(_angle(doc, k) for k in PLANAR_KEYS))
-        )
+        return MeasurementSetting.planar([_angle(doc, k) for k in PLANAR_KEYS])
     missing = set(FULL_KEYS) - keys
     extra = keys - set(FULL_KEYS)
     if missing or extra:
@@ -415,17 +391,9 @@ def setting_from_json_dict(doc: dict) -> MeasurementSetting:
             "setting must carry the twelve angle keys or the six-phi planar "
             f"shorthand; missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
-    pairs = []
-    for name in "ABC":
-        pairs.append(
-            tuple(
-                BlochObservable(
-                    _angle(doc, f"theta_{name}{t}"), _angle(doc, f"phi_{name}{t}")
-                )
-                for t in (0, 1)
-            )
-        )
-    return MeasurementSetting(*pairs)
+    angles = [(_angle(doc, f"theta_{s}"), _angle(doc, f"phi_{s}")) for s in _SLOTS]
+    theta, phi = zip(*angles)
+    return MeasurementSetting(np.reshape(theta, (3, 2)), np.reshape(phi, (3, 2)))
 
 
 def load_setting(path: str | Path) -> MeasurementSetting:

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bellgame.builtin import builtin_game
 from bellgame.game import GameDefinition, Prior, UtilityTable, affine_transform
-from bellgame.quantum import PlanarAngles, ghz_advisor
+from bellgame.quantum import ghz_advisor
 
 
 @pytest.fixture(scope="session")
@@ -47,8 +48,9 @@ def affine_game(table1):
 
 @pytest.fixture(scope="session")
 def reference_angles():
-    # the known four-decimal optimum in the canonical gauge
-    return PlanarAngles(0.0, -math.pi / 2, 0.0, -math.pi / 2, 2.1588, 0.5880)
+    # the known four-decimal optimum in the canonical gauge: the azimuths of
+    # (a0, a1), (b0, b1), (c0, c1)
+    return np.array([[0.0, -math.pi / 2], [0.0, -math.pi / 2], [2.1588, 0.5880]])
 
 
 @pytest.fixture(scope="session")

@@ -35,9 +35,7 @@ from bellgame.quantum import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    BlochObservable,
     MeasurementSetting,
-    PlanarAngles,
     gauge_equivalent,
     ghz_payoffs,
     ghz_single_party_marginal,
@@ -62,7 +60,7 @@ KNOWN_EQUILIBRIA = {
 
 BOUND = F(9, 4)
 ANALYTIC_OPTIMUM = (13 + 2 * math.sqrt(13)) / 24
-REFERENCE_ANGLES = PlanarAngles(0.0, -math.pi / 2, 0.0, -math.pi / 2, 2.1588, 0.5880)
+REFERENCE_ANGLES = np.array([[0.0, -math.pi / 2], [0.0, -math.pi / 2], [2.1588, 0.5880]])
 SEED = 0
 
 
@@ -154,7 +152,7 @@ def test_criterion_04_quantum_optimum(optimum, table1):
     ok = (
         abs(optimum.value - 0.842) < 1e-3
         and abs(optimum.value - ANALYTIC_OPTIMUM) < 1e-6
-        and gauge_equivalent(optimum.angles, REFERENCE_ANGLES, tol=1e-3)
+        and gauge_equivalent(optimum.setting.phi, REFERENCE_ANGLES, tol=1e-3)
         and optimum.converged
         and rerun == optimum
         and elapsed < 30.0
@@ -182,10 +180,8 @@ def test_criterion_06_closed_form_equivalence(table1, ghz):
     weights = ghz_weights(table1.utilities, table1.prior)
     worst = 0.0
     for _ in range(1000):
-        setting = MeasurementSetting.planar(
-            PlanarAngles(*rng.uniform(-math.pi, math.pi, 6))
-        )
-        engine = ghz_payoffs(weights, *setting.bloch_angles())
+        setting = MeasurementSetting.planar(rng.uniform(-math.pi, math.pi, 6))
+        engine = ghz_payoffs(weights, setting.theta, setting.phi)
         payoffs = quantum_payoffs(table1.utilities, table1.prior, ghz, setting)
         worst = max(worst, float(np.abs(engine - payoffs).max()))
     elapsed = time.perf_counter() - started
@@ -202,22 +198,11 @@ def test_criterion_07_no_signalling(ghz):
     worst = 0.0
     for i in range(1000):
         if i % 2 == 0:
-            setting = MeasurementSetting.planar(
-                PlanarAngles(*rng.uniform(-math.pi, math.pi, 6))
-            )
+            setting = MeasurementSetting.planar(rng.uniform(-math.pi, math.pi, 6))
         else:
-            setting = MeasurementSetting(
-                *(
-                    tuple(
-                        BlochObservable(
-                            rng.uniform(0, math.pi),
-                            rng.uniform(-math.pi, math.pi),
-                        )
-                        for _ in range(2)
-                    )
-                    for _ in range(3)
-                )
-            )
+            # (theta, phi) of each observable in turn, in (3, 2) order
+            angles = rng.uniform((0, -math.pi), (math.pi, math.pi), (3, 2, 2))
+            setting = MeasurementSetting(angles[..., 0], angles[..., 1])
         dist = quantum_distribution(ghz, setting)
         worst = max(worst, no_signalling_residual(dist))
     ok = worst <= 1e-12
@@ -256,7 +241,7 @@ def test_criterion_08_unfair_equilibria_not_quantum_realizable():
 
 def test_criterion_09_optimum_is_certified_equilibrium(optimum, table1):
     verdict = best_response_check(
-        table1, MeasurementSetting.planar(optimum.angles), mode="planar"
+        table1, optimum.setting, mode="planar"
     )
     ok = verdict.is_equilibrium and all(
         r.improvement < EQUILIBRIUM_IMPROVEMENT_TOL for r in verdict.responses

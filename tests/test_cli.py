@@ -27,7 +27,7 @@ from bellgame.game import (
     parse_rational,
 )
 from bellgame.quantum import (
-    BlochObservable,
+    PLANAR_KEYS,
     MeasurementSetting,
     ghz_advisor,
     quantum_bell,
@@ -112,18 +112,7 @@ def run_cli(capsys, *argv) -> tuple[int, dict]:
 @pytest.fixture()
 def optimum_setting_file(tmp_path, reference_angles):
     path = tmp_path / "optimum.json"
-    path.write_text(
-        json.dumps(
-            {
-                "phi_A0": reference_angles.a0,
-                "phi_A1": reference_angles.a1,
-                "phi_B0": reference_angles.b0,
-                "phi_B1": reference_angles.b1,
-                "phi_C0": reference_angles.c0,
-                "phi_C1": reference_angles.c1,
-            }
-        )
-    )
+    path.write_text(json.dumps(dict(zip(PLANAR_KEYS, reference_angles.ravel().tolist()))))
     return str(path)
 
 
@@ -456,6 +445,8 @@ class TestBadNumbers:
             ["check", "--setting", "{setting}", "--grid", "65"],
             # random.Random(-1) would draw the samples of seed 1
             ["audit-bound", "--seed", "-1"],
+            # the limit that keeps an audit near a minute
+            ["audit-bound", "--samples", "1000001"],
         ],
     )
     def test_exits_2(self, capsys, tmp_path, optimum_setting_file, argv):
@@ -494,8 +485,7 @@ class TestBadNumbers:
         assert captured.out == ""
         assert str(path) in captured.err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         ("command", "digits", "expected"),
         [
@@ -511,8 +501,9 @@ class TestBadNumbers:
         self, capsys, tmp_path, table1, optimum_setting_file, command, digits, expected
     ):
         """A schema-valid utility that the float engine cannot carry exits 2
-        with a message and no report, never with a traceback or a report
-        holding Infinity or NaN, which JSON cannot carry."""
+        with a message and no report, never with a traceback, a numpy
+        warning or a report holding Infinity or NaN, which JSON cannot
+        carry."""
         doc = game_to_json_dict(table1)
         doc["utilities"]["A"][0][0] = "9" * digits
         path = tmp_path / "huge.json"
@@ -580,9 +571,7 @@ class TestSchemas:
         schema = json.loads((DOCS / "setting.schema.json").read_text())
         full = setting_to_json_dict(
             MeasurementSetting(
-                (BlochObservable(0.1, 0.2), BlochObservable(0.3, 0.4)),
-                (BlochObservable(0.5, 0.6), BlochObservable(0.7, 0.8)),
-                (BlochObservable(0.9, 1.0), BlochObservable(1.1, 1.2)),
+                [[0.1, 0.3], [0.5, 0.7], [0.9, 1.1]], [[0.2, 0.4], [0.6, 0.8], [1.0, 1.2]]
             )
         )
         jsonschema.validate(full, schema)

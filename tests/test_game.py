@@ -263,10 +263,10 @@ class TestNoSignalling:
             assert no_signalling_residual(strategy_to_distribution(profile)) == 0
 
     def test_ghz_distribution_passes_at_1e12(self, ghz):
-        from bellgame.quantum import MeasurementSetting, PlanarAngles, quantum_distribution
+        from bellgame.quantum import MeasurementSetting, quantum_distribution
 
-        angles = PlanarAngles(0.3, -1.1, 2.2, 0.7, -2.5, 1.9)
-        dist = quantum_distribution(ghz, MeasurementSetting.planar(angles))
+        setting = MeasurementSetting.planar([0.3, -1.1, 2.2, 0.7, -2.5, 1.9])
+        dist = quantum_distribution(ghz, setting)
         assert no_signalling_residual(dist) <= 1e-12
 
 

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +19,7 @@ from bellgame.optimize import (
     quantum_advantage_report,
 )
 from bellgame.quantum import (
-    BlochObservable,
     MeasurementSetting,
-    PlanarAngles,
     gauge_equivalent,
     ghz_advisor,
     ghz_bell,
@@ -59,14 +56,15 @@ class TestMaximizePlanar:
         assert best_c0 == pytest.approx(math.sqrt(52), abs=1e-6)
 
     def test_angles_on_reference_orbit(self, default_report, reference_angles):
-        assert default_report.angles.a0 == 0.0
-        assert default_report.angles.b0 == 0.0
-        assert gauge_equivalent(default_report.angles, reference_angles, tol=1e-3)
+        assert default_report.setting.is_planar()
+        assert default_report.setting.phi[0, 0] == 0.0
+        assert default_report.setting.phi[1, 0] == 0.0
+        assert gauge_equivalent(default_report.setting.phi, reference_angles, tol=1e-3)
 
     def test_value_consistent_with_closed_form(self, default_report, table1):
         weights = ghz_weights(table1.utilities, table1.prior)
-        theta, phi = MeasurementSetting.planar(default_report.angles).bloch_angles()
-        engine = ghz_payoffs(weights, theta, phi)
+        setting = default_report.setting
+        engine = ghz_payoffs(weights, setting.theta, setting.phi)
         assert abs(default_report.value - min(engine)) < 1e-10
         assert abs(default_report.value - max(engine)) < 1e-10
 
@@ -79,14 +77,14 @@ class TestMaximizePlanar:
         assert report.value == pytest.approx(
             float(alpha) * ANALYTIC_OPTIMUM + float(beta), abs=1e-9
         )
-        assert gauge_equivalent(report.angles, reference_angles, tol=1e-3)
+        assert gauge_equivalent(report.setting.phi, reference_angles, tol=1e-3)
         assert report.converged
 
     def test_payoffs_and_bells_at_optimum(self, default_report):
         for v in default_report.payoffs:
             assert v == pytest.approx(default_report.value, abs=1e-10)
-        theta, phi = MeasurementSetting.planar(default_report.angles).bloch_angles()
-        v011, v100 = (ghz_bell(theta, phi, variant) for variant in BellVariant)
+        setting = default_report.setting
+        v011, v100 = (ghz_bell(setting.theta, setting.phi, v) for v in BellVariant)
         assert v011 == pytest.approx(12 / math.sqrt(13), abs=1e-6)
         assert v100 == pytest.approx(-8 / math.sqrt(13), abs=1e-6)
         assert default_report.converged
@@ -113,7 +111,7 @@ class TestMaximizePlanar:
             for s in range(4)
         ]
         for r in reports[1:]:
-            same_orbit = gauge_equivalent(r.angles, reports[0].angles, tol=1e-4)
+            same_orbit = gauge_equivalent(r.setting.phi, reports[0].setting.phi, tol=1e-4)
             same_value = abs(r.value - reports[0].value) < 1e-6
             assert same_value
             assert same_orbit or same_value
@@ -140,17 +138,8 @@ class TestMaximizePlanar:
 
 
 TILTED = MeasurementSetting(
-    (BlochObservable(0.3, 0.1), BlochObservable(1.2, -2.0)),
-    (BlochObservable(2.5, 0.7), BlochObservable(0.9, 1.4)),
-    (BlochObservable(1.7, -0.4), BlochObservable(0.2, 3.0)),
+    [[0.3, 1.2], [2.5, 0.9], [1.7, 0.2]], [[0.1, -2.0], [0.7, 1.4], [-0.4, 3.0]]
 )
-
-
-def _setting(theta: np.ndarray, phi: np.ndarray) -> MeasurementSetting:
-    """The setting of (3, 2) angle arrays indexed by player and type bit."""
-    return MeasurementSetting(
-        *(tuple(map(BlochObservable, t, p)) for t, p in zip(theta.tolist(), phi.tolist()))
-    )
 
 
 def _random_angles(rng, count: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +189,7 @@ def _searched_best_responses(
     sphere) and min(restarts, 8) seeded random points."""
     game = builtin_game()
     weights = ghz_weights(game.utilities, game.prior)
-    theta0, phi0 = candidate.bloch_angles()
+    theta0, phi0 = candidate.theta, candidate.phi
     rng = np.random.default_rng(config.seed)
     dim = 2 if mode == "planar" else 4
     best = []
@@ -228,9 +217,7 @@ def _searched_best_responses(
 
 class TestBestResponse:
     def test_optimum_is_certified_planar_equilibrium(self, default_report, table1):
-        verdict = best_response_check(
-            table1, MeasurementSetting.planar(default_report.angles), "planar"
-        )
+        verdict = best_response_check(table1, default_report.setting, "planar")
         assert verdict.mode == "planar"
         for response in verdict.responses:
             assert response.improvement < EQUILIBRIUM_IMPROVEMENT_TOL
@@ -240,7 +227,7 @@ class TestBestResponse:
 
     def test_zero_angles_are_not_optimal(self, table1):
         verdict = best_response_check(
-            table1, MeasurementSetting.planar(PlanarAngles(0, 0, 0, 0, 0, 0)), "planar"
+            table1, MeasurementSetting.planar(np.zeros(6)), "planar"
         )
         assert verdict.max_improvement > 0.01
         assert not verdict.is_equilibrium
@@ -248,9 +235,7 @@ class TestBestResponse:
     def test_full_sphere_probe_at_optimum(self, default_report, table1):
         # polar deviations are allowed; none of the players gains anything
         # measurable
-        verdict = best_response_check(
-            table1, MeasurementSetting.planar(default_report.angles), "full_sphere"
-        )
+        verdict = best_response_check(table1, default_report.setting, "full_sphere")
         assert verdict.mode == "full_sphere"
         for response in verdict.responses:
             assert math.isfinite(response.improvement)
@@ -264,9 +249,12 @@ class TestBestResponse:
             assert verdict.baseline == pytest.approx(oracle, abs=1e-10)
             assert verdict.max_improvement > 0.01
             for response in verdict.responses:
+                deviated = response.deviation
                 if mode == "planar":
-                    assert all(o.theta == math.pi / 2 for o in response.observables)
-                deviated = replace(TILTED, **{"abc"[response.player]: response.observables})
+                    assert (deviated.theta[response.player] == math.pi / 2).all()
+                others = np.arange(3) != response.player
+                assert np.array_equal(deviated.theta[others], TILTED.theta[others])
+                assert np.array_equal(deviated.phi[others], TILTED.phi[others])
                 payoff = quantum_payoffs(
                     table1.utilities, table1.prior, ghz_advisor(), deviated
                 )[response.player]
@@ -279,7 +267,7 @@ class TestBestResponse:
     def test_at_least_the_best_grid_deviation(self, request, seed, game_name, mode):
         """On 34 random candidates per game and mode (204 in all), each
         player's exact best response pays at least the best deviation on a
-        grid, and exactly what its reported observables pay."""
+        grid, and exactly what its reported deviation pays."""
         game = request.getfixturevalue(game_name)
         weights = ghz_weights(game.utilities, game.prior)
         rng = np.random.default_rng([seed, mode == "planar"])
@@ -296,15 +284,12 @@ class TestBestResponse:
         best_grid = np.stack([scores[p, :, :, p].max(axis=1) for p in PLAYERS], axis=1)
 
         verdicts = [
-            best_response_check(game, _setting(t, p), mode) for t, p in zip(theta0, phi0)
+            best_response_check(game, MeasurementSetting(t, p), mode)
+            for t, p in zip(theta0, phi0)
         ]
-        deviated = [
-            replace(_setting(t, p), **{"abc"[r.player]: r.observables}).bloch_angles()
-            for v, t, p in zip(verdicts, theta0, phi0)
-            for r in v.responses
-        ]
+        deviated = [r.deviation for v in verdicts for r in v.responses]
         reached = ghz_payoffs(
-            weights, np.stack([t for t, _ in deviated]), np.stack([p for _, p in deviated])
+            weights, np.stack([d.theta for d in deviated]), np.stack([d.phi for d in deviated])
         ).reshape(34, 3, 3)
         for k, verdict in enumerate(verdicts):
             for r in verdict.responses:
@@ -313,7 +298,7 @@ class TestBestResponse:
                     assert r.improvement >= -1e-12
                 assert abs(r.payoff - reached[k, r.player, r.player]) <= 1e-12
                 if mode == "planar":
-                    assert all(o.theta == math.pi / 2 for o in r.observables)
+                    assert (r.deviation.theta[r.player] == math.pi / 2).all()
 
     @pytest.mark.parametrize("mode", ["planar", "full_sphere"])
     def test_at_least_the_searched_best_response(self, mode, reference_angles, table1):
@@ -322,7 +307,7 @@ class TestBestResponse:
         grid-and-Nelder-Mead search finds."""
         theta0, phi0 = _random_angles(np.random.default_rng(17), 11, mode)
         candidates = [MeasurementSetting.planar(reference_angles)] + [
-            _setting(t, p) for t, p in zip(theta0, phi0)
+            MeasurementSetting(t, p) for t, p in zip(theta0, phi0)
         ]
         config = OptimizationConfig(restarts=1, grid=8, seed=0)
         for candidate in candidates:
@@ -345,12 +330,13 @@ class TestBestResponse:
         )
         verdict = best_response_check(game, setting, mode)
         for response in verdict.responses:
-            own = setting.observables(response.player)
+            theta = setting.theta.copy()
             if mode == "planar":
-                own = tuple(BlochObservable(math.pi / 2, o.phi) for o in own)
+                theta[response.player] = math.pi / 2
             assert response.improvement == 0.0
             assert response.payoff == verdict.baseline[response.player]
-            assert response.observables == own
+            assert np.array_equal(response.deviation.theta, theta)
+            assert np.array_equal(response.deviation.phi, setting.phi)
 
     def test_unknown_mode_rejected(self, reference_angles, table1):
         with pytest.raises(ValidationError, match="mode"):
@@ -374,9 +360,10 @@ class TestGridStarts:
         assert indices == [(6, 6, 5, 7), (2, 2, 7, 5), (7, 6, 5, 7), (6, 7, 5, 7)]
 
         def value(a1, b1, c0, c1):
-            angles = PlanarAngles(0, a1 * step, 0, b1 * step, c0 * step, c1 * step)
-            theta, phi = MeasurementSetting.planar(angles).bloch_angles()
-            return min(ghz_payoffs(weights, theta, phi))
+            setting = MeasurementSetting.planar(
+                np.array([0, a1, 0, b1, c0, c1]) * step
+            )
+            return min(ghz_payoffs(weights, setting.theta, setting.phi))
 
         # the two picked and two passed over: a tie, up to rounding
         tied = [value(*(i - 4 for i in x)) for x in indices[2:] + [(6, 6, 6, 7), (2, 2, 6, 5)]]

@@ -26,9 +26,8 @@ from bellgame.quantum import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    BlochObservable,
+    PLANAR_KEYS,
     MeasurementSetting,
-    PlanarAngles,
     QuantumAdvisor,
     gauge_canonicalize,
     gauge_equivalent,
@@ -58,10 +57,11 @@ TABLE1_WEIGHTS = ghz_weights(builtin_game().utilities, builtin_game().prior)
 MAXIMALLY_MIXED = QuantumAdvisor(np.eye(8, dtype=complex) / 8)
 
 
-def planar_payoffs(angles: PlanarAngles) -> np.ndarray:
-    """GHZ payoffs of the three table1 players at a planar setting."""
-    theta, phi = MeasurementSetting.planar(angles).bloch_angles()
-    return ghz_payoffs(TABLE1_WEIGHTS, theta, phi)
+def planar_payoffs(phi) -> np.ndarray:
+    """GHZ payoffs of the three table1 players at the planar setting of the
+    azimuths ``phi``."""
+    setting = MeasurementSetting.planar(phi)
+    return ghz_payoffs(TABLE1_WEIGHTS, setting.theta, setting.phi)
 
 
 def relabelled_affine_copy(game: GameDefinition) -> GameDefinition:
@@ -79,20 +79,10 @@ def relabelled_affine_copy(game: GameDefinition) -> GameDefinition:
 
 def random_setting(rng, planar: bool) -> MeasurementSetting:
     if planar:
-        return MeasurementSetting.planar(
-            PlanarAngles(*rng.uniform(-math.pi, math.pi, 6))
-        )
-    pairs = []
-    for _ in range(3):
-        pairs.append(
-            tuple(
-                BlochObservable(
-                    rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi)
-                )
-                for _ in range(2)
-            )
-        )
-    return MeasurementSetting(*pairs)
+        return MeasurementSetting.planar(rng.uniform(-math.pi, math.pi, 6))
+    # (theta, phi) of each observable in turn, in (3, 2) order
+    angles = rng.uniform((0, -math.pi), (math.pi, math.pi), (3, 2, 2))
+    return MeasurementSetting(angles[..., 0], angles[..., 1])
 
 
 def random_rank1_projector(rng) -> np.ndarray:
@@ -105,20 +95,20 @@ def random_rank1_projector(rng) -> np.ndarray:
 
 class TestObservables:
     def test_north_pole_is_pauli_z(self):
-        assert np.allclose(observable_matrix(BlochObservable(0, 0)), PAULI_Z)
+        assert np.allclose(observable_matrix(0, 0), PAULI_Z)
 
     def test_equator_phi_zero_is_pauli_x(self):
-        m = observable_matrix(BlochObservable(math.pi / 2, 0))
+        m = observable_matrix(math.pi / 2, 0)
         assert np.allclose(m, PAULI_X, atol=1e-12)
 
     def test_equator_phi_half_pi_is_pauli_y(self):
-        m = observable_matrix(BlochObservable(math.pi / 2, math.pi / 2))
+        m = observable_matrix(math.pi / 2, math.pi / 2)
         assert np.allclose(m, PAULI_Y, atol=1e-12)
 
     @settings(max_examples=100)
     @given(theta=st.floats(0, math.pi), phi=ANGLES)
     def test_observable_algebra(self, theta, phi):
-        m = observable_matrix(BlochObservable(theta, phi))
+        m = observable_matrix(theta, phi)
         assert np.allclose(m, m.conj().T, atol=1e-12)
         assert abs(np.trace(m)) < 1e-12
         assert np.allclose(m @ m, np.eye(2), atol=1e-12)
@@ -126,18 +116,18 @@ class TestObservables:
 
 class TestProjectors:
     def test_pauli_z_projectors(self):
-        p0, p1 = projectors(BlochObservable(0, 0))
+        p0, p1 = projectors(0, 0)
         assert np.allclose(p1, np.diag([1, 0]))
         assert np.allclose(p0, np.diag([0, 1]))
 
     def test_pauli_x_plus_projector_is_all_halves(self):
-        _, p1 = projectors(BlochObservable(math.pi / 2, 0))
+        _, p1 = projectors(math.pi / 2, 0)
         assert np.allclose(p1, np.full((2, 2), 0.5), atol=1e-12)
 
     @settings(max_examples=100)
     @given(theta=st.floats(0, math.pi), phi=ANGLES)
     def test_projector_algebra(self, theta, phi):
-        p0, p1 = projectors(BlochObservable(theta, phi))
+        p0, p1 = projectors(theta, phi)
         assert np.allclose(p0 + p1, np.eye(2), atol=1e-12)
         assert np.allclose(p0 @ p0, p0, atol=1e-12)
         assert np.allclose(p1 @ p1, p1, atol=1e-12)
@@ -179,8 +169,7 @@ class TestAdvisors:
 
 class TestQuantumDistribution:
     def test_ghz_all_z_concentrates_on_aligned_outcomes(self, ghz):
-        z = BlochObservable(0, 0)
-        setting = MeasurementSetting((z, z), (z, z), (z, z))
+        setting = MeasurementSetting(np.zeros((3, 2)), np.zeros((3, 2)))
         dist = quantum_distribution(ghz, setting)
         for x in PROFILES:
             assert dist.prob((0, 0, 0), x) == pytest.approx(0.5, abs=1e-12)
@@ -194,8 +183,7 @@ class TestQuantumDistribution:
             assert row == pytest.approx((0.125,) * 8, abs=1e-12)
 
     def test_ghz_all_y_has_unit_correlators(self, ghz):
-        y = BlochObservable(math.pi / 2, math.pi / 2)
-        setting = MeasurementSetting((y, y), (y, y), (y, y))
+        setting = MeasurementSetting.planar(np.full(6, math.pi / 2))
         dist = quantum_distribution(ghz, setting)
         for x in PROFILES:
             assert correlator(dist, x) == pytest.approx(1.0, abs=1e-12)
@@ -221,7 +209,7 @@ class TestQuantumPayoffs:
             table1.utilities,
             table1.prior,
             ghz,
-            MeasurementSetting.planar(PlanarAngles(0, 0, 0, 0, 0, 0)),
+            MeasurementSetting.planar(np.zeros(6)),
         )
         for v in f:
             assert v == pytest.approx(26 / 48, abs=1e-12)
@@ -261,13 +249,13 @@ class TestQuantumPayoffs:
 
 class TestPlanarPayoff:
     def test_all_zero_angles(self):
-        assert planar_payoffs(PlanarAngles(0, 0, 0, 0, 0, 0)) == pytest.approx(
+        assert planar_payoffs(np.zeros(6)) == pytest.approx(
             [26 / 48] * 3
         )
 
     def test_all_right_angles(self):
         a = math.pi / 2
-        assert planar_payoffs(PlanarAngles(a, a, a, a, a, a)) == pytest.approx(
+        assert planar_payoffs(np.full(6, a)) == pytest.approx(
             [28 / 48] * 3
         )
 
@@ -284,7 +272,7 @@ class TestPlanarPayoff:
     def test_matches_trace_payoffs_on_random_planar_settings(self, table1, ghz):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            angles = PlanarAngles(*rng.uniform(-math.pi, math.pi, 6))
+            angles = rng.uniform(-math.pi, math.pi, 6)
             engine = planar_payoffs(angles)
             f = quantum_payoffs(
                 table1.utilities,
@@ -306,9 +294,8 @@ class TestGhzPayoffs:
         weights = ghz_weights(game.utilities, game.prior)
         rng = np.random.default_rng(21)
         settings_ = [random_setting(rng, planar=False) for _ in range(200)]
-        angles = [s.bloch_angles() for s in settings_]
-        theta = np.array([t for t, _ in angles])
-        phi = np.array([p for _, p in angles])
+        theta = np.array([s.theta for s in settings_])
+        phi = np.array([s.phi for s in settings_])
         batch = ghz_payoffs(weights, theta, phi)
         assert batch.shape == (200, 3)
         bells = {variant: ghz_bell(theta, phi, variant) for variant in BellVariant}
@@ -341,7 +328,7 @@ class TestGhzPayoffs:
 
 class TestGaugeSymmetry:
     def test_zero_shift_is_identity(self, reference_angles):
-        assert gauge_transform(reference_angles, 0, 0, 0) == reference_angles.wrapped()
+        assert np.array_equal(gauge_transform(reference_angles, 0, 0, 0), reference_angles)
 
     def test_half_turn_shift_invariance(self, reference_angles):
         shifted = gauge_transform(reference_angles, math.pi, math.pi, 0)
@@ -359,7 +346,7 @@ class TestGaugeSymmetry:
     @settings(max_examples=60)
     @given(chi1=ANGLES, chi2=ANGLES, a=ANGLES, b=ANGLES, c=ANGLES)
     def test_random_valid_shifts_preserve_payoff(self, chi1, chi2, a, b, c):
-        angles = PlanarAngles(a, -b, b, c, -a, a + b)
+        angles = np.array([[a, -b], [b, c], [-a, a + b]])
         shifted = gauge_transform(angles, chi1, chi2, -chi1 - chi2)
         assert np.abs(planar_payoffs(shifted) - planar_payoffs(angles)).max() < 1e-12
 
@@ -368,24 +355,25 @@ class TestGaugeSymmetry:
             gauge_transform(reference_angles, 0.1, 0.2, 0.3)
 
     def test_canonicalize_fixes_reference_point(self, reference_angles):
-        assert gauge_canonicalize(reference_angles) == reference_angles
+        assert np.array_equal(gauge_canonicalize(reference_angles), reference_angles)
 
     def test_canonicalize_inverts_gauge_shift(self, reference_angles):
         shifted = gauge_transform(
             reference_angles, math.pi / 4, math.pi / 4, -math.pi / 2
         )
         back = gauge_canonicalize(shifted)
-        for u, v in zip(back, reference_angles):
+        assert back.shape == (3, 2)
+        for u, v in zip(back.flat, reference_angles.flat):
             assert abs(wrap_angle(u - v)) < 1e-12
 
     def test_all_zero_is_fixed_point(self):
-        zero = PlanarAngles(0, 0, 0, 0, 0, 0)
-        assert gauge_canonicalize(zero) == zero
+        zero = np.zeros((3, 2))
+        assert np.array_equal(gauge_canonicalize(zero), zero)
 
     def test_gauge_equivalence_predicate(self, reference_angles):
         shifted = gauge_transform(reference_angles, 1.0, -2.5, 1.5)
         assert gauge_equivalent(reference_angles, shifted, tol=1e-9)
-        other = PlanarAngles(0.0, 1.0, 0.0, 0.5, -0.5, 0.25)
+        other = np.array([[0.0, 1.0], [0.0, 0.5], [-0.5, 0.25]])
         assert not gauge_equivalent(reference_angles, other, tol=1e-3)
 
     def test_wrap_angle_range(self):
@@ -435,8 +423,7 @@ class TestQuantumBell:
             ) == pytest.approx(0.0, abs=1e-12)
 
     def test_ghz_all_x_vanishes(self, ghz):
-        x = BlochObservable(math.pi / 2, 0)
-        setting = MeasurementSetting((x, x), (x, x), (x, x))
+        setting = MeasurementSetting.planar(np.zeros(6))
         assert quantum_bell(ghz, setting, BellVariant.V011) == pytest.approx(
             0.0, abs=1e-12
         )
@@ -460,18 +447,11 @@ class TestSettingSerialization:
         assert load_setting(path) == setting
 
     def test_planar_shorthand(self, reference_angles):
-        doc = {
-            "phi_A0": reference_angles.a0,
-            "phi_A1": reference_angles.a1,
-            "phi_B0": reference_angles.b0,
-            "phi_B1": reference_angles.b1,
-            "phi_C0": reference_angles.c0,
-            "phi_C1": reference_angles.c1,
-        }
+        doc = dict(zip(PLANAR_KEYS, reference_angles.ravel().tolist()))
         setting = setting_from_json_dict(doc)
         assert setting == MeasurementSetting.planar(reference_angles)
         assert setting.is_planar()
-        assert PlanarAngles(*setting.bloch_angles()[1].ravel()) == reference_angles
+        assert np.array_equal(setting.phi, reference_angles)
 
     def test_missing_key_rejected(self, reference_angles):
         doc = setting_to_json_dict(MeasurementSetting.planar(reference_angles))
@@ -501,10 +481,32 @@ class TestSettingSerialization:
             setting_from_json_dict(doc)
 
     def test_tilted_setting_is_not_planar(self):
-        z = BlochObservable(0, 0)
-        x = BlochObservable(math.pi / 2, 0)
-        setting = MeasurementSetting((z, x), (x, x), (x, x))
+        theta = np.full((3, 2), math.pi / 2)
+        theta[0, 0] = 0
+        setting = MeasurementSetting(theta, np.zeros((3, 2)))
         assert not setting.is_planar()
+
+    def test_setting_arrays_are_checked_copied_and_read_only(self):
+        with pytest.raises(ValidationError, match="theta must have shape"):
+            MeasurementSetting(np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValidationError, match="phi must have shape"):
+            MeasurementSetting(np.zeros((3, 2)), np.zeros(6))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="Bloch angles must be finite"):
+                MeasurementSetting(np.full((3, 2), bad), np.zeros((3, 2)))
+            with pytest.raises(ValidationError, match="Bloch angles must be finite"):
+                setting_from_json_dict(dict.fromkeys(PLANAR_KEYS, bad))
+        phi = np.zeros((3, 2))
+        setting = MeasurementSetting.planar(phi)
+        phi[0, 0] = 1.0
+        assert setting.phi[0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            setting.theta[0, 0] = 0.0
+        assert setting == MeasurementSetting.planar(np.zeros(6))
+        assert setting != MeasurementSetting.planar(phi)
+        assert setting != MeasurementSetting(np.zeros((3, 2)), np.zeros((3, 2)))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(setting)
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -5,6 +5,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -31,3 +33,29 @@ def test_reproduce_results(capsys):
     assert "total: 9 equilibria, 3 fair" in out
     assert f"common payoff: {(13 + 2 * math.sqrt(13)) / 24:.9f}" in out
     assert "certified equilibrium (threshold 1e-06): True" in out
+
+
+def test_reproduce_results_without_samples(capsys):
+    load_script("reproduce_results").main(["--samples", "0"])
+    assert "max total over 0 random mixtures: none (within bound: True)" in (
+        capsys.readouterr().out
+    )
+
+
+@pytest.mark.parametrize(
+    ("name", "argv"),
+    [
+        ("reproduce_results", ["--seed", "-1"]),
+        ("reproduce_results", ["--samples", "-1"]),
+        ("reproduce_results", ["--samples", "1000001"]),
+        ("landscape_scan", ["--resolution", "0"]),
+        ("landscape_scan", ["--resolution", "-3"]),
+    ],
+)
+def test_bad_arguments_exit_2(capsys, name, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        load_script(name).main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --" in captured.err
