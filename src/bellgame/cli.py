@@ -8,6 +8,10 @@ run, builds ``inputs`` (``game_digest``, plus ``setting_digest`` when a
 setting was read) and writes the report: command, inputs, engine version,
 wall time and ``results``, which are deterministic for fixed inputs and seed.
 
+Only the commands that run the GHZ engine (``bell --setting``,
+``optimize`` and ``check``) import it, and with it numpy; the classical
+commands run on the exact engine alone.
+
 Exit codes: 0 success, 2 validation failure (also for a non-finite result,
 from utilities too large for the float engine), 3 non-convergence, 4 I/O.
 """
@@ -19,10 +23,12 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .builtin import builtin_game
@@ -43,20 +49,10 @@ from .game import (
     load_game,
     no_signalling_residual,
 )
-from .optimize import (
-    OptimizationConfig,
-    best_response_check,
-    quantum_advantage_report,
-)
-from .quantum import (
-    PLANAR_KEYS,
-    MeasurementSetting,
-    ghz_advisor,
-    ghz_bell,
-    load_setting,
-    quantum_distribution,
-    setting_to_json_dict,
-)
+
+if TYPE_CHECKING:
+    from .optimize import OptimizationConfig
+    from .quantum import MeasurementSetting
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -81,6 +77,8 @@ def fmt_profile(profile) -> dict:
 
 
 def fmt_setting(setting: MeasurementSetting) -> dict:
+    from .quantum import setting_to_json_dict
+
     return {k: fmt_real(v) for k, v in setting_to_json_dict(setting).items()}
 
 
@@ -92,6 +90,8 @@ def fmt_bell_extremes(extremes: dict[BellVariant, tuple[Fraction, Fraction]]) ->
 
 
 def fmt_ghz_bell(setting: MeasurementSetting) -> dict:
+    from .quantum import ghz_bell
+
     return {
         variant.name: fmt_real(ghz_bell(setting.theta, setting.phi, variant))
         for variant in BellVariant
@@ -115,18 +115,22 @@ def _resolve_game(selector: str) -> GameDefinition:
 
 
 def _setting_digest(setting: MeasurementSetting) -> str:
+    from .quantum import setting_to_json_dict
+
     blob = json.dumps(setting_to_json_dict(setting), sort_keys=True)
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _config_from_args(args) -> OptimizationConfig:
+    from .optimize import OptimizationConfig
+
     return OptimizationConfig(
         restarts=args.restarts, grid=args.grid, tol=args.tol, seed=args.seed
     )
 
 
 #: (exit code, results, the setting read or None); see the module docstring.
-Outcome = tuple[int, dict, MeasurementSetting | None]
+Outcome = tuple[int, dict, "MeasurementSetting | None"]
 
 
 def cmd_equilibria(args, game: GameDefinition) -> Outcome:
@@ -183,6 +187,8 @@ def cmd_bell(args, game: GameDefinition) -> Outcome:
             "extremes": fmt_bell_extremes(deterministic_bell_extremes()),
         }
         return EXIT_OK, results, None
+    from .quantum import load_setting
+
     setting = load_setting(args.setting)
     values = fmt_ghz_bell(setting)
     results = {
@@ -195,6 +201,9 @@ def cmd_bell(args, game: GameDefinition) -> Outcome:
 
 
 def cmd_optimize(args, game: GameDefinition) -> Outcome:
+    from .optimize import quantum_advantage_report
+    from .quantum import PLANAR_KEYS
+
     config = _config_from_args(args)
     report = quantum_advantage_report(game, config)
     optimum = report.optimum
@@ -228,12 +237,16 @@ def cmd_optimize(args, game: GameDefinition) -> Outcome:
 
 
 def cmd_check(args, game: GameDefinition) -> Outcome:
+    from .optimize import best_response_check
+    from .quantum import ghz_advisor, load_setting, quantum_distribution
+
     setting = load_setting(args.setting)
     # The trace-rule distribution is built only for its own diagnostics; the
     # payoffs and Bell values come from the GHZ engine.
     dist = quantum_distribution(ghz_advisor(), setting)
     dist.validate()
-    row_err = max(abs(sum(row) - 1) for row in dist.rows)
+    # added left to right: sum() of floats is compensated from Python 3.12 on
+    row_err = max(abs(reduce(add, row) - 1) for row in dist.rows)
     min_prob = min(v for row in dist.rows for v in row)
     residual = no_signalling_residual(dist)
     mode = "planar" if args.mode == "planar" else "full_sphere"
@@ -333,9 +346,15 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         game = _resolve_game(args.game)
-        # Utilities near the float range overflow inside numpy; the report's
-        # serialisation below turns every non-finite result into exit 2.
-        with np.errstate(over="ignore", invalid="ignore"):
+        guard = nullcontext()
+        if args.command == "optimize" or getattr(args, "setting", None) is not None:
+            # The GHZ engine's commands.  Utilities near the float range
+            # overflow inside numpy; the report's serialisation below turns
+            # every non-finite result into exit 2.
+            import numpy as np
+
+            guard = np.errstate(over="ignore", invalid="ignore")
+        with guard:
             code, results, setting = args.func(args, game)
         inputs = {"game_digest": game_digest(game)}
         if setting is not None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import sin
-from operator import add, mul
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -285,13 +285,20 @@ def maximize_planar(
 
     def objective(x: list[float]) -> float:
         # math.sin on Python floats: Nelder-Mead makes thousands of scalar
-        # calls, and numpy's per-call overhead would dominate them.
+        # calls, and numpy's per-call overhead would dominate them.  The
+        # terms are added left to right, as sum() no longer does for floats
+        # from Python 3.12 on, so the polish takes one path on every version.
         a1, b1, c0, c1 = x
-        sines = (
-            sin(c0), sin(c1), sin(b1 + c0), sin(b1 + c1),
-            sin(a1 + c0), sin(a1 + c1), sin(a1 + b1 + c0), sin(a1 + b1 + c1),
-        )
-        return min([k + sum(map(mul, row, sines)) for k, row in rows])
+        ab = a1 + b1
+        s0, s1, s2, s3 = sin(c0), sin(c1), sin(b1 + c0), sin(b1 + c1)
+        s4, s5, s6, s7 = sin(a1 + c0), sin(a1 + c1), sin(ab + c0), sin(ab + c1)
+        return min([
+            k + (
+                r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3
+                + r4 * s4 + r5 * s5 + r6 * s6 + r7 * s7
+            )
+            for k, (r0, r1, r2, r3, r4, r5, r6, r7) in rows
+        ])
 
     rng = np.random.default_rng(config.seed)
     random_starts = rng.uniform(-math.pi, math.pi, size=(config.restarts, 4))
@@ -437,12 +444,11 @@ def quantum_advantage_report(
     except OverflowError:
         raise ValidationError("utilities too large: the fair cap overflows") from None
     optimum = maximize_planar(game, config)
-    quantum_total = float(sum(optimum.payoffs))
     return QuantumAdvantageReport(
         classical_total_bound=bound,
         classical_fair_cap=cap,
         optimum=optimum,
         advantage=optimum.value - cap_float,
-        quantum_total=quantum_total,
+        quantum_total=optimum.payoffs.total(),
         beats_classical=optimum.value > cap_float,
     )

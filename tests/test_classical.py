@@ -12,6 +12,7 @@ from bellgame.classical import (
     BellVariant,
     HiddenVariableModel,
     _deterministic_correlator,
+    _draw_mixture,
     _sampled_payoffs,
     bell_expression,
     classical_bound_audit,
@@ -30,6 +31,7 @@ from bellgame.game import (
     PROFILES,
     ConditionalDistribution,
     GameDefinition,
+    PayoffTriple,
     Prior,
     UtilityTable,
     ValidationError,
@@ -478,8 +480,63 @@ class TestProfileTable:
             # both routes draw from their own copy of one seeded rng, so
             # they stay in step only if every draw makes the same rng calls
             model_rng, audit_rng = random.Random(seed), random.Random(seed)
-            for triple in _sampled_payoffs(profiles, audit_rng, 100):
+            for numerators, den in _sampled_payoffs(profiles, audit_rng, 100):
                 model = random_hidden_variable_model(model_rng)
+                triple = PayoffTriple(*(F(n, den) for n in numerators))
                 assert triple == expected_payoffs(
                     game.utilities, game.prior, hv_model_to_distribution(model)
                 )
+
+
+def _draw_mixture_with_randint(rng, max_atoms, denominator):
+    """_draw_mixture as written with the public randint and choice: the
+    reference for its draws."""
+    n = rng.randint(1, max_atoms)
+    raw = [rng.randint(1, 100) for _ in range(n)]
+    atoms = []
+    for _ in raw:
+        responses = []
+        for _ in PLAYERS:
+            if rng.random() < 0.5:
+                s = rng.choice(STRATEGIES)
+                responses.append(
+                    (denominator * (1 - s[0]), denominator * (1 - s[1]))
+                )
+            else:
+                responses.append(
+                    (rng.randint(0, denominator), rng.randint(0, denominator))
+                )
+        atoms.append(tuple(responses))
+    return raw, atoms
+
+
+def test_draw_mixture_makes_the_draws_of_randint_and_choice():
+    for seed in range(50):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert _draw_mixture(rng, 8, 16) == _draw_mixture_with_randint(
+                reference, 8, 16
+            )
+        assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("name", [*GAMES, "constant_game"])
+def test_audit_bookkeeping_matches_a_fraction_loop(name, request):
+    """The audit's integer comparisons give the maximum total, the bound
+    check and the max-min payoff of a plain Fraction loop; every sample of
+    the constant game ties with the bound."""
+    game = request.getfixturevalue(name)
+    profiles = profile_table(game.utilities, game.prior)
+    bound = profiles.max_total()
+    max_min = max(min(profiles.payoffs(k)) for k in range(64))
+    totals = []
+    for numerators, den in _sampled_payoffs(profiles, random.Random(3), 300):
+        triple = PayoffTriple(*(F(n, den) for n in numerators))
+        totals.append(triple.total())
+        max_min = max(max_min, min(triple))
+    audit = classical_bound_audit(profiles, samples=300, seed=3)
+    assert audit.sample_max == max(totals)
+    assert audit.samples_within_bound == all(t <= bound for t in totals)
+    assert audit.max_min_payoff == max_min
+    if name == "constant_game":
+        assert set(totals) == {bound}

@@ -495,6 +495,7 @@ class TestBadNumbers:
             ("check", 310, 2),  # Infinity - Infinity gives NaN improvements
             ("optimize", 401, 2),
             ("check", 401, 2),  # the GHZ weights overflow a float
+            ("bell", 401, 0),  # Bell values do not read the utilities
         ],
     )
     def test_utilities_beyond_the_float_range(
@@ -503,13 +504,15 @@ class TestBadNumbers:
         """A schema-valid utility that the float engine cannot carry exits 2
         with a message and no report, never with a traceback, a numpy
         warning or a report holding Infinity or NaN, which JSON cannot
-        carry."""
+        carry.  Every command that runs the GHZ engine is covered."""
         doc = game_to_json_dict(table1)
         doc["utilities"]["A"][0][0] = "9" * digits
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
-        argv = [command, "--game", str(path), "--restarts", "1", "--grid", "8"]
-        if command == "check":
+        argv = [command, "--game", str(path)]
+        if command != "bell":
+            argv += ["--restarts", "1", "--grid", "8"]
+        if command != "optimize":
             argv += ["--setting", optimum_setting_file]
         code = main(argv)
         captured = capsys.readouterr()
@@ -549,6 +552,20 @@ class TestEntryPoint:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout == "[]\n"
+
+    def test_classical_commands_run_without_numpy(self):
+        code = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from bellgame.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    codes = [main([c]) for c in ('equilibria', 'audit-bound', 'bell')]\n"
+            "print(codes, 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "[0, 0, 0] False\n"
 
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
