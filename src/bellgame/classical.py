@@ -358,22 +358,24 @@ AUDIT_MAX_SAMPLES = 1_000_000
 
 
 def _draw_mixture(
-    rng: random.Random, max_atoms: int, denominator: int
+    rng: random.Random,
 ) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
-    """Draw a random mixture as integers: the raw atom weights (an atom's
-    weight is its raw weight over their sum) and, per atom and player, the
-    numerators of p(y=0|x=0) and p(y=0|x=1) over ``denominator``.  Half of
-    the responses are deterministic strategies.
+    """Draw a random mixture of at most MIXTURE_MAX_ATOMS atoms as integers:
+    the raw atom weights (an atom's weight is its raw weight over their sum)
+    and, per atom and player, the numerators of p(y=0|x=0) and p(y=0|x=1)
+    over MIXTURE_DENOMINATOR.  Half of the responses are deterministic
+    strategies.
 
     The draws are those of ``randint(a, b)`` and ``choice(seq)``, which are
     ``a + _randbelow(b - a + 1)`` and ``seq[_randbelow(len(seq))]``; calling
     ``_randbelow`` directly skips their argument checks.
     """
     below, uniform = rng._randbelow, rng.random
+    denominator = MIXTURE_DENOMINATOR
     deterministic = [
         (denominator * (1 - s0), denominator * (1 - s1)) for s0, s1 in STRATEGIES
     ]
-    n = 1 + below(max_atoms)
+    n = 1 + below(MIXTURE_MAX_ATOMS)
     raw = [1 + below(100) for _ in range(n)]
     atoms = []
     for _ in raw:
@@ -387,13 +389,10 @@ def _draw_mixture(
     return raw, atoms
 
 
-def random_hidden_variable_model(
-    rng: random.Random,
-    max_atoms: int = MIXTURE_MAX_ATOMS,
-    denominator: int = MIXTURE_DENOMINATOR,
-) -> HiddenVariableModel:
+def random_hidden_variable_model(rng: random.Random) -> HiddenVariableModel:
     """Seeded random mixture with exact rational weights and responses."""
-    raw, atoms = _draw_mixture(rng, max_atoms, denominator)
+    raw, atoms = _draw_mixture(rng)
+    denominator = MIXTURE_DENOMINATOR
     total = sum(raw)
     return HiddenVariableModel(
         tuple(
@@ -441,7 +440,7 @@ def _sampled_payoffs(
     nums = profiles.numerators
     scale = MIXTURE_DENOMINATOR**6 * profiles.denominator
     for _ in range(samples):
-        raw, atoms = _draw_mixture(rng, MIXTURE_MAX_ATOMS, MIXTURE_DENOMINATOR)
+        raw, atoms = _draw_mixture(rng)
         fa = fb = fc = 0
         for w, (ra, rb, rc) in zip(raw, atoms):
             bs, cs = _strategy_weights(rb), _strategy_weights(rc)

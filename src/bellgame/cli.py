@@ -40,6 +40,7 @@ from .classical import (
     profile_table,
 )
 from .game import (
+    ConditionalDistribution,
     GameDefinition,
     PayoffTriple,
     ValidationError,
@@ -238,12 +239,13 @@ def cmd_optimize(args, game: GameDefinition) -> Outcome:
 
 def cmd_check(args, game: GameDefinition) -> Outcome:
     from .optimize import best_response_check
-    from .quantum import ghz_advisor, load_setting, quantum_distribution
+    from .quantum import ghz_distribution, load_setting
 
     setting = load_setting(args.setting)
-    # The trace-rule distribution is built only for its own diagnostics; the
-    # payoffs and Bell values come from the GHZ engine.
-    dist = quantum_distribution(ghz_advisor(), setting)
+    # The diagnostics read p(y|x) off the GHZ closed form, the engine that
+    # also gives the payoffs and Bell values.
+    p = ghz_distribution(setting.theta, setting.phi)
+    dist = ConditionalDistribution(tuple(map(tuple, p.tolist())))
     dist.validate()
     # added left to right: sum() of floats is compensated from Python 3.12 on
     row_err = max(abs(reduce(add, row) - 1) for row in dist.rows)

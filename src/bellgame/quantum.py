@@ -3,12 +3,12 @@ trace-rule conditional distributions, the GHZ engine derived from a game's
 utility table, and the gauge symmetry of planar settings.
 
 Two routes give the same quantum numbers.  The GHZ engine (ghz_weights,
-ghz_payoffs, ghz_bell) evaluates batches of settings in closed form; it is
-the only source of the payoffs and Bell values that searches and reports
-use.  The trace rule (quantum_distribution, and quantum_payoffs and
-quantum_bell on top of it) builds the full 8 x 8 distribution for any
-advisor state; it is the oracle the engine is tested against, and the
-source of the distribution diagnostics of ``bellgame check``.
+ghz_payoffs, ghz_bell, ghz_distribution) evaluates batches of settings in
+closed form; it is the only source of the payoffs, Bell values and
+distribution diagnostics that searches and reports use.  The trace rule
+(quantum_distribution, and quantum_payoffs and quantum_bell on top of it)
+builds the full 8 x 8 distribution for any advisor state; it is a test-only
+oracle that the engine is held to.
 
 Conventions (load-bearing, fixed once here):
 
@@ -117,8 +117,8 @@ class MeasurementSetting:
         b1, c0, c1 (or already of shape (3, 2)); every theta is pi/2."""
         return cls(np.full((3, 2), math.pi / 2), np.reshape(phi, (3, 2)))
 
-    def is_planar(self, tol: float = ALGEBRA_TOL) -> bool:
-        return bool((np.abs(self.theta - math.pi / 2) <= tol).all())
+    def is_planar(self) -> bool:
+        return bool((np.abs(self.theta - math.pi / 2) <= ALGEBRA_TOL).all())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasurementSetting):
@@ -252,6 +252,18 @@ def _ghz_features(theta, phi) -> np.ndarray:
         * np.sin(phi[..., 0, xa] + phi[..., 1, xb] + phi[..., 2, xc])
     )
     return np.stack([np.ones_like(ca), ca * cb, ca * cc, cb * cc, triple], axis=-1)
+
+
+#: f_k(y) of GHZ_FEATURES as a float array of shape (5, 8).
+_FEATURE_SIGNS = np.array(GHZ_FEATURES, dtype=float).T
+
+
+def ghz_distribution(theta, phi) -> np.ndarray:
+    """p(y|x) of the GHZ advisor, shape (..., 8, 8) for angle arrays of
+    shape (..., 3, 2): entry [x, y] is sum_k E[f_k | x] f_k(y) / 8 with the
+    features of _ghz_features, added left to right over k."""
+    features = _ghz_features(theta, phi)[..., None]
+    return sum(features[..., k, :] * _FEATURE_SIGNS[k] for k in range(5)) / 8
 
 
 def ghz_payoffs(weights: np.ndarray, theta, phi) -> np.ndarray:

@@ -514,7 +514,7 @@ def test_draw_mixture_makes_the_draws_of_randint_and_choice():
     for seed in range(50):
         rng, reference = random.Random(seed), random.Random(seed)
         for _ in range(200):
-            assert _draw_mixture(rng, 8, 16) == _draw_mixture_with_randint(
+            assert _draw_mixture(rng) == _draw_mixture_with_randint(
                 reference, 8, 16
             )
         assert rng.getstate() == reference.getstate()

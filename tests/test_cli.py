@@ -44,6 +44,9 @@ F = Fraction
 #: values moved from the trace rule to the GHZ engine.  The two check-optimum
 #: cases were re-recorded when the best-response search gave way to the
 #: closed form: their improvements moved in the last digits (at most 1.1e-16).
+#: All four check cases, here and in PINNED_KEY_ORDER, were re-recorded when
+#: check's distribution moved from the trace rule to the GHZ closed form:
+#: row_sum_max_error and no_signalling_max_residual moved by at most 3.3e-16.
 PINNED_RESULTS = {
     ("audit-bound", "table1"): "9600c69b834e0231aa2db49638a73567f0c74c2083185cd0453b1729b216d730",
     ("audit-bound", "nonuniform_game"): "753c0c6c70e985cd3c21f17b0798c2420e726b77d03b631a4678f742e52e3e62",
@@ -56,10 +59,10 @@ PINNED_RESULTS = {
     ("optimize", "nonuniform_game"): "253b91f7836443d0fdda2490a7b9d86f040588053a2a27cf09fcec3fbbc01c11",
     ("optimize", "affine_game"): "bd2e52ddf362ed1bf87ca33540b0c10edf449436dbfec26a8d1876c4acf65f7e",
     ("bell-optimum", "table1"): "5e8234dfae27d70369ec4910d95d1c116dde2153d37d1e7e3032a03bb0d81642",
-    ("check-optimum-planar", "table1"): "7d689e04f1390c0e96e4eebd6e5500cedb099902e44986450e2f7cf8c2cbb83e",
-    ("check-optimum-full", "table1"): "d8e543917743c68546be94fc36ff7f8d796ffc8a7e8eba80dc8f984a3530f163",
-    ("check-tilted-planar", "table1"): "5228bb8efa7b39d2ea7613e005d7e50dd72c003666c71d17d924319946b16b9c",
-    ("check-tilted-full", "table1"): "c330cd9771fddcc8ee0342d44114afceb27c6e6b2c9cb540cfbfd32882da454c",
+    ("check-optimum-planar", "table1"): "9c2e4b7ca69dacf823bbcb0c78745315388d15b49f4d31e6db1f4c564b25f9a0",
+    ("check-optimum-full", "table1"): "1c5a6a1e8f1ca4c1411646be20fc10c7df15727b21c6e39c0aa9d610c06d1580",
+    ("check-tilted-planar", "table1"): "3c5bfa5623e5bae07e1fd0a8a82672d7f883e361f40be01b986042d0f5f97ccf",
+    ("check-tilted-full", "table1"): "dd2e768a3858f56697847a92e6462598666134b093db3149bdab1bcae75920b4",
 }
 
 #: sha256 of each pinned case's results as json.dumps(results) + "\n", with
@@ -78,10 +81,10 @@ PINNED_KEY_ORDER = {
     ("optimize", "nonuniform_game"): "8199fc39bfbbddeb331d6ac8fb8a0e1cf5058a35dbb081626ee09d3dd4e6fac3",
     ("optimize", "affine_game"): "c4642c271d8e2569cd7b91f0f922007f3b414080b7cee2022c4cf3b8702503fb",
     ("bell-optimum", "table1"): "6e824f35970bd331b532458a30214c9bbe28d725d1ec30b781433c43c943b8e6",
-    ("check-optimum-planar", "table1"): "793ac0f1051647c8bd885a7ee0804947459b8ead9c8319dd339c817e8064429b",
-    ("check-optimum-full", "table1"): "614bd5c78caf8ce08b07158fa9c943b9fd2320f83930fed281146216f751abd3",
-    ("check-tilted-planar", "table1"): "136fc2e46a81902a3e2360d3d994b06b95fc7849786a02b9b4e6c89a0ea500ee",
-    ("check-tilted-full", "table1"): "31fbe75f3d6cfa9a9dc2f2d033fa6a52bcbef7474ec01b008acc937d0d060228",
+    ("check-optimum-planar", "table1"): "f26f03863c69540477048788880bfacdeeb8143d2177672c670f6df06e003e36",
+    ("check-optimum-full", "table1"): "c1eeb436bbdbf17ade2e61bbc815f8d2adc630d66cd8512d39817069e766d04e",
+    ("check-tilted-planar", "table1"): "e579ecc67b55199274b8cce6d744ea282c44d14a4bca98ab900712f28ddce035",
+    ("check-tilted-full", "table1"): "1857679b2a2cf994591b691455a01755c809a6905a0bb83cc77cb5169bb6e966",
 }
 
 #: Command line of each pinned case apart from --game; {optimum} and

@@ -26,9 +26,11 @@ PACKAGE = ROOT / "src" / "bellgame"
 PROGRAM = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 TESTS = sorted(p for p in Path(__file__).parent.glob("*.py") if p != Path(__file__))
 
-#: Definitions that only the tests call: the Fraction and trace-rule oracles
-#: the production paths are held to, the paper's symmetry tools, and
-#: constructors of test inputs.
+#: Definitions that only the tests call: the Fraction oracles and the whole
+#: trace rule (state, observables, advisor and distribution), which the
+#: production paths are held to; the paper's symmetry tools; and
+#: constructors of test inputs.  ``check`` reads its distribution off the GHZ
+#: closed form, so no program path builds a trace-rule distribution.
 ORACLES = {
     "classical.HiddenVariableModel",
     "classical.HiddenVariableModel.from_profiles",
@@ -45,11 +47,18 @@ ORACLES = {
     "game.UtilityTable.from_function",
     "game.affine_transform",
     "game.expected_payoffs",
+    "quantum.QuantumAdvisor",
+    "quantum.QuantumAdvisor.validate",
     "quantum.gauge_canonicalize",
     "quantum.gauge_equivalent",
     "quantum.gauge_transform",
+    "quantum.ghz_advisor",
     "quantum.ghz_single_party_marginal",
+    "quantum.ghz_state",
+    "quantum.observable_matrix",
+    "quantum.projectors",
     "quantum.quantum_bell",
+    "quantum.quantum_distribution",
     "quantum.quantum_payoffs",
 }
 
@@ -169,6 +178,14 @@ def test_every_public_definition_is_used_by_the_program():
 
 def test_oracles_exist_are_tested_and_unused_by_the_program():
     assert sorted(ORACLES - DEFINITIONS.keys()) == []
-    assert [name for name in sorted(ORACLES) if DEFINITIONS[name].keys & LIVE_KEYS] == []
+    # A method of an oracle class is reached only through that class, whose
+    # own entry is checked: a live ``.validate`` (ConditionalDistribution's)
+    # says nothing of QuantumAdvisor.validate.
+    called = [
+        name
+        for name in sorted(ORACLES)
+        if DEFINITIONS[name].keys & LIVE_KEYS and DEFINITIONS[name].parent not in ORACLES
+    ]
+    assert called == []
     tested = {key for _, _, key in _references(TESTS)}
     assert [name for name in sorted(ORACLES) if not DEFINITIONS[name].keys & tested] == []

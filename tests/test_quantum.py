@@ -33,6 +33,7 @@ from bellgame.quantum import (
     gauge_equivalent,
     gauge_transform,
     ghz_bell,
+    ghz_distribution,
     ghz_payoffs,
     ghz_single_party_marginal,
     ghz_state,
@@ -286,8 +287,8 @@ class TestPlanarPayoff:
 class TestGhzPayoffs:
     @pytest.mark.parametrize("relabel", [False, True], ids=["table1", "relabelled-affine"])
     def test_matches_trace_payoffs_on_full_sphere(self, relabel, ghz):
-        """Payoffs and both Bell values of the GHZ engine against the trace
-        rule, on a batch of 200 full-sphere settings."""
+        """Payoffs, both Bell values and p(y|x) of the GHZ engine against the
+        trace rule, on a batch of 200 full-sphere settings."""
         game = builtin_game()
         if relabel:
             game = relabelled_affine_copy(game)
@@ -300,11 +301,15 @@ class TestGhzPayoffs:
         assert batch.shape == (200, 3)
         bells = {variant: ghz_bell(theta, phi, variant) for variant in BellVariant}
         assert all(values.shape == (200,) for values in bells.values())
+        dists = ghz_distribution(theta, phi)
+        assert dists.shape == (200, 8, 8)
         for i, (setting, engine) in enumerate(zip(settings_, batch)):
             oracle = quantum_payoffs(game.utilities, game.prior, ghz, setting)
             assert np.abs(engine - oracle).max() < 1e-10
             for variant, values in bells.items():
                 assert abs(values[i] - quantum_bell(ghz, setting, variant)) < 1e-12
+            trace_rule = np.array(quantum_distribution(ghz, setting).rows)
+            assert np.abs(dists[i] - trace_rule).max() < 1e-12
 
     def test_batch_matches_single_settings(self):
         rng = np.random.default_rng(2)
@@ -314,6 +319,11 @@ class TestGhzPayoffs:
         assert batch.shape == (4, 5, 3)
         assert batch[2, 3] == pytest.approx(
             ghz_payoffs(TABLE1_WEIGHTS, theta[2, 3], phi[2, 3]), abs=1e-15
+        )
+        dists = ghz_distribution(theta, phi)
+        assert dists.shape == (4, 5, 8, 8)
+        assert dists[2, 3] == pytest.approx(
+            ghz_distribution(theta[2, 3], phi[2, 3]), abs=1e-15
         )
 
     def test_constant_game_is_constant(self):
