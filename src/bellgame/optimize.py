@@ -30,9 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import sin
-from operator import add
+from operator import add, lt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,7 +62,9 @@ class OptimizationConfig:
     def __post_init__(self) -> None:
         if self.grid < 8:
             raise ValidationError("grid resolution must be at least 8")
-        # The grid scan holds 3 * grid**4 floats, 0.4 GB at 64.
+        # The grid scan holds grid**4 floats per distinct player payoff:
+        # grid**4 in a player-symmetric game, at most 3 * grid**4, 0.4 GB
+        # at 64.
         if self.grid > 64:
             raise ValidationError("grid resolution must be at most 64")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -96,19 +97,21 @@ class _Exhausted(Exception):
 
 
 def _sort_simplex(
-    sim: list[list[float]], fsim: list[float]
-) -> tuple[list[list[float]], list[float]]:
-    """Vertices and values in the order of ``np.argsort(fsim)``.
+    simplex: list[tuple[float, list[float]]],
+) -> list[tuple[float, list[float]]]:
+    """The (value, vertex) pairs in the order of ``np.argsort`` over their
+    values.
 
     Distinct values have one ascending order, which Python's sort finds.
-    Tied (or NaN) values go through ``np.argsort`` itself: it is not a
-    stable sort on every CPU, and the order of tied vertices steers the
-    rest of the path.
+    Tied (or NaN) values take the order of ``np.argsort`` over the values
+    as they stand: it is not a stable sort on every CPU, and the order of
+    tied vertices steers the rest of the path.
     """
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
-        order = np.argsort(fsim).tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order]
+    ordered = sorted(simplex)
+    values = [v for v, _ in ordered]
+    if all(map(lt, values, values[1:])):
+        return ordered
+    return [simplex[i] for i in np.argsort([v for v, _ in simplex]).tolist()]
 
 
 def _nelder_mead(
@@ -122,10 +125,14 @@ def _nelder_mead(
     method="Nelder-Mead")`` with xatol NM_XATOL, fatol ``config.tol``,
     maxiter NM_MAX_ITER and maxfev 4 * NM_MAX_ITER, on Python float lists:
     the same initial simplex, the same steps with the coefficients rho = 1,
-    chi = 2, psi = sigma = 1/2 substituted into SciPy's expressions, the
-    centroid summed row by row and the same vertex order, so every point
-    and value is the same float as SciPy's.  ``objective`` gets each point
-    as a list and must not change it.
+    chi = 2, psi = sigma = 1/2 substituted into SciPy's expressions, and the
+    same vertex order, so every point and value is the same float as
+    SciPy's.  The simplex is one list of (value, vertex) pairs, which
+    _sort_simplex puts in SciPy's order after every step.  The centroid
+    adds the vertices with chained ``map(add, ...)`` in vertex order, so
+    each coordinate is summed left to right, as SciPy's column sum does for
+    these few rows.  ``objective`` gets each point as a list and must not
+    change it.
     """
     max_fev = 4 * NM_MAX_ITER
     n = len(x0)
@@ -139,66 +146,72 @@ def _nelder_mead(
         return -objective(x)
 
     start = [float(v) for v in x0]
-    sim = [start]
+    vertices = [start]
     for k in range(n):
         y = list(start)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fsim = [f(v) for v in sim]  # n + 1 <= 5 evaluations, within budget
+        vertices.append(y)
+    # n + 1 <= 5 evaluations, within budget
+    sim = [(f(v), v) for v in vertices]
     # SciPy sorts twice here; a second sort can only move tied vertices.
-    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
+    sim = _sort_simplex(_sort_simplex(sim))
 
     nit = 1
     while nfev < max_fev and nit < NM_MAX_ITER:
-        best = sim[0]
-        # fsim is ascending with any NaN last, so fsim[-1] - fsim[0] is
+        fbest, best = sim[0]
+        fworst, worst = sim[-1]
+        # The values are ascending with any NaN last, so fworst - fbest is
         # SciPy's max |fsim[0] - fsim[1:]|, NaN included.  SciPy's break
         # here skips its end-of-iteration sort; so does this one.
-        if fsim[-1] - fsim[0] <= config.tol and all(
-            abs(v - b) <= NM_XATOL for row in sim[1:] for v, b in zip(row, best)
+        if fworst - fbest <= config.tol and all(
+            abs(v - b) <= NM_XATOL for _, row in sim[1:] for v, b in zip(row, best)
         ):
             break
         shrink = False
         try:
-            worst = sim[-1]
-            xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
+            total = best
+            for _, row in sim[1:-1]:
+                total = map(add, total, row)
+            xbar = [t / n for t in total]
             xr = [2 * c - w for c, w in zip(xbar, worst)]
             fxr = f(xr)
-            if fxr < fsim[0]:
+            if fxr < fbest:
                 xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
                 fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
+                sim[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
+            elif fxr < sim[-2][0]:
+                sim[-1] = (fxr, xr)
+            elif fxr < fworst:
                 xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
                 fxc = f(xc)
                 if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
+                    sim[-1] = (fxc, xc)
                 else:
                     shrink = True
             else:
                 xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
                 fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
+                if fxcc < fworst:
+                    sim[-1] = (fxcc, xcc)
                 else:
                     shrink = True
             if shrink:
                 for j in range(1, n + 1):
-                    sim[j] = [b + 0.5 * (v - b) for v, b in zip(sim[j], best)]
-                    fsim[j] = f(sim[j])
+                    fj, xj = sim[j]
+                    xj = [b + 0.5 * (v - b) for v, b in zip(xj, best)]
+                    # As in SciPy, a vertex whose evaluation exhausts the
+                    # budget moves but keeps its old value.
+                    sim[j] = (fj, xj)
+                    sim[j] = (f(xj), xj)
             nit += 1
         except _Exhausted:
             pass
-        sim, fsim = _sort_simplex(sim, fsim)
+        sim = _sort_simplex(sim)
 
-    # np.min(fsim), as SciPy reports: with tied values (zeros of either
-    # sign) or a NaN it need not be fsim[0].
-    return sim[0], -float(np.min(fsim)), nfev < max_fev and nit < NM_MAX_ITER
+    # np.min over the values, as SciPy reports: with tied values (zeros of
+    # either sign) or a NaN it need not be the first.
+    value = -float(np.min([v for v, _ in sim]))
+    return sim[0][1], value, nfev < max_fev and nit < NM_MAX_ITER
 
 
 #: Runs whose values lie within this window of the best are treated as ties
@@ -229,36 +242,61 @@ def _multistart_max(
     return winner[2], winner[0], winner[3]
 
 
+def _planar_rows(weights: np.ndarray) -> list[tuple[float, ...]]:
+    """The distinct rows (const_i, *coef_i) of the players' planar payoffs
+    (see maximize_planar), in player order.
+
+    Players with identical rows (all three in a player-symmetric game)
+    share one row; the minimum over the players is unchanged.
+    """
+    const = weights[:, :, 0].sum(axis=1)
+    coef = -weights[:, :, 4]
+    return list(dict.fromkeys(zip(const.tolist(), *coef.T.tolist())))
+
+
 def _grid_starts(
-    const: np.ndarray, coef: np.ndarray, config: OptimizationConfig
+    rows: list[tuple[float, ...]], config: OptimizationConfig
 ) -> list[tuple[float, float, float, float]]:
-    """The ``restarts`` best points of the planar objective on the grid.
+    """The ``restarts`` best points on the grid of the minimum over ``rows``
+    (see _planar_rows) of the planar payoff.
 
     The grid has ``config.grid`` points per free angle (a1, b1, c0, c1).
     Each type profile's sine depends on at most three of the angles, so it
-    is evaluated on a broadcast axis and added into the (3, grid**4) payoff
-    array in place; no full mesh of the four angles is built.
+    is evaluated on a broadcast axis and added into the (len(rows),
+    grid**4) payoff array in place; no full mesh of the four angles is
+    built.  A player-symmetric game scans one row.
     """
-    g = config.grid
+    table = np.array(rows)
+    const, coef = table[:, 0], table[:, 1:]
+    m, g = len(table), config.grid
     axis = np.linspace(-math.pi, math.pi, g, endpoint=False)
     a = (0.0, axis.reshape(g, 1, 1, 1))
     b = (0.0, axis.reshape(1, g, 1, 1))
     c = (axis.reshape(1, 1, g, 1), axis.reshape(1, 1, 1, g))
-    values = np.empty((3, g, g, g, g))
-    values[:] = const.reshape(3, 1, 1, 1, 1)
+    values = np.empty((m, g, g, g, g))
+    values[:] = const.reshape(m, 1, 1, 1, 1)
     for xi, (xa, xb, xc) in enumerate(PROFILES):
-        values += coef[:, xi].reshape(3, 1, 1, 1, 1) * np.sin(a[xa] + b[xb] + c[xc])
-    # The minimum over the players goes into values[0] in place, where
-    # values.min(axis=0) would allocate another third of values.
-    np.minimum(values[0], values[1], out=values[0])
-    np.minimum(values[0], values[2], out=values[0])
+        values += coef[:, xi].reshape(m, 1, 1, 1, 1) * np.sin(a[xa] + b[xb] + c[xc])
+    # The minimum over the rows goes into values[0] in place, where
+    # values.min(axis=0) would allocate another array of one row's size.
+    for row in values[1:]:
+        np.minimum(values[0], row, out=values[0])
     # The objective's symmetric maxima tie on the grid.  Which tied points
     # become starts must not depend on the CPU, so the few points at or
     # above the k-th best value are put in order by a stable sort: best
     # first, and of tied points the last in grid order first.
     flat = values[0].ravel()
     k = min(config.restarts, flat.size)
-    best = np.flatnonzero(flat >= np.partition(flat, flat.size - k)[flat.size - k])
+    # The k-th best value is among the k best of each slice along a1, where
+    # np.partition(flat) would copy the whole array.  Each slice's best are
+    # copied out so that its partitioned copy is freed.
+    size = flat.size // g
+    j = min(k, size)
+    tops = np.concatenate(
+        [np.partition(part, size - j)[size - j:].copy() for part in flat.reshape(g, size)]
+    )
+    kth = np.partition(tops, tops.size - k)[tops.size - k]
+    best = np.flatnonzero(flat >= kth)
     top = best[np.argsort(flat[best], kind="stable")[::-1][:k]]
     return list(zip(*(axis[i] for i in np.unravel_index(top, (g,) * 4))))
 
@@ -277,32 +315,31 @@ def maximize_planar(
     """
     config = config or OptimizationConfig()
     weights = ghz_weights(game.utilities, game.prior)
-    const = weights[:, :, 0].sum(axis=1)
-    coef = -weights[:, :, 4]
-    # Players with identical rows (all three in a symmetric game) share one
-    # evaluation; the minimum is unchanged.
-    rows = list(dict.fromkeys(zip(const.tolist(), map(tuple, coef.tolist()))))
+    rows = _planar_rows(weights)
 
     def objective(x: list[float]) -> float:
         # math.sin on Python floats: Nelder-Mead makes thousands of scalar
         # calls, and numpy's per-call overhead would dominate them.  The
         # terms are added left to right, as sum() no longer does for floats
         # from Python 3.12 on, so the polish takes one path on every version.
+        # The loop keeps the first least value, as min() does, NaN included.
         a1, b1, c0, c1 = x
         ab = a1 + b1
         s0, s1, s2, s3 = sin(c0), sin(c1), sin(b1 + c0), sin(b1 + c1)
         s4, s5, s6, s7 = sin(a1 + c0), sin(a1 + c1), sin(ab + c0), sin(ab + c1)
-        return min([
-            k + (
+        value = None
+        for k, r0, r1, r2, r3, r4, r5, r6, r7 in rows:
+            v = k + (
                 r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3
                 + r4 * s4 + r5 * s5 + r6 * s6 + r7 * s7
             )
-            for k, (r0, r1, r2, r3, r4, r5, r6, r7) in rows
-        ])
+            if value is None or v < value:
+                value = v
+        return value
 
     rng = np.random.default_rng(config.seed)
     random_starts = rng.uniform(-math.pi, math.pi, size=(config.restarts, 4))
-    starts = _grid_starts(const, coef, config) + list(random_starts)
+    starts = _grid_starts(rows, config) + list(random_starts)
 
     x, _, ok = _multistart_max(objective, starts, config)
     a1, b1, c0, c1 = (wrap_angle(v) for v in x)

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from bellgame import optimize
-from bellgame.game import PLAYERS, Prior, UtilityTable, ValidationError, affine_transform
+from bellgame.game import PLAYERS, PROFILES, Prior, UtilityTable, ValidationError, affine_transform
 from bellgame.builtin import builtin_game
 from bellgame.classical import BellVariant
 from bellgame.game import GameDefinition
@@ -352,8 +353,7 @@ class TestGridStarts:
         in grid order, on any CPU."""
         weights = ghz_weights(table1.utilities, table1.prior)
         starts = optimize._grid_starts(
-            weights[:, :, 0].sum(axis=1), -weights[:, :, 4],
-            OptimizationConfig(restarts=4, grid=8),
+            optimize._planar_rows(weights), OptimizationConfig(restarts=4, grid=8)
         )
         step = math.pi / 4
         indices = [tuple(round((v + math.pi) / step) for v in x) for x in starts]
@@ -371,19 +371,59 @@ class TestGridStarts:
         assert value(*(i - 4 for i in indices[1])) > max(tied) + 0.01
 
 
+    @pytest.mark.parametrize("restarts", [4, 12])
+    @pytest.mark.parametrize("grid", [8, 16])
+    @pytest.mark.parametrize("game_name", ["table1", "affine_game", "nonuniform_game"])
+    def test_distinct_rows_give_the_three_row_starts(
+        self, request, game_name, grid, restarts
+    ):
+        game = request.getfixturevalue(game_name)
+        weights = ghz_weights(game.utilities, game.prior)
+        config = OptimizationConfig(restarts=restarts, grid=grid)
+        rows = optimize._planar_rows(weights)
+        assert len(rows) == (3 if game_name == "nonuniform_game" else 1)
+        got = optimize._grid_starts(rows, config)
+        assert got == _three_row_grid_starts(
+            weights[:, :, 0].sum(axis=1), -weights[:, :, 4], config
+        )
+        assert len(got) == restarts
+
     def test_peak_memory_stays_near_the_payoff_array(self, table1):
-        """At grid 16 the scan allocates at most 1.4 times its (3, 16**4)
-        payoff array; a minimum over the players taken into a new array
-        would add a third of it."""
+        """At grid 16 the scan allocates at most 1.4 times one row's 16**4
+        payoff array: table1's players share one row, and neither the
+        minimum over the players nor the k-th best value copies the array."""
         weights = ghz_weights(table1.utilities, table1.prior)
-        const, coef = weights[:, :, 0].sum(axis=1), -weights[:, :, 4]
+        rows = optimize._planar_rows(weights)
         tracemalloc.start()
         try:
-            optimize._grid_starts(const, coef, OptimizationConfig(grid=16))
+            optimize._grid_starts(rows, OptimizationConfig(grid=16))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.4 * 3 * 16**4 * 8
+        assert peak <= 1.4 * 16**4 * 8
+
+
+def _three_row_grid_starts(
+    const: np.ndarray, coef: np.ndarray, config: OptimizationConfig
+) -> list[tuple[float, float, float, float]]:
+    """The reference scan: one (3, grid**4) payoff array, a row per player
+    whether or not rows repeat, and the k-th best value from a copy of it."""
+    g = config.grid
+    axis = np.linspace(-math.pi, math.pi, g, endpoint=False)
+    a = (0.0, axis.reshape(g, 1, 1, 1))
+    b = (0.0, axis.reshape(1, g, 1, 1))
+    c = (axis.reshape(1, 1, g, 1), axis.reshape(1, 1, 1, g))
+    values = np.empty((3, g, g, g, g))
+    values[:] = const.reshape(3, 1, 1, 1, 1)
+    for xi, (xa, xb, xc) in enumerate(PROFILES):
+        values += coef[:, xi].reshape(3, 1, 1, 1, 1) * np.sin(a[xa] + b[xb] + c[xc])
+    np.minimum(values[0], values[1], out=values[0])
+    np.minimum(values[0], values[2], out=values[0])
+    flat = values[0].ravel()
+    k = min(config.restarts, flat.size)
+    best = np.flatnonzero(flat >= np.partition(flat, flat.size - k)[flat.size - k])
+    top = best[np.argsort(flat[best], kind="stable")[::-1][:k]]
+    return list(zip(*(axis[i] for i in np.unravel_index(top, (g,) * 4))))
 
 
 class TestAdvantageReport:
@@ -410,6 +450,87 @@ class TestAdvantageReport:
         config = OptimizationConfig(restarts=2, grid=8, seed=0)
         report = quantum_advantage_report(table1, config)
         assert report.optimum == maximize_planar(table1, config)
+
+
+class TestBoundHierarchyLP:
+    """Linear programs over the 64 entries p(y|x), built from the utilities
+    and the prior alone: the best total payoff over the local polytope is
+    9/4, over the no-signalling polytope 23/8, and the GHZ optimum lies
+    strictly between them."""
+
+    @pytest.fixture(scope="class")
+    def linprog(self):
+        return pytest.importorskip("scipy.optimize").linprog
+
+    @staticmethod
+    def max_total(
+        linprog, game: GameDefinition, a_eq: np.ndarray, b_eq: np.ndarray
+    ) -> float:
+        """Maximum of sum_x prior(x) sum_y p(y|x) sum_i u_i(x, y) over the
+        variables [p(y|x) for x, y in profile order] + extra, in [0, 1],
+        subject to a_eq @ variables == b_eq."""
+        total = [
+            float(
+                game.prior.weight(x)
+                * sum(game.utilities.utility(p, x, y) for p in PLAYERS)
+            )
+            for x in PROFILES
+            for y in PROFILES
+        ]
+        c = -np.array(total + [0.0] * (a_eq.shape[1] - 64))
+        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
+        assert res.status == 0, res.message
+        return -res.fun
+
+    def test_local_polytope_gives_the_classical_bound(self, linprog, table1):
+        """p(y|x) = sum_s w_s [s(x) = y] over the 64 deterministic local
+        strategies s, each player's action a function of their own type."""
+        own = list(product((0, 1), repeat=2))  # (action at type 0, at type 1)
+        strategies = list(product(own, repeat=3))
+        a_eq = np.zeros((64 + 1, 64 + len(strategies)))
+        for xi, x in enumerate(PROFILES):
+            for yi, y in enumerate(PROFILES):
+                a_eq[8 * xi + yi, 8 * xi + yi] = 1.0
+                for si, s in enumerate(strategies):
+                    if all(s[j][x[j]] == y[j] for j in range(3)):
+                        a_eq[8 * xi + yi, 64 + si] = -1.0
+        a_eq[64, 64:] = 1.0
+        b_eq = np.zeros(64 + 1)
+        b_eq[64] = 1.0
+        assert self.max_total(linprog, table1, a_eq, b_eq) == pytest.approx(9 / 4, abs=1e-9)
+
+    def test_no_signalling_polytope_gives_23_8(self, linprog, table1):
+        """8 normalisation rows, and 48 rows that keep the marginal of any
+        two players' actions independent of the third player's type."""
+        index = {
+            (x, y): 8 * xi + yi
+            for xi, x in enumerate(PROFILES)
+            for yi, y in enumerate(PROFILES)
+        }
+        rows = []
+        for x in PROFILES:
+            row = np.zeros(64)
+            row[[index[x, y] for y in PROFILES]] = 1.0
+            rows.append(row)
+        for j in range(3):
+            for x in PROFILES:
+                if x[j]:
+                    continue
+                flipped = tuple(1 - v if i == j else v for i, v in enumerate(x))
+                for rest in product((0, 1), repeat=2):
+                    row = np.zeros(64)
+                    for y_j in (0, 1):
+                        y = rest[:j] + (y_j,) + rest[j:]
+                        row[index[x, y]] += 1.0
+                        row[index[flipped, y]] -= 1.0
+                    rows.append(row)
+        a_eq = np.array(rows)
+        assert a_eq.shape == (8 + 48, 64)
+        b_eq = np.array([1.0] * 8 + [0.0] * 48)
+        assert self.max_total(linprog, table1, a_eq, b_eq) == pytest.approx(23 / 8, abs=1e-9)
+
+    def test_quantum_optimum_lies_strictly_between(self):
+        assert 9 / 4 < 3 * ANALYTIC_OPTIMUM < 23 / 8
 
 
 def _polishes(run) -> list:
@@ -487,13 +608,17 @@ class TestPolishMatchesScipy:
         assert len(polishes) == 4 * 24
         self.assert_same_paths(oracle, polishes)
 
-    def test_planar_objective_on_affine_game(self, oracle, affine_game):
+    def test_planar_objective_on_affine_game(self, oracle, affine_game, nonuniform_game):
+        """The affine copy has one payoff row, as table1 has; the non-uniform
+        prior gives the players three distinct rows."""
         polishes = _polishes(
             lambda: [
-                maximize_planar(affine_game, OptimizationConfig(seed=s)) for s in range(2)
+                maximize_planar(game, OptimizationConfig(seed=s))
+                for game in (affine_game, nonuniform_game)
+                for s in range(2)
             ]
         )
-        assert len(polishes) == 2 * 24
+        assert len(polishes) == 2 * 2 * 24
         self.assert_same_paths(oracle, polishes)
 
     def test_best_response_objective_in_2d(self, oracle, reference_angles):
@@ -531,9 +656,10 @@ class TestPolishMatchesScipy:
         real_sort = optimize._sort_simplex
         tie_sorts = []
 
-        def spy(sim, fsim):
-            tie_sorts.append(len(set(fsim)) < len(fsim))
-            return real_sort(sim, fsim)
+        def spy(simplex):
+            values = [v for v, _ in simplex]
+            tie_sorts.append(len(set(values)) < len(values))
+            return real_sort(simplex)
 
         monkeypatch.setattr(optimize, "_sort_simplex", spy)
         rng = np.random.default_rng(11)
