@@ -7,10 +7,10 @@ products of per-player response rows.  The extreme points of that polytope
 are the 64 deterministic strategy profiles, so equilibrium checks and the
 total-payoff bound reduce to exact scans over them.
 
-Those scans run on integers: :func:`profile_table` computes the payoffs of
-the 64 profiles once per game as integer numerators over one common
-denominator, and the equilibrium scan, the bound audit and its sampled
-mixtures all read that table.  Reported values stay exact ``Fraction`` s.
+Those scans compare integers: :func:`profile_table` builds the 64 profiles'
+payoffs from game.integer_form, which the GHZ engine reads too, and the
+equilibrium scan, the bound audit and its sampled mixtures all read that
+table.  Reported values stay exact ``Fraction`` s.
 The ``Fraction`` routes beside them (deterministic_payoffs, the
 hidden-variable models and the distribution-level Bell expressions) are the
 oracles the tests hold the scans to.
@@ -25,7 +25,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from .game import (
@@ -39,6 +38,7 @@ from .game import (
     Profile,
     UtilityTable,
     ValidationError,
+    integer_form,
     profile_index,
 )
 
@@ -244,39 +244,33 @@ class ProfileTable(NamedTuple):
             *(Fraction(n, self.denominator) for n in self.numerators[k])
         )
 
+    def attainers(self) -> tuple[int, ...]:
+        """Indices of the profiles of largest total payoff, in scan order."""
+        totals = [sum(n) for n in self.numerators]
+        top = max(totals)
+        return tuple(k for k, total in enumerate(totals) if total == top)
+
     def max_total(self) -> Fraction:
         """The largest total payoff of a deterministic profile: the
         classical bound."""
-        return Fraction(max(map(sum, self.numerators)), self.denominator)
+        return Fraction(sum(self.numerators[self.attainers()[0]]), self.denominator)
 
 
 def profile_table(table: UtilityTable, prior: Prior) -> ProfileTable:
     """Integer payoff table of the 64 deterministic profiles.
 
-    The denominator is the LCM of the prior denominators times the LCM of
-    the utility denominators, so each numerator is an integer sum of
-    prior-numerator times utility-numerator products; Python integers keep
-    it exact for any size of input.
+    Each numerator is an integer sum of prior-numerator times
+    utility-numerator products from game.integer_form, which
+    quantum.ghz_weights reads too; it is exact for any size of input.
     """
-    prior_den = lcm(*(w.denominator for w in prior.weights))
-    util_den = lcm(
-        *(v.denominator for rows in table.values for row in rows for v in row)
-    )
-    weights = [w.numerator * (prior_den // w.denominator) for w in prior.weights]
-    utils = [
-        [[v.numerator * (util_den // v.denominator) for v in row] for row in rows]
-        for rows in table.values
-    ]
+    weights, utils, denominator = integer_form(table, prior)
     numerators = []
     for sa, sb, sc in ALL_PROFILES:
         played = [profile_index((sa[x[0]], sb[x[1]], sc[x[2]])) for x in PROFILES]
-        numerators.append(
-            tuple(
-                sum(w * row[yi] for w, row, yi in zip(weights, u, played))
-                for u in utils
-            )
-        )
-    return ProfileTable(tuple(numerators), prior_den * util_den)
+        numerators.append(tuple(
+            sum(w * row[yi] for w, row, yi in zip(weights, u, played)) for u in utils
+        ))
+    return ProfileTable(tuple(numerators), denominator)
 
 
 @dataclass(frozen=True)
@@ -300,22 +294,15 @@ def enumerate_deterministic_equilibria(
     at an extreme point.
 
     A profile saturates the bound when its total payoff is the exact maximum
-    total over the 64 profiles (9/4 for the bundled game).
+    total over the 64 profiles (9/4 for the bundled game); both fairness
+    and the bound are decided on the table's integers.
     """
-    bound = profiles.max_total()
-    reports = []
-    for k, prof in enumerate(ALL_PROFILES):
-        if not _can_improve(profiles, k):
-            own = profiles.payoffs(k)
-            reports.append(
-                EquilibriumReport(
-                    profile=prof,
-                    payoffs=own,
-                    fair=own.is_fair(),
-                    saturates_bound=own.total() == bound,
-                )
-            )
-    return reports
+    attainers = profiles.attainers()
+    return [
+        EquilibriumReport(prof, profiles.payoffs(k), na == nb == nc, k in attainers)
+        for k, (prof, (na, nb, nc)) in enumerate(zip(ALL_PROFILES, profiles.numerators))
+        if not _can_improve(profiles, k)
+    ]
 
 
 def _can_improve(profiles: ProfileTable, k: int) -> bool:
@@ -475,12 +462,8 @@ def classical_bound_audit(
         raise ValidationError(f"sample count must be at most {AUDIT_MAX_SAMPLES}")
     if seed < 0:  # random.Random(-n) would draw the samples of seed n
         raise ValidationError("seed must be non-negative")
-    totals = [sum(n) for n in profiles.numerators]
-    top = max(totals)
-    det_max = Fraction(top, profiles.denominator)
-    attaining = tuple(
-        prof for prof, total in zip(ALL_PROFILES, totals) if total == top
-    )
+    det_max = profiles.max_total()
+    attaining = tuple(ALL_PROFILES[k] for k in profiles.attainers())
 
     # (numerator, denominator) of the largest sampled total and of the
     # largest min_i F_i audited so far

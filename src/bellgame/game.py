@@ -8,12 +8,12 @@ conditional distribution p(y | x); expected_payoffs is that bilinear form,
 kept as the exact oracle that the integer classical scans and the GHZ float
 engine are tested against.
 
-Classical-path values are exact ``fractions.Fraction`` s (the 64-profile
-scans of :mod:`bellgame.classical` run on integers over a common
-denominator), so payoff comparisons and equilibrium checks are exact;
-quantum-path distributions carry floats and are validated against explicit
-tolerances.  Two audits live here: check_player_symmetry on a utility table
-and no_signalling_residual on a distribution.
+Both engines read one exact integer form of a game (integer_form): the
+64-profile scans of :mod:`bellgame.classical` compare its integers and report
+exact ``fractions.Fraction`` s, and quantum.ghz_weights rounds each GHZ weight
+once from their exact sums; quantum-path distributions carry floats checked
+against explicit tolerances.  Two audits live here: check_player_symmetry on
+a utility table and no_signalling_residual on a distribution.
 
 Profile indexing convention: a profile (a, b, c) of bits for players
 (A, B, C) maps to index 4*a + 2*b + c, i.e. player A owns the most
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 from typing import Callable, NamedTuple, Union
 
@@ -83,9 +84,6 @@ class PayoffTriple(NamedTuple):
 
     def total(self) -> Numeric:
         return self.a + self.b + self.c
-
-    def is_fair(self) -> bool:
-        return self.a == self.b == self.c
 
 
 @dataclass(frozen=True)
@@ -221,6 +219,20 @@ def expected_payoffs(
             total += prior.weights[xi] * acc
         out.append(total)
     return PayoffTriple(*out)
+
+
+def integer_form(table: UtilityTable, prior: Prior) -> tuple[list, list, int]:
+    """A game's rationals as exact integers: the prior numerators over their
+    LCM, the utility numerators ([player][x][y]) over their LCM, and the
+    product of the two LCMs.  Both engines read it (profile_table, ghz_weights)."""
+    prior_den = lcm(*(w.denominator for w in prior.weights))
+    util_den = lcm(*(v.denominator for rows in table.values for row in rows for v in row))
+    prior_nums = [w.numerator * (prior_den // w.denominator) for w in prior.weights]
+    utils = [
+        [[v.numerator * (util_den // v.denominator) for v in row] for row in rows]
+        for rows in table.values
+    ]
+    return prior_nums, utils, prior_den * util_den
 
 
 class SymmetryViolation(NamedTuple):

@@ -5,10 +5,11 @@ utility table, and the gauge symmetry of planar settings.
 Two routes give the same quantum numbers.  The GHZ engine (ghz_weights,
 ghz_payoffs, ghz_bell, ghz_distribution) evaluates batches of settings in
 closed form; it is the only source of the payoffs, Bell values and
-distribution diagnostics that searches and reports use.  The trace rule
-(quantum_distribution, and quantum_payoffs and quantum_bell on top of it)
-builds the full 8 x 8 distribution for any advisor state; it is a test-only
-oracle that the engine is held to.
+distribution diagnostics that searches and reports use.  Like the classical
+engine, it reads game.integer_form and does no ``Fraction`` arithmetic.  The
+trace rule (quantum_distribution, and quantum_payoffs and quantum_bell on
+top of it) builds the full 8 x 8 distribution for any advisor state; it is a
+test-only oracle that the engine is held to.
 
 Conventions (load-bearing, fixed once here):
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,7 @@ from .game import (
     UtilityTable,
     ValidationError,
     expected_payoffs,
+    integer_form,
     profile_index,
     read_json,
 )
@@ -208,6 +211,9 @@ GHZ_FEATURES = tuple(
     for sa, sb, sc in ((2 * a - 1, 2 * b - 1, 2 * c - 1) for a, b, c in PROFILES)
 )
 
+#: f_k(y) of GHZ_FEATURES, one tuple of eight integer signs per feature k.
+_FEATURE_COLUMNS = tuple(zip(*GHZ_FEATURES))
+
 _TYPE_BITS = tuple(np.array(bits) for bits in zip(*PROFILES))
 
 
@@ -215,21 +221,22 @@ def ghz_weights(table: UtilityTable, prior: Prior) -> np.ndarray:
     """Payoff weights of a game under GHZ advice, shape (3, 8, 5).
 
     W[i, x, k] = P(x) * sum_y f_k(y) u_i(x, y) / 8 with f the outcome-sign
-    features of GHZ_FEATURES.  The sums are exact; each entry is rounded
-    once, and a weight beyond the float range is a ValidationError.  With
-    these weights the GHZ payoff of any game is linear in the five
-    correlation features of each type profile (see ghz_payoffs).
+    features of GHZ_FEATURES.  The sums run over game.integer_form, as
+    profile_table's do; each entry is one int / int division, rounded once
+    as float(Fraction) is, and one beyond the float range is a
+    ValidationError.  The GHZ payoff of any game is linear in these weights
+    and the five correlation features of each type profile (see ghz_payoffs).
     """
-    weights = np.empty((3, 8, 5))
+    prior_nums, utils, denominator = integer_form(table, prior)
+    scale = 8 * denominator
     try:
-        for player in PLAYERS:
-            for xi, urow in enumerate(table.values[player]):
-                for k in range(5):
-                    exact = sum(f[k] * u for f, u in zip(GHZ_FEATURES, urow))
-                    weights[player, xi, k] = float(prior.weights[xi] * exact / 8)
+        return np.array([
+            [[w * sum(map(mul, f, u)) / scale for f in _FEATURE_COLUMNS]
+             for w, u in zip(prior_nums, rows)]
+            for rows in utils
+        ])
     except OverflowError:
         raise ValidationError("utilities too large: a GHZ weight overflows") from None
-    return weights
 
 
 def _ghz_features(theta, phi) -> np.ndarray:
@@ -254,16 +261,12 @@ def _ghz_features(theta, phi) -> np.ndarray:
     return np.stack([np.ones_like(ca), ca * cb, ca * cc, cb * cc, triple], axis=-1)
 
 
-#: f_k(y) of GHZ_FEATURES as a float array of shape (5, 8).
-_FEATURE_SIGNS = np.array(GHZ_FEATURES, dtype=float).T
-
-
 def ghz_distribution(theta, phi) -> np.ndarray:
     """p(y|x) of the GHZ advisor, shape (..., 8, 8) for angle arrays of
     shape (..., 3, 2): entry [x, y] is sum_k E[f_k | x] f_k(y) / 8 with the
     features of _ghz_features, added left to right over k."""
     features = _ghz_features(theta, phi)[..., None]
-    return sum(features[..., k, :] * _FEATURE_SIGNS[k] for k in range(5)) / 8
+    return sum(features[..., k, :] * _FEATURE_COLUMNS[k] for k in range(5)) / 8
 
 
 def ghz_payoffs(weights: np.ndarray, theta, phi) -> np.ndarray:

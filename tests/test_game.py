@@ -25,6 +25,7 @@ from bellgame.game import (
     game_digest,
     game_from_json_dict,
     game_to_json_dict,
+    integer_form,
     load_game,
     no_signalling_residual,
 )
@@ -133,6 +134,20 @@ class TestExpectedPayoffs:
         bad = ConditionalDistribution(tuple(map(tuple, rows)))
         with pytest.raises(ValidationError, match="negative"):
             expected_payoffs(utilities, uniform_prior, bad)
+
+
+@pytest.mark.parametrize("name", ["table1", "affine_game", "nonuniform_game"])
+def test_integer_form_gives_every_weighted_utility_exactly(name, request):
+    """prior_nums[x] * utils[i][x][y] over the denominator is P(x) u_i(x, y)
+    as a Fraction, for every player and profile pair."""
+    game = request.getfixturevalue(name)
+    prior_nums, utils, denominator = integer_form(game.utilities, game.prior)
+    for i in PLAYERS:
+        for xi, weight in enumerate(game.prior.weights):
+            for yi, u in enumerate(game.utilities.values[i][xi]):
+                n = prior_nums[xi] * utils[i][xi][yi]
+                assert type(n) is int
+                assert Fraction(n, denominator) == weight * u
 
 
 class TestAffineTransform:

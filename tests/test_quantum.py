@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from bellgame.builtin import builtin_game
@@ -23,6 +23,7 @@ from bellgame.game import (
     no_signalling_residual,
 )
 from bellgame.quantum import (
+    GHZ_FEATURES,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -76,6 +77,29 @@ def relabelled_affine_copy(game: GameDefinition) -> GameDefinition:
     )
     prior = Prior(tuple(Fraction(k, 36) for k in range(1, 9)))
     return GameDefinition(affine_transform(flipped, Fraction(7, 3), Fraction(-5, 2)), prior)
+
+
+def fraction_ghz_weights(table: UtilityTable, prior: Prior) -> np.ndarray:
+    """ghz_weights by Fraction arithmetic: every weight is an exact Fraction
+    sum, rounded once by float().  The oracle that the integer route must
+    match bit for bit."""
+    weights = np.empty((3, 8, 5))
+    try:
+        for player in range(3):
+            for xi, urow in enumerate(table.values[player]):
+                for k in range(5):
+                    exact = sum(f[k] * u for f, u in zip(GHZ_FEATURES, urow))
+                    weights[player, xi, k] = float(prior.weights[xi] * exact / 8)
+    except OverflowError:
+        raise ValidationError("utilities too large: a GHZ weight overflows") from None
+    return weights
+
+
+def assert_same_floats(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal values and equal signs, so -0.0 and 0.0 differ."""
+    assert actual.shape == expected.shape == (3, 8, 5)
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
 def random_setting(rng, planar: bool) -> MeasurementSetting:
@@ -334,6 +358,70 @@ class TestGhzPayoffs:
             weights, rng.uniform(0, math.pi, (50, 3, 2)), rng.uniform(-3, 3, (50, 3, 2))
         )
         assert np.abs(values - float(c)).max() < 1e-14
+
+
+class TestGhzWeights:
+    """ghz_weights sums over the game's integer form; each weight is the
+    float the Fraction oracle rounds to, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["table1", "affine_game", "nonuniform_game"])
+    def test_match_the_fraction_oracle(self, name, request):
+        game = request.getfixturevalue(name)
+        assert_same_floats(
+            ghz_weights(game.utilities, game.prior),
+            fraction_ghz_weights(game.utilities, game.prior),
+        )
+
+    # No shrink phase: each example runs the slow Fraction oracle, and
+    # shrinking one failing example took over 100 s on 2 vCPUs.
+    @settings(
+        max_examples=50,
+        deadline=None,
+        phases=[p for p in Phase if p is not Phase.shrink],
+    )
+    @given(
+        st.lists(
+            st.fractions(-(10**6), 10**6, max_denominator=10**6),
+            min_size=16,
+            max_size=16,
+        ),
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, 10**6)), min_size=8, max_size=8
+        ).filter(any),
+        st.randoms(use_true_random=False),
+    )
+    def test_match_the_fraction_oracle_on_random_games(self, pool, raw_prior, rng):
+        """Negative utilities, denominators up to 10**6 and priors with zero
+        entries."""
+        table = UtilityTable.from_function(lambda i, x, y: rng.choice(pool))
+        prior = Prior(tuple(Fraction(w, sum(raw_prior)) for w in raw_prior))
+        assert_same_floats(ghz_weights(table, prior), fraction_ghz_weights(table, prior))
+
+    def test_match_the_fraction_oracle_with_a_5001_digit_denominator(
+        self, nonuniform_game
+    ):
+        """Type profile (0, 0, 0) has one utility of 5001-digit denominator and
+        zeros elsewhere, so its weights underflow to zeros of both signs; the
+        other profiles add that utility to table1's."""
+        tiny = Fraction(-3, 10**5000 + 7)
+
+        def utility(i, x, y):
+            if x == (0, 0, 0):
+                return tiny if y == (1, 0, 1) else 0
+            return nonuniform_game.utilities.utility(i, x, y) + tiny
+
+        table = UtilityTable.from_function(utility)
+        weights = ghz_weights(table, nonuniform_game.prior)
+        assert_same_floats(weights, fraction_ghz_weights(table, nonuniform_game.prior))
+        assert (weights[:, 0] == 0).all()
+        assert np.signbit(weights[:, 0]).any() and not np.signbit(weights[:, 0]).all()
+
+    def test_a_401_digit_utility_overflows(self):
+        table = UtilityTable.constant(10**400)
+        with pytest.raises(ValidationError, match="a GHZ weight overflows"):
+            ghz_weights(table, Prior.uniform())
+        with pytest.raises(ValidationError, match="a GHZ weight overflows"):
+            fraction_ghz_weights(table, Prior.uniform())
 
 
 class TestGaugeSymmetry:
