@@ -10,7 +10,11 @@ total-payoff bound reduce to exact scans over them.
 Those scans compare integers: :func:`profile_table` builds the 64 profiles'
 payoffs from game.integer_form, which the GHZ engine reads too, and the
 equilibrium scan, the bound audit and its sampled mixtures all read that
-table.  Reported values stay exact ``Fraction`` s.
+table.  The audit contracts each mixture against packed integers, one per
+profile holding its three payoff numerators, with the sum over player C's
+strategies staged once per response of C; the fields are wide enough that
+the contraction stays exact for any size of input.  Reported values stay
+exact ``Fraction`` s.
 The ``Fraction`` routes beside them (deterministic_payoffs, the
 hidden-variable models and the distribution-level Bell expressions) are the
 oracles the tests hold the scans to.
@@ -339,9 +343,19 @@ class BoundAuditReport:
 #: Atom count limit and response denominator of the seeded random mixtures.
 MIXTURE_MAX_ATOMS = 8
 MIXTURE_DENOMINATOR = 16
-#: Most mixtures one audit draws: each costs about 0.04 ms, so the cap keeps
-#: an audit under a minute.
+#: Cap on a mixture's total integer weight, sum(raw) * MIXTURE_DENOMINATOR**6:
+#: at most MIXTURE_MAX_ATOMS raw weights of at most 100 each.
+MIXTURE_WEIGHT_CAP = 100 * MIXTURE_MAX_ATOMS * MIXTURE_DENOMINATOR**6
+#: Most mixtures one audit draws: each costs about 0.02 ms (100000 samples
+#: of table1 on a 2-vCPU Xeon, Python 3.11), so the cap keeps an audit near
+#: 20 s.
 AUDIT_MAX_SAMPLES = 1_000_000
+#: The response rows of STRATEGIES as numerators of p(y=0|x) over
+#: MIXTURE_DENOMINATOR.
+_DETERMINISTIC_RESPONSES = tuple(
+    (MIXTURE_DENOMINATOR * (1 - s0), MIXTURE_DENOMINATOR * (1 - s1))
+    for s0, s1 in STRATEGIES
+)
 
 
 def _draw_mixture(
@@ -354,24 +368,46 @@ def _draw_mixture(
     strategies.
 
     The draws are those of ``randint(a, b)`` and ``choice(seq)``, which are
-    ``a + _randbelow(b - a + 1)`` and ``seq[_randbelow(len(seq))]``; calling
-    ``_randbelow`` directly skips their argument checks.
+    ``a + _randbelow(b - a + 1)`` and ``seq[_randbelow(len(seq))]``.  Each
+    ``_randbelow(n)`` is spelled out as the rejection loop over
+    ``getrandbits`` that CPython runs for n > 0, which saves three
+    Python-level calls per draw.  The draw-identity test holds it to
+    ``randint`` and ``choice`` on CPython 3.10 to 3.14, the versions of the
+    CI matrix.
     """
-    below, uniform = rng._randbelow, rng.random
+    bits, uniform = rng.getrandbits, rng.random
     denominator = MIXTURE_DENOMINATOR
-    deterministic = [
-        (denominator * (1 - s0), denominator * (1 - s1)) for s0, s1 in STRATEGIES
-    ]
-    n = 1 + below(MIXTURE_MAX_ATOMS)
-    raw = [1 + below(100) for _ in range(n)]
+    # _randbelow(n) redraws getrandbits(n.bit_length()) until it is below n
+    k_atoms, k_raw, k_strategy, k_row = (
+        size.bit_length()
+        for size in (MIXTURE_MAX_ATOMS, 100, len(STRATEGIES), denominator + 1)
+    )
+    n = bits(k_atoms)
+    while n >= MIXTURE_MAX_ATOMS:
+        n = bits(k_atoms)
+    raw = []
+    for _ in range(n + 1):
+        r = bits(k_raw)
+        while r >= 100:
+            r = bits(k_raw)
+        raw.append(r + 1)
     atoms = []
     for _ in raw:
         responses = []
         for _ in PLAYERS:
             if uniform() < 0.5:
-                responses.append(deterministic[below(4)])
+                r = bits(k_strategy)
+                while r >= len(STRATEGIES):
+                    r = bits(k_strategy)
+                responses.append(_DETERMINISTIC_RESPONSES[r])
             else:
-                responses.append((below(denominator + 1), below(denominator + 1)))
+                p = bits(k_row)
+                while p > denominator:
+                    p = bits(k_row)
+                q = bits(k_row)
+                while q > denominator:
+                    q = bits(k_row)
+                responses.append((p, q))
         atoms.append(tuple(responses))
     return raw, atoms
 
@@ -423,25 +459,52 @@ def _sampled_payoffs(
     strategies, so a mixture is a convex combination of the 64 profiles;
     its payoffs contract the integer strategy weights against the profile
     table.  Equals expected_payoffs over hv_model_to_distribution (tested).
+
+    The contraction runs on one packed integer per profile: player i's
+    numerator less the least of them, lo_i, in the i-th field of ``width``
+    bits.  A mixture's weights sum to ``sum(raw) * d**6 <= MIXTURE_WEIGHT_CAP``,
+    so no field sum reaches the width and no carry crosses into the next
+    field, for any size of numerator.  The sum over player C's four
+    strategies is staged once per response pair (p, q) of C, bilinearly in
+    p and q, so an atom costs one multiply-add per strategy pair of A and B.
     """
     nums = profiles.numerators
-    scale = MIXTURE_DENOMINATOR**6 * profiles.denominator
+    lows = [min(column) for column in zip(*nums)]
+    span = max(n - lo for row in nums for n, lo in zip(row, lows))
+    width = MIXTURE_WEIGHT_CAP.bit_length() + span.bit_length()
+    mask = (1 << width) - 1
+    packed = [
+        (na - lows[0]) | (nb - lows[1]) << width | (nc - lows[2]) << 2 * width
+        for na, nb, nc in nums
+    ]
+    # packed[16 a + 4 b + c] by C's strategy c: four slices indexed 4 a + b
+    by_c = list(zip(*(packed[c::4] for c in range(4))))
+    d = MIXTURE_DENOMINATOR
+    staged: dict[tuple[int, int], list[int]] = {}  # C's (p, q) -> 16 sums
     for _ in range(samples):
         raw, atoms = _draw_mixture(rng)
-        fa = fb = fc = 0
+        acc = 0
         for w, (ra, rb, rc) in zip(raw, atoms):
-            bs, cs = _strategy_weights(rb), _strategy_weights(rc)
+            over_c = staged.get(rc)
+            if over_c is None:
+                p, q = rc
+                p00, p01, p10, p11 = p * q, p * (d - q), (d - p) * q, (d - p) * (d - q)
+                over_c = staged[rc] = [
+                    p00 * s00 + p01 * s01 + p10 * s10 + p11 * s11
+                    for s00, s01, s10, s11 in by_c
+                ]
+            bs = _strategy_weights(rb)
             for ia, qa in _strategy_weights(ra):
+                wa = w * qa
+                row = 4 * ia
                 for ib, qb in bs:
-                    wab = w * qa * qb
-                    base = 16 * ia + 4 * ib
-                    for ic, qc in cs:
-                        q = wab * qc
-                        na, nb, nc = nums[base + ic]
-                        fa += q * na
-                        fb += q * nb
-                        fc += q * nc
-        yield (fa, fb, fc), sum(raw) * scale
+                    acc += wa * qb * over_c[row + ib]
+        weight = sum(raw) * d**6
+        yield (
+            (acc & mask) + lows[0] * weight,
+            (acc >> width & mask) + lows[1] * weight,
+            (acc >> 2 * width) + lows[2] * weight,
+        ), weight * profiles.denominator
 
 
 def classical_bound_audit(

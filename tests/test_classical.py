@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellgame.classical import (
     ALL_PROFILES,
+    MIXTURE_WEIGHT_CAP,
     STRATEGIES,
     BellVariant,
     HiddenVariableModel,
@@ -68,6 +69,8 @@ GAMES = ["table1", "affine_game", "nonuniform_game"]
 BIG_RATIONALS = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**9
 )
+#: Integer utilities beyond 10**30 in absolute value, of either sign.
+HUGE_INTEGERS = st.integers(10**30, 10**40) | st.integers(-(10**40), -(10**30))
 
 #: random_hidden_variable_model(random.Random(seed)) for three seeds: per atom
 #: the weight and, per player, the numerators of p(y=0|x=0) and p(y=0|x=1)
@@ -486,6 +489,59 @@ class TestProfileTable:
                 assert triple == expected_payoffs(
                     game.utilities, game.prior, hv_model_to_distribution(model)
                 )
+
+    @staticmethod
+    def assert_samples_match_oracle(table, prior, seed, samples):
+        """_sampled_payoffs against the Fraction oracle, in step on one
+        seed; returns the profile table and the sampled numerators."""
+        profiles = profile_table(table, prior)
+        model_rng, audit_rng = random.Random(seed), random.Random(seed)
+        sampled = list(_sampled_payoffs(profiles, audit_rng, samples))
+        for numerators, den in sampled:
+            model = random_hidden_variable_model(model_rng)
+            assert PayoffTriple(*(F(n, den) for n in numerators)) == expected_payoffs(
+                table, prior, hv_model_to_distribution(model)
+            )
+        return profiles, sampled
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(st.one_of(BIG_RATIONALS, HUGE_INTEGERS), min_size=1, max_size=16),
+        st.none() | st.lists(st.integers(0, 10**9), min_size=8, max_size=8).filter(any),
+        st.randoms(use_true_random=False),
+        st.integers(0, 2**32),
+    )
+    @example([F(-5, 7)], None, random.Random(0), 0)  # a constant table: span 0
+    @example([-(10**31), F(-3, 10**9), 7], [0, 0, 5, 0, 1, 0, 0, 9], random.Random(1), 2)
+    def test_packed_samples_match_fraction_oracle(self, pool, raw_prior, pick, seed):
+        """The packed contraction on large, negative and constant tables,
+        under uniform and non-uniform priors."""
+        table = UtilityTable.from_function(lambda i, x, y: pick.choice(pool))
+        if raw_prior is None:
+            prior = Prior.uniform()
+        else:
+            prior = Prior(tuple(F(w, sum(raw_prior)) for w in raw_prior))
+        self.assert_samples_match_oracle(table, prior, seed, 4)
+
+    def test_packed_fields_near_their_width_stay_exact(self):
+        """Profile payoffs whose offsets span 2**110 - 1 for every player:
+        all prior mass sits on the all-zero type profile, where the all-zero
+        action profile pays M_i - span and every other one pays M_i.  The
+        first mixture of seed 4266 fills a packed field past half its width,
+        so a field one bit narrower would carry into the next one."""
+        span = 2**110 - 1
+        base = (-(10**31), 10**31, -(10**31))
+        table = UtilityTable.from_function(
+            lambda i, x, y: base[i] - span if y == (0, 0, 0) else base[i]
+        )
+        prior = Prior((F(1),) + (F(0),) * 7)
+        profiles, sampled = self.assert_samples_match_oracle(table, prior, 4266, 1)
+        lows = [min(column) for column in zip(*profiles.numerators)]
+        width = MIXTURE_WEIGHT_CAP.bit_length() + span.bit_length()
+        (numerators, den), = sampled
+        weight = den // profiles.denominator
+        fields = [n - lo * weight for n, lo in zip(numerators, lows)]
+        assert max(fields) >= 2 ** (width - 1)
 
 
 def _draw_mixture_with_randint(rng, max_atoms, denominator):

@@ -650,6 +650,35 @@ class TestPolishMatchesScipy:
         limited = [r for r in results if r.nfev == 4 * optimize.NM_MAX_ITER]
         assert limited and not any(r.success for r in limited)
 
+    def test_shrink_that_exhausts_the_budget_moves_its_vertex(self, oracle, monkeypatch):
+        """A flat objective ties everywhere, so every step in 4-D is a
+        shrink of 6 evaluations.  With a budget of 40 the sixth shrink runs
+        out at the last vertex: as in SciPy, that vertex has moved and keeps
+        its old value, and the final simplexes agree vertex for vertex."""
+        monkeypatch.setattr(optimize, "NM_MAX_ITER", 10)
+        real_sort = optimize._sort_simplex
+        sorts = []
+
+        def spy(simplex):
+            ordered = real_sort(simplex)
+            sorts.append(list(ordered))  # the port then edits ordered in place
+            return ordered
+
+        monkeypatch.setattr(optimize, "_sort_simplex", spy)
+
+        def flat(x: list[float]) -> float:
+            return 0.0
+
+        x0 = [0.3, -1.2, 2.0, 0.7]
+        (res,) = self.assert_same_paths(oracle, [(flat, x0, OptimizationConfig())])
+        assert res.nfev == 4 * optimize.NM_MAX_ITER and res.nit == 6
+        vertices, values = res.final_simplex
+        assert sorts[-1] == list(zip(values.tolist(), vertices.tolist()))
+        # the last vertex before the sixth shrink, and where that shrink put it
+        (_, best), (value, vertex) = sorts[-2][0], sorts[-2][-1]
+        moved = [b + 0.5 * (v - b) for v, b in zip(vertex, best)]
+        assert (value, moved) in sorts[-1] and (value, vertex) not in sorts[-1]
+
     def test_tied_values_follow_numpy_argsort(self, oracle, monkeypatch):
         """Tied vertices are ordered as np.argsort orders them, which need
         not be the order of a stable sort."""
