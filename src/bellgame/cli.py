@@ -7,6 +7,9 @@ the setting it read or None); ``main`` alone resolves the game, times the
 run, builds ``inputs`` (``game_digest``, plus ``setting_digest`` when a
 setting was read) and writes the report: command, inputs, engine version,
 wall time and ``results``, which are deterministic for fixed inputs and seed.
+The argument parser is built once per process; ``main`` keeps no state
+between calls, so callers that run many commands in one process (the
+tests, a benchmark) may call it again and again.
 
 Only the commands that run the GHZ engine (``bell --setting``,
 ``optimize`` and ``check``) import it, and with it numpy; the classical
@@ -25,7 +28,7 @@ import sys
 import time
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -278,7 +281,13 @@ def cmd_check(args, game: GameDefinition) -> Outcome:
     return EXIT_OK, results, setting
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves it unchanged: each ``parse_args`` call returns a fresh
+    namespace, so ``main`` stays re-entrant.
+    """
     parser = argparse.ArgumentParser(
         prog="bellgame",
         description=(

@@ -6,7 +6,10 @@ The objective landscape is smooth and low-dimensional (four free azimuths
 once the gauge a0 = b0 = 0 is fixed), so a seeded coarse grid scan followed
 by Nelder-Mead polish from the best starts finds the optimum reliably.  The
 polish is in-house: it follows SciPy's Nelder-Mead path exactly, float for
-float, without SciPy's per-iteration numpy overhead or its import.  The
+float, without SciPy's per-iteration numpy overhead or its import.  A step
+that replaces only the worst vertex puts the new one in place by bisection;
+the whole simplex is sorted, in ``np.argsort``'s order, only after a shrink,
+when the evaluation budget runs out, or while values tie or are NaN.  The
 contract is the value reached, not the search path.
 
 Certification needs no search.  With the other two players' observables
@@ -28,6 +31,7 @@ player's two observables replaced.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sin
@@ -100,18 +104,15 @@ def _sort_simplex(
     simplex: list[tuple[float, list[float]]],
 ) -> list[tuple[float, list[float]]]:
     """The (value, vertex) pairs in the order of ``np.argsort`` over their
-    values.
+    values, as SciPy sorts its simplex.
 
-    Distinct values have one ascending order, which Python's sort finds.
-    Tied (or NaN) values take the order of ``np.argsort`` over the values
-    as they stand: it is not a stable sort on every CPU, and the order of
-    tied vertices steers the rest of the path.
+    Distinct values have one ascending order.  Tied (or NaN) values take
+    the order that ``np.argsort`` gives them as they stand: it is not a
+    stable sort on every CPU, and the order of tied vertices steers the
+    rest of the path.
     """
-    ordered = sorted(simplex)
-    values = [v for v, _ in ordered]
-    if all(map(lt, values, values[1:])):
-        return ordered
-    return [simplex[i] for i in np.argsort([v for v, _ in simplex]).tolist()]
+    order = np.array([v for v, _ in simplex]).argsort()
+    return [simplex[i] for i in order.tolist()]
 
 
 def _nelder_mead(
@@ -127,23 +128,21 @@ def _nelder_mead(
     the same initial simplex, the same steps with the coefficients rho = 1,
     chi = 2, psi = sigma = 1/2 substituted into SciPy's expressions, and the
     same vertex order, so every point and value is the same float as
-    SciPy's.  The simplex is one list of (value, vertex) pairs, which
-    _sort_simplex puts in SciPy's order after every step.  The centroid
-    adds the vertices with chained ``map(add, ...)`` in vertex order, so
-    each coordinate is summed left to right, as SciPy's column sum does for
+    SciPy's.  The simplex is two parallel lists, the values ``fsim`` and
+    the vertices ``sim``, kept in SciPy's order after every step.  While
+    the values are distinct and none is NaN, ``np.argsort`` has one answer,
+    and a step that replaces only the worst vertex puts the new one in
+    place by bisection.  After a shrink, after the budget runs out, and
+    whenever a tie or a NaN is present, _sort_simplex sorts the whole
+    simplex, with ``np.argsort``'s order on ties.  The centroid adds
+    the vertices with chained ``map(add, ...)`` in vertex order, so each
+    coordinate is summed left to right, as SciPy's column sum does for
     these few rows.  ``objective`` gets each point as a list and must not
     change it.
     """
     max_fev = 4 * NM_MAX_ITER
+    tol = config.tol
     n = len(x0)
-    nfev = 0
-
-    def f(x: list[float]) -> float:
-        nonlocal nfev
-        if nfev >= max_fev:
-            raise _Exhausted
-        nfev += 1
-        return -objective(x)
 
     start = [float(v) for v in x0]
     vertices = [start]
@@ -152,66 +151,102 @@ def _nelder_mead(
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         vertices.append(y)
     # n + 1 <= 5 evaluations, within budget
-    sim = [(f(v), v) for v in vertices]
+    simplex = [(-objective(v), v) for v in vertices]
+    nfev = n + 1
     # SciPy sorts twice here; a second sort can only move tied vertices.
-    sim = _sort_simplex(_sort_simplex(sim))
+    simplex = _sort_simplex(_sort_simplex(simplex))
+    fsim = [v for v, _ in simplex]
+    sim = [x for _, x in simplex]
+    distinct = all(map(lt, fsim, fsim[1:]))  # no tie and no NaN
 
     nit = 1
     while nfev < max_fev and nit < NM_MAX_ITER:
-        fbest, best = sim[0]
-        fworst, worst = sim[-1]
+        fbest, best = fsim[0], sim[0]
+        fworst, worst = fsim[-1], sim[-1]
         # The values are ascending with any NaN last, so fworst - fbest is
-        # SciPy's max |fsim[0] - fsim[1:]|, NaN included.  SciPy's break
-        # here skips its end-of-iteration sort; so does this one.
-        if fworst - fbest <= config.tol and all(
-            abs(v - b) <= NM_XATOL for _, row in sim[1:] for v, b in zip(row, best)
+        # SciPy's max |fsim[0] - fsim[1:]|, NaN included.  The vertices are
+        # tested worst first, the one most likely to be far from the best.
+        # SciPy's break here skips its end-of-iteration sort; so does this
+        # one.
+        if fworst - fbest <= tol and all(
+            abs(v - b) <= NM_XATOL for row in sim[:0:-1] for v, b in zip(row, best)
         ):
             break
         shrink = False
         try:
             total = best
-            for _, row in sim[1:-1]:
+            for row in sim[1:-1]:
                 total = map(add, total, row)
             xbar = [t / n for t in total]
             xr = [2 * c - w for c, w in zip(xbar, worst)]
-            fxr = f(xr)
+            # As SciPy's wrapper does, an evaluation past the budget raises
+            # instead, and the step ends there.
+            if nfev == max_fev:
+                raise _Exhausted
+            nfev += 1
+            fxr = -objective(xr)
             if fxr < fbest:
                 xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
-                fxe = f(xe)
-                sim[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
-            elif fxr < sim[-2][0]:
-                sim[-1] = (fxr, xr)
+                if nfev == max_fev:
+                    raise _Exhausted
+                nfev += 1
+                fxe = -objective(xe)
+                fsim[-1], sim[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
+            elif fxr < fsim[-2]:
+                fsim[-1], sim[-1] = fxr, xr
             elif fxr < fworst:
                 xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
-                fxc = f(xc)
+                if nfev == max_fev:
+                    raise _Exhausted
+                nfev += 1
+                fxc = -objective(xc)
                 if fxc <= fxr:
-                    sim[-1] = (fxc, xc)
+                    fsim[-1], sim[-1] = fxc, xc
                 else:
                     shrink = True
             else:
                 xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
-                fxcc = f(xcc)
+                if nfev == max_fev:
+                    raise _Exhausted
+                nfev += 1
+                fxcc = -objective(xcc)
                 if fxcc < fworst:
-                    sim[-1] = (fxcc, xcc)
+                    fsim[-1], sim[-1] = fxcc, xcc
                 else:
                     shrink = True
             if shrink:
                 for j in range(1, n + 1):
-                    fj, xj = sim[j]
-                    xj = [b + 0.5 * (v - b) for v, b in zip(xj, best)]
                     # As in SciPy, a vertex whose evaluation exhausts the
                     # budget moves but keeps its old value.
-                    sim[j] = (fj, xj)
-                    sim[j] = (f(xj), xj)
+                    sim[j] = [b + 0.5 * (v - b) for v, b in zip(sim[j], best)]
+                    if nfev == max_fev:
+                        raise _Exhausted
+                    nfev += 1
+                    fsim[j] = -objective(sim[j])
             nit += 1
         except _Exhausted:
-            pass
-        sim = _sort_simplex(sim)
+            shrink = True  # a step cut short is sorted in full, as a shrink is
+        if distinct and not shrink:
+            # Only the worst vertex changed, and the survivors fsim[:n] are
+            # strictly ascending.  The new value is not NaN, since a NaN
+            # fails every comparison that accepts a vertex; unless it ties
+            # a survivor, bisection finds its one place.
+            fnew = fsim[n]
+            i = bisect_left(fsim, fnew, 0, n)
+            if i == n or fsim[i] != fnew:
+                if i < n:
+                    fsim.insert(i, fsim.pop())
+                    sim.insert(i, sim.pop())
+                continue
+        simplex = _sort_simplex(list(zip(fsim, sim)))
+        fsim = [v for v, _ in simplex]
+        sim = [x for _, x in simplex]
+        distinct = all(map(lt, fsim, fsim[1:]))
 
     # np.min over the values, as SciPy reports: with tied values (zeros of
     # either sign) or a NaN it need not be the first.
-    value = -float(np.min([v for v, _ in sim]))
-    return sim[0][1], value, nfev < max_fev and nit < NM_MAX_ITER
+    value = -float(np.min(fsim))
+    return sim[0], value, nfev < max_fev and nit < NM_MAX_ITER
 
 
 #: Runs whose values lie within this window of the best are treated as ties

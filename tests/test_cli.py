@@ -268,6 +268,34 @@ class TestAuditCommand:
         assert json.dumps(first["results"]) == json.dumps(second["results"])
 
 
+class TestRepeatedCalls:
+    """main builds its parser once per process; no call sees another's
+    arguments, errors or exits."""
+
+    def test_a_flag_does_not_outlive_its_call(self, capsys):
+        _, first = run_cli(capsys, "audit-bound", "--samples", "5")
+        _, second = run_cli(capsys, "audit-bound")
+        assert first["results"]["samples"]["count"] == 5
+        assert second["results"]["samples"]["count"] == 1000
+
+    def test_a_usage_error_then_a_good_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--mode", "full"])  # --setting is required
+        assert exc.value.code == 2
+        assert "--setting" in capsys.readouterr().err
+        code, report = run_cli(capsys, "bell")
+        assert code == 0 and report["command"] == "bell"
+
+    def test_version_exits_cleanly_between_calls(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == __version__ + "\n"
+            code, report = run_cli(capsys, "equilibria")
+            assert code == 0 and report["results"]["count"] > 0
+
+
 class TestPinnedResults:
     @pytest.mark.parametrize(("case", "game"), sorted(PINNED_RESULTS))
     def test_results_match_pinned_hash(

@@ -566,9 +566,27 @@ def _hash_noise(x: list[float]) -> float:
     return (s * 43758.5453) % 1.0
 
 
+def _nan_region(x: list[float]) -> float:
+    """NaN beyond x[0] = 1, and a bowl that peaks at 0.8 short of it."""
+    return math.nan if x[0] > 1.0 else -sum((v - 0.8) ** 2 for v in x)
+
+
+def _nan_ring(x: list[float]) -> float:
+    """NaN on the shell 1 < |x|^2 < 1.5, which lies between most starts
+    and the best values, on the sphere |x|^2 = 2."""
+    r = sum(v * v for v in x)
+    return math.nan if 1.0 < r < 1.5 else -((r - 2.0) ** 2) - 0.1 * x[0]
+
+
+def _inf_edge(x: list[float]) -> float:
+    """-inf below x[-1] = -0.5, and a bowl that peaks at -0.4 above it."""
+    return -math.inf if x[-1] < -0.5 else -sum((v + 0.4) ** 2 for v in x)
+
+
 class TestPolishMatchesScipy:
     """The in-house Nelder-Mead against scipy.optimize.minimize with the same
-    options, the oracle: the same point, value and success flag, by ==."""
+    options, the oracle: the same point, value and success flag, by == and
+    by repr (by repr alone for a NaN value)."""
 
     @pytest.fixture(scope="class")
     def oracle(self):
@@ -596,8 +614,9 @@ class TestPolishMatchesScipy:
             res = oracle(objective, x0, config)
             got = optimize._nelder_mead(objective, x0, config)
             expected = (res.x.tolist(), -float(res.fun), bool(res.success))
-            assert got == expected
-            assert repr(got) == repr(expected)  # the signs of zeros too
+            assert repr(got) == repr(expected)  # the signs of zeros, and NaN
+            if not math.isnan(got[1]):  # a NaN value is never == to itself
+                assert got == expected
             results.append(res)
         return results
 
@@ -699,6 +718,42 @@ class TestPolishMatchesScipy:
         ]
         self.assert_same_paths(oracle, polishes)
         assert any(tie_sorts)
+
+    @pytest.mark.parametrize("objective", [_nan_region, _nan_ring, _inf_edge])
+    # scipy's own convergence test subtracts inf from inf
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_values(self, oracle, objective, monkeypatch):
+        """Objectives that are NaN or -inf in part of the space, in 2-D and
+        4-D.  np.argsort sorts a NaN value last, and a NaN compares false
+        both ways, so no simplex that holds one is put in order by
+        bisection.  Starts outside the NaN or -inf part converge; starts
+        inside it never leave it and run to the evaluation limit."""
+        real_sort = optimize._sort_simplex
+        nan_sorts = []
+
+        def spy(simplex):
+            nan_sorts.append(any(math.isnan(v) for v, _ in simplex))
+            return real_sort(simplex)
+
+        monkeypatch.setattr(optimize, "_sort_simplex", spy)
+        values = []
+
+        def recorded(x: list[float]) -> float:
+            values.append(objective(x))
+            return values[-1]
+
+        rng = np.random.default_rng(13)
+        polishes = [
+            (recorded, list(x0), OptimizationConfig())
+            for dim in (2, 4)
+            for x0 in rng.uniform(-2, 2, size=(10, dim))
+        ]
+        results = self.assert_same_paths(oracle, polishes)
+        assert not all(map(math.isfinite, values))
+        assert any(r.success for r in results)
+        assert any(r.nfev == 4 * optimize.NM_MAX_ITER for r in results)
+        if objective is not _inf_edge:
+            assert any(nan_sorts)
 
     def test_converge_with_a_tie_at_the_minimum_only(self, oracle):
         """Runs that stop with some, not all, vertex values tied: scipy
