@@ -5,7 +5,8 @@ summary.
 The objective landscape is smooth and low-dimensional (four free azimuths
 once the gauge a0 = b0 = 0 is fixed), so a seeded coarse grid scan followed
 by Nelder-Mead polish from the best starts finds the optimum reliably.  The
-polish is in-house: it follows SciPy's Nelder-Mead path exactly, float for
+polish is in-house and works in those four dimensions only, on 4-tuples
+and scalar locals: it follows SciPy's Nelder-Mead path exactly, float for
 float, without SciPy's per-iteration numpy overhead or its import.  A step
 that replaces only the worst vertex puts the new one in place by bisection;
 the whole simplex is sorted, in ``np.argsort``'s order, only after a shrink,
@@ -15,7 +16,8 @@ contract is the value reached, not the search path.
 Certification needs no search.  With the other two players' observables
 fixed, a player's GHZ payoff is affine in the Bloch vectors of their own two
 observables, so the best deviation is the unit vector along each gradient
-and the improvement it buys is exact (see best_response_check).
+and the improvement it buys is exact (see best_response_check).  The tests
+hold it to the search it replaced, run with SciPy's Nelder-Mead.
 
 Every game takes the same path, and every engine takes its game
 explicitly: the search, the best responses and the reported payoffs all
@@ -35,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sin
-from operator import add, lt
+from operator import lt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,13 +98,18 @@ NM_MAX_ITER = 2000
 NM_XATOL = 1e-9
 
 
+#: The four free azimuths (a1, b1, c0, c1) of a planar setting in the
+#: canonical gauge: the point type of the polish.
+Azimuths = tuple[float, float, float, float]
+
+
 class _Exhausted(Exception):
     """The evaluation budget of a polish ran out."""
 
 
 def _sort_simplex(
-    simplex: list[tuple[float, list[float]]],
-) -> list[tuple[float, list[float]]]:
+    simplex: list[tuple[float, Azimuths]],
+) -> list[tuple[float, Azimuths]]:
     """The (value, vertex) pairs in the order of ``np.argsort`` over their
     values, as SciPy sorts its simplex.
 
@@ -116,43 +123,44 @@ def _sort_simplex(
 
 
 def _nelder_mead(
-    objective: Callable[[list[float]], float],
+    objective: Callable[[Azimuths], float],
     x0: Sequence[float],
     config: OptimizationConfig,
 ) -> tuple[list[float], float, bool]:
-    """Maximize ``objective`` from ``x0``; returns (x, value, converged).
+    """Maximize ``objective`` over the four free azimuths from ``x0``;
+    returns (x, value, converged).
 
     This is SciPy 1.17's ``minimize(lambda x: -objective(x), x0,
     method="Nelder-Mead")`` with xatol NM_XATOL, fatol ``config.tol``,
-    maxiter NM_MAX_ITER and maxfev 4 * NM_MAX_ITER, on Python float lists:
-    the same initial simplex, the same steps with the coefficients rho = 1,
-    chi = 2, psi = sigma = 1/2 substituted into SciPy's expressions, and the
-    same vertex order, so every point and value is the same float as
-    SciPy's.  The simplex is two parallel lists, the values ``fsim`` and
-    the vertices ``sim``, kept in SciPy's order after every step.  While
-    the values are distinct and none is NaN, ``np.argsort`` has one answer,
-    and a step that replaces only the worst vertex puts the new one in
-    place by bisection.  After a shrink, after the budget runs out, and
+    maxiter NM_MAX_ITER and maxfev 4 * NM_MAX_ITER, in four dimensions on
+    Python floats: the same initial simplex, the same steps with the
+    coefficients rho = 1, chi = 2, psi = sigma = 1/2 substituted into
+    SciPy's expressions, and the same vertex order, so every point and
+    value is the same float as SciPy's.  The simplex is two parallel lists,
+    the values ``fsim`` and the vertices ``sim`` as 4-tuples, kept in
+    SciPy's order after every step.  Each step unpacks the vertices into
+    scalar locals; the centroid is (b + p + q + s) / 4 per coordinate,
+    summed left to right as SciPy's column sum does for these four rows.
+    While the values are distinct and none is NaN, ``np.argsort`` has one
+    answer, and a step that replaces only the worst vertex puts the new one
+    in place by bisection.  After a shrink, after the budget runs out, and
     whenever a tie or a NaN is present, _sort_simplex sorts the whole
-    simplex, with ``np.argsort``'s order on ties.  The centroid adds
-    the vertices with chained ``map(add, ...)`` in vertex order, so each
-    coordinate is summed left to right, as SciPy's column sum does for
-    these few rows.  ``objective`` gets each point as a list and must not
-    change it.
+    simplex, with ``np.argsort``'s order on ties.  ``objective`` gets each
+    point as a 4-tuple.
     """
     max_fev = 4 * NM_MAX_ITER
     tol = config.tol
-    n = len(x0)
+    xatol = NM_XATOL
 
     start = [float(v) for v in x0]
-    vertices = [start]
-    for k in range(n):
+    vertices = [tuple(start)]
+    for k in range(4):
         y = list(start)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        vertices.append(y)
-    # n + 1 <= 5 evaluations, within budget
+        vertices.append(tuple(y))
+    # 5 evaluations, within budget
     simplex = [(-objective(v), v) for v in vertices]
-    nfev = n + 1
+    nfev = 5
     # SciPy sorts twice here; a second sort can only move tied vertices.
     simplex = _sort_simplex(_sort_simplex(simplex))
     fsim = [v for v, _ in simplex]
@@ -161,24 +169,34 @@ def _nelder_mead(
 
     nit = 1
     while nfev < max_fev and nit < NM_MAX_ITER:
-        fbest, best = fsim[0], sim[0]
-        fworst, worst = fsim[-1], sim[-1]
+        best, p, q, s, worst = sim
+        b0, b1, b2, b3 = best
+        w0, w1, w2, w3 = worst
+        fbest, fworst = fsim[0], fsim[4]
         # The values are ascending with any NaN last, so fworst - fbest is
         # SciPy's max |fsim[0] - fsim[1:]|, NaN included.  The vertices are
         # tested worst first, the one most likely to be far from the best.
         # SciPy's break here skips its end-of-iteration sort; so does this
         # one.
-        if fworst - fbest <= tol and all(
-            abs(v - b) <= NM_XATOL for row in sim[:0:-1] for v, b in zip(row, best)
-        ):
-            break
+        if fworst - fbest <= tol:
+            for v0, v1, v2, v3 in (worst, s, q, p):
+                if not (
+                    abs(v0 - b0) <= xatol and abs(v1 - b1) <= xatol
+                    and abs(v2 - b2) <= xatol and abs(v3 - b3) <= xatol
+                ):
+                    break
+            else:
+                break
+        p0, p1, p2, p3 = p
+        q0, q1, q2, q3 = q
+        s0, s1, s2, s3 = s
+        c0 = (b0 + p0 + q0 + s0) / 4
+        c1 = (b1 + p1 + q1 + s1) / 4
+        c2 = (b2 + p2 + q2 + s2) / 4
+        c3 = (b3 + p3 + q3 + s3) / 4
         shrink = False
         try:
-            total = best
-            for row in sim[1:-1]:
-                total = map(add, total, row)
-            xbar = [t / n for t in total]
-            xr = [2 * c - w for c, w in zip(xbar, worst)]
+            xr = (2 * c0 - w0, 2 * c1 - w1, 2 * c2 - w2, 2 * c3 - w3)
             # As SciPy's wrapper does, an evaluation past the budget raises
             # instead, and the step ends there.
             if nfev == max_fev:
@@ -186,55 +204,67 @@ def _nelder_mead(
             nfev += 1
             fxr = -objective(xr)
             if fxr < fbest:
-                xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+                xe = (
+                    3 * c0 - 2 * w0, 3 * c1 - 2 * w1,
+                    3 * c2 - 2 * w2, 3 * c3 - 2 * w3,
+                )
                 if nfev == max_fev:
                     raise _Exhausted
                 nfev += 1
                 fxe = -objective(xe)
-                fsim[-1], sim[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
-            elif fxr < fsim[-2]:
-                fsim[-1], sim[-1] = fxr, xr
+                fsim[4], sim[4] = (fxe, xe) if fxe < fxr else (fxr, xr)
+            elif fxr < fsim[3]:
+                fsim[4], sim[4] = fxr, xr
             elif fxr < fworst:
-                xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                xc = (
+                    1.5 * c0 - 0.5 * w0, 1.5 * c1 - 0.5 * w1,
+                    1.5 * c2 - 0.5 * w2, 1.5 * c3 - 0.5 * w3,
+                )
                 if nfev == max_fev:
                     raise _Exhausted
                 nfev += 1
                 fxc = -objective(xc)
                 if fxc <= fxr:
-                    fsim[-1], sim[-1] = fxc, xc
+                    fsim[4], sim[4] = fxc, xc
                 else:
                     shrink = True
             else:
-                xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                xcc = (
+                    0.5 * c0 + 0.5 * w0, 0.5 * c1 + 0.5 * w1,
+                    0.5 * c2 + 0.5 * w2, 0.5 * c3 + 0.5 * w3,
+                )
                 if nfev == max_fev:
                     raise _Exhausted
                 nfev += 1
                 fxcc = -objective(xcc)
                 if fxcc < fworst:
-                    fsim[-1], sim[-1] = fxcc, xcc
+                    fsim[4], sim[4] = fxcc, xcc
                 else:
                     shrink = True
             if shrink:
-                for j in range(1, n + 1):
+                for j, (v0, v1, v2, v3) in enumerate((p, q, s, worst), 1):
                     # As in SciPy, a vertex whose evaluation exhausts the
                     # budget moves but keeps its old value.
-                    sim[j] = [b + 0.5 * (v - b) for v, b in zip(sim[j], best)]
+                    sim[j] = x = (
+                        b0 + 0.5 * (v0 - b0), b1 + 0.5 * (v1 - b1),
+                        b2 + 0.5 * (v2 - b2), b3 + 0.5 * (v3 - b3),
+                    )
                     if nfev == max_fev:
                         raise _Exhausted
                     nfev += 1
-                    fsim[j] = -objective(sim[j])
+                    fsim[j] = -objective(x)
             nit += 1
         except _Exhausted:
             shrink = True  # a step cut short is sorted in full, as a shrink is
         if distinct and not shrink:
-            # Only the worst vertex changed, and the survivors fsim[:n] are
+            # Only the worst vertex changed, and the survivors fsim[:4] are
             # strictly ascending.  The new value is not NaN, since a NaN
             # fails every comparison that accepts a vertex; unless it ties
             # a survivor, bisection finds its one place.
-            fnew = fsim[n]
-            i = bisect_left(fsim, fnew, 0, n)
-            if i == n or fsim[i] != fnew:
-                if i < n:
+            fnew = fsim[4]
+            i = bisect_left(fsim, fnew, 0, 4)
+            if i == 4 or fsim[i] != fnew:
+                if i < 4:
                     fsim.insert(i, fsim.pop())
                     sim.insert(i, sim.pop())
                 continue
@@ -246,7 +276,7 @@ def _nelder_mead(
     # np.min over the values, as SciPy reports: with tied values (zeros of
     # either sign) or a NaN it need not be the first.
     value = -float(np.min(fsim))
-    return sim[0], value, nfev < max_fev and nit < NM_MAX_ITER
+    return list(sim[0]), value, nfev < max_fev and nit < NM_MAX_ITER
 
 
 #: Runs whose values lie within this window of the best are treated as ties
@@ -257,11 +287,11 @@ TIE_WINDOW = 1e-9
 
 
 def _multistart_max(
-    objective: Callable[[list[float]], float],
+    objective: Callable[[Azimuths], float],
     starts: Sequence[Sequence[float]],
     config: OptimizationConfig,
 ) -> tuple[list[float], float, bool]:
-    """Best local maximum over the given starts.
+    """Best local maximum over the given starts, each four azimuths.
 
     Order-independent merge: highest value wins; runs within TIE_WINDOW of
     the best count as ties, broken by lexicographic order of the wrapped
@@ -352,7 +382,7 @@ def maximize_planar(
     weights = ghz_weights(game.utilities, game.prior)
     rows = _planar_rows(weights)
 
-    def objective(x: list[float]) -> float:
+    def objective(x: Azimuths) -> float:
         # math.sin on Python floats: Nelder-Mead makes thousands of scalar
         # calls, and numpy's per-call overhead would dominate them.  The
         # terms are added left to right, as sum() no longer does for floats
@@ -382,7 +412,7 @@ def maximize_planar(
     payoffs = ghz_payoffs(weights, setting.theta, setting.phi)
     return OptimumReport(
         setting=setting,
-        value=objective([a1, b1, c0, c1]),
+        value=objective((a1, b1, c0, c1)),
         payoffs=PayoffTriple(*payoffs.tolist()),
         converged=ok,
     )

@@ -180,20 +180,40 @@ def _deviation_grid(mode: str, res: int) -> np.ndarray:
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-def _searched_best_responses(
+def _scipy_nelder_mead(objective, x0, config: OptimizationConfig):
+    """scipy.optimize.minimize's Nelder-Mead on -objective with the options
+    of the in-house polish: that polish's oracle, and the search of the
+    best-response oracle.  Skips the test without SciPy."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    return minimize(
+        lambda x: -objective(x.tolist()),
+        np.asarray(x0, dtype=float),
+        method="Nelder-Mead",
+        options={
+            "xatol": optimize.NM_XATOL,
+            "fatol": config.tol,
+            "maxiter": optimize.NM_MAX_ITER,
+            "maxfev": 4 * optimize.NM_MAX_ITER,
+        },
+    )
+
+
+def _best_response_searches(
     candidate: MeasurementSetting, mode: str, config: OptimizationConfig
-) -> list[float]:
-    """The search that best_response_check's closed form replaced, kept as
-    its oracle: each player's best own payoff on table1 found by Nelder-Mead
-    from the candidate's own observables, the three best points of the
-    deviation grid (``config.grid`` points per angle, at most 6 on the full
-    sphere) and min(restarts, 8) seeded random points."""
+) -> list[tuple]:
+    """Per player on table1, (objective, starts) of the search that
+    best_response_check's closed form replaced: the player's own payoff as a
+    function of their deviation (two azimuths in planar mode, four angles on
+    the full sphere), started from the candidate's own observables, the
+    three best points of the deviation grid (``config.grid`` points per
+    angle, at most 6 on the full sphere) and min(restarts, 8) seeded random
+    points."""
     game = builtin_game()
     weights = ghz_weights(game.utilities, game.prior)
     theta0, phi0 = candidate.theta, candidate.phi
     rng = np.random.default_rng(config.seed)
     dim = 2 if mode == "planar" else 4
-    best = []
+    searches = []
     for player in PLAYERS:
         def payoff(x: np.ndarray, player=player) -> np.ndarray:
             theta, phi = _deviate(theta0, phi0, player, x, mode)
@@ -209,11 +229,20 @@ def _searched_best_responses(
         starts = [own_x] + [mesh[i] for i in top] + list(
             rng.uniform(-math.pi, math.pi, size=(min(config.restarts, 8), dim))
         )
-        _, value, _ = optimize._multistart_max(
-            lambda x: float(payoff(np.array(x))), starts, config
-        )
-        best.append(value)
-    return best
+        searches.append((lambda x, payoff=payoff: float(payoff(np.array(x))), starts))
+    return searches
+
+
+def _searched_best_responses(
+    candidate: MeasurementSetting, mode: str, config: OptimizationConfig
+) -> list[float]:
+    """The oracle of best_response_check: each player's best own payoff
+    found by SciPy's Nelder-Mead from every start of _best_response_searches,
+    the plain maximum over the starts.  It shares no code with the engine."""
+    return [
+        max(-float(_scipy_nelder_mead(objective, x0, config).fun) for x0 in starts)
+        for objective, starts in _best_response_searches(candidate, mode, config)
+    ]
 
 
 class TestBestResponse:
@@ -554,9 +583,9 @@ def _rounded_bowl(x: list[float]) -> float:
 
 
 def _stepped_cone(x: list[float]) -> float:
-    """A cone rounded to 1e-10, the value tolerance: converged simplexes
-    hold values that tie and values a step apart."""
-    return -round(sum(abs(v - 0.3) for v in x) / 1e-10) * 1e-10
+    """A cone rounded to 5e-11, half the value tolerance: converged
+    simplexes hold values that tie and values a step or two apart."""
+    return -round(sum(abs(v - 0.3) for v in x) / 5e-11) * 5e-11
 
 
 def _hash_noise(x: list[float]) -> float:
@@ -590,22 +619,7 @@ class TestPolishMatchesScipy:
 
     @pytest.fixture(scope="class")
     def oracle(self):
-        minimize = pytest.importorskip("scipy.optimize").minimize
-
-        def oracle(objective, x0, config):
-            return minimize(
-                lambda x: -objective(x.tolist()),
-                np.asarray(x0, dtype=float),
-                method="Nelder-Mead",
-                options={
-                    "xatol": optimize.NM_XATOL,
-                    "fatol": config.tol,
-                    "maxiter": optimize.NM_MAX_ITER,
-                    "maxfev": 4 * optimize.NM_MAX_ITER,
-                },
-            )
-
-        return oracle
+        return _scipy_nelder_mead
 
     @staticmethod
     def assert_same_paths(oracle, polishes) -> list:
@@ -640,21 +654,25 @@ class TestPolishMatchesScipy:
         assert len(polishes) == 2 * 2 * 24
         self.assert_same_paths(oracle, polishes)
 
-    def test_best_response_objective_in_2d(self, oracle, reference_angles):
-        polishes = _polishes(
-            lambda: _searched_best_responses(
-                MeasurementSetting.planar(reference_angles), "planar",
-                OptimizationConfig(seed=1),
-            )
+    @staticmethod
+    def best_response_polishes(candidate, config) -> list:
+        """(objective, start, config) of every polish of the full-sphere
+        best-response search at ``candidate``."""
+        searches = _best_response_searches(candidate, "full_sphere", config)
+        return [
+            (objective, list(x0), config) for objective, starts in searches for x0 in starts
+        ]
+
+    def test_best_response_objective_at_the_optimum(self, oracle, reference_angles):
+        polishes = self.best_response_polishes(
+            MeasurementSetting.planar(reference_angles), OptimizationConfig(seed=1)
         )
-        assert len(polishes) == 3 * 12 and len(polishes[0][1]) == 2
+        assert len(polishes) == 3 * 12
         self.assert_same_paths(oracle, polishes)
 
     def test_best_response_objective_in_4d(self, oracle):
-        polishes = _polishes(
-            lambda: _searched_best_responses(
-                TILTED, "full_sphere", OptimizationConfig(restarts=2, grid=8, seed=2)
-            )
+        polishes = self.best_response_polishes(
+            TILTED, OptimizationConfig(restarts=2, grid=8, seed=2)
         )
         assert len(polishes) == 3 * 6 and len(polishes[0][1]) == 4
         self.assert_same_paths(oracle, polishes)
@@ -692,10 +710,10 @@ class TestPolishMatchesScipy:
         (res,) = self.assert_same_paths(oracle, [(flat, x0, OptimizationConfig())])
         assert res.nfev == 4 * optimize.NM_MAX_ITER and res.nit == 6
         vertices, values = res.final_simplex
-        assert sorts[-1] == list(zip(values.tolist(), vertices.tolist()))
+        assert sorts[-1] == list(zip(values.tolist(), map(tuple, vertices.tolist())))
         # the last vertex before the sixth shrink, and where that shrink put it
         (_, best), (value, vertex) = sorts[-2][0], sorts[-2][-1]
-        moved = [b + 0.5 * (v - b) for v, b in zip(vertex, best)]
+        moved = tuple(b + 0.5 * (v - b) for v, b in zip(vertex, best))
         assert (value, moved) in sorts[-1] and (value, vertex) not in sorts[-1]
 
     def test_tied_values_follow_numpy_argsort(self, oracle, monkeypatch):
@@ -713,8 +731,7 @@ class TestPolishMatchesScipy:
         rng = np.random.default_rng(11)
         polishes = [
             (_rounded_bowl, list(x0), OptimizationConfig())
-            for dim in (2, 4)
-            for x0 in rng.uniform(-3, 3, size=(10, dim))
+            for x0 in rng.uniform(-3, 3, size=(20, 4))
         ]
         self.assert_same_paths(oracle, polishes)
         assert any(tie_sorts)
@@ -723,8 +740,8 @@ class TestPolishMatchesScipy:
     # scipy's own convergence test subtracts inf from inf
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_values(self, oracle, objective, monkeypatch):
-        """Objectives that are NaN or -inf in part of the space, in 2-D and
-        4-D.  np.argsort sorts a NaN value last, and a NaN compares false
+        """Objectives that are NaN or -inf in part of the space, from 20
+        starts.  np.argsort sorts a NaN value last, and a NaN compares false
         both ways, so no simplex that holds one is put in order by
         bisection.  Starts outside the NaN or -inf part converge; starts
         inside it never leave it and run to the evaluation limit."""
@@ -745,8 +762,7 @@ class TestPolishMatchesScipy:
         rng = np.random.default_rng(13)
         polishes = [
             (recorded, list(x0), OptimizationConfig())
-            for dim in (2, 4)
-            for x0 in rng.uniform(-2, 2, size=(10, dim))
+            for x0 in rng.uniform(-2, 2, size=(20, 4))
         ]
         results = self.assert_same_paths(oracle, polishes)
         assert not all(map(math.isfinite, values))
@@ -755,15 +771,55 @@ class TestPolishMatchesScipy:
         if objective is not _inf_edge:
             assert any(nan_sorts)
 
+    def test_no_bisection_among_nan_values(self, oracle, monkeypatch):
+        """The initial simplex from (0.2, -0.1, 0.99, 0.99) holds two NaN
+        values: its last two vertices step past 1 in x[2] and x[3].  Two
+        shrinks later the reflection is finite again and is expanded; that
+        step replaces only the worst vertex, but a NaN value is still among
+        the survivors, so the simplex must be sorted in full, not put in
+        order by bisection, whose survivors must be strictly ascending.  Two
+        NaN values are never ==, so a distinct flag that counted the set of
+        values would let them through."""
+        real_bisect = optimize.bisect_left
+        bisections = []
+
+        def spy(a, x, lo, hi):
+            survivors = a[lo:hi]
+            assert not any(map(math.isnan, survivors))
+            assert all(u < v for u, v in zip(survivors, survivors[1:]))
+            bisections.append(survivors)
+            return real_bisect(a, x, lo, hi)
+
+        monkeypatch.setattr(optimize, "bisect_left", spy)
+        values = []
+
+        def nan_corner(x: list[float]) -> float:
+            nan = x[2] > 1.0 or x[3] > 1.0
+            values.append(math.nan if nan else -sum((v + 0.5) ** 2 for v in x))
+            return values[-1]
+
+        (res,) = self.assert_same_paths(
+            oracle, [(nan_corner, [0.2, -0.1, 0.99, 0.99], OptimizationConfig())]
+        )
+        # values begins with SciPy's run, whose points are the port's
+        assert sum(map(math.isnan, values[:5])) == 2
+        # 5 + 2 * 6 evaluations: the initial simplex and two steps that
+        # shrink; then the reflection beats every vertex and its expansion
+        # beats the reflection
+        reflection, expansion = values[17:19]
+        assert max(v for v in values[:17] if not math.isnan(v)) < reflection < expansion
+        assert res.success and bisections
+
     def test_converge_with_a_tie_at_the_minimum_only(self, oracle):
         """Runs that stop with some, not all, vertex values tied: scipy
         leaves the loop before its end-of-iteration sort, and so does the
-        port."""
+        port.  The cone's step is half the value tolerance: at a step of
+        the tolerance itself no 4-D run from these starts stops with a
+        partial tie."""
         rng = np.random.default_rng(5)
         polishes = [
             (_stepped_cone, list(x0), OptimizationConfig())
-            for dim in (2, 3)
-            for x0 in rng.uniform(-3, 3, size=(10, dim))
+            for x0 in rng.uniform(-3, 3, size=(20, 4))
         ]
         results = self.assert_same_paths(oracle, polishes)
         partial = [
@@ -779,4 +835,5 @@ class TestPolishMatchesScipy:
         def signed_zero(x: list[float]) -> float:
             return 0.0 if x[0] > 0.3 else -0.0
 
-        self.assert_same_paths(oracle, [(signed_zero, [0.3], OptimizationConfig())])
+        x0 = [0.3, 0.0, 0.0, 0.0]
+        self.assert_same_paths(oracle, [(signed_zero, x0, OptimizationConfig())])
