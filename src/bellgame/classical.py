@@ -10,11 +10,11 @@ total-payoff bound reduce to exact scans over them.
 Those scans compare integers: :func:`profile_table` builds the 64 profiles'
 payoffs from game.integer_form, which the GHZ engine reads too, and the
 equilibrium scan, the bound audit and its sampled mixtures all read that
-table.  The audit contracts each mixture against packed integers, one per
-profile holding its three payoff numerators, with the sum over player C's
-strategies staged once per response of C; the fields are wide enough that
-the contraction stays exact for any size of input.  Reported values stay
-exact ``Fraction`` s.
+table.  The audit draws each response as one integer code and contracts
+each atom as it is drawn, against packed integers that hold three payoff
+numerators each, with the sum over player C's strategies staged once per
+response code of C; the fields are wide enough that the contraction stays
+exact for any size of input.  Reported values stay exact ``Fraction`` s.
 The ``Fraction`` routes beside them (deterministic_payoffs, the
 hidden-variable models and the distribution-level Bell expressions) are the
 oracles the tests hold the scans to.
@@ -346,106 +346,72 @@ MIXTURE_DENOMINATOR = 16
 #: Cap on a mixture's total integer weight, sum(raw) * MIXTURE_DENOMINATOR**6:
 #: at most MIXTURE_MAX_ATOMS raw weights of at most 100 each.
 MIXTURE_WEIGHT_CAP = 100 * MIXTURE_MAX_ATOMS * MIXTURE_DENOMINATOR**6
-#: Most mixtures one audit draws: each costs about 0.02 ms (100000 samples
+#: Most mixtures one audit draws: each costs about 0.012 ms (100000 samples
 #: of table1 on a 2-vCPU Xeon, Python 3.11), so the cap keeps an audit near
-#: 20 s.
+#: 12 s.
 AUDIT_MAX_SAMPLES = 1_000_000
-#: The response rows of STRATEGIES as numerators of p(y=0|x) over
-#: MIXTURE_DENOMINATOR.
-_DETERMINISTIC_RESPONSES = tuple(
-    (MIXTURE_DENOMINATOR * (1 - s0), MIXTURE_DENOMINATOR * (1 - s1))
+#: The audit codes a response of the seeded mixtures as _ROWS * p + q, where
+#: p and q are the numerators of p(y=0|x=0) and p(y=0|x=1) over
+#: MIXTURE_DENOMINATOR: one of _CODES integers.
+_ROWS = MIXTURE_DENOMINATOR + 1
+_CODES = _ROWS * _ROWS
+#: The codes of the response rows of STRATEGIES: the four corner codes.
+_DETERMINISTIC_CODES = tuple(
+    _ROWS * MIXTURE_DENOMINATOR * (1 - s0) + MIXTURE_DENOMINATOR * (1 - s1)
     for s0, s1 in STRATEGIES
 )
 
 
-def _draw_mixture(
-    rng: random.Random,
-) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
-    """Draw a random mixture of at most MIXTURE_MAX_ATOMS atoms as integers:
-    the raw atom weights (an atom's weight is its raw weight over their sum)
-    and, per atom and player, the numerators of p(y=0|x=0) and p(y=0|x=1)
-    over MIXTURE_DENOMINATOR.  Half of the responses are deterministic
-    strategies.
+def random_hidden_variable_model(rng: random.Random) -> HiddenVariableModel:
+    """Seeded random mixture with exact rational weights and responses.
 
-    The draws are those of ``randint(a, b)`` and ``choice(seq)``, which are
-    ``a + _randbelow(b - a + 1)`` and ``seq[_randbelow(len(seq))]``.  Each
-    ``_randbelow(n)`` is spelled out as the rejection loop over
-    ``getrandbits`` that CPython runs for n > 0, which saves three
-    Python-level calls per draw.  The draw-identity test holds it to
-    ``randint`` and ``choice`` on CPython 3.10 to 3.14, the versions of the
-    CI matrix.
+    It has one to MIXTURE_MAX_ATOMS atoms, each of raw weight 1 to 100 (an
+    atom's weight is its raw weight over their sum).  Each player's
+    response in an atom is, with equal chance, a deterministic strategy or
+    a pair of response rows whose p(y=0|x) are multiples of
+    1/MIXTURE_DENOMINATOR.  The draws are made with the public ``randint``,
+    ``choice`` and ``random``: the reference that the audit's own draws in
+    :func:`_sampled_payoffs` are tested against.
     """
-    bits, uniform = rng.getrandbits, rng.random
-    denominator = MIXTURE_DENOMINATOR
-    # _randbelow(n) redraws getrandbits(n.bit_length()) until it is below n
-    k_atoms, k_raw, k_strategy, k_row = (
-        size.bit_length()
-        for size in (MIXTURE_MAX_ATOMS, 100, len(STRATEGIES), denominator + 1)
-    )
-    n = bits(k_atoms)
-    while n >= MIXTURE_MAX_ATOMS:
-        n = bits(k_atoms)
-    raw = []
-    for _ in range(n + 1):
-        r = bits(k_raw)
-        while r >= 100:
-            r = bits(k_raw)
-        raw.append(r + 1)
+    d = MIXTURE_DENOMINATOR
+    raw = [rng.randint(1, 100) for _ in range(rng.randint(1, MIXTURE_MAX_ATOMS))]
     atoms = []
-    for _ in raw:
+    for w in raw:
         responses = []
         for _ in PLAYERS:
-            if uniform() < 0.5:
-                r = bits(k_strategy)
-                while r >= len(STRATEGIES):
-                    r = bits(k_strategy)
-                responses.append(_DETERMINISTIC_RESPONSES[r])
+            if rng.random() < 0.5:
+                s0, s1 = rng.choice(STRATEGIES)
+                p0 = d * (1 - s0), d * (1 - s1)
             else:
-                p = bits(k_row)
-                while p > denominator:
-                    p = bits(k_row)
-                q = bits(k_row)
-                while q > denominator:
-                    q = bits(k_row)
-                responses.append((p, q))
-        atoms.append(tuple(responses))
-    return raw, atoms
+                p0 = rng.randint(0, d), rng.randint(0, d)
+            responses.append(tuple((Fraction(k, d), 1 - Fraction(k, d)) for k in p0))
+        atoms.append((Fraction(w, sum(raw)), tuple(responses)))
+    return HiddenVariableModel(tuple(atoms))
 
 
-def random_hidden_variable_model(rng: random.Random) -> HiddenVariableModel:
-    """Seeded random mixture with exact rational weights and responses."""
-    raw, atoms = _draw_mixture(rng)
-    denominator = MIXTURE_DENOMINATOR
-    total = sum(raw)
-    return HiddenVariableModel(
-        tuple(
-            (
-                Fraction(w, total),
-                tuple(
-                    tuple(
-                        (Fraction(k, denominator), 1 - Fraction(k, denominator))
-                        for k in p0
-                    )
-                    for p0 in responses
-                ),
-            )
-            for w, responses in zip(raw, atoms)
-        )
-    )
+#: (strategy slot, integer weight) of each strategy a response plays.
+_StrategyWeights = tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)  # at most 17 x 17 keys
-def _strategy_weights(p0: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    """(index into STRATEGIES, numerator over MIXTURE_DENOMINATOR**2) of
-    every strategy that a response row pair plays with nonzero probability."""
+@lru_cache(maxsize=None)  # one table per process, built on first use
+def _code_weights() -> tuple[tuple[_StrategyWeights, ...], ...]:
+    """Per response code, the strategies that its response rows play with
+    nonzero probability, as (index into STRATEGIES, numerator over
+    MIXTURE_DENOMINATOR**2) pairs: for player A with the index times 4, for
+    player B as it is."""
     d = MIXTURE_DENOMINATOR
-    r0, r1 = (p0[0], d - p0[0]), (p0[1], d - p0[1])
-    return tuple(
-        (2 * s0 + s1, r0[s0] * r1[s1])
-        for s0 in (0, 1)
-        for s1 in (0, 1)
-        if r0[s0] and r1[s1]
-    )
+    weights = []
+    for code in range(_CODES):
+        p, q = divmod(code, _ROWS)
+        r0, r1 = (p, d - p), (q, d - q)
+        weights.append(tuple(
+            (2 * s0 + s1, r0[s0] * r1[s1])
+            for s0 in (0, 1)
+            for s1 in (0, 1)
+            if r0[s0] and r1[s1]
+        ))
+    a_weights = tuple(tuple((4 * s, w) for s, w in pairs) for pairs in weights)
+    return a_weights, tuple(weights)
 
 
 def _sampled_payoffs(
@@ -455,18 +421,28 @@ def _sampled_payoffs(
     :func:`random_hidden_variable_model` from the same ``rng``: per mixture
     the three players' integer numerators and their common denominator.
 
+    The draws are those of ``randint(a, b)`` and ``choice(seq)``, which are
+    ``a + _randbelow(b - a + 1)`` and ``seq[_randbelow(len(seq))]``, with
+    each ``_randbelow(n)`` spelled out as the rejection loop over
+    ``getrandbits`` that CPython runs for n > 0.  The draw-identity test
+    holds them to the oracle's on CPython 3.10 to 3.14, the versions of the
+    CI matrix.  A mixture draws its atom count and raw weights first; each
+    atom then draws its three responses as codes 17 p + q and is
+    contracted at once.
+
     Each response row pair is a mixture of the four deterministic
-    strategies, so a mixture is a convex combination of the 64 profiles;
-    its payoffs contract the integer strategy weights against the profile
-    table.  Equals expected_payoffs over hv_model_to_distribution (tested).
+    strategies (the code table gives their integer weights), so a mixture
+    is a convex combination of the 64 profiles; its payoffs contract the
+    integer strategy weights against the profile table.  Equals
+    expected_payoffs over hv_model_to_distribution (tested).
 
     The contraction runs on one packed integer per profile: player i's
     numerator less the least of them, lo_i, in the i-th field of ``width``
     bits.  A mixture's weights sum to ``sum(raw) * d**6 <= MIXTURE_WEIGHT_CAP``,
     so no field sum reaches the width and no carry crosses into the next
     field, for any size of numerator.  The sum over player C's four
-    strategies is staged once per response pair (p, q) of C, bilinearly in
-    p and q, so an atom costs one multiply-add per strategy pair of A and B.
+    strategies is staged once per response code of C, bilinearly in p and
+    q, so an atom costs one multiply-add per strategy pair of A and B.
     """
     nums = profiles.numerators
     lows = [min(column) for column in zip(*nums)]
@@ -480,23 +456,54 @@ def _sampled_payoffs(
     # packed[16 a + 4 b + c] by C's strategy c: four slices indexed 4 a + b
     by_c = list(zip(*(packed[c::4] for c in range(4))))
     d = MIXTURE_DENOMINATOR
-    staged: dict[tuple[int, int], list[int]] = {}  # C's (p, q) -> 16 sums
+    a_weights, b_weights = _code_weights()
+    staged: list[list[int] | None] = [None] * _CODES  # C's code -> 16 sums
+    bits, uniform = rng.getrandbits, rng.random
+    corners = _DETERMINISTIC_CODES
+    # _randbelow(n) redraws getrandbits(n.bit_length()) until it is below n
+    k_atoms, k_raw, k_strategy, k_row = (
+        size.bit_length()
+        for size in (MIXTURE_MAX_ATOMS, 100, len(STRATEGIES), _ROWS)
+    )
     for _ in range(samples):
-        raw, atoms = _draw_mixture(rng)
+        n = bits(k_atoms)
+        while n >= MIXTURE_MAX_ATOMS:
+            n = bits(k_atoms)
+        raw = []
+        for _ in range(n + 1):
+            r = bits(k_raw)
+            while r >= 100:
+                r = bits(k_raw)
+            raw.append(r + 1)
         acc = 0
-        for w, (ra, rb, rc) in zip(raw, atoms):
-            over_c = staged.get(rc)
+        for w in raw:
+            codes = []
+            for _ in PLAYERS:
+                if uniform() < 0.5:
+                    r = bits(k_strategy)
+                    while r >= len(corners):
+                        r = bits(k_strategy)
+                    codes.append(corners[r])
+                else:
+                    p = bits(k_row)
+                    while p > d:
+                        p = bits(k_row)
+                    q = bits(k_row)
+                    while q > d:
+                        q = bits(k_row)
+                    codes.append(_ROWS * p + q)
+            ca, cb, cc = codes
+            over_c = staged[cc]
             if over_c is None:
-                p, q = rc
+                p, q = divmod(cc, _ROWS)
                 p00, p01, p10, p11 = p * q, p * (d - q), (d - p) * q, (d - p) * (d - q)
-                over_c = staged[rc] = [
+                over_c = staged[cc] = [
                     p00 * s00 + p01 * s01 + p10 * s10 + p11 * s11
                     for s00, s01, s10, s11 in by_c
                 ]
-            bs = _strategy_weights(rb)
-            for ia, qa in _strategy_weights(ra):
+            bs = b_weights[cb]
+            for row, qa in a_weights[ca]:
                 wa = w * qa
-                row = 4 * ia
                 for ib, qb in bs:
                     acc += wa * qb * over_c[row + ib]
         weight = sum(raw) * d**6

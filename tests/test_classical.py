@@ -13,7 +13,6 @@ from bellgame.classical import (
     BellVariant,
     HiddenVariableModel,
     _deterministic_correlator,
-    _draw_mixture,
     _sampled_payoffs,
     bell_expression,
     classical_bound_audit,
@@ -489,6 +488,8 @@ class TestProfileTable:
                 assert triple == expected_payoffs(
                     game.utilities, game.prior, hv_model_to_distribution(model)
                 )
+            # a draw that one route makes and the other skips shows here
+            assert audit_rng.getstate() == model_rng.getstate()
 
     @staticmethod
     def assert_samples_match_oracle(table, prior, seed, samples):
@@ -502,6 +503,7 @@ class TestProfileTable:
             assert PayoffTriple(*(F(n, den) for n in numerators)) == expected_payoffs(
                 table, prior, hv_model_to_distribution(model)
             )
+        assert audit_rng.getstate() == model_rng.getstate()
         return profiles, sampled
 
     @settings(max_examples=20, deadline=None)
@@ -544,35 +546,19 @@ class TestProfileTable:
         assert max(fields) >= 2 ** (width - 1)
 
 
-def _draw_mixture_with_randint(rng, max_atoms, denominator):
-    """_draw_mixture as written with the public randint and choice: the
-    reference for its draws."""
-    n = rng.randint(1, max_atoms)
-    raw = [rng.randint(1, 100) for _ in range(n)]
-    atoms = []
-    for _ in raw:
-        responses = []
-        for _ in PLAYERS:
-            if rng.random() < 0.5:
-                s = rng.choice(STRATEGIES)
-                responses.append(
-                    (denominator * (1 - s[0]), denominator * (1 - s[1]))
-                )
-            else:
-                responses.append(
-                    (rng.randint(0, denominator), rng.randint(0, denominator))
-                )
-        atoms.append(tuple(responses))
-    return raw, atoms
-
-
-def test_draw_mixture_makes_the_draws_of_randint_and_choice():
+def test_sampled_payoffs_make_the_draws_of_randint_and_choice(table1):
+    """The audit's rejection loops over getrandbits make exactly the draws
+    of random_hidden_variable_model, which draws with the public randint,
+    choice and random: a twin rng is in the same state after each mixture."""
+    profiles = profile_table(table1.utilities, table1.prior)
     for seed in range(50):
         rng, reference = random.Random(seed), random.Random(seed)
-        for _ in range(200):
-            assert _draw_mixture(rng) == _draw_mixture_with_randint(
-                reference, 8, 16
-            )
+        mixtures = 0
+        for _ in _sampled_payoffs(profiles, rng, 200):
+            random_hidden_variable_model(reference)
+            assert rng.getstate() == reference.getstate()
+            mixtures += 1
+        assert mixtures == 200
         assert rng.getstate() == reference.getstate()
 
 

@@ -198,16 +198,39 @@ def _scipy_nelder_mead(objective, x0, config: OptimizationConfig):
     )
 
 
+def _ghz_coefficients(game: GameDefinition, player: int) -> list[tuple]:
+    """Per type profile x, the float coefficients of the player's GHZ payoff
+    on the features 1, cos t_A cos t_B, cos t_A cos t_C, cos t_B cos t_C and
+    the triple correlator: P(x) sum_y f(y) u(x, y) / 8 from the game's
+    Fraction utilities, with f(y) the product of the signs 2 y_i - 1 of the
+    feature's players."""
+    signs = [[2 * y_i - 1 for y_i in y] for y in PROFILES]
+    features = [[1, sa * sb, sa * sc, sb * sc, sa * sb * sc] for sa, sb, sc in signs]
+    return [
+        (x, tuple(
+            float(p_x * sum(f[k] * u for f, u in zip(features, utilities)) / 8)
+            for k in range(5)
+        ))
+        for x, p_x, utilities in zip(
+            PROFILES, game.prior.weights, game.utilities.values[player]
+        )
+    ]
+
+
 def _best_response_searches(
     candidate: MeasurementSetting, mode: str, config: OptimizationConfig
 ) -> list[tuple]:
-    """Per player on table1, (objective, starts) of the search that
-    best_response_check's closed form replaced: the player's own payoff as a
-    function of their deviation (two azimuths in planar mode, four angles on
-    the full sphere), started from the candidate's own observables, the
-    three best points of the deviation grid (``config.grid`` points per
-    angle, at most 6 on the full sphere) and min(restarts, 8) seeded random
-    points."""
+    """Per player on table1, (objective, reference, starts) of the search
+    that best_response_check's closed form replaced: the player's own payoff
+    as a function of their deviation (two azimuths in planar mode, four
+    angles on the full sphere), started from the candidate's own
+    observables, the three best points of the deviation grid
+    (``config.grid`` points per angle, at most 6 on the full sphere) and
+    min(restarts, 8) seeded random points.
+
+    The objective is the GHZ closed form of that payoff on Python floats,
+    one point at a time; the reference is ghz_payoffs on a batch of
+    deviations, which also ranks the grid."""
     game = builtin_game()
     weights = ghz_weights(game.utilities, game.prior)
     theta0, phi0 = candidate.theta, candidate.phi
@@ -215,9 +238,27 @@ def _best_response_searches(
     dim = 2 if mode == "planar" else 4
     searches = []
     for player in PLAYERS:
-        def payoff(x: np.ndarray, player=player) -> np.ndarray:
+        def reference(x: np.ndarray, player=player) -> np.ndarray:
             theta, phi = _deviate(theta0, phi0, player, x, mode)
             return ghz_payoffs(weights, theta, phi)[..., player]
+
+        def objective(x, player=player, coefficients=_ghz_coefficients(game, player)):
+            theta, phi = theta0.tolist(), phi0.tolist()
+            if mode == "planar":
+                theta[player], phi[player] = [math.pi / 2] * 2, list(x)
+            else:
+                theta[player], phi[player] = [x[0], x[2]], [x[1], x[3]]
+            cos = [[math.cos(t) for t in row] for row in theta]
+            sin = [[math.sin(t) for t in row] for row in theta]
+            total = 0.0
+            for (a, b, c), (w1, wab, wac, wbc, wabc) in coefficients:
+                ca, cb, cc = cos[0][a], cos[1][b], cos[2][c]
+                triple = -(
+                    sin[0][a] * sin[1][b] * sin[2][c]
+                    * math.sin(phi[0][a] + phi[1][b] + phi[2][c])
+                )
+                total += w1 + wab * ca * cb + wac * ca * cc + wbc * cb * cc + wabc * triple
+            return total
 
         if mode == "planar":
             own_x = phi0[player].tolist()
@@ -225,11 +266,11 @@ def _best_response_searches(
         else:
             own_x = [theta0[player, 0], phi0[player, 0], theta0[player, 1], phi0[player, 1]]
             mesh = _deviation_grid(mode, min(config.grid, 6))
-        top = np.argsort(payoff(mesh), kind="stable")[::-1][:3]
+        top = np.argsort(reference(mesh), kind="stable")[::-1][:3]
         starts = [own_x] + [mesh[i] for i in top] + list(
             rng.uniform(-math.pi, math.pi, size=(min(config.restarts, 8), dim))
         )
-        searches.append((lambda x, payoff=payoff: float(payoff(np.array(x))), starts))
+        searches.append((objective, reference, starts))
     return searches
 
 
@@ -238,11 +279,17 @@ def _searched_best_responses(
 ) -> list[float]:
     """The oracle of best_response_check: each player's best own payoff
     found by SciPy's Nelder-Mead from every start of _best_response_searches,
-    the plain maximum over the starts.  It shares no code with the engine."""
-    return [
-        max(-float(_scipy_nelder_mead(objective, x0, config).fun) for x0 in starts)
-        for objective, starts in _best_response_searches(candidate, mode, config)
-    ]
+    the plain maximum over the starts.  It shares no code with the engine.
+    The scalar objective agrees with ghz_payoffs at every start and every
+    point SciPy ends at."""
+    best = []
+    for objective, reference, starts in _best_response_searches(candidate, mode, config):
+        results = [_scipy_nelder_mead(objective, x0, config) for x0 in starts]
+        points = np.array([*starts, *(res.x for res in results)], dtype=float)
+        values = [objective(x) for x in points.tolist()]
+        assert np.abs(np.array(values) - reference(points)).max() <= 1e-12
+        best.append(max(-float(res.fun) for res in results))
+    return best
 
 
 class TestBestResponse:
@@ -660,7 +707,7 @@ class TestPolishMatchesScipy:
         best-response search at ``candidate``."""
         searches = _best_response_searches(candidate, "full_sphere", config)
         return [
-            (objective, list(x0), config) for objective, starts in searches for x0 in starts
+            (objective, list(x0), config) for objective, _, starts in searches for x0 in starts
         ]
 
     def test_best_response_objective_at_the_optimum(self, oracle, reference_angles):
