@@ -19,6 +19,7 @@ from bellgame.classical import (
     profile_table,
 )
 from bellgame.optimize import (
+    EQUILIBRIUM_IMPROVEMENT_TOL,
     OptimizationConfig,
     best_response_check,
     quantum_advantage_report,
@@ -92,7 +93,7 @@ def main(argv: list[str] | None = None) -> None:
     for r in verdict.responses:
         print(f"  player {r.player.name}: best unilateral improvement "
               f"{r.improvement:+.3e}")
-    print(f"  certified equilibrium (threshold {verdict.threshold}): "
+    print(f"  certified equilibrium (threshold {EQUILIBRIUM_IMPROVEMENT_TOL}): "
           f"{verdict.is_equilibrium}")
 
 

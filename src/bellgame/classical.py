@@ -362,6 +362,14 @@ _DETERMINISTIC_CODES = tuple(
 )
 
 
+@lru_cache(maxsize=None)  # one tuple per process, built on first use
+def _response_rows() -> tuple[tuple[Fraction, Fraction], ...]:
+    """The response rows (k/d, 1 - k/d) of the seeded random mixtures, k = 0
+    to d = MIXTURE_DENOMINATOR."""
+    d = MIXTURE_DENOMINATOR
+    return tuple((Fraction(k, d), 1 - Fraction(k, d)) for k in range(d + 1))
+
+
 def random_hidden_variable_model(rng: random.Random) -> HiddenVariableModel:
     """Seeded random mixture with exact rational weights and responses.
 
@@ -374,6 +382,7 @@ def random_hidden_variable_model(rng: random.Random) -> HiddenVariableModel:
     :func:`_sampled_payoffs` are tested against.
     """
     d = MIXTURE_DENOMINATOR
+    rows = _response_rows()
     raw = [rng.randint(1, 100) for _ in range(rng.randint(1, MIXTURE_MAX_ATOMS))]
     atoms = []
     for w in raw:
@@ -381,10 +390,10 @@ def random_hidden_variable_model(rng: random.Random) -> HiddenVariableModel:
         for _ in PLAYERS:
             if rng.random() < 0.5:
                 s0, s1 = rng.choice(STRATEGIES)
-                p0 = d * (1 - s0), d * (1 - s1)
+                k0, k1 = d * (1 - s0), d * (1 - s1)
             else:
-                p0 = rng.randint(0, d), rng.randint(0, d)
-            responses.append(tuple((Fraction(k, d), 1 - Fraction(k, d)) for k in p0))
+                k0, k1 = rng.randint(0, d), rng.randint(0, d)
+            responses.append((rows[k0], rows[k1]))
         atoms.append((Fraction(w, sum(raw)), tuple(responses)))
     return HiddenVariableModel(tuple(atoms))
 

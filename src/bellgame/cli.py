@@ -128,9 +128,7 @@ def _setting_digest(setting: MeasurementSetting) -> str:
 def _config_from_args(args) -> OptimizationConfig:
     from .optimize import OptimizationConfig
 
-    return OptimizationConfig(
-        restarts=args.restarts, grid=args.grid, tol=args.tol, seed=args.seed
-    )
+    return OptimizationConfig(restarts=args.restarts, seed=args.seed)
 
 
 #: (exit code, results, the setting read or None); see the module docstring.
@@ -205,7 +203,7 @@ def cmd_bell(args, game: GameDefinition) -> Outcome:
 
 
 def cmd_optimize(args, game: GameDefinition) -> Outcome:
-    from .optimize import quantum_advantage_report
+    from .optimize import GRID, NM_FATOL, quantum_advantage_report
     from .quantum import PLANAR_KEYS
 
     config = _config_from_args(args)
@@ -231,8 +229,8 @@ def cmd_optimize(args, game: GameDefinition) -> Outcome:
         },
         "config": {
             "restarts": config.restarts,
-            "grid": config.grid,
-            "tol": config.tol,
+            "grid": GRID,
+            "tol": NM_FATOL,
             "seed": config.seed,
         },
     }
@@ -241,7 +239,7 @@ def cmd_optimize(args, game: GameDefinition) -> Outcome:
 
 
 def cmd_check(args, game: GameDefinition) -> Outcome:
-    from .optimize import best_response_check
+    from .optimize import EQUILIBRIUM_IMPROVEMENT_TOL, best_response_check
     from .quantum import ghz_distribution, load_setting
 
     setting = load_setting(args.setting)
@@ -274,7 +272,7 @@ def cmd_check(args, game: GameDefinition) -> Outcome:
                 r.player.name: fmt_real(r.improvement) for r in verdict.responses
             },
             "max_improvement": fmt_real(verdict.max_improvement),
-            "threshold": verdict.threshold,
+            "threshold": EQUILIBRIUM_IMPROVEMENT_TOL,
             "certified_equilibrium": verdict.is_equilibrium,
         },
     }
@@ -308,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config(p):
         p.add_argument("--restarts", type=int, default=12)
-        p.add_argument("--grid", type=int, default=16)
-        p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("equilibria", help="enumerate deterministic Nash equilibria")
@@ -343,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(
         p.add_argument_group(
             "optimizer flags",
-            "validated as for optimize, but unused: the best responses are "
-            "exact and involve no search",
+            "optimize's --restarts and --seed, validated as there but unused: "
+            "the best responses are exact and involve no search",
         )
     )
     p.set_defaults(func=cmd_check)

@@ -61,20 +61,9 @@ EQUILIBRIUM_IMPROVEMENT_TOL = 1e-6
 @dataclass(frozen=True)
 class OptimizationConfig:
     restarts: int = 12
-    grid: int = 16  # scan resolution per angle
-    tol: float = 1e-10  # simplex convergence tolerance on the value
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.grid < 8:
-            raise ValidationError("grid resolution must be at least 8")
-        # The grid scan holds grid**4 floats per distinct player payoff:
-        # grid**4 in a player-symmetric game, at most 3 * grid**4, 0.4 GB
-        # at 64.
-        if self.grid > 64:
-            raise ValidationError("grid resolution must be at most 64")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValidationError("convergence tolerance must be finite and positive")
         if self.restarts < 1:
             raise ValidationError("restarts must be positive")
         if self.restarts > 10_000:
@@ -91,11 +80,15 @@ class OptimumReport:
     converged: bool
 
 
+#: Points per free angle of the grid scan: it holds GRID**4 floats per
+#: distinct player payoff.
+GRID = 16
 #: Iteration cap of one Nelder-Mead polish; it may evaluate the objective
 #: four times as often.
 NM_MAX_ITER = 2000
-#: Simplex convergence tolerance on the vertices.
+#: Simplex convergence tolerances on the vertices and on the values.
 NM_XATOL = 1e-9
+NM_FATOL = 1e-10
 
 
 #: The four free azimuths (a1, b1, c0, c1) of a planar setting in the
@@ -125,13 +118,12 @@ def _sort_simplex(
 def _nelder_mead(
     objective: Callable[[Azimuths], float],
     x0: Sequence[float],
-    config: OptimizationConfig,
 ) -> tuple[list[float], float, bool]:
     """Maximize ``objective`` over the four free azimuths from ``x0``;
     returns (x, value, converged).
 
     This is SciPy 1.17's ``minimize(lambda x: -objective(x), x0,
-    method="Nelder-Mead")`` with xatol NM_XATOL, fatol ``config.tol``,
+    method="Nelder-Mead")`` with xatol NM_XATOL, fatol NM_FATOL,
     maxiter NM_MAX_ITER and maxfev 4 * NM_MAX_ITER, in four dimensions on
     Python floats: the same initial simplex, the same steps with the
     coefficients rho = 1, chi = 2, psi = sigma = 1/2 substituted into
@@ -149,8 +141,7 @@ def _nelder_mead(
     point as a 4-tuple.
     """
     max_fev = 4 * NM_MAX_ITER
-    tol = config.tol
-    xatol = NM_XATOL
+    fatol, xatol = NM_FATOL, NM_XATOL
 
     start = [float(v) for v in x0]
     vertices = [tuple(start)]
@@ -178,7 +169,7 @@ def _nelder_mead(
         # tested worst first, the one most likely to be far from the best.
         # SciPy's break here skips its end-of-iteration sort; so does this
         # one.
-        if fworst - fbest <= tol:
+        if fworst - fbest <= fatol:
             for v0, v1, v2, v3 in (worst, s, q, p):
                 if not (
                     abs(v0 - b0) <= xatol and abs(v1 - b1) <= xatol
@@ -289,7 +280,6 @@ TIE_WINDOW = 1e-9
 def _multistart_max(
     objective: Callable[[Azimuths], float],
     starts: Sequence[Sequence[float]],
-    config: OptimizationConfig,
 ) -> tuple[list[float], float, bool]:
     """Best local maximum over the given starts, each four azimuths.
 
@@ -299,7 +289,7 @@ def _multistart_max(
     """
     results = []
     for x0 in starts:
-        x, value, ok = _nelder_mead(objective, x0, config)
+        x, value, ok = _nelder_mead(objective, x0)
         results.append((value, tuple(wrap_angle(v) for v in x), x, ok))
     vmax = max(r[0] for r in results)
     tied = [r for r in results if r[0] >= vmax - TIE_WINDOW]
@@ -320,20 +310,20 @@ def _planar_rows(weights: np.ndarray) -> list[tuple[float, ...]]:
 
 
 def _grid_starts(
-    rows: list[tuple[float, ...]], config: OptimizationConfig
+    rows: list[tuple[float, ...]], restarts: int
 ) -> list[tuple[float, float, float, float]]:
     """The ``restarts`` best points on the grid of the minimum over ``rows``
     (see _planar_rows) of the planar payoff.
 
-    The grid has ``config.grid`` points per free angle (a1, b1, c0, c1).
-    Each type profile's sine depends on at most three of the angles, so it
-    is evaluated on a broadcast axis and added into the (len(rows),
-    grid**4) payoff array in place; no full mesh of the four angles is
-    built.  A player-symmetric game scans one row.
+    The grid has GRID points per free angle (a1, b1, c0, c1).  Each type
+    profile's sine depends on at most three of the angles, so it is
+    evaluated on a broadcast axis and added into the (len(rows), GRID**4)
+    payoff array in place; no full mesh of the four angles is built.  A
+    player-symmetric game scans one row.
     """
     table = np.array(rows)
     const, coef = table[:, 0], table[:, 1:]
-    m, g = len(table), config.grid
+    m, g = len(table), GRID
     axis = np.linspace(-math.pi, math.pi, g, endpoint=False)
     a = (0.0, axis.reshape(g, 1, 1, 1))
     b = (0.0, axis.reshape(1, g, 1, 1))
@@ -351,7 +341,7 @@ def _grid_starts(
     # above the k-th best value are put in order by a stable sort: best
     # first, and of tied points the last in grid order first.
     flat = values[0].ravel()
-    k = min(config.restarts, flat.size)
+    k = min(restarts, flat.size)
     # The k-th best value is among the k best of each slice along a1, where
     # np.partition(flat) would copy the whole array.  Each slice's best are
     # copied out so that its partitioned copy is freed.
@@ -404,9 +394,9 @@ def maximize_planar(
 
     rng = np.random.default_rng(config.seed)
     random_starts = rng.uniform(-math.pi, math.pi, size=(config.restarts, 4))
-    starts = _grid_starts(rows, config) + list(random_starts)
+    starts = _grid_starts(rows, config.restarts) + list(random_starts)
 
-    x, _, ok = _multistart_max(objective, starts, config)
+    x, _, ok = _multistart_max(objective, starts)
     a1, b1, c0, c1 = (wrap_angle(v) for v in x)
     setting = MeasurementSetting.planar([0.0, a1, 0.0, b1, c0, c1])
     payoffs = ghz_payoffs(weights, setting.theta, setting.phi)
@@ -431,7 +421,6 @@ class BestResponseVerdict:
     mode: str  # "planar" | "full_sphere"
     baseline: PayoffTriple
     responses: tuple[PlayerBestResponse, PlayerBestResponse, PlayerBestResponse]
-    threshold: float = EQUILIBRIUM_IMPROVEMENT_TOL
 
     @property
     def max_improvement(self) -> float:
@@ -439,7 +428,7 @@ class BestResponseVerdict:
 
     @property
     def is_equilibrium(self) -> bool:
-        return self.max_improvement < self.threshold
+        return self.max_improvement < EQUILIBRIUM_IMPROVEMENT_TOL
 
 
 #: Bloch angles (theta, phi) of the probe observables along x, y, +z and

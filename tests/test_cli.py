@@ -97,8 +97,7 @@ PINNED_ARGS = {
     "bell-optimum": ["bell", "--setting", "{optimum}"],
     **{
         f"check-{name}-{mode}": [
-            "check", "--setting", f"{{{name}}}", "--mode", mode,
-            "--restarts", "1", "--grid", "8",
+            "check", "--setting", f"{{{name}}}", "--mode", mode, "--restarts", "1",
         ]
         for name in ("optimum", "tilted")
         for mode in ("planar", "full")
@@ -366,25 +365,28 @@ class TestOptimizeCommand:
         }
 
     def test_seed_stability(self, capsys):
-        _, first = run_cli(capsys, "optimize", "--seed", "1", "--restarts", "4", "--grid", "8")
-        _, second = run_cli(capsys, "optimize", "--seed", "2", "--restarts", "4", "--grid", "8")
+        _, first = run_cli(capsys, "optimize", "--seed", "1", "--restarts", "4")
+        _, second = run_cli(capsys, "optimize", "--seed", "2", "--restarts", "4")
         assert first["results"]["optimum"]["value"] == pytest.approx(
             second["results"]["optimum"]["value"], abs=1e-6
         )
 
     def test_degraded_config_still_reports(self, capsys):
-        code, report = run_cli(capsys, "optimize", "--restarts", "1", "--grid", "8")
+        code, report = run_cli(capsys, "optimize", "--restarts", "1")
         assert code in (0, 3)
         assert "value" in report["results"]["optimum"]
         assert isinstance(report["results"]["optimum"]["converged"], bool)
 
     def test_invalid_grid_exits_2(self, capsys):
-        code = main(["optimize", "--grid", "2"])
-        assert code == 2
+        """The grid is fixed: --grid is an unknown argument."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["optimize", "--grid", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --grid 2" in capsys.readouterr().err
 
     def test_polish_cut_short_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(optimize, "NM_MAX_ITER", 5)
-        code, report = run_cli(capsys, "optimize", "--restarts", "1", "--grid", "8")
+        code, report = run_cli(capsys, "optimize", "--restarts", "1")
         assert code == EXIT_NO_CONVERGENCE == 3
         assert report["results"]["optimum"]["converged"] is False
 
@@ -393,8 +395,7 @@ class TestCheckCommand:
     def test_reference_optimum_certified(self, capsys, optimum_setting_file):
         code, report = run_cli(
             capsys,
-            "check", "--setting", optimum_setting_file,
-            "--restarts", "2", "--grid", "8",
+            "check", "--setting", optimum_setting_file, "--restarts", "2",
         )
         assert code == 0
         results = report["results"]
@@ -416,7 +417,7 @@ class TestCheckCommand:
         path.write_text(json.dumps(doc))
         code, report = run_cli(
             capsys,
-            "check", "--setting", str(path), "--restarts", "2", "--grid", "8",
+            "check", "--setting", str(path), "--restarts", "2",
         )
         assert code == 0
         results = report["results"]
@@ -436,7 +437,7 @@ class TestCheckCommand:
     def test_tilted_setting_reports_three_payoffs(self, capsys, tilted_setting_file):
         code, report = run_cli(
             capsys,
-            "check", "--setting", tilted_setting_file, "--restarts", "2", "--grid", "8",
+            "check", "--setting", tilted_setting_file, "--restarts", "2",
         )
         assert code == 0
         results = report["results"]
@@ -449,7 +450,7 @@ class TestCheckCommand:
     def test_optimizer_flags_leave_results_unchanged(self, capsys, tilted_setting_file, mode):
         argv = ["check", "--setting", tilted_setting_file, "--mode", mode]
         _, plain = run_cli(capsys, *argv)
-        _, flagged = run_cli(capsys, *argv, "--restarts", "1", "--grid", "8", "--seed", "5")
+        _, flagged = run_cli(capsys, *argv, "--restarts", "1", "--seed", "5")
         assert json.dumps(flagged["results"]) == json.dumps(plain["results"])
 
     def test_malformed_setting_exits_2(self, capsys, tmp_path):
@@ -464,16 +465,17 @@ class TestBadNumbers:
         "argv",
         [
             ["audit-bound", "--samples", "-5"],
-            ["optimize", "--tol", "nan"],
-            ["optimize", "--tol", "inf"],
-            ["optimize", "--tol=-1e-10"],
+            ["optimize", "--restarts", "0"],
+            # check runs no search, but rejects what optimize rejects
+            ["check", "--setting", "{setting}", "--restarts", "0"],
+            ["check", "--setting", "{setting}", "--seed", "-1"],
             ["optimize", "--seed", "-1"],
-            ["check", "--setting", "{setting}", "--tol", "nan"],
+            ["check", "--setting", "{nan_angle}"],
             ["bell", "--setting", "{string_angles}"],
-            # the limits that keep the grid scan and the random starts small
-            ["optimize", "--grid", "65"],
+            # the limit that keeps the random starts small
+            ["check", "--setting", "{setting}", "--restarts", "10001"],
             ["optimize", "--restarts", "10001"],
-            ["check", "--setting", "{setting}", "--grid", "65"],
+            ["check", "--setting", "{string_angles}"],
             # random.Random(-1) would draw the samples of seed 1
             ["audit-bound", "--seed", "-1"],
             # the limit that keeps an audit near a minute
@@ -481,14 +483,37 @@ class TestBadNumbers:
         ],
     )
     def test_exits_2(self, capsys, tmp_path, optimum_setting_file, argv):
-        string_angles = tmp_path / "strings.json"
         doc = json.loads(Path(optimum_setting_file).read_text())
-        doc["phi_A0"], doc["phi_A1"] = "1e0", True
-        string_angles.write_text(json.dumps(doc))
-        files = {"setting": optimum_setting_file, "string_angles": str(string_angles)}
+        string_angles = tmp_path / "strings.json"
+        string_angles.write_text(json.dumps({**doc, "phi_A0": "1e0", "phi_A1": True}))
+        nan_angle = tmp_path / "nan.json"
+        nan_angle.write_text(json.dumps({**doc, "phi_A0": float("nan")}))  # as NaN
+        files = {
+            "setting": optimum_setting_file,
+            "string_angles": str(string_angles),
+            "nan_angle": str(nan_angle),
+        }
         code = main([arg.format(**files) for arg in argv])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        ("argv", "flag"),
+        [
+            (["optimize", "--grid", "16"], "--grid 16"),
+            (["optimize", "--tol", "1e-10"], "--tol 1e-10"),
+            (["check", "--setting", "{setting}", "--grid", "8"], "--grid 8"),
+        ],
+    )
+    def test_removed_search_flags_exit_2(self, capsys, optimum_setting_file, argv, flag):
+        """The grid and the value tolerance of the search are fixed: --grid
+        and --tol are unknown arguments, a usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(setting=optimum_setting_file) for arg in argv])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
 
     @pytest.mark.parametrize("digits", [401, 5001])
     def test_long_integer_angle_exits_2(self, capsys, tmp_path, optimum_setting_file, digits):
@@ -542,7 +567,7 @@ class TestBadNumbers:
         path.write_text(json.dumps(doc))
         argv = [command, "--game", str(path)]
         if command != "bell":
-            argv += ["--restarts", "1", "--grid", "8"]
+            argv += ["--restarts", "1"]
         if command != "optimize":
             argv += ["--setting", optimum_setting_file]
         code = main(argv)

@@ -74,7 +74,7 @@ class TestMaximizePlanar:
     ):
         alpha, beta = Fraction(7, 3), Fraction(-5, 2)
         game = GameDefinition(affine_transform(table1.utilities, alpha, beta), table1.prior)
-        report = maximize_planar(game, OptimizationConfig(restarts=4, grid=8, seed=3))
+        report = maximize_planar(game, OptimizationConfig(restarts=4, seed=3))
         assert report.value == pytest.approx(
             float(alpha) * ANALYTIC_OPTIMUM + float(beta), abs=1e-9
         )
@@ -91,16 +91,16 @@ class TestMaximizePlanar:
         assert default_report.converged
 
     def test_coarse_config_is_close(self, table1):
-        report = maximize_planar(table1, OptimizationConfig(restarts=1, grid=8))
+        report = maximize_planar(table1, OptimizationConfig(restarts=1))
         assert report.value > ANALYTIC_OPTIMUM - 0.05
 
     def test_deterministic_for_fixed_seed(self, table1):
-        config = OptimizationConfig(restarts=3, grid=8, seed=5)
+        config = OptimizationConfig(restarts=3, seed=5)
         assert maximize_planar(table1, config) == maximize_planar(table1, config)
 
     def test_value_monotone_in_restarts(self, table1):
         values = [
-            maximize_planar(table1, OptimizationConfig(restarts=r, grid=8, seed=0)).value
+            maximize_planar(table1, OptimizationConfig(restarts=r, seed=0)).value
             for r in (1, 2, 4, 8)
         ]
         for earlier, later in zip(values, values[1:]):
@@ -108,7 +108,7 @@ class TestMaximizePlanar:
 
     def test_seeds_agree_on_value_and_orbit(self, table1):
         reports = [
-            maximize_planar(table1, OptimizationConfig(restarts=6, grid=8, seed=s))
+            maximize_planar(table1, OptimizationConfig(restarts=6, seed=s))
             for s in range(4)
         ]
         for r in reports[1:]:
@@ -118,13 +118,6 @@ class TestMaximizePlanar:
             assert same_orbit or same_value
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(ValidationError, match="grid"):
-            OptimizationConfig(grid=4)
-        with pytest.raises(ValidationError, match="grid resolution must be at most 64"):
-            OptimizationConfig(grid=65)
-        for tol in (0, -1e-10, float("nan"), float("inf")):
-            with pytest.raises(ValidationError, match="tolerance"):
-                OptimizationConfig(tol=tol)
         with pytest.raises(ValidationError, match="seed"):
             OptimizationConfig(seed=-1)
         with pytest.raises(ValidationError, match="restarts"):
@@ -133,9 +126,9 @@ class TestMaximizePlanar:
             OptimizationConfig(restarts=10_001)
 
     def test_largest_config_accepted(self):
-        # constructed only: running it would allocate the 0.4 GB grid scan
-        config = OptimizationConfig(grid=64, restarts=10_000)
-        assert (config.grid, config.restarts) == (64, 10_000)
+        # constructed only: running it would make 20000 polishes
+        config = OptimizationConfig(restarts=10_000)
+        assert config.restarts == 10_000
 
 
 TILTED = MeasurementSetting(
@@ -180,7 +173,7 @@ def _deviation_grid(mode: str, res: int) -> np.ndarray:
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-def _scipy_nelder_mead(objective, x0, config: OptimizationConfig):
+def _scipy_nelder_mead(objective, x0):
     """scipy.optimize.minimize's Nelder-Mead on -objective with the options
     of the in-house polish: that polish's oracle, and the search of the
     best-response oracle.  Skips the test without SciPy."""
@@ -191,7 +184,7 @@ def _scipy_nelder_mead(objective, x0, config: OptimizationConfig):
         method="Nelder-Mead",
         options={
             "xatol": optimize.NM_XATOL,
-            "fatol": config.tol,
+            "fatol": optimize.NM_FATOL,
             "maxiter": optimize.NM_MAX_ITER,
             "maxfev": 4 * optimize.NM_MAX_ITER,
         },
@@ -218,14 +211,14 @@ def _ghz_coefficients(game: GameDefinition, player: int) -> list[tuple]:
 
 
 def _best_response_searches(
-    candidate: MeasurementSetting, mode: str, config: OptimizationConfig
+    candidate: MeasurementSetting, mode: str, config: OptimizationConfig, grid: int
 ) -> list[tuple]:
     """Per player on table1, (objective, reference, starts) of the search
     that best_response_check's closed form replaced: the player's own payoff
     as a function of their deviation (two azimuths in planar mode, four
     angles on the full sphere), started from the candidate's own
     observables, the three best points of the deviation grid
-    (``config.grid`` points per angle, at most 6 on the full sphere) and
+    (``grid`` points per angle, at most 6 on the full sphere) and
     min(restarts, 8) seeded random points.
 
     The objective is the GHZ closed form of that payoff on Python floats,
@@ -262,10 +255,10 @@ def _best_response_searches(
 
         if mode == "planar":
             own_x = phi0[player].tolist()
-            mesh = _deviation_grid(mode, config.grid)
+            mesh = _deviation_grid(mode, grid)
         else:
             own_x = [theta0[player, 0], phi0[player, 0], theta0[player, 1], phi0[player, 1]]
-            mesh = _deviation_grid(mode, min(config.grid, 6))
+            mesh = _deviation_grid(mode, min(grid, 6))
         top = np.argsort(reference(mesh), kind="stable")[::-1][:3]
         starts = [own_x] + [mesh[i] for i in top] + list(
             rng.uniform(-math.pi, math.pi, size=(min(config.restarts, 8), dim))
@@ -275,7 +268,7 @@ def _best_response_searches(
 
 
 def _searched_best_responses(
-    candidate: MeasurementSetting, mode: str, config: OptimizationConfig
+    candidate: MeasurementSetting, mode: str, config: OptimizationConfig, grid: int
 ) -> list[float]:
     """The oracle of best_response_check: each player's best own payoff
     found by SciPy's Nelder-Mead from every start of _best_response_searches,
@@ -283,8 +276,10 @@ def _searched_best_responses(
     The scalar objective agrees with ghz_payoffs at every start and every
     point SciPy ends at."""
     best = []
-    for objective, reference, starts in _best_response_searches(candidate, mode, config):
-        results = [_scipy_nelder_mead(objective, x0, config) for x0 in starts]
+    for objective, reference, starts in _best_response_searches(
+        candidate, mode, config, grid
+    ):
+        results = [_scipy_nelder_mead(objective, x0) for x0 in starts]
         points = np.array([*starts, *(res.x for res in results)], dtype=float)
         values = [objective(x) for x in points.tolist()]
         assert np.abs(np.array(values) - reference(points)).max() <= 1e-12
@@ -386,10 +381,10 @@ class TestBestResponse:
         candidates = [MeasurementSetting.planar(reference_angles)] + [
             MeasurementSetting(t, p) for t, p in zip(theta0, phi0)
         ]
-        config = OptimizationConfig(restarts=1, grid=8, seed=0)
+        config = OptimizationConfig(restarts=1, seed=0)
         for candidate in candidates:
             verdict = best_response_check(table1, candidate, mode)
-            searched = _searched_best_responses(candidate, mode, config)
+            searched = _searched_best_responses(candidate, mode, config, grid=8)
             for response, value in zip(verdict.responses, searched):
                 assert response.payoff >= value - 1e-12
 
@@ -424,16 +419,14 @@ class TestBestResponse:
 
 class TestGridStarts:
     def test_tied_grid_values_give_pinned_starts(self, table1):
-        """On table1's grid of 8 the second-best value is shared by more
-        points than are left to pick; the stable sort takes the last of them
-        in grid order, on any CPU."""
+        """On table1's grid of 16 the third-best value is shared by twelve
+        points, more than are left to pick; the stable sort takes the last
+        two of them in grid order, on any CPU."""
         weights = ghz_weights(table1.utilities, table1.prior)
-        starts = optimize._grid_starts(
-            optimize._planar_rows(weights), OptimizationConfig(restarts=4, grid=8)
-        )
-        step = math.pi / 4
+        starts = optimize._grid_starts(optimize._planar_rows(weights), 4)
+        step = math.pi / 8
         indices = [tuple(round((v + math.pi) / step) for v in x) for x in starts]
-        assert indices == [(6, 6, 5, 7), (2, 2, 7, 5), (7, 6, 5, 7), (6, 7, 5, 7)]
+        assert indices == [(12, 12, 11, 15), (4, 4, 13, 9), (13, 12, 10, 14), (12, 13, 10, 14)]
 
         def value(a1, b1, c0, c1):
             setting = MeasurementSetting.planar(
@@ -441,26 +434,30 @@ class TestGridStarts:
             )
             return min(ghz_payoffs(weights, setting.theta, setting.phi))
 
-        # the two picked and two passed over: a tie, up to rounding
-        tied = [value(*(i - 4 for i in x)) for x in indices[2:] + [(6, 6, 6, 7), (2, 2, 6, 5)]]
+        # the two picked and the ten passed over: a tie, up to rounding
+        passed_over = [
+            (12, 12, 11, 14), (12, 12, 10, 15), (12, 11, 11, 15), (11, 12, 11, 15),
+            (5, 4, 13, 9), (4, 5, 13, 9), (4, 4, 14, 9), (4, 4, 13, 10),
+            (4, 3, 14, 10), (3, 4, 14, 10),
+        ]
+        tied = [value(*(i - 8 for i in x)) for x in indices[2:] + passed_over]
         assert max(tied) - min(tied) < 1e-12
-        assert value(*(i - 4 for i in indices[1])) > max(tied) + 0.01
+        assert value(*(i - 8 for i in indices[1])) > max(tied) + 5e-5
 
 
     @pytest.mark.parametrize("restarts", [4, 12])
-    @pytest.mark.parametrize("grid", [8, 16])
+    @pytest.mark.parametrize("grid", [optimize.GRID])  # the engine's one grid
     @pytest.mark.parametrize("game_name", ["table1", "affine_game", "nonuniform_game"])
     def test_distinct_rows_give_the_three_row_starts(
         self, request, game_name, grid, restarts
     ):
         game = request.getfixturevalue(game_name)
         weights = ghz_weights(game.utilities, game.prior)
-        config = OptimizationConfig(restarts=restarts, grid=grid)
         rows = optimize._planar_rows(weights)
         assert len(rows) == (3 if game_name == "nonuniform_game" else 1)
-        got = optimize._grid_starts(rows, config)
+        got = optimize._grid_starts(rows, restarts)
         assert got == _three_row_grid_starts(
-            weights[:, :, 0].sum(axis=1), -weights[:, :, 4], config
+            weights[:, :, 0].sum(axis=1), -weights[:, :, 4], grid, restarts
         )
         assert len(got) == restarts
 
@@ -472,7 +469,7 @@ class TestGridStarts:
         rows = optimize._planar_rows(weights)
         tracemalloc.start()
         try:
-            optimize._grid_starts(rows, OptimizationConfig(grid=16))
+            optimize._grid_starts(rows, OptimizationConfig().restarts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -480,11 +477,10 @@ class TestGridStarts:
 
 
 def _three_row_grid_starts(
-    const: np.ndarray, coef: np.ndarray, config: OptimizationConfig
+    const: np.ndarray, coef: np.ndarray, g: int, restarts: int
 ) -> list[tuple[float, float, float, float]]:
-    """The reference scan: one (3, grid**4) payoff array, a row per player
+    """The reference scan: one (3, g**4) payoff array, a row per player
     whether or not rows repeat, and the k-th best value from a copy of it."""
-    g = config.grid
     axis = np.linspace(-math.pi, math.pi, g, endpoint=False)
     a = (0.0, axis.reshape(g, 1, 1, 1))
     b = (0.0, axis.reshape(1, g, 1, 1))
@@ -496,7 +492,7 @@ def _three_row_grid_starts(
     np.minimum(values[0], values[1], out=values[0])
     np.minimum(values[0], values[2], out=values[0])
     flat = values[0].ravel()
-    k = min(config.restarts, flat.size)
+    k = min(restarts, flat.size)
     best = np.flatnonzero(flat >= np.partition(flat, flat.size - k)[flat.size - k])
     top = best[np.argsort(flat[best], kind="stable")[::-1][:k]]
     return list(zip(*(axis[i] for i in np.unravel_index(top, (g,) * 4))))
@@ -516,14 +512,14 @@ class TestAdvantageReport:
     def test_constant_game_has_no_advantage(self):
         c = Fraction(7, 3)
         game = GameDefinition(UtilityTable.constant(c), Prior.uniform())
-        report = quantum_advantage_report(game, OptimizationConfig(restarts=2, grid=8))
+        report = quantum_advantage_report(game, OptimizationConfig(restarts=2))
         assert report.classical_total_bound == 3 * c
         assert report.classical_fair_cap == c
         assert report.optimum.value == pytest.approx(float(c), abs=1e-9)
         assert report.advantage == pytest.approx(0.0, abs=1e-9)
 
     def test_report_optimum_matches_direct_call(self, table1):
-        config = OptimizationConfig(restarts=2, grid=8, seed=0)
+        config = OptimizationConfig(restarts=2, seed=0)
         report = quantum_advantage_report(table1, config)
         assert report.optimum == maximize_planar(table1, config)
 
@@ -610,13 +606,13 @@ class TestBoundHierarchyLP:
 
 
 def _polishes(run) -> list:
-    """(objective, start, config) of every Nelder-Mead polish that run() makes."""
+    """(objective, start) of every Nelder-Mead polish that run() makes."""
     polishes = []
     real = optimize._nelder_mead
 
-    def record(objective, x0, config):
-        polishes.append((objective, list(x0), config))
-        return real(objective, x0, config)
+    def record(objective, x0):
+        polishes.append((objective, list(x0)))
+        return real(objective, x0)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(optimize, "_nelder_mead", record)
@@ -671,9 +667,9 @@ class TestPolishMatchesScipy:
     @staticmethod
     def assert_same_paths(oracle, polishes) -> list:
         results = []
-        for objective, x0, config in polishes:
-            res = oracle(objective, x0, config)
-            got = optimize._nelder_mead(objective, x0, config)
+        for objective, x0 in polishes:
+            res = oracle(objective, x0)
+            got = optimize._nelder_mead(objective, x0)
             expected = (res.x.tolist(), -float(res.fun), bool(res.success))
             assert repr(got) == repr(expected)  # the signs of zeros, and NaN
             if not math.isnan(got[1]):  # a NaN value is never == to itself
@@ -702,13 +698,11 @@ class TestPolishMatchesScipy:
         self.assert_same_paths(oracle, polishes)
 
     @staticmethod
-    def best_response_polishes(candidate, config) -> list:
-        """(objective, start, config) of every polish of the full-sphere
+    def best_response_polishes(candidate, config, grid=optimize.GRID) -> list:
+        """(objective, start) of every polish of the full-sphere
         best-response search at ``candidate``."""
-        searches = _best_response_searches(candidate, "full_sphere", config)
-        return [
-            (objective, list(x0), config) for objective, _, starts in searches for x0 in starts
-        ]
+        searches = _best_response_searches(candidate, "full_sphere", config, grid)
+        return [(objective, list(x0)) for objective, _, starts in searches for x0 in starts]
 
     def test_best_response_objective_at_the_optimum(self, oracle, reference_angles):
         polishes = self.best_response_polishes(
@@ -719,7 +713,7 @@ class TestPolishMatchesScipy:
 
     def test_best_response_objective_in_4d(self, oracle):
         polishes = self.best_response_polishes(
-            TILTED, OptimizationConfig(restarts=2, grid=8, seed=2)
+            TILTED, OptimizationConfig(restarts=2, seed=2), grid=8
         )
         assert len(polishes) == 3 * 6 and len(polishes[0][1]) == 4
         self.assert_same_paths(oracle, polishes)
@@ -727,7 +721,7 @@ class TestPolishMatchesScipy:
     def test_run_to_the_evaluation_limit(self, oracle):
         rng = np.random.default_rng(7)
         polishes = [
-            (_hash_noise, list(x0), OptimizationConfig())
+            (_hash_noise, list(x0))
             for x0 in rng.uniform(-3, 3, size=(8, 4))
         ]
         results = self.assert_same_paths(oracle, polishes)
@@ -754,7 +748,7 @@ class TestPolishMatchesScipy:
             return 0.0
 
         x0 = [0.3, -1.2, 2.0, 0.7]
-        (res,) = self.assert_same_paths(oracle, [(flat, x0, OptimizationConfig())])
+        (res,) = self.assert_same_paths(oracle, [(flat, x0)])
         assert res.nfev == 4 * optimize.NM_MAX_ITER and res.nit == 6
         vertices, values = res.final_simplex
         assert sorts[-1] == list(zip(values.tolist(), map(tuple, vertices.tolist())))
@@ -777,7 +771,7 @@ class TestPolishMatchesScipy:
         monkeypatch.setattr(optimize, "_sort_simplex", spy)
         rng = np.random.default_rng(11)
         polishes = [
-            (_rounded_bowl, list(x0), OptimizationConfig())
+            (_rounded_bowl, list(x0))
             for x0 in rng.uniform(-3, 3, size=(20, 4))
         ]
         self.assert_same_paths(oracle, polishes)
@@ -808,7 +802,7 @@ class TestPolishMatchesScipy:
 
         rng = np.random.default_rng(13)
         polishes = [
-            (recorded, list(x0), OptimizationConfig())
+            (recorded, list(x0))
             for x0 in rng.uniform(-2, 2, size=(20, 4))
         ]
         results = self.assert_same_paths(oracle, polishes)
@@ -846,7 +840,7 @@ class TestPolishMatchesScipy:
             return values[-1]
 
         (res,) = self.assert_same_paths(
-            oracle, [(nan_corner, [0.2, -0.1, 0.99, 0.99], OptimizationConfig())]
+            oracle, [(nan_corner, [0.2, -0.1, 0.99, 0.99])]
         )
         # values begins with SciPy's run, whose points are the port's
         assert sum(map(math.isnan, values[:5])) == 2
@@ -865,7 +859,7 @@ class TestPolishMatchesScipy:
         partial tie."""
         rng = np.random.default_rng(5)
         polishes = [
-            (_stepped_cone, list(x0), OptimizationConfig())
+            (_stepped_cone, list(x0))
             for x0 in rng.uniform(-3, 3, size=(20, 4))
         ]
         results = self.assert_same_paths(oracle, polishes)
@@ -883,4 +877,4 @@ class TestPolishMatchesScipy:
             return 0.0 if x[0] > 0.3 else -0.0
 
         x0 = [0.3, 0.0, 0.0, 0.0]
-        self.assert_same_paths(oracle, [(signed_zero, x0, OptimizationConfig())])
+        self.assert_same_paths(oracle, [(signed_zero, x0)])
