@@ -80,8 +80,8 @@ def main(argv: list[str] | None = None) -> None:
     print(f"  common payoff: {opt.value:.9f}  "
           f"(analytic (13+2*sqrt(13))/24 = {(13 + 2 * math.sqrt(13)) / 24:.9f})")
     print("  Bell values: " + ", ".join(
-        f"{v.name} = {ghz_bell(opt.setting.theta, opt.setting.phi, v):+.6f}"
-        for v in BellVariant
+        f"{v.name} = {value:+.6f}"
+        for v, value in ghz_bell(opt.setting.theta, opt.setting.phi).items()
     ))
     print(f"  classical fair cap: {frac(summary.classical_fair_cap)}; "
           f"advantage: {summary.advantage:.6f}")

@@ -132,18 +132,28 @@ class HiddenVariableModel:
 def hv_model_to_distribution(
     model: HiddenVariableModel,
 ) -> ConditionalDistribution:
-    """p(y|x) = sum over atoms of weight * prod_i p_i(y_i | x_i)."""
+    """p(y|x) = sum over atoms of weight * prod_i p_i(y_i | x_i).
+
+    The product weight * p_A * p_B is formed once per (x, y_A, y_B), and a
+    zero factor ends its branch: deterministic responses are mostly zeros.
+    """
     rows = []
-    for x in PROFILES:
+    for xa, xb, xc in PROFILES:
         row = [Fraction(0)] * 8
-        for weight, responses in model.atoms:
+        for weight, (resp_a, resp_b, resp_c) in model.atoms:
             if weight == 0:
                 continue
-            for y in PROFILES:
-                p = weight
-                for i in PLAYERS:
-                    p *= responses[i][x[i]][y[i]]
-                row[profile_index(y)] += p
+            for ya, pa in enumerate(resp_a[xa]):
+                if pa == 0:
+                    continue
+                wa = weight * pa
+                for yb, pb in enumerate(resp_b[xb]):
+                    if pb == 0:
+                        continue
+                    wab = wa * pb
+                    for yc, pc in enumerate(resp_c[xc]):
+                        if pc != 0:
+                            row[4 * ya + 2 * yb + yc] += wab * pc
         rows.append(tuple(row))
     return ConditionalDistribution(tuple(rows))
 
@@ -176,10 +186,11 @@ def correlator(dist: ConditionalDistribution, x: Profile) -> Numeric:
     Outcome convention: action 1 maps to eigenvalue +1, action 0 to -1,
     so the product sign is (-1) to the number of zero actions.
     """
+    row = dist.rows[profile_index(x)]
     total: Numeric = 0
     for y in PROFILES:
         sign = -1 if (3 - sum(y)) % 2 else 1
-        total += sign * dist.prob(y, x)
+        total += sign * row[profile_index(y)]
     return total
 
 

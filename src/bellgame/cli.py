@@ -7,9 +7,12 @@ the setting it read or None); ``main`` alone resolves the game, times the
 run, builds ``inputs`` (``game_digest``, plus ``setting_digest`` when a
 setting was read) and writes the report: command, inputs, engine version,
 wall time and ``results``, which are deterministic for fixed inputs and seed.
-The argument parser is built once per process; ``main`` keeps no state
-between calls, so callers that run many commands in one process (the
-tests, a benchmark) may call it again and again.
+Two things outlive a call, and no result depends on either: the argument
+parser, built once per process, and each bundled game, loaded once per
+process by builtin_game together with the digest and GHZ weights that the
+game object derives on first use (see game.GameDefinition).  A game file is
+read into a new object on each call.  Callers that run many commands in one
+process (the tests, a benchmark) may call ``main`` again and again.
 
 Only the commands that run the GHZ engine (``bell --setting``,
 ``optimize`` and ``check``) import it, and with it numpy; the classical
@@ -49,7 +52,6 @@ from .game import (
     ValidationError,
     check_player_symmetry,
     format_rational,
-    game_digest,
     load_game,
     no_signalling_residual,
 )
@@ -97,8 +99,8 @@ def fmt_ghz_bell(setting: MeasurementSetting) -> dict:
     from .quantum import ghz_bell
 
     return {
-        variant.name: fmt_real(ghz_bell(setting.theta, setting.phi, variant))
-        for variant in BellVariant
+        variant.name: fmt_real(value)
+        for variant, value in ghz_bell(setting.theta, setting.phi).items()
     }
 
 
@@ -363,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
             guard = np.errstate(over="ignore", invalid="ignore")
         with guard:
             code, results, setting = args.func(args, game)
-        inputs = {"game_digest": game_digest(game)}
+        inputs = {"game_digest": game.digest}
         if setting is not None:
             inputs["setting_digest"] = _setting_digest(setting)
         report = {

@@ -28,10 +28,14 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 from pathlib import Path
-from typing import Callable, NamedTuple, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Union
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Bit = int
 Profile = tuple[Bit, Bit, Bit]
@@ -169,9 +173,6 @@ class ConditionalDistribution:
     def uniform(cls) -> "ConditionalDistribution":
         return cls(((Fraction(1, 8),) * 8,) * 8)
 
-    def prob(self, y: Profile, x: Profile) -> Numeric:
-        return self.rows[profile_index(x)][profile_index(y)]
-
     def validate(self) -> None:
         """Check nonnegativity and row normalization within DEFAULT_TOL,
         naming the bad row."""
@@ -293,39 +294,30 @@ def affine_transform(
     )
 
 
-def _marginal_pairs(dist: ConditionalDistribution):
-    """Yield every no-signalling comparison as the pair of marginals with
-    player s's type 0 and 1.
-
-    For each player s the marginal sums p(y|x) over y_s; it must not depend
-    on x_s for any types and actions of the other two players.
-    """
-    for s in PLAYERS:
-        others = [p for p in PLAYERS if p != s]
-        for ot in product((0, 1), repeat=2):
-            for oa in product((0, 1), repeat=2):
-                marg = []
-                for xs in (0, 1):
-                    x = [0, 0, 0]
-                    x[s] = xs
-                    x[others[0]], x[others[1]] = ot
-                    total: Numeric = 0
-                    for ys in (0, 1):
-                        y = [0, 0, 0]
-                        y[s] = ys
-                        y[others[0]], y[others[1]] = oa
-                        total += dist.prob(
-                            (y[0], y[1], y[2]), (x[0], x[1], x[2])
-                        )
-                    marg.append(total)
-                yield marg[0], marg[1]
+#: Every no-signalling comparison as the indices (x0, x1, y0, y1): one
+#: player's type bit is 0 in row x0 and 1 in row x1, its action bit 0 in
+#: column y0 and 1 in y1, and the other two players' bits are the same in
+#: all four.  Ordered by player, then the others' types, then their actions.
+_NO_SIGNALLING_GROUPS = tuple(
+    (x, x | bit, y, y | bit)
+    for bit in (4, 2, 1)  # the bit of player A, B, C in a profile index
+    for x in range(8)
+    if not x & bit
+    for y in range(8)
+    if not y & bit
+)
 
 
 def no_signalling_residual(dist: ConditionalDistribution) -> Numeric:
     """Largest |difference| between the two marginals of any no-signalling
-    comparison: no two-player marginal may depend on the third player's type.
-    Exactly 0 for an exact no-signalling distribution."""
-    return max(abs(lhs - rhs) for lhs, rhs in _marginal_pairs(dist))
+    comparison: no two-player marginal, p(y|x) summed over the third
+    player's action, may depend on the third player's type.  Exactly 0 for
+    an exact no-signalling distribution."""
+    rows = dist.rows
+    return max(
+        abs(rows[x0][y0] + rows[x0][y1] - (rows[x1][y0] + rows[x1][y1]))
+        for x0, x1, y0, y1 in _NO_SIGNALLING_GROUPS
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +334,34 @@ def no_signalling_residual(dist: ConditionalDistribution) -> Numeric:
 
 @dataclass(frozen=True)
 class GameDefinition:
-    """A utility table with its prior, as read from a game file."""
+    """A utility table with its prior, as read from a game file.
+
+    The digest and the GHZ weights are derived from the two fields on first
+    use and kept on the object, which cannot change.  A call that raises
+    keeps nothing, so the next one raises again.
+    """
 
     utilities: UtilityTable
     prior: Prior
+
+    @cached_property
+    def digest(self) -> str:
+        """Stable sha256 of the canonical serialized game."""
+        blob = json.dumps(
+            game_to_json_dict(self), sort_keys=True, separators=(",", ":")
+        )
+        return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+
+    @cached_property
+    def ghz_weights(self) -> np.ndarray:
+        """The game's quantum.ghz_weights, read-only.  The GHZ engine, and
+        with it numpy, is imported on first use, so that the classical
+        commands run without numpy."""
+        from . import quantum
+
+        weights = quantum.ghz_weights(self.utilities, self.prior)
+        weights.setflags(write=False)
+        return weights
 
 
 #: Longest decimal digit string converted to or from an int in one step.
@@ -487,10 +503,3 @@ def load_game(path: str | Path) -> GameDefinition:
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
-
-def game_digest(game: GameDefinition) -> str:
-    """Stable sha256 of the canonical serialized game."""
-    blob = json.dumps(
-        game_to_json_dict(game), sort_keys=True, separators=(",", ":")
-    )
-    return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()

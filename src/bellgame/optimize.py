@@ -51,7 +51,7 @@ from .game import (
     Player,
     ValidationError,
 )
-from .quantum import MeasurementSetting, ghz_payoffs, ghz_weights, wrap_angle
+from .quantum import MeasurementSetting, ghz_payoffs, wrap_angle
 
 #: A candidate counts as a numerical equilibrium when no player can gain
 #: more than this by a unilateral change of their own observables.
@@ -369,7 +369,7 @@ def maximize_planar(
     restarts can only improve the reported value (up to the tie window).
     """
     config = config or OptimizationConfig()
-    weights = ghz_weights(game.utilities, game.prior)
+    weights = game.ghz_weights
     rows = _planar_rows(weights)
 
     def objective(x: Azimuths) -> float:
@@ -464,7 +464,7 @@ def best_response_check(
     """
     if mode not in ("planar", "full_sphere"):
         raise ValidationError(f"unknown best-response mode {mode!r}")
-    weights = ghz_weights(game.utilities, game.prior)
+    weights = game.ghz_weights
     theta0, phi0 = candidate.theta, candidate.phi
     baseline = ghz_payoffs(weights, theta0, phi0)
 

@@ -3,9 +3,10 @@ trace-rule conditional distributions, the GHZ engine derived from a game's
 utility table, and the gauge symmetry of planar settings.
 
 Two routes give the same quantum numbers.  The GHZ engine (ghz_weights,
-ghz_payoffs, ghz_bell, ghz_distribution) evaluates batches of settings in
-closed form; it is the only source of the payoffs, Bell values and
-distribution diagnostics that searches and reports use.  Like the classical
+kept per game as GameDefinition.ghz_weights, ghz_payoffs, ghz_bell and
+ghz_distribution) evaluates batches of settings in closed form; it is the
+only source of the payoffs, Bell values and distribution diagnostics that
+searches and reports use.  Like the classical
 engine, it reads game.integer_form and does no ``Fraction`` arithmetic.  The
 trace rule (quantum_distribution, and quantum_payoffs and quantum_bell on
 top of it) builds the full 8 x 8 distribution for any advisor state; it is a
@@ -280,13 +281,17 @@ def ghz_payoffs(weights: np.ndarray, theta, phi) -> np.ndarray:
     return features.reshape(*features.shape[:-2], 40) @ weights.reshape(3, 40).T
 
 
-def ghz_bell(theta, phi, variant: BellVariant) -> np.ndarray:
-    """Bell-variant value under GHZ advice, shape (...) for angle arrays of
-    shape (..., 3, 2): the triple correlators of the positive contexts minus
-    that of the negative context; may exceed 2."""
+def ghz_bell(theta, phi) -> dict[BellVariant, np.ndarray]:
+    """Value of each Bell variant under GHZ advice, in BellVariant order,
+    shape (...) for angle arrays of shape (..., 3, 2): the triple
+    correlators of the positive contexts minus that of the negative context;
+    may exceed 2.  Both variants read one evaluation of the features."""
     triple = _ghz_features(theta, phi)[..., 4]
-    value = sum(triple[..., profile_index(x)] for x in variant.positive_contexts)
-    return value - triple[..., profile_index(variant.negative_context)]
+    values = {}
+    for variant in BellVariant:
+        value = sum(triple[..., profile_index(x)] for x in variant.positive_contexts)
+        values[variant] = value - triple[..., profile_index(variant.negative_context)]
+    return values
 
 
 def gauge_transform(phi, chi1: float, chi2: float, chi3: float) -> np.ndarray:

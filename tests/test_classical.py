@@ -97,19 +97,20 @@ class TestStrategyDistribution:
     def test_type_following_first_player(self):
         dist = strategy_to_distribution(((0, 1), (0, 0), (0, 0)))
         for x in PROFILES:
-            assert dist.prob((x[0], 0, 0), x) == 1
-            assert sum(dist.rows[4 * x[0] + 2 * x[1] + x[2]]) == 1
+            row = dist.rows[4 * x[0] + 2 * x[1] + x[2]]
+            assert row[4 * x[0]] == 1
+            assert sum(row) == 1
 
     def test_constant_zero_profile(self):
         dist = strategy_to_distribution(((0, 0), (0, 0), (0, 0)))
-        for x in PROFILES:
-            assert dist.prob((0, 0, 0), x) == 1
+        for row in dist.rows:
+            assert row[0b000] == 1
 
     def test_identity_responses_have_one_unit_per_row(self):
         dist = strategy_to_distribution(((0, 1), (0, 1), (0, 1)))
-        for x in PROFILES:
-            assert dist.prob(x, x) == 1
-            assert sum(v != 0 for v in dist.rows[4 * x[0] + 2 * x[1] + x[2]]) == 1
+        for xi, row in enumerate(dist.rows):
+            assert row[xi] == 1
+            assert sum(v != 0 for v in row) == 1
 
     @pytest.mark.parametrize("profile", [p for i, p in enumerate(ALL_PROFILES) if i % 7 == 0])
     def test_exact_no_signalling(self, profile):
@@ -130,9 +131,9 @@ class TestHiddenVariableModels:
             ]
         )
         dist = hv_model_to_distribution(model)
-        for x in PROFILES:
-            assert dist.prob((0, 0, 0), x) == F(1, 2)
-            assert dist.prob((1, 1, 1), x) == F(1, 2)
+        for row in dist.rows:
+            assert row[0b000] == F(1, 2)
+            assert row[0b111] == F(1, 2)
 
     def test_random_models_match_profile_mixture_oracle(
         self, utilities, uniform_prior

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bellgame import __version__, optimize
+from bellgame import __version__, cli, optimize
 from bellgame.builtin import builtin_game
 from bellgame.classical import (
     BellVariant,
@@ -22,6 +22,7 @@ from bellgame.game import (
     Prior,
     UtilityTable,
     expected_payoffs,
+    game_from_json_dict,
     game_to_json_dict,
     load_game,
     parse_rational,
@@ -30,6 +31,7 @@ from bellgame.quantum import (
     PLANAR_KEYS,
     MeasurementSetting,
     ghz_advisor,
+    ghz_weights,
     quantum_bell,
     setting_to_json_dict,
 )
@@ -293,6 +295,51 @@ class TestRepeatedCalls:
             assert capsys.readouterr().out == __version__ + "\n"
             code, report = run_cli(capsys, "equilibria")
             assert code == 0 and report["results"]["count"] > 0
+
+
+    def test_a_builtin_game_derives_its_digest_and_weights_once(
+        self, capsys, monkeypatch, optimum_setting_file
+    ):
+        """builtin_game keeps one object per process, and that object keeps
+        its digest and GHZ weights: two checks serialise and weigh table1
+        once."""
+        built = {"weights": 0, "documents": 0}
+
+        def counted(name, build):
+            def spy(*args):
+                built[name] += 1
+                return build(*args)
+
+            return spy
+
+        monkeypatch.setattr("bellgame.quantum.ghz_weights", counted("weights", ghz_weights))
+        monkeypatch.setattr(
+            "bellgame.game.game_to_json_dict", counted("documents", game_to_json_dict)
+        )
+        builtin_game.cache_clear()  # a table1 object that no test has used
+        reports = []
+        for mode in ("planar", "full"):
+            code, report = run_cli(capsys, "check", "--setting", optimum_setting_file, "--mode", mode)
+            assert code == 0
+            reports.append(report)
+        assert built == {"weights": 1, "documents": 1}
+        assert reports[0]["inputs"] == reports[1]["inputs"]
+
+    def test_a_weight_overflow_exits_2_on_every_call(
+        self, capsys, monkeypatch, table1, optimum_setting_file
+    ):
+        """A failed derivation is not kept: the same game object fails
+        again on the next call."""
+        doc = game_to_json_dict(table1)
+        doc["utilities"]["A"][0][0] = "9" * 401
+        huge = game_from_json_dict(doc)
+        monkeypatch.setattr(cli, "load_game", lambda path: huge)
+        for _ in range(2):
+            code = main(["check", "--game", "huge.json", "--setting", optimum_setting_file])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "error: utilities too large: a GHZ weight overflows" in captured.err
 
 
 class TestPinnedResults:

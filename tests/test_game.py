@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import random
@@ -22,13 +24,14 @@ from bellgame.game import (
     affine_transform,
     check_player_symmetry,
     expected_payoffs,
-    game_digest,
     game_from_json_dict,
     game_to_json_dict,
     integer_form,
     load_game,
     no_signalling_residual,
+    profile_index,
 )
+from bellgame.quantum import ghz_weights
 
 RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -52,6 +55,11 @@ RATIONAL_FIELD_VALUES = st.one_of(
     st.none(),
     st.lists(st.integers(), max_size=2),
 )
+
+
+def prob(dist: ConditionalDistribution, y, x):
+    """p(y|x) of a distribution, looked up by profile."""
+    return dist.rows[profile_index(x)][profile_index(y)]
 
 
 def random_exact_distribution(seed: int) -> ConditionalDistribution:
@@ -213,7 +221,7 @@ class TestPlayerSymmetry:
             row = [None] * 8
             for y in PROFILES:
                 sy = (y[1], y[0], y[2])
-                row[4 * y[0] + 2 * y[1] + y[2]] = dist.prob(sy, sx)
+                row[4 * y[0] + 2 * y[1] + y[2]] = prob(dist, sy, sx)
             swapped_rows.append(tuple(row))
         swapped = ConditionalDistribution(tuple(swapped_rows))
         f = expected_payoffs(utilities, uniform_prior, dist)
@@ -267,8 +275,8 @@ class TestNoSignalling:
                     if y[s]:
                         continue
                     y1 = tuple(1 if i == s else b for i, b in enumerate(y))
-                    m0 = dist.prob(y, x) + dist.prob(y1, x)
-                    m1 = dist.prob(y, x1) + dist.prob(y1, x1)
+                    m0 = prob(dist, y, x) + prob(dist, y1, x)
+                    m1 = prob(dist, y, x1) + prob(dist, y1, x1)
                     largest = max(largest, abs(m0 - m1))
         assert largest > 0
         assert no_signalling_residual(dist) == largest
@@ -283,6 +291,91 @@ class TestNoSignalling:
         setting = MeasurementSetting.planar([0.3, -1.1, 2.2, 0.7, -2.5, 1.9])
         dist = quantum_distribution(ghz, setting)
         assert no_signalling_residual(dist) <= 1e-12
+
+
+    def test_index_table_matches_the_marginal_walk_on_floats(self):
+        """The residual is the same float, by repr, as the walk over every
+        marginal pair that builds profiles and calls dist.prob (a copy of
+        the earlier code), on 3000 seeded float tables near and far from
+        no-signalling, with signed zeros and entries of 1e-17 size."""
+
+        def walked_residual(dist):
+            def marginal_pairs():
+                for s in PLAYERS:
+                    others = [p for p in PLAYERS if p != s]
+                    for ot in itertools.product((0, 1), repeat=2):
+                        for oa in itertools.product((0, 1), repeat=2):
+                            marg = []
+                            for xs in (0, 1):
+                                x = [0, 0, 0]
+                                x[s] = xs
+                                x[others[0]], x[others[1]] = ot
+                                total = 0
+                                for ys in (0, 1):
+                                    y = [0, 0, 0]
+                                    y[s] = ys
+                                    y[others[0]], y[others[1]] = oa
+                                    total += prob(
+                                        dist, (y[0], y[1], y[2]), (x[0], x[1], x[2])
+                                    )
+                                marg.append(total)
+                            yield marg[0], marg[1]
+
+            return max(abs(lhs - rhs) for lhs, rhs in marginal_pairs())
+
+        rng = random.Random(17)
+        tiny = (0.0, -0.0, 1e-17, -1e-17, 3e-17, 5e-324)
+        for _ in range(3000):
+            kind = rng.randrange(3)
+            rows = []
+            for _ in range(8):
+                if kind == 0:  # independent entries, many of them tiny
+                    row = [
+                        rng.choice(tiny) if rng.random() < 0.5 else rng.random()
+                        for _ in range(8)
+                    ]
+                elif kind == 1:  # uniform rows, perturbed at the last digits
+                    row = [0.125 + rng.choice(tiny) * rng.randrange(4) for _ in range(8)]
+                else:  # zeros of either sign, with a few 1e-17 entries
+                    row = [rng.choice(tiny) for _ in range(8)]
+                rows.append(tuple(row))
+            dist = ConditionalDistribution(tuple(rows))
+            assert repr(no_signalling_residual(dist)) == repr(walked_residual(dist))
+
+
+class TestDerivedValues:
+    """A game's digest and GHZ weights: derived once per object, equal to a
+    fresh computation."""
+
+    @pytest.fixture(params=["table1", "affine_game", "nonuniform_game", "file"])
+    def game(self, request, table1, tmp_path):
+        if request.param == "file":
+            path = tmp_path / "table1.json"
+            path.write_text(json.dumps(game_to_json_dict(table1)))
+            return load_game(path)
+        return request.getfixturevalue(request.param)
+
+    def test_equal_to_a_fresh_computation(self, game):
+        blob = json.dumps(game_to_json_dict(game), sort_keys=True, separators=(",", ":"))
+        assert game.digest == "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+        fresh = ghz_weights(game.utilities, game.prior)
+        weights = game.ghz_weights
+        assert (weights.shape, weights.dtype) == (fresh.shape, fresh.dtype)
+        assert weights.tobytes() == fresh.tobytes()
+        assert game.digest is game.digest
+        assert game.ghz_weights is weights
+
+    def test_weights_are_read_only(self, table1):
+        with pytest.raises(ValueError, match="read-only"):
+            table1.ghz_weights[0, 0, 0] = 1.0
+
+    def test_an_overflow_is_raised_on_every_use(self, table1):
+        doc = game_to_json_dict(table1)
+        doc["utilities"]["A"][0][0] = "9" * 401
+        game = game_from_json_dict(doc)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="utilities too large"):
+                game.ghz_weights
 
 
 class TestPriorValidation:
@@ -310,7 +403,7 @@ class TestSerialization:
     def test_digest_is_stable_across_round_trip(self, table1, tmp_path):
         path = tmp_path / "game.json"
         path.write_text(json.dumps(game_to_json_dict(table1)))
-        assert game_digest(load_game(path)) == game_digest(table1)
+        assert load_game(path).digest == table1.digest
 
     def test_bad_rational_named(self, table1):
         doc = game_to_json_dict(table1)

@@ -9,7 +9,6 @@ import pytest
 from bellgame import optimize
 from bellgame.game import PLAYERS, PROFILES, Prior, UtilityTable, ValidationError, affine_transform
 from bellgame.builtin import builtin_game
-from bellgame.classical import BellVariant
 from bellgame.game import GameDefinition
 from bellgame.optimize import (
     EQUILIBRIUM_IMPROVEMENT_TOL,
@@ -85,7 +84,7 @@ class TestMaximizePlanar:
         for v in default_report.payoffs:
             assert v == pytest.approx(default_report.value, abs=1e-10)
         setting = default_report.setting
-        v011, v100 = (ghz_bell(setting.theta, setting.phi, v) for v in BellVariant)
+        v011, v100 = ghz_bell(setting.theta, setting.phi).values()
         assert v011 == pytest.approx(12 / math.sqrt(13), abs=1e-6)
         assert v100 == pytest.approx(-8 / math.sqrt(13), abs=1e-6)
         assert default_report.converged
