@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from bellgame.builtin import builtin_game
-from bellgame.quantum import ghz_payoffs
+from bellgame.quantum import ghz_features, ghz_payoffs
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -33,7 +33,7 @@ def main(argv: list[str] | None = None) -> None:
     phi[..., 0, 1] = phi[..., 1, 1] = -math.pi / 2
     phi[..., 2, 0], phi[..., 2, 1] = c0, c1
     theta = np.full_like(phi, math.pi / 2)
-    values = ghz_payoffs(game.ghz_weights, theta, phi).min(axis=-1)
+    values = ghz_payoffs(game.ghz_weights, ghz_features(theta, phi)).min(axis=-1)
 
     out = sys.stdout if args.out == "-" else open(args.out, "w")
     try:

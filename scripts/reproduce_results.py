@@ -16,7 +16,6 @@ from bellgame.classical import (
     classical_bound_audit,
     deterministic_bell_extremes,
     enumerate_deterministic_equilibria,
-    profile_table,
 )
 from bellgame.optimize import (
     EQUILIBRIUM_IMPROVEMENT_TOL,
@@ -42,7 +41,7 @@ def main(argv: list[str] | None = None) -> None:
         parser.error("--seed must be non-negative")
 
     game = builtin_game()
-    profiles = profile_table(game.utilities, game.prior)
+    profiles = game.profile_table
 
     print("== deterministic Nash equilibria ==")
     reports = enumerate_deterministic_equilibria(profiles)
@@ -81,7 +80,7 @@ def main(argv: list[str] | None = None) -> None:
           f"(analytic (13+2*sqrt(13))/24 = {(13 + 2 * math.sqrt(13)) / 24:.9f})")
     print("  Bell values: " + ", ".join(
         f"{v.name} = {value:+.6f}"
-        for v, value in ghz_bell(opt.setting.theta, opt.setting.phi).items()
+        for v, value in ghz_bell(opt.setting.ghz_features).items()
     ))
     print(f"  classical fair cap: {frac(summary.classical_fair_cap)}; "
           f"advantage: {summary.advantage:.6f}")

@@ -9,10 +9,14 @@ setting was read) and writes the report: command, inputs, engine version,
 wall time and ``results``, which are deterministic for fixed inputs and seed.
 Two things outlive a call, and no result depends on either: the argument
 parser, built once per process, and each bundled game, loaded once per
-process by builtin_game together with the digest and GHZ weights that the
-game object derives on first use (see game.GameDefinition).  A game file is
-read into a new object on each call.  Callers that run many commands in one
-process (the tests, a benchmark) may call ``main`` again and again.
+process by builtin_game together with what the game object derives on
+first use (see game.GameDefinition): its digest, profile table and GHZ
+weights, and the runs of ``optimize``'s grid starts, which every later
+``optimize`` on the game reuses whatever its seed (the seed only chooses
+the random starts), extended when a call asks for more restarts than any
+before.  A game file is read into a new object on each call.  Callers that
+run many commands in one process (the tests, a benchmark) may call ``main``
+again and again.
 
 Only the commands that run the GHZ engine (``bell --setting``,
 ``optimize`` and ``check``) import it, and with it numpy; the classical
@@ -43,7 +47,6 @@ from .classical import (
     classical_bound_audit,
     deterministic_bell_extremes,
     enumerate_deterministic_equilibria,
-    profile_table,
 )
 from .game import (
     ConditionalDistribution,
@@ -100,7 +103,7 @@ def fmt_ghz_bell(setting: MeasurementSetting) -> dict:
 
     return {
         variant.name: fmt_real(value)
-        for variant, value in ghz_bell(setting.theta, setting.phi).items()
+        for variant, value in ghz_bell(setting.ghz_features).items()
     }
 
 
@@ -138,7 +141,7 @@ Outcome = tuple[int, dict, "MeasurementSetting | None"]
 
 
 def cmd_equilibria(args, game: GameDefinition) -> Outcome:
-    profiles = profile_table(game.utilities, game.prior)
+    profiles = game.profile_table
     reports = enumerate_deterministic_equilibria(profiles)
     results = {
         "total_payoff_bound": format_rational(profiles.max_total()),
@@ -157,9 +160,7 @@ def cmd_equilibria(args, game: GameDefinition) -> Outcome:
 
 
 def cmd_audit_bound(args, game: GameDefinition) -> Outcome:
-    audit = classical_bound_audit(
-        profile_table(game.utilities, game.prior), args.samples, args.seed
-    )
+    audit = classical_bound_audit(game.profile_table, args.samples, args.seed)
     results = {
         "deterministic": {
             "max_total": format_rational(audit.deterministic_max),
@@ -246,8 +247,9 @@ def cmd_check(args, game: GameDefinition) -> Outcome:
 
     setting = load_setting(args.setting)
     # The diagnostics read p(y|x) off the GHZ closed form, the engine that
-    # also gives the payoffs and Bell values.
-    p = ghz_distribution(setting.theta, setting.phi)
+    # also gives the payoffs and Bell values: all three read the setting's
+    # one feature array.
+    p = ghz_distribution(setting.ghz_features)
     dist = ConditionalDistribution(tuple(map(tuple, p.tolist())))
     dist.validate()
     # added left to right: sum() of floats is compensated from Python 3.12 on

@@ -37,6 +37,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 if TYPE_CHECKING:
     import numpy as np
 
+    from . import classical, optimize
+
 Bit = int
 Profile = tuple[Bit, Bit, Bit]
 Numeric = Union[Fraction, float]
@@ -336,9 +338,13 @@ def no_signalling_residual(dist: ConditionalDistribution) -> Numeric:
 class GameDefinition:
     """A utility table with its prior, as read from a game file.
 
-    The digest and the GHZ weights are derived from the two fields on first
-    use and kept on the object, which cannot change.  A call that raises
-    keeps nothing, so the next one raises again.
+    The digest, the profile table, the GHZ weights and the planar search are
+    derived from the two fields on first use and kept on the object, which
+    cannot change.  A call that raises keeps nothing, so the next one raises
+    again.  The planar search holds optimize.maximize_planar's work that
+    does not depend on the seed, which only chooses the random starts: the
+    polished runs of the grid's best points, kept for the largest number of
+    restarts asked for so far.
     """
 
     utilities: UtilityTable
@@ -353,6 +359,14 @@ class GameDefinition:
         return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
     @cached_property
+    def profile_table(self) -> classical.ProfileTable:
+        """The game's classical.profile_table: the exact payoffs of the 64
+        deterministic profiles, which give the classical bound."""
+        from .classical import profile_table
+
+        return profile_table(self.utilities, self.prior)
+
+    @cached_property
     def ghz_weights(self) -> np.ndarray:
         """The game's quantum.ghz_weights, read-only.  The GHZ engine, and
         with it numpy, is imported on first use, so that the classical
@@ -362,6 +376,14 @@ class GameDefinition:
         weights = quantum.ghz_weights(self.utilities, self.prior)
         weights.setflags(write=False)
         return weights
+
+    @cached_property
+    def planar_search(self) -> optimize.PlanarSearch:
+        """The seed-independent part of optimize.maximize_planar on this
+        game: its objective and the runs of its grid starts."""
+        from . import optimize
+
+        return optimize.PlanarSearch(self.ghz_weights)
 
 
 #: Longest decimal digit string converted to or from an int in one step.

@@ -13,6 +13,13 @@ the whole simplex is sorted, in ``np.argsort``'s order, only after a shrink,
 when the evaluation budget runs out, or while values tie or are NaN.  The
 contract is the value reached, not the search path.
 
+The seed only chooses the random starts.  The grid scan and the polishes
+of its best points depend on the game alone, so each game object keeps
+them (PlanarSearch, as GameDefinition.planar_search) for the largest number
+of restarts asked for so far, and a call on a game already searched
+polishes only its own random starts.  A search reports the same floats
+whether or not the grid runs were kept.
+
 Certification needs no search.  With the other two players' observables
 fixed, a player's GHZ payoff is affine in the Bloch vectors of their own two
 observables, so the best deviation is the unit vector along each gradient
@@ -42,7 +49,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classical import profile_table
 from .game import (
     PLAYERS,
     PROFILES,
@@ -51,7 +57,7 @@ from .game import (
     Player,
     ValidationError,
 )
-from .quantum import MeasurementSetting, ghz_payoffs, wrap_angle
+from .quantum import MeasurementSetting, ghz_features, ghz_payoffs, wrap_angle
 
 #: A candidate counts as a numerical equilibrium when no player can gain
 #: more than this by a unilateral change of their own observables.
@@ -277,22 +283,30 @@ def _nelder_mead(
 TIE_WINDOW = 1e-9
 
 
-def _multistart_max(
-    objective: Callable[[Azimuths], float],
-    starts: Sequence[Sequence[float]],
-) -> tuple[list[float], float, bool]:
-    """Best local maximum over the given starts, each four azimuths.
+#: One polished start: (value, the wrapped angles, x, converged).
+Run = tuple[float, tuple[float, ...], list[float], bool]
+
+
+def _polish(
+    objective: Callable[[Azimuths], float], starts: Sequence[Sequence[float]]
+) -> list[Run]:
+    """The Nelder-Mead run from each start (four azimuths), in start order."""
+    runs = []
+    for x0 in starts:
+        x, value, ok = _nelder_mead(objective, x0)
+        runs.append((value, tuple(wrap_angle(v) for v in x), x, ok))
+    return runs
+
+
+def _best_run(runs: Sequence[Run]) -> tuple[list[float], float, bool]:
+    """(x, value, converged) of the best local maximum among the runs.
 
     Order-independent merge: highest value wins; runs within TIE_WINDOW of
     the best count as ties, broken by lexicographic order of the wrapped
     angle vector.
     """
-    results = []
-    for x0 in starts:
-        x, value, ok = _nelder_mead(objective, x0)
-        results.append((value, tuple(wrap_angle(v) for v in x), x, ok))
-    vmax = max(r[0] for r in results)
-    tied = [r for r in results if r[0] >= vmax - TIE_WINDOW]
+    vmax = max(r[0] for r in runs)
+    tied = [r for r in runs if r[0] >= vmax - TIE_WINDOW]
     winner = min(tied, key=lambda r: r[1])
     return winner[2], winner[0], winner[3]
 
@@ -356,21 +370,9 @@ def _grid_starts(
     return list(zip(*(axis[i] for i in np.unravel_index(top, (g,) * 4))))
 
 
-def maximize_planar(
-    game: GameDefinition, config: OptimizationConfig | None = None
-) -> OptimumReport:
-    """Maximize the minimum player payoff (the guaranteed value of a fair
-    outcome) over planar GHZ settings in the canonical gauge.
-
-    On the equator only the triple correlator survives, so each payoff is
-    const_i + sum_x coef_i[x] sin(a(x_A) + b(x_B) + c(x_C)) with constants
-    and coefficients read off the game's GHZ weights.  The top points of a
-    grid scan and seeded random points start Nelder-Mead polishes; more
-    restarts can only improve the reported value (up to the tie window).
-    """
-    config = config or OptimizationConfig()
-    weights = game.ghz_weights
-    rows = _planar_rows(weights)
+def _planar_objective(rows: list[tuple[float, ...]]) -> Callable[[Azimuths], float]:
+    """The minimum over ``rows`` (see _planar_rows) of the planar payoff at
+    four free azimuths (a1, b1, c0, c1)."""
 
     def objective(x: Azimuths) -> float:
         # math.sin on Python floats: Nelder-Mead makes thousands of scalar
@@ -392,17 +394,67 @@ def maximize_planar(
                 value = v
         return value
 
+    return objective
+
+
+class PlanarSearch:
+    """The part of maximize_planar on one game that the seed does not
+    choose: the planar objective and the runs of the grid starts.  A game
+    keeps one (GameDefinition.planar_search).
+
+    The grid starts of ``restarts`` are the first ``restarts`` points of one
+    order of the grid, by value and then by grid index (see _grid_starts).
+    So the runs kept for the largest ``restarts`` asked for so far serve
+    every smaller number, and a larger one polishes only the points it
+    adds; they are at most 10000, the largest ``restarts`` allowed.  (A grid
+    holds a NaN only where a row's constant is NaN, and then everywhere; it
+    gives no starts at all, so no runs are kept.)
+    """
+
+    def __init__(self, weights: np.ndarray) -> None:
+        self.rows = _planar_rows(weights)
+        self.objective = _planar_objective(self.rows)
+        self._runs: list[Run] = []
+
+    def grid_runs(self, restarts: int) -> list[Run]:
+        """The runs of the ``restarts`` best grid points, best point first."""
+        runs = self._runs
+        if restarts > len(runs):
+            starts = _grid_starts(self.rows, restarts)
+            self._runs = runs = runs + _polish(self.objective, starts[len(runs):])
+        return runs[:restarts]
+
+
+def maximize_planar(
+    game: GameDefinition, config: OptimizationConfig | None = None
+) -> OptimumReport:
+    """Maximize the minimum player payoff (the guaranteed value of a fair
+    outcome) over planar GHZ settings in the canonical gauge.
+
+    On the equator only the triple correlator survives, so each payoff is
+    const_i + sum_x coef_i[x] sin(a(x_A) + b(x_B) + c(x_C)) with constants
+    and coefficients read off the game's GHZ weights.  The top points of a
+    grid scan and seeded random points start Nelder-Mead polishes; more
+    restarts can only improve the reported value (up to the tie window).
+
+    The seed only chooses the random starts.  The runs of the grid starts
+    are the game's (game.planar_search): made once per game object and
+    reused by every later call on it, with any seed.  They assume the
+    module's search constants (GRID and the NM_* values) as they were when
+    the runs were made.
+    """
+    config = config or OptimizationConfig()
+    search = game.planar_search
     rng = np.random.default_rng(config.seed)
     random_starts = rng.uniform(-math.pi, math.pi, size=(config.restarts, 4))
-    starts = _grid_starts(rows, config.restarts) + list(random_starts)
-
-    x, _, ok = _multistart_max(objective, starts)
+    runs = search.grid_runs(config.restarts) + _polish(search.objective, random_starts)
+    x, _, ok = _best_run(runs)
     a1, b1, c0, c1 = (wrap_angle(v) for v in x)
     setting = MeasurementSetting.planar([0.0, a1, 0.0, b1, c0, c1])
-    payoffs = ghz_payoffs(weights, setting.theta, setting.phi)
+    payoffs = ghz_payoffs(game.ghz_weights, setting.ghz_features)
     return OptimumReport(
         setting=setting,
-        value=objective((a1, b1, c0, c1)),
+        value=search.objective((a1, b1, c0, c1)),
         payoffs=PayoffTriple(*payoffs.tolist()),
         converged=ok,
     )
@@ -466,7 +518,7 @@ def best_response_check(
         raise ValidationError(f"unknown best-response mode {mode!r}")
     weights = game.ghz_weights
     theta0, phi0 = candidate.theta, candidate.phi
-    baseline = ghz_payoffs(weights, theta0, phi0)
+    baseline = ghz_payoffs(weights, candidate.ghz_features)
 
     # Axes: deviating player, their type bit, probe, then the setting's own
     # (player, type bit) axes.
@@ -476,7 +528,7 @@ def best_response_check(
     player, bit = np.arange(3)[:, None], np.arange(2)[None, :]
     theta[player, bit, :, player, bit] = _PROBE_THETA
     phi[player, bit, :, player, bit] = _PROBE_PHI
-    own = ghz_payoffs(weights, theta, phi)[player, bit, :, player]
+    own = ghz_payoffs(weights, ghz_features(theta, phi))[player, bit, :, player]
     u_x, u_y, u_up, u_down = np.moveaxis(own, -1, 0)
     rest = (u_up + u_down) / 2
     g = np.stack([u_x - rest, u_y - rest, (u_up - u_down) / 2], axis=-1)
@@ -528,7 +580,7 @@ def quantum_advantage_report(
     game: GameDefinition, config: OptimizationConfig | None = None
 ) -> QuantumAdvantageReport:
     """Side-by-side of the classical fair cap and the quantum optimum."""
-    bound = profile_table(game.utilities, game.prior).max_total()
+    bound = game.profile_table.max_total()
     cap = bound / 3
     try:
         cap_float = float(cap)

@@ -3,10 +3,11 @@ trace-rule conditional distributions, the GHZ engine derived from a game's
 utility table, and the gauge symmetry of planar settings.
 
 Two routes give the same quantum numbers.  The GHZ engine (ghz_weights,
-kept per game as GameDefinition.ghz_weights, ghz_payoffs, ghz_bell and
-ghz_distribution) evaluates batches of settings in closed form; it is the
-only source of the payoffs, Bell values and distribution diagnostics that
-searches and reports use.  Like the classical
+kept per game as GameDefinition.ghz_weights; ghz_features, kept per setting
+as MeasurementSetting.ghz_features; and ghz_payoffs, ghz_bell and
+ghz_distribution, which read the features) evaluates batches of settings in
+closed form; it is the only source of the payoffs, Bell values and
+distribution diagnostics that searches and reports use.  Like the classical
 engine, it reads game.integer_form and does no ``Fraction`` arithmetic.  The
 trace rule (quantum_distribution, and quantum_payoffs and quantum_bell on
 top of it) builds the full 8 x 8 distribution for any advisor state; it is a
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from pathlib import Path
 
@@ -96,7 +98,7 @@ def projectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
 class MeasurementSetting:
     """Two +/-1 observables n.sigma per player, one per type bit, given by
     their Bloch angles: ``theta`` and ``phi`` are read-only float arrays of
-    shape (3, 2), indexed by player and type bit, as ghz_payoffs takes them.
+    shape (3, 2), indexed by player and type bit, as ghz_features takes them.
     Two settings are equal when their angles are; a setting is unhashable.
     """
 
@@ -120,6 +122,15 @@ class MeasurementSetting:
         """The equatorial setting of six azimuths in the order a0, a1, b0,
         b1, c0, c1 (or already of shape (3, 2)); every theta is pi/2."""
         return cls(np.full((3, 2), math.pi / 2), np.reshape(phi, (3, 2)))
+
+    @cached_property
+    def ghz_features(self) -> np.ndarray:
+        """ghz_features of this setting, shape (8, 5), read-only.  It is
+        derived on first use and kept, so that the payoffs, Bell values and
+        distribution of one setting read one evaluation."""
+        features = ghz_features(self.theta, self.phi)
+        features.setflags(write=False)
+        return features
 
     def is_planar(self) -> bool:
         return bool((np.abs(self.theta - math.pi / 2) <= ALGEBRA_TOL).all())
@@ -240,7 +251,7 @@ def ghz_weights(table: UtilityTable, prior: Prior) -> np.ndarray:
         raise ValidationError("utilities too large: a GHZ weight overflows") from None
 
 
-def _ghz_features(theta, phi) -> np.ndarray:
+def ghz_features(theta, phi) -> np.ndarray:
     """Outcome-sign correlations of the GHZ distribution, shape (..., 8, 5).
 
     ``theta`` and ``phi`` have shape (..., 3, 2), indexed by player and type
@@ -248,7 +259,9 @@ def _ghz_features(theta, phi) -> np.ndarray:
     GHZ state the trace rule reduces to p(y|x) = (1 + sum_{i<j} cos t_i
     cos t_j s_i s_j - sin t_A sin t_B sin t_C sin(p_A + p_B + p_C)
     s_A s_B s_C) / 8, so the expectations are 1, the three pair products of
-    cosines and the triple correlator.
+    cosines and the triple correlator.  ghz_payoffs, ghz_bell and
+    ghz_distribution read this array; one setting keeps its own
+    (MeasurementSetting.ghz_features).
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -262,31 +275,30 @@ def _ghz_features(theta, phi) -> np.ndarray:
     return np.stack([np.ones_like(ca), ca * cb, ca * cc, cb * cc, triple], axis=-1)
 
 
-def ghz_distribution(theta, phi) -> np.ndarray:
-    """p(y|x) of the GHZ advisor, shape (..., 8, 8) for angle arrays of
-    shape (..., 3, 2): entry [x, y] is sum_k E[f_k | x] f_k(y) / 8 with the
-    features of _ghz_features, added left to right over k."""
-    features = _ghz_features(theta, phi)[..., None]
+def ghz_distribution(features: np.ndarray) -> np.ndarray:
+    """p(y|x) of the GHZ advisor, shape (..., 8, 8) for a feature array of
+    shape (..., 8, 5) (from ghz_features): entry [x, y] is
+    sum_k E[f_k | x] f_k(y) / 8, added left to right over k."""
+    features = features[..., None]
     return sum(features[..., k, :] * _FEATURE_COLUMNS[k] for k in range(5)) / 8
 
 
-def ghz_payoffs(weights: np.ndarray, theta, phi) -> np.ndarray:
+def ghz_payoffs(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Expected payoffs under GHZ advice for a batch of measurement settings.
 
-    ``theta`` and ``phi`` have shape (..., 3, 2), indexed by player and type
-    bit; the result has shape (..., 3): the features of each type profile
-    (see _ghz_features) dotted with ``weights`` (from ghz_weights).
+    ``features`` has shape (..., 8, 5) (from ghz_features); the result has
+    shape (..., 3): the features of each type profile dotted with
+    ``weights`` (from ghz_weights).
     """
-    features = _ghz_features(theta, phi)
     return features.reshape(*features.shape[:-2], 40) @ weights.reshape(3, 40).T
 
 
-def ghz_bell(theta, phi) -> dict[BellVariant, np.ndarray]:
+def ghz_bell(features: np.ndarray) -> dict[BellVariant, np.ndarray]:
     """Value of each Bell variant under GHZ advice, in BellVariant order,
-    shape (...) for angle arrays of shape (..., 3, 2): the triple
-    correlators of the positive contexts minus that of the negative context;
-    may exceed 2.  Both variants read one evaluation of the features."""
-    triple = _ghz_features(theta, phi)[..., 4]
+    shape (...) for a feature array of shape (..., 8, 5) (from
+    ghz_features): the triple correlators of the positive contexts minus
+    that of the negative context; may exceed 2."""
+    triple = features[..., 4]
     values = {}
     for variant in BellVariant:
         value = sum(triple[..., profile_index(x)] for x in variant.positive_contexts)

@@ -181,7 +181,7 @@ def test_criterion_06_closed_form_equivalence(table1, ghz):
     worst = 0.0
     for _ in range(1000):
         setting = MeasurementSetting.planar(rng.uniform(-math.pi, math.pi, 6))
-        engine = ghz_payoffs(weights, setting.theta, setting.phi)
+        engine = ghz_payoffs(weights, setting.ghz_features)
         payoffs = quantum_payoffs(table1.utilities, table1.prior, ghz, setting)
         worst = max(worst, float(np.abs(engine - payoffs).max()))
     elapsed = time.perf_counter() - started

@@ -325,6 +325,25 @@ class TestRepeatedCalls:
         assert built == {"weights": 1, "documents": 1}
         assert reports[0]["inputs"] == reports[1]["inputs"]
 
+    def test_a_builtin_game_builds_its_profile_table_once(self, capsys, monkeypatch):
+        """The bundled game's object keeps its profile table: the classical
+        commands and optimize's bound read one table."""
+        built = []
+
+        def spy(table, prior):
+            built.append(table)
+            return profile_table(table, prior)
+
+        monkeypatch.setattr("bellgame.classical.profile_table", spy)
+        builtin_game.cache_clear()  # a table1 object that no test has used
+        for argv in (
+            ["equilibria"], ["audit-bound", "--samples", "10"], ["equilibria"],
+            ["optimize", "--restarts", "1"],
+        ):
+            code, _ = run_cli(capsys, *argv)
+            assert code == 0
+        assert len(built) == 1
+
     def test_a_weight_overflow_exits_2_on_every_call(
         self, capsys, monkeypatch, table1, optimum_setting_file
     ):
@@ -431,9 +450,14 @@ class TestOptimizeCommand:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --grid 2" in capsys.readouterr().err
 
-    def test_polish_cut_short_exits_3(self, capsys, monkeypatch):
+    def test_polish_cut_short_exits_3(self, capsys, monkeypatch, tmp_path, table1):
+        """On a game file, which is read into a new object: the shared
+        table1 object may hold grid runs made under the real NM_MAX_ITER,
+        and must not keep runs made under the patched one."""
+        path = tmp_path / "table1.json"
+        path.write_text(json.dumps(game_to_json_dict(table1)))
         monkeypatch.setattr(optimize, "NM_MAX_ITER", 5)
-        code, report = run_cli(capsys, "optimize", "--restarts", "1")
+        code, report = run_cli(capsys, "optimize", "--restarts", "1", "--game", str(path))
         assert code == EXIT_NO_CONVERGENCE == 3
         assert report["results"]["optimum"]["converged"] is False
 

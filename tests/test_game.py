@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellgame.classical import ALL_PROFILES, strategy_to_distribution
+from bellgame.classical import ALL_PROFILES, profile_table, strategy_to_distribution
 from bellgame.game import (
     PLAYERS,
     PROFILES,
@@ -344,8 +344,8 @@ class TestNoSignalling:
 
 
 class TestDerivedValues:
-    """A game's digest and GHZ weights: derived once per object, equal to a
-    fresh computation."""
+    """A game's digest, profile table and GHZ weights: derived once per
+    object, equal to a fresh computation."""
 
     @pytest.fixture(params=["table1", "affine_game", "nonuniform_game", "file"])
     def game(self, request, table1, tmp_path):
@@ -364,6 +364,10 @@ class TestDerivedValues:
         assert weights.tobytes() == fresh.tobytes()
         assert game.digest is game.digest
         assert game.ghz_weights is weights
+        profiles = game.profile_table
+        assert profiles == profile_table(game.utilities, game.prior)
+        assert game.profile_table is profiles
+        assert game.planar_search is game.planar_search
 
     def test_weights_are_read_only(self, table1):
         with pytest.raises(ValueError, match="read-only"):

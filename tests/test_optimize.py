@@ -23,6 +23,7 @@ from bellgame.quantum import (
     gauge_equivalent,
     ghz_advisor,
     ghz_bell,
+    ghz_features,
     ghz_payoffs,
     ghz_weights,
     quantum_payoffs,
@@ -38,6 +39,11 @@ ANALYTIC_OPTIMUM = (13 + 2 * math.sqrt(13)) / 24
 @pytest.fixture(scope="module")
 def default_report(table1):
     return maximize_planar(table1)
+
+
+def _fresh(game: GameDefinition) -> GameDefinition:
+    """A new object of the same game, which has derived nothing yet."""
+    return GameDefinition(game.utilities, game.prior)
 
 
 class TestMaximizePlanar:
@@ -64,7 +70,7 @@ class TestMaximizePlanar:
     def test_value_consistent_with_closed_form(self, default_report, table1):
         weights = ghz_weights(table1.utilities, table1.prior)
         setting = default_report.setting
-        engine = ghz_payoffs(weights, setting.theta, setting.phi)
+        engine = ghz_payoffs(weights, setting.ghz_features)
         assert abs(default_report.value - min(engine)) < 1e-10
         assert abs(default_report.value - max(engine)) < 1e-10
 
@@ -84,7 +90,7 @@ class TestMaximizePlanar:
         for v in default_report.payoffs:
             assert v == pytest.approx(default_report.value, abs=1e-10)
         setting = default_report.setting
-        v011, v100 = ghz_bell(setting.theta, setting.phi).values()
+        v011, v100 = ghz_bell(setting.ghz_features).values()
         assert v011 == pytest.approx(12 / math.sqrt(13), abs=1e-6)
         assert v100 == pytest.approx(-8 / math.sqrt(13), abs=1e-6)
         assert default_report.converged
@@ -232,7 +238,7 @@ def _best_response_searches(
     for player in PLAYERS:
         def reference(x: np.ndarray, player=player) -> np.ndarray:
             theta, phi = _deviate(theta0, phi0, player, x, mode)
-            return ghz_payoffs(weights, theta, phi)[..., player]
+            return ghz_payoffs(weights, ghz_features(theta, phi))[..., player]
 
         def objective(x, player=player, coefficients=_ghz_coefficients(game, player)):
             theta, phi = theta0.tolist(), phi0.tolist()
@@ -350,7 +356,8 @@ class TestBestResponse:
             for player in PLAYERS
         ]
         scores = ghz_payoffs(
-            weights, np.stack([t for t, _ in angles]), np.stack([p for _, p in angles])
+            weights,
+            ghz_features(np.stack([t for t, _ in angles]), np.stack([p for _, p in angles])),
         )
         best_grid = np.stack([scores[p, :, :, p].max(axis=1) for p in PLAYERS], axis=1)
 
@@ -360,7 +367,8 @@ class TestBestResponse:
         ]
         deviated = [r.deviation for v in verdicts for r in v.responses]
         reached = ghz_payoffs(
-            weights, np.stack([d.theta for d in deviated]), np.stack([d.phi for d in deviated])
+            weights,
+            ghz_features(np.stack([d.theta for d in deviated]), np.stack([d.phi for d in deviated])),
         ).reshape(34, 3, 3)
         for k, verdict in enumerate(verdicts):
             for r in verdict.responses:
@@ -431,7 +439,7 @@ class TestGridStarts:
             setting = MeasurementSetting.planar(
                 np.array([0, a1, 0, b1, c0, c1]) * step
             )
-            return min(ghz_payoffs(weights, setting.theta, setting.phi))
+            return min(ghz_payoffs(weights, setting.ghz_features))
 
         # the two picked and the ten passed over: a tie, up to rounding
         passed_over = [
@@ -459,6 +467,21 @@ class TestGridStarts:
             weights[:, :, 0].sum(axis=1), -weights[:, :, 4], grid, restarts
         )
         assert len(got) == restarts
+
+    @pytest.mark.parametrize("game_name", ["table1", "nonuniform_game", "constant"])
+    def test_fewer_starts_are_a_prefix_of_more(self, request, game_name):
+        """The starts of k restarts are the first k of any larger number, on
+        table1's tied grid, on the three-row game and on a constant game,
+        whose grid ties everywhere: what lets a game keep its grid runs."""
+        if game_name == "constant":
+            game = GameDefinition(UtilityTable.constant(Fraction(7, 3)), Prior.uniform())
+        else:
+            game = request.getfixturevalue(game_name)
+        rows = optimize._planar_rows(ghz_weights(game.utilities, game.prior))
+        most = optimize._grid_starts(rows, 200)
+        assert len(most) == 200
+        for k in range(1, 200):
+            assert optimize._grid_starts(rows, k) == most[:k]
 
     def test_peak_memory_stays_near_the_payoff_array(self, table1):
         """At grid 16 the scan allocates at most 1.4 times one row's 16**4
@@ -521,6 +544,82 @@ class TestAdvantageReport:
         config = OptimizationConfig(restarts=2, seed=0)
         report = quantum_advantage_report(table1, config)
         assert report.optimum == maximize_planar(table1, config)
+
+
+def _relabelled_copy(game: GameDefinition) -> GameDefinition:
+    """Every type bit flipped and u -> 3/2 u + 1/4, under the same prior."""
+    flipped = UtilityTable.from_function(
+        lambda i, x, y: game.utilities.utility(i, tuple(1 - b for b in x), y)
+    )
+    return GameDefinition(affine_transform(flipped, Fraction(3, 2), Fraction(1, 4)), game.prior)
+
+
+def _as_reported(report) -> str:
+    """Everything ``optimize`` reports of a search, by repr: the value, the
+    angles, the payoffs and the convergence flag."""
+    setting = report.setting
+    return repr((
+        report.value, setting.theta.tolist(), setting.phi.tolist(),
+        tuple(report.payoffs), report.converged,
+    ))
+
+
+class TestGridRunsKeptPerGame:
+    """A game object keeps the runs of its grid starts (PlanarSearch), and a
+    search on it reports what the same search on a fresh object does."""
+
+    @pytest.mark.parametrize(
+        "game_name", ["table1", "affine_game", "nonuniform_game", "relabelled"]
+    )
+    def test_a_warm_object_reports_as_a_fresh_one(self, request, table1, game_name):
+        if game_name == "relabelled":
+            game = _relabelled_copy(table1)
+        else:
+            game = request.getfixturevalue(game_name)
+        warm = _fresh(game)
+        for seed in range(10):
+            for restarts in (30, 1, 12, 4):
+                config = OptimizationConfig(restarts=restarts, seed=seed)
+                assert _as_reported(maximize_planar(warm, config)) == _as_reported(
+                    maximize_planar(_fresh(game), config)
+                )
+
+    def test_a_call_polishes_its_random_starts_and_the_grid_points_it_adds(
+        self, table1, monkeypatch
+    ):
+        game = _fresh(table1)
+        rows = optimize._planar_rows(game.ghz_weights)
+        polished, scans = [], []
+        real_nelder_mead, real_grid_starts = optimize._nelder_mead, optimize._grid_starts
+
+        def nelder_mead(objective, x0):
+            polished.append(tuple(float(v) for v in x0))
+            return real_nelder_mead(objective, x0)
+
+        def grid_starts(rows, restarts):
+            scans.append(restarts)
+            return real_grid_starts(rows, restarts)
+
+        reports = []
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "_nelder_mead", nelder_mead)
+            m.setattr(optimize, "_grid_starts", grid_starts)
+            for seed, restarts, polishes, scan in [
+                (0, 12, 12 + 12, [12]),
+                (1, 12, 12, []),  # the same restarts: no scan, no grid polish
+                (2, 4, 4, []),
+                (3, 30, 18 + 30, [30]),  # the 18 grid points that 30 adds
+                (4, 30, 30, []),
+            ]:
+                polished.clear()
+                scans.clear()
+                config = OptimizationConfig(restarts=restarts, seed=seed)
+                reports.append((config, maximize_planar(game, config)))
+                assert (len(polished), scans) == (polishes, scan)
+                if restarts == 30 and scan:
+                    assert polished[:18] == real_grid_starts(rows, 30)[12:]
+        for config, report in reports:
+            assert _as_reported(report) == _as_reported(maximize_planar(_fresh(table1), config))
 
 
 class TestBoundHierarchyLP:
@@ -676,9 +775,15 @@ class TestPolishMatchesScipy:
             results.append(res)
         return results
 
+    # Each search runs on a fresh copy of its game, which keeps no grid
+    # runs yet, so that every grid and random polish is compared.
+
     def test_planar_objective_on_table1(self, oracle, table1):
         polishes = _polishes(
-            lambda: [maximize_planar(table1, OptimizationConfig(seed=s)) for s in range(4)]
+            lambda: [
+                maximize_planar(_fresh(table1), OptimizationConfig(seed=s))
+                for s in range(4)
+            ]
         )
         assert len(polishes) == 4 * 24
         self.assert_same_paths(oracle, polishes)
@@ -688,7 +793,7 @@ class TestPolishMatchesScipy:
         prior gives the players three distinct rows."""
         polishes = _polishes(
             lambda: [
-                maximize_planar(game, OptimizationConfig(seed=s))
+                maximize_planar(_fresh(game), OptimizationConfig(seed=s))
                 for game in (affine_game, nonuniform_game)
                 for s in range(2)
             ]

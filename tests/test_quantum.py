@@ -35,6 +35,7 @@ from bellgame.quantum import (
     gauge_transform,
     ghz_bell,
     ghz_distribution,
+    ghz_features,
     ghz_payoffs,
     ghz_single_party_marginal,
     ghz_state,
@@ -63,7 +64,7 @@ def planar_payoffs(phi) -> np.ndarray:
     """GHZ payoffs of the three table1 players at the planar setting of the
     azimuths ``phi``."""
     setting = MeasurementSetting.planar(phi)
-    return ghz_payoffs(TABLE1_WEIGHTS, setting.theta, setting.phi)
+    return ghz_payoffs(TABLE1_WEIGHTS, setting.ghz_features)
 
 
 def relabelled_affine_copy(game: GameDefinition) -> GameDefinition:
@@ -321,12 +322,14 @@ class TestGhzPayoffs:
         settings_ = [random_setting(rng, planar=False) for _ in range(200)]
         theta = np.array([s.theta for s in settings_])
         phi = np.array([s.phi for s in settings_])
-        batch = ghz_payoffs(weights, theta, phi)
+        features = ghz_features(theta, phi)
+        assert features.shape == (200, 8, 5)
+        batch = ghz_payoffs(weights, features)
         assert batch.shape == (200, 3)
-        bells = ghz_bell(theta, phi)
+        bells = ghz_bell(features)
         assert list(bells) == list(BellVariant)
         assert all(values.shape == (200,) for values in bells.values())
-        dists = ghz_distribution(theta, phi)
+        dists = ghz_distribution(features)
         assert dists.shape == (200, 8, 8)
         for i, (setting, engine) in enumerate(zip(settings_, batch)):
             oracle = quantum_payoffs(game.utilities, game.prior, ghz, setting)
@@ -340,23 +343,22 @@ class TestGhzPayoffs:
         rng = np.random.default_rng(2)
         theta = rng.uniform(0, math.pi, (4, 5, 3, 2))
         phi = rng.uniform(-math.pi, math.pi, (4, 5, 3, 2))
-        batch = ghz_payoffs(TABLE1_WEIGHTS, theta, phi)
+        features = ghz_features(theta, phi)
+        single = ghz_features(theta[2, 3], phi[2, 3])
+        batch = ghz_payoffs(TABLE1_WEIGHTS, features)
         assert batch.shape == (4, 5, 3)
-        assert batch[2, 3] == pytest.approx(
-            ghz_payoffs(TABLE1_WEIGHTS, theta[2, 3], phi[2, 3]), abs=1e-15
-        )
-        dists = ghz_distribution(theta, phi)
+        assert batch[2, 3] == pytest.approx(ghz_payoffs(TABLE1_WEIGHTS, single), abs=1e-15)
+        dists = ghz_distribution(features)
         assert dists.shape == (4, 5, 8, 8)
-        assert dists[2, 3] == pytest.approx(
-            ghz_distribution(theta[2, 3], phi[2, 3]), abs=1e-15
-        )
+        assert dists[2, 3] == pytest.approx(ghz_distribution(single), abs=1e-15)
 
     def test_constant_game_is_constant(self):
         c = Fraction(7, 3)
         weights = ghz_weights(UtilityTable.constant(c), Prior.uniform())
         rng = np.random.default_rng(6)
         values = ghz_payoffs(
-            weights, rng.uniform(0, math.pi, (50, 3, 2)), rng.uniform(-3, 3, (50, 3, 2))
+            weights,
+            ghz_features(rng.uniform(0, math.pi, (50, 3, 2)), rng.uniform(-3, 3, (50, 3, 2))),
         )
         assert np.abs(values - float(c)).max() < 1e-14
 
