@@ -588,14 +588,23 @@ def _deterministic_correlator(profile: StrategyProfile, x: Profile) -> int:
     )
 
 
-def deterministic_bell_extremes() -> dict[BellVariant, tuple[Fraction, Fraction]]:
-    """Min and max of each Bell variant over the 64 deterministic profiles."""
-    out = {}
+@lru_cache(maxsize=None)  # one scan per process, on first use
+def _bell_extremes() -> tuple[tuple[BellVariant, tuple[Fraction, Fraction]], ...]:
+    """(variant, (min, max)) of each Bell variant over the 64 deterministic
+    profiles."""
+    out = []
     for variant in BellVariant:
         values = [
             sum(_deterministic_correlator(prof, x) for x in variant.positive_contexts)
             - _deterministic_correlator(prof, variant.negative_context)
             for prof in ALL_PROFILES
         ]
-        out[variant] = (Fraction(min(values)), Fraction(max(values)))
-    return out
+        out.append((variant, (Fraction(min(values)), Fraction(max(values)))))
+    return tuple(out)
+
+
+def deterministic_bell_extremes() -> dict[BellVariant, tuple[Fraction, Fraction]]:
+    """Min and max of each Bell variant over the 64 deterministic profiles.
+    They depend on no game, so the profiles are scanned once per process;
+    each call returns a new dict."""
+    return dict(_bell_extremes())

@@ -303,8 +303,15 @@ def _best_run(runs: Sequence[Run]) -> tuple[list[float], float, bool]:
 
     Order-independent merge: highest value wins; runs within TIE_WINDOW of
     the best count as ties, broken by lexicographic order of the wrapped
-    angle vector.
+    angle vector.  Runs that end at NaN are left out; if every run does (a
+    row constant of the planar payoff overflowing to inf - inf makes it NaN
+    everywhere), the utilities are too large for the float engine.
     """
+    runs = [r for r in runs if not math.isnan(r[0])]
+    if not runs:
+        raise ValidationError(
+            "utilities too large: the planar payoff is NaN at every polished point"
+        )
     vmax = max(r[0] for r in runs)
     tied = [r for r in runs if r[0] >= vmax - TIE_WINDOW]
     winner = min(tied, key=lambda r: r[1])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellgame import classical
 from bellgame.classical import (
     ALL_PROFILES,
     MIXTURE_WEIGHT_CAP,
@@ -218,6 +219,27 @@ class TestBellExpression:
                     assert _deterministic_correlator(profile, x) == correlator(dist, x)
                 values.append(bell_expression(dist, variant))
             assert extremes[variant] == (min(values), max(values))
+
+    def test_deterministic_extremes_are_scanned_once_per_process(self, monkeypatch):
+        """The extremes depend on no input: the profiles are scanned on the
+        first call alone, and each call returns a dict of its own."""
+        scanned = []
+
+        def spy(profile, x):
+            scanned.append(profile)
+            return _deterministic_correlator(profile, x)
+
+        monkeypatch.setattr(classical, "_deterministic_correlator", spy)
+        classical._bell_extremes.cache_clear()
+        first = deterministic_bell_extremes()
+        scans = len(scanned)
+        assert scans == len(BellVariant) * len(ALL_PROFILES) * 4
+        second = deterministic_bell_extremes()
+        assert len(scanned) == scans
+        assert second == first and second is not first
+        first.clear()
+        assert deterministic_bell_extremes() == second
+        assert list(second) == list(BellVariant)
 
     def test_mixtures_within_bound(self):
         rng = random.Random(1)
