@@ -589,18 +589,16 @@ def _deterministic_correlator(profile: StrategyProfile, x: Profile) -> int:
 
 
 @lru_cache(maxsize=None)  # one scan per process, on first use
-def _bell_extremes() -> tuple[tuple[BellVariant, tuple[Fraction, Fraction]], ...]:
-    """(variant, (min, max)) of each Bell variant over the 64 deterministic
-    profiles."""
-    out = []
+def _bell_extremes() -> dict[BellVariant, tuple[Fraction, Fraction]]:
+    out = {}
     for variant in BellVariant:
         values = [
             sum(_deterministic_correlator(prof, x) for x in variant.positive_contexts)
             - _deterministic_correlator(prof, variant.negative_context)
             for prof in ALL_PROFILES
         ]
-        out.append((variant, (Fraction(min(values)), Fraction(max(values)))))
-    return tuple(out)
+        out[variant] = (Fraction(min(values)), Fraction(max(values)))
+    return out
 
 
 def deterministic_bell_extremes() -> dict[BellVariant, tuple[Fraction, Fraction]]:

@@ -7,19 +7,16 @@ the setting it read or None); ``main`` alone resolves the game, times the
 run, builds ``inputs`` (``game_digest``, plus ``setting_digest`` when a
 setting was read) and writes the report: command, inputs, engine version,
 wall time and ``results``, which are deterministic for fixed inputs and seed.
-Three things outlive a call, and no result depends on any: the argument
-parser, built once per process; each bundled game, loaded once per process
-by builtin_game; and the game of each game file's text, one object per
-distinct text among the game.GAME_TEXTS_KEPT most recently read by
-game.load_game (an edited file is a new text, and so a new object).  A game
-object keeps what it derives on first use (see game.GameDefinition): its
-digest, symmetry violations, profile table and GHZ weights, and the runs of
-``optimize``'s grid starts, which every later ``optimize`` on the game
-reuses whatever its seed (the seed only chooses the random starts),
-extended when a call asks for more restarts than any before.  The file is
-read on every call, and a game file that is not player-symmetric is warned
-about on every call.  Callers that run many commands in one process (the
-tests, a benchmark) may call ``main`` again and again.
+Two things outlive a call, and no result depends on either: the argument
+parser, built once per process, and each bundled game, loaded once per
+process by builtin_game together with what the game object derives on
+first use (see game.GameDefinition): its digest, profile table and GHZ
+weights, and the runs of ``optimize``'s grid starts, which every later
+``optimize`` on the game reuses whatever its seed (the seed only chooses
+the random starts), extended when a call asks for more restarts than any
+before.  A game file is read into a new object on each call.  Callers that
+run many commands in one process (the tests, a benchmark) may call ``main``
+again and again.
 
 Only the commands that run the GHZ engine (``bell --setting``,
 ``optimize`` and ``check``) import it, and with it numpy; the classical
@@ -56,6 +53,7 @@ from .game import (
     GameDefinition,
     PayoffTriple,
     ValidationError,
+    check_player_symmetry,
     format_rational,
     load_game,
     no_signalling_residual,
@@ -113,7 +111,7 @@ def _resolve_game(selector: str) -> GameDefinition:
     if selector.startswith("builtin:"):
         return builtin_game(selector.split(":", 1)[1])
     game = load_game(selector)
-    violations = game.symmetry_violations
+    violations = check_player_symmetry(game.utilities)
     if violations:
         v = violations[0]
         print(

@@ -28,11 +28,11 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from math import lcm
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,7 +42,6 @@ if TYPE_CHECKING:
 Bit = int
 Profile = tuple[Bit, Bit, Bit]
 Numeric = Union[Fraction, float]
-T = TypeVar("T")
 
 #: All 8 bit triples in index order (A bit most significant).
 PROFILES: tuple[Profile, ...] = tuple(product((0, 1), repeat=3))
@@ -339,16 +338,13 @@ def no_signalling_residual(dist: ConditionalDistribution) -> Numeric:
 class GameDefinition:
     """A utility table with its prior, as read from a game file.
 
-    The digest, the symmetry violations, the profile table, the GHZ weights
-    and the planar search are derived from the two fields on first use and
-    kept on the object, which cannot change.  A call that raises keeps
-    nothing, so the next one raises again.  The planar search holds
-    optimize.maximize_planar's work that does not depend on the seed, which
-    only chooses the random starts: the polished runs of the grid's best
-    points, kept for the largest number of restarts asked for so far.  What
-    an object keeps serves every call that gets the same object: each
-    bundled game is one object per process (builtin.builtin_game), and so
-    is each game file's text while load_game keeps it.
+    The digest, the profile table, the GHZ weights and the planar search are
+    derived from the two fields on first use and kept on the object, which
+    cannot change.  A call that raises keeps nothing, so the next one raises
+    again.  The planar search holds optimize.maximize_planar's work that
+    does not depend on the seed, which only chooses the random starts: the
+    polished runs of the grid's best points, kept for the largest number of
+    restarts asked for so far.
     """
 
     utilities: UtilityTable
@@ -361,12 +357,6 @@ class GameDefinition:
             game_to_json_dict(self), sort_keys=True, separators=(",", ":")
         )
         return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
-
-    @cached_property
-    def symmetry_violations(self) -> tuple[SymmetryViolation, ...]:
-        """Every failing relation of check_player_symmetry on the
-        utilities."""
-        return tuple(check_player_symmetry(self.utilities))
 
     @cached_property
     def profile_table(self) -> classical.ProfileTable:
@@ -514,56 +504,24 @@ def game_from_json_dict(doc: dict) -> GameDefinition:
     return GameDefinition(UtilityTable(tuple(tables)), prior)
 
 
-def _parse_json(text: str) -> object:
-    """The JSON document in ``text``; text that is not JSON, or holds a
-    number too long for Python to read, is a ValidationError."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except ValueError as exc:  # int-string limit
-        raise ValidationError(f"unreadable JSON: {exc}") from exc
-
-
-def _read(path: str | Path, parse: Callable[[str], T]) -> T:
-    """``parse`` of the text of the file at ``path``.  A file that is not
-    UTF-8, or a ValidationError of ``parse``, is a ValidationError that
-    names the path."""
-    try:
-        text = Path(path).read_text()
-    except ValueError as exc:  # not UTF-8
-        raise ValidationError(f"{path}: unreadable JSON: {exc}") from exc
-    try:
-        return parse(text)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
 def read_json(path: str | Path) -> object:
     """The JSON document in a file; a file that is not UTF-8 JSON, or holds a
     number too long for Python to read, is a ValidationError."""
-    return _read(path, _parse_json)
-
-
-#: Most distinct game texts whose objects load_game keeps; the least
-#: recently read is dropped first.  A text of table1's size with its warm
-#: object (digest, profile table, GHZ weights and the grid runs of the
-#: default restarts) takes about 36 KB.
-GAME_TEXTS_KEPT = 8
-
-
-@lru_cache(maxsize=GAME_TEXTS_KEPT)
-def _game_from_text(text: str) -> GameDefinition:
-    """The game written in a game file's text.  An invalid text raises and
-    is not kept."""
-    return game_from_json_dict(_parse_json(text))
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}"
+        ) from exc
+    except ValueError as exc:  # int-string limit, or not UTF-8
+        raise ValidationError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def load_game(path: str | Path) -> GameDefinition:
-    """The game in a game file, as one object per distinct text of the file
-    among the GAME_TEXTS_KEPT most recently read: a file read again with the
-    same text gives the same object, with everything it has derived so far
-    (see GameDefinition), and an edited file a new one."""
-    return _read(path, _game_from_text)
+    doc = read_json(path)
+    try:
+        return game_from_json_dict(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+

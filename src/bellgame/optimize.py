@@ -107,9 +107,9 @@ class _Exhausted(Exception):
 
 
 def _sort_simplex(
-    simplex: list[tuple[float, Azimuths]],
-) -> list[tuple[float, Azimuths]]:
-    """The (value, vertex) pairs in the order of ``np.argsort`` over their
+    fsim: list[float], sim: list[Azimuths]
+) -> tuple[list[float], list[Azimuths]]:
+    """The values and their vertices in the order of ``np.argsort`` over the
     values, as SciPy sorts its simplex.
 
     Distinct values have one ascending order.  Tied (or NaN) values take
@@ -117,8 +117,8 @@ def _sort_simplex(
     stable sort on every CPU, and the order of tied vertices steers the
     rest of the path.
     """
-    order = np.array([v for v, _ in simplex]).argsort()
-    return [simplex[i] for i in order.tolist()]
+    order = np.array(fsim).argsort().tolist()
+    return [fsim[i] for i in order], [sim[i] for i in order]
 
 
 def _nelder_mead(
@@ -156,12 +156,10 @@ def _nelder_mead(
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         vertices.append(tuple(y))
     # 5 evaluations, within budget
-    simplex = [(-objective(v), v) for v in vertices]
+    fsim = [-objective(v) for v in vertices]
     nfev = 5
     # SciPy sorts twice here; a second sort can only move tied vertices.
-    simplex = _sort_simplex(_sort_simplex(simplex))
-    fsim = [v for v, _ in simplex]
-    sim = [x for _, x in simplex]
+    fsim, sim = _sort_simplex(*_sort_simplex(fsim, vertices))
     distinct = all(map(lt, fsim, fsim[1:]))  # no tie and no NaN
 
     nit = 1
@@ -265,9 +263,7 @@ def _nelder_mead(
                     fsim.insert(i, fsim.pop())
                     sim.insert(i, sim.pop())
                 continue
-        simplex = _sort_simplex(list(zip(fsim, sim)))
-        fsim = [v for v, _ in simplex]
-        sim = [x for _, x in simplex]
+        fsim, sim = _sort_simplex(fsim, sim)
         distinct = all(map(lt, fsim, fsim[1:]))
 
     # np.min over the values, as SciPy reports: with tied values (zeros of
@@ -322,12 +318,24 @@ def _planar_rows(weights: np.ndarray) -> list[tuple[float, ...]]:
     """The distinct rows (const_i, *coef_i) of the players' planar payoffs
     (see maximize_planar), in player order.
 
-    Players with identical rows (all three in a player-symmetric game)
-    share one row; the minimum over the players is unchanged.
+    Players with identical rows share one row; the minimum over the players
+    is unchanged.  When all rows have the same coefficients (compared by
+    repr, so that the sign of a zero counts) and finite constants, as in
+    every player-symmetric game, whose constants differ at most by
+    rounding, only the row of the least constant is kept.  The grid scan
+    and the objective add the terms to the constant in a fixed order, and
+    float addition is monotone, so that row's value is the least at every
+    point: the same float as the minimum over all rows (up to the sign of a
+    zero on the grid, which ranks its points alike).
     """
     const = weights[:, :, 0].sum(axis=1)
     coef = -weights[:, :, 4]
-    return list(dict.fromkeys(zip(const.tolist(), *coef.T.tolist())))
+    rows = list(dict.fromkeys(zip(const.tolist(), *coef.T.tolist())))
+    if len({repr(row[1:]) for row in rows}) == 1 and all(
+        math.isfinite(row[0]) for row in rows
+    ):
+        return [min(rows, key=lambda row: row[0])]
+    return rows
 
 
 def _grid_starts(
@@ -379,18 +387,34 @@ def _grid_starts(
 
 def _planar_objective(rows: list[tuple[float, ...]]) -> Callable[[Azimuths], float]:
     """The minimum over ``rows`` (see _planar_rows) of the planar payoff at
-    four free azimuths (a1, b1, c0, c1)."""
+    four free azimuths (a1, b1, c0, c1).
+
+    It uses math.sin on Python floats: Nelder-Mead makes thousands of scalar
+    calls, and numpy's per-call overhead would dominate them.  The terms
+    are added left to right, as sum() no longer does for floats from Python
+    3.12 on, so the polish takes one path on every version.  A single row
+    (every player-symmetric game) is evaluated without a loop over rows.
+    """
+    if len(rows) == 1:
+        ((k, r0, r1, r2, r3, r4, r5, r6, r7),) = rows
+
+        def objective(x: Azimuths) -> float:
+            a1, b1, c0, c1 = x
+            ab = a1 + b1
+            return k + (
+                r0 * sin(c0) + r1 * sin(c1) + r2 * sin(b1 + c0) + r3 * sin(b1 + c1)
+                + r4 * sin(a1 + c0) + r5 * sin(a1 + c1) + r6 * sin(ab + c0)
+                + r7 * sin(ab + c1)
+            )
+
+        return objective
 
     def objective(x: Azimuths) -> float:
-        # math.sin on Python floats: Nelder-Mead makes thousands of scalar
-        # calls, and numpy's per-call overhead would dominate them.  The
-        # terms are added left to right, as sum() no longer does for floats
-        # from Python 3.12 on, so the polish takes one path on every version.
-        # The loop keeps the first least value, as min() does, NaN included.
         a1, b1, c0, c1 = x
         ab = a1 + b1
         s0, s1, s2, s3 = sin(c0), sin(c1), sin(b1 + c0), sin(b1 + c1)
         s4, s5, s6, s7 = sin(a1 + c0), sin(a1 + c1), sin(ab + c0), sin(ab + c1)
+        # The loop keeps the first least value, as min() does, NaN included.
         value = None
         for k, r0, r1, r2, r3, r4, r5, r6, r7 in rows:
             v = k + (

@@ -17,12 +17,10 @@ from bellgame.classical import (
 )
 from bellgame.cli import EXIT_NO_CONVERGENCE, main
 from bellgame.game import (
-    GAME_TEXTS_KEPT,
     GameDefinition,
     Player,
     Prior,
     UtilityTable,
-    _game_from_text,
     expected_payoffs,
     game_from_json_dict,
     game_to_json_dict,
@@ -113,17 +111,6 @@ def run_cli(capsys, *argv) -> tuple[int, dict]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else {})
-
-
-@pytest.fixture()
-def unshared_game_files():
-    """Game files whose objects no other test shares: load_game keeps one
-    object per text, and its cache is emptied before the test and after it,
-    so that no value derived in the test (under patched search constants,
-    say) reaches another test."""
-    _game_from_text.cache_clear()
-    yield
-    _game_from_text.cache_clear()
 
 
 @pytest.fixture()
@@ -374,150 +361,6 @@ class TestRepeatedCalls:
             assert "error: utilities too large: a GHZ weight overflows" in captured.err
 
 
-@pytest.mark.usefixtures("unshared_game_files")
-class TestGameFileObjects:
-    """load_game keeps one game object per distinct text of a game file,
-    for the GAME_TEXTS_KEPT texts read most recently: what the object
-    derives serves every later call on the same text, and no report
-    depends on it."""
-
-    def test_eight_texts_are_kept(self):
-        assert GAME_TEXTS_KEPT == 8
-        assert _game_from_text.cache_info().maxsize == GAME_TEXTS_KEPT
-
-    def test_two_seeds_on_one_file_polish_the_grid_once(
-        self, capsys, monkeypatch, tmp_path, affine_game
-    ):
-        path = tmp_path / "affine.json"
-        path.write_text(json.dumps(game_to_json_dict(affine_game), indent=2))
-        polished, scans = [], []
-        real_nelder_mead, real_grid_starts = optimize._nelder_mead, optimize._grid_starts
-
-        def nelder_mead(objective, x0):
-            polished.append(tuple(x0))
-            return real_nelder_mead(objective, x0)
-
-        def grid_starts(rows, restarts):
-            scans.append(restarts)
-            return real_grid_starts(rows, restarts)
-
-        monkeypatch.setattr(optimize, "_nelder_mead", nelder_mead)
-        monkeypatch.setattr(optimize, "_grid_starts", grid_starts)
-        counts = []
-        for seed in ("0", "1"):
-            polished.clear()
-            scans.clear()
-            code, _ = run_cli(capsys, "optimize", "--game", str(path), "--seed", seed)
-            assert code == 0
-            counts.append((len(polished), list(scans)))
-        # 12 grid and 12 random starts, then the 12 random starts of seed 1
-        assert counts == [(12 + 12, [12]), (12, [])]
-
-    def test_a_rewritten_file_is_a_new_game(self, capsys, tmp_path, table1, affine_game):
-        """Each text of one path gives its own object and its own game's
-        pinned report."""
-        path = tmp_path / "game.json"
-        objects = []
-        for name, game in (("table1", table1), ("affine_game", affine_game)):
-            path.write_text(json.dumps(game_to_json_dict(game)))
-            code, report = run_cli(capsys, "optimize", "--seed", "1", "--game", str(path))
-            assert code == 0
-            assert report["inputs"]["game_digest"] == game.digest
-            line = json.dumps(report["results"], sort_keys=True) + "\n"
-            assert hashlib.sha256(line.encode()).hexdigest() == PINNED_RESULTS["optimize", name]
-            objects.append(load_game(path))
-            assert objects[-1] == game
-            assert load_game(path) is objects[-1]
-        assert objects[0] is not objects[1]
-
-    def test_the_least_recently_read_text_is_dropped(self, monkeypatch, tmp_path, table1):
-        parsed = []
-        real_from_json = game_from_json_dict
-
-        def spy(doc):
-            parsed.append(doc)
-            return real_from_json(doc)
-
-        monkeypatch.setattr("bellgame.game.game_from_json_dict", spy)
-        doc = game_to_json_dict(table1)
-        path = tmp_path / "game.json"
-
-        def load(k: int) -> GameDefinition:
-            """The game of the k-th distinct text of table1."""
-            path.write_text(json.dumps(doc, indent=k))
-            return load_game(path)
-
-        first = [load(k) for k in range(GAME_TEXTS_KEPT)]
-        assert all(load(k) is game for k, game in enumerate(first))
-        assert len(parsed) == GAME_TEXTS_KEPT
-        ninth = load(GAME_TEXTS_KEPT)  # drops the least recently read: text 0
-        assert len(parsed) == GAME_TEXTS_KEPT + 1
-        again = load(0)
-        assert again is not first[0] and again == first[0] == ninth
-        assert len(parsed) == GAME_TEXTS_KEPT + 2
-        assert load(GAME_TEXTS_KEPT) is ninth
-        assert len(parsed) == GAME_TEXTS_KEPT + 2
-
-    @pytest.mark.parametrize(
-        ("broken", "message"),
-        [
-            ('{"players": ["A", "B", "C"],\n  oops\n}', "invalid JSON at line 2"),
-            ("unnormalized prior", "prior entries sum to"),
-        ],
-    )
-    def test_an_invalid_file_then_a_fixed_one(
-        self, capsys, tmp_path, table1, broken, message
-    ):
-        """A failed load keeps nothing: it fails again, and the file, once
-        fixed, loads."""
-        path = tmp_path / "game.json"
-        if broken == "unnormalized prior":
-            doc = game_to_json_dict(table1)
-            doc["prior"]["0 0 0"] = "1/2"
-            broken = json.dumps(doc)
-        path.write_text(broken)
-        for _ in range(2):
-            code = main(["optimize", "--game", str(path)])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert captured.err.startswith(f"error: {path}: ")
-            assert message in captured.err
-        path.write_text(json.dumps(game_to_json_dict(table1)))
-        code, report = run_cli(capsys, "optimize", "--game", str(path))
-        assert code == 0
-        assert report["inputs"]["game_digest"] == table1.digest
-
-    def test_a_game_that_is_not_symmetric_warns_on_every_call(self, capsys, tmp_path, table1):
-        doc = game_to_json_dict(table1)
-        doc["utilities"]["A"][0][0] = "3/1"
-        path = tmp_path / "warped.json"
-        path.write_text(json.dumps(doc))
-        warnings = []
-        for argv in (["equilibria"], ["optimize", "--restarts", "4"]):
-            code = main([*argv, "--game", str(path)])
-            warnings.append(capsys.readouterr().err)
-            assert code == 0
-        assert warnings[0] == warnings[1]
-        assert warnings[0].startswith(f"warning: {path}: utilities are not player-symmetric")
-
-    def test_a_warm_file_reports_as_a_fresh_process(self, capsys, tmp_path, affine_game):
-        """Calls that reuse the runs a larger call kept on the file's object
-        report what a process of their own does."""
-        path = tmp_path / "affine.json"
-        path.write_text(json.dumps(game_to_json_dict(affine_game)))
-        code, _ = run_cli(capsys, "optimize", "--game", str(path), "--seed", "0", "--restarts", "30")
-        assert code == 0
-        for seed, restarts in (("1", "12"), ("2", "4")):
-            argv = ["optimize", "--game", str(path), "--seed", seed, "--restarts", restarts]
-            code, warm = run_cli(capsys, *argv)
-            proc = subprocess.run(
-                [sys.executable, "-m", "bellgame.cli", *argv],
-                capture_output=True, text=True,
-            )
-            assert (code, warm["results"]) == (proc.returncode, json.loads(proc.stdout)["results"])
-
-
 class TestPinnedResults:
     @pytest.mark.parametrize(("case", "game"), sorted(PINNED_RESULTS))
     def test_results_match_pinned_hash(
@@ -607,12 +450,10 @@ class TestOptimizeCommand:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --grid 2" in capsys.readouterr().err
 
-    @pytest.mark.usefixtures("unshared_game_files")
     def test_polish_cut_short_exits_3(self, capsys, monkeypatch, tmp_path, table1):
-        """On a game file whose object no other test shares: the shared
-        table1 object, and the object of any file with the same text, may
-        hold grid runs made under the real NM_MAX_ITER, and must not keep
-        runs made under the patched one."""
+        """On a game file, which is read into a new object: the shared
+        table1 object may hold grid runs made under the real NM_MAX_ITER,
+        and must not keep runs made under the patched one."""
         path = tmp_path / "table1.json"
         path.write_text(json.dumps(game_to_json_dict(table1)))
         monkeypatch.setattr(optimize, "NM_MAX_ITER", 5)

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from bellgame import optimize
-from bellgame.game import PLAYERS, PROFILES, Prior, UtilityTable, ValidationError, affine_transform
+from bellgame.game import (
+    PLAYERS,
+    PROFILES,
+    Player,
+    Prior,
+    UtilityTable,
+    ValidationError,
+    affine_transform,
+)
 from bellgame.builtin import builtin_game
 from bellgame.game import GameDefinition
 from bellgame.optimize import (
@@ -39,6 +47,27 @@ ANALYTIC_OPTIMUM = (13 + 2 * math.sqrt(13)) / 24
 @pytest.fixture(scope="module")
 def default_report(table1):
     return maximize_planar(table1)
+
+
+@pytest.fixture(scope="module")
+def warped_game(table1):
+    """table1 with player A's utility at x = y = (0, 0, 0) raised to 3: A's
+    planar payoff has coefficients of its own, B and C share theirs."""
+    def utility(i, x, y):
+        if (i, x, y) == (Player.A, (0, 0, 0), (0, 0, 0)):
+            return Fraction(3)
+        return table1.utilities.utility(i, x, y)
+
+    return GameDefinition(UtilityTable.from_function(utility), table1.prior)
+
+
+@pytest.fixture(scope="module")
+def split_game(table1):
+    """table1 under u -> 2/3 u - 1/3: still player-symmetric, but the
+    players' planar constants round to two floats."""
+    return GameDefinition(
+        affine_transform(table1.utilities, Fraction(2, 3), Fraction(-1, 3)), table1.prior
+    )
 
 
 def _fresh(game: GameDefinition) -> GameDefinition:
@@ -454,14 +483,20 @@ class TestGridStarts:
 
     @pytest.mark.parametrize("restarts", [4, 12])
     @pytest.mark.parametrize("grid", [optimize.GRID])  # the engine's one grid
-    @pytest.mark.parametrize("game_name", ["table1", "affine_game", "nonuniform_game"])
+    @pytest.mark.parametrize(
+        "game_name",
+        ["table1", "affine_game", "split_game", "nonuniform_game", "warped_game"],
+    )
     def test_distinct_rows_give_the_three_row_starts(
         self, request, game_name, grid, restarts
     ):
+        """Players whose rows differ only in their constants, by rounding
+        (split_game) or by the prior (nonuniform_game), keep one row, the
+        least constant's, as the symmetric games do."""
         game = request.getfixturevalue(game_name)
         weights = ghz_weights(game.utilities, game.prior)
         rows = optimize._planar_rows(weights)
-        assert len(rows) == (3 if game_name == "nonuniform_game" else 1)
+        assert len(rows) == (2 if game_name == "warped_game" else 1)
         got = optimize._grid_starts(rows, restarts)
         assert got == _three_row_grid_starts(
             weights[:, :, 0].sum(axis=1), -weights[:, :, 4], grid, restarts
@@ -497,6 +532,12 @@ class TestGridStarts:
             tracemalloc.stop()
         assert peak <= 1.4 * 16**4 * 8
 
+    def test_rows_with_a_constant_that_is_not_finite_are_all_kept(self, table1):
+        weights = ghz_weights(table1.utilities, table1.prior).copy()
+        weights[1, 0, 0] = math.inf
+        rows = optimize._planar_rows(weights)
+        assert [math.isinf(row[0]) for row in rows] == [False, True]
+
 
 def _three_row_grid_starts(
     const: np.ndarray, coef: np.ndarray, g: int, restarts: int
@@ -518,6 +559,45 @@ def _three_row_grid_starts(
     best = np.flatnonzero(flat >= np.partition(flat, flat.size - k)[flat.size - k])
     top = best[np.argsort(flat[best], kind="stable")[::-1][:k]]
     return list(zip(*(axis[i] for i in np.unravel_index(top, (g,) * 4))))
+
+
+def _min_over_players(const, coef, x) -> float:
+    """The reference objective: each player's planar payoff, terms added
+    left to right, and the first least of the three by min()."""
+    a1, b1, c0, c1 = x
+    ab = a1 + b1
+    sines = [
+        math.sin(c0), math.sin(c1), math.sin(b1 + c0), math.sin(b1 + c1),
+        math.sin(a1 + c0), math.sin(a1 + c1), math.sin(ab + c0), math.sin(ab + c1),
+    ]
+    values = []
+    for k, r in zip(const, coef):
+        total = r[0] * sines[0]
+        for ri, si in zip(r[1:], sines[1:]):
+            total = total + ri * si
+        values.append(k + total)
+    return min(values)
+
+
+class TestPlanarObjective:
+    @pytest.mark.parametrize(
+        "game_name", ["table1", "split_game", "nonuniform_game", "warped_game"]
+    )
+    def test_equals_the_minimum_over_the_players_to_the_bit(self, request, game_name):
+        """On one kept row (players whose coefficients agree) and on two,
+        at points spread over several turns and at the grid's best points."""
+        game = request.getfixturevalue(game_name)
+        weights = ghz_weights(game.utilities, game.prior)
+        const, coef = weights[:, :, 0].sum(axis=1).tolist(), (-weights[:, :, 4]).tolist()
+        distinct_constants = {"table1": 1, "split_game": 2, "nonuniform_game": 3, "warped_game": 2}
+        assert len(set(const)) == distinct_constants[game_name]
+        rows = optimize._planar_rows(weights)
+        assert len(rows) == (2 if game_name == "warped_game" else 1)
+        objective = optimize._planar_objective(rows)
+        points = np.random.default_rng(3).uniform(-20, 20, size=(2000, 4)).tolist()
+        points += [list(x) for x in optimize._grid_starts(rows, 200)]
+        for x in points:
+            assert repr(objective(tuple(x))) == repr(_min_over_players(const, coef, x))
 
 
 class TestAdvantageReport:
@@ -841,9 +921,9 @@ class TestPolishMatchesScipy:
         real_sort = optimize._sort_simplex
         sorts = []
 
-        def spy(simplex):
-            ordered = real_sort(simplex)
-            sorts.append(list(ordered))  # the port then edits ordered in place
+        def spy(fsim, sim):
+            ordered = real_sort(fsim, sim)
+            sorts.append(list(zip(*ordered)))  # the port then edits ordered in place
             return ordered
 
         monkeypatch.setattr(optimize, "_sort_simplex", spy)
@@ -867,10 +947,9 @@ class TestPolishMatchesScipy:
         real_sort = optimize._sort_simplex
         tie_sorts = []
 
-        def spy(simplex):
-            values = [v for v, _ in simplex]
-            tie_sorts.append(len(set(values)) < len(values))
-            return real_sort(simplex)
+        def spy(fsim, sim):
+            tie_sorts.append(len(set(fsim)) < len(fsim))
+            return real_sort(fsim, sim)
 
         monkeypatch.setattr(optimize, "_sort_simplex", spy)
         rng = np.random.default_rng(11)
@@ -893,9 +972,9 @@ class TestPolishMatchesScipy:
         real_sort = optimize._sort_simplex
         nan_sorts = []
 
-        def spy(simplex):
-            nan_sorts.append(any(math.isnan(v) for v, _ in simplex))
-            return real_sort(simplex)
+        def spy(fsim, sim):
+            nan_sorts.append(any(map(math.isnan, fsim)))
+            return real_sort(fsim, sim)
 
         monkeypatch.setattr(optimize, "_sort_simplex", spy)
         values = []
