@@ -229,13 +229,11 @@ def deterministic_payoffs(
     delta form collapses the action sum to the single played profile.
     """
     sums = [Fraction(0)] * 3
-    for x in PROFILES:
-        w = prior.weight(x)
+    for xi, (x, w) in enumerate(zip(PROFILES, prior.weights)):
         if w == 0:
             continue
         y = (profile[0][x[0]], profile[1][x[1]], profile[2][x[2]])
         yi = profile_index(y)
-        xi = profile_index(x)
         for p in PLAYERS:
             sums[p] += w * table.values[p][xi][yi]
     return PayoffTriple(*sums)

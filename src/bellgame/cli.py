@@ -54,6 +54,7 @@ from .game import (
     PayoffTriple,
     ValidationError,
     check_player_symmetry,
+    check_prior_symmetry,
     format_rational,
     load_game,
     no_signalling_residual,
@@ -118,6 +119,15 @@ def _resolve_game(selector: str) -> GameDefinition:
             f"warning: {selector}: utilities are not player-symmetric "
             f"({len(violations)} relations fail; first: swap "
             f"{v.swap[0].name}{v.swap[1].name} at x={v.x} y={v.y})",
+            file=sys.stderr,
+        )
+    prior_violations = check_prior_symmetry(game.prior)
+    if prior_violations:
+        (i, j), x = prior_violations[0]
+        print(
+            f"warning: {selector}: prior is not player-symmetric "
+            f"({len(prior_violations)} relations fail; first: swap "
+            f"{i.name}{j.name} at x={x})",
             file=sys.stderr,
         )
     return game

@@ -12,8 +12,9 @@ Both engines read one exact integer form of a game (integer_form): the
 64-profile scans of :mod:`bellgame.classical` compare its integers and report
 exact ``fractions.Fraction`` s, and quantum.ghz_weights rounds each GHZ weight
 once from their exact sums; quantum-path distributions carry floats checked
-against explicit tolerances.  Two audits live here: check_player_symmetry on
-a utility table and no_signalling_residual on a distribution.
+against explicit tolerances.  The audits of the paper's player symmetry
+(check_player_symmetry, check_prior_symmetry) live here, and
+no_signalling_residual on a distribution.
 
 Profile indexing convention: a profile (a, b, c) of bits for players
 (A, B, C) maps to index 4*a + 2*b + c, i.e. player A owns the most
@@ -59,13 +60,6 @@ class Player(IntEnum):
 
 PLAYERS = (Player.A, Player.B, Player.C)
 
-#: Player transpositions checked by the symmetry audit, with the bystander.
-TRANSPOSITIONS = (
-    (Player.A, Player.B, Player.C),
-    (Player.A, Player.C, Player.B),
-    (Player.B, Player.C, Player.A),
-)
-
 
 class ValidationError(ValueError):
     """Raised when a game object or input file violates an invariant."""
@@ -73,12 +67,6 @@ class ValidationError(ValueError):
 
 def profile_index(p: Profile) -> int:
     return 4 * p[0] + 2 * p[1] + p[2]
-
-
-def swap_profile(p: Profile, i: Player, j: Player) -> Profile:
-    out = list(p)
-    out[i], out[j] = out[j], out[i]
-    return (out[0], out[1], out[2])
 
 
 class PayoffTriple(NamedTuple):
@@ -156,9 +144,6 @@ class Prior:
     @classmethod
     def uniform(cls) -> "Prior":
         return cls((Fraction(1, 8),) * 8)
-
-    def weight(self, x: Profile) -> Fraction:
-        return self.weights[profile_index(x)]
 
 
 @dataclass(frozen=True)
@@ -238,6 +223,16 @@ def integer_form(table: UtilityTable, prior: Prior) -> tuple[list, list, int]:
     return prior_nums, utils, prior_den * util_den
 
 
+#: For each transposition (i, j) of two players, with bystander k:
+#: (i, j, k, the index of each profile with the bits of i and j exchanged).
+_SWAPS = tuple(
+    (i, j, k, tuple(n ^ bits if n & bits not in (0, bits) else n for n in range(8)))
+    for i, j, k in ((Player.A, Player.B, Player.C), (Player.A, Player.C, Player.B),
+                    (Player.B, Player.C, Player.A))
+    for bits in [4 >> i | 4 >> j]
+)
+
+
 class SymmetryViolation(NamedTuple):
     """One failed permutation relation of the utility table."""
 
@@ -245,36 +240,33 @@ class SymmetryViolation(NamedTuple):
     player: Player
     x: Profile
     y: Profile
-    lhs: Fraction
-    rhs: Fraction
 
 
 def check_player_symmetry(table: UtilityTable) -> list[SymmetryViolation]:
-    """Audit invariance of the game under all three player transpositions.
+    """Audit the utilities' invariance under all three player transpositions.
 
     For each transposition (i, j) with bystander k the table must satisfy
     u_i(x, y) = u_j(sx, sy) and u_k(x, y) = u_k(sx, sy), where s swaps the
-    i and j slots of both profiles.  Returns every failing relation.
+    i and j bits of both profiles (read off _SWAPS).  Returns every failing
+    relation: by transposition, x and y, the relation of i before k's.
     """
     violations = []
-    for i, j, k in TRANSPOSITIONS:
-        for x in PROFILES:
-            sx = swap_profile(x, i, j)
-            for y in PROFILES:
-                sy = swap_profile(y, i, j)
-                lhs = table.utility(i, x, y)
-                rhs = table.utility(j, sx, sy)
-                if lhs != rhs:
-                    violations.append(
-                        SymmetryViolation((i, j), i, x, y, lhs, rhs)
-                    )
-                lhs_k = table.utility(k, x, y)
-                rhs_k = table.utility(k, sx, sy)
-                if lhs_k != rhs_k:
-                    violations.append(
-                        SymmetryViolation((i, j), k, x, y, lhs_k, rhs_k)
-                    )
+    for i, j, k, swapped in _SWAPS:
+        ui, uj, uk = table.values[i], table.values[j], table.values[k]
+        for xi, sxi in enumerate(swapped):
+            for yi, syi in enumerate(swapped):
+                if ui[xi][yi] != uj[sxi][syi]:
+                    violations.append(SymmetryViolation((i, j), i, PROFILES[xi], PROFILES[yi]))
+                if uk[xi][yi] != uk[sxi][syi]:
+                    violations.append(SymmetryViolation((i, j), k, PROFILES[xi], PROFILES[yi]))
     return violations
+
+
+def check_prior_symmetry(prior: Prior) -> list[tuple[tuple[Player, Player], Profile]]:
+    """The swap and x of every failing relation P(x) = P(sx), with s as in
+    check_player_symmetry and in its order."""
+    w = prior.weights
+    return [((i, j), PROFILES[n]) for i, j, _, s in _SWAPS for n in range(8) if w[n] != w[s[n]]]
 
 
 def affine_transform(
@@ -443,11 +435,12 @@ def parse_rational(s: str, field: str) -> Fraction:
         raise ValidationError(f"{field}: zero denominator in rational") from exc
 
 
+#: The prior's keys, "x_A x_B x_C", in index order.
+_PRIOR_KEYS = tuple(" ".join(map(str, x)) for x in PROFILES)
+
+
 def game_to_json_dict(game: GameDefinition) -> dict:
-    prior = {
-        " ".join(str(b) for b in x): format_rational(game.prior.weight(x))
-        for x in PROFILES
-    }
+    prior = dict(zip(_PRIOR_KEYS, map(format_rational, game.prior.weights)))
     utilities = {
         p.name: [
             [format_rational(v) for v in row]
@@ -458,48 +451,46 @@ def game_to_json_dict(game: GameDefinition) -> dict:
     return {"players": ["A", "B", "C"], "prior": prior, "utilities": utilities}
 
 
+def _json_object(doc: object, keys, field: str) -> dict:
+    """doc, if it is a JSON object with no keys but ``keys``; otherwise a
+    ValidationError that names the field and any unexpected key."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{field}: missing or not an object")
+    extra = set(doc).difference(keys)
+    if extra:
+        raise ValidationError(f"{field}: unexpected keys {sorted(extra)}")
+    return doc
+
+
 def game_from_json_dict(doc: dict) -> GameDefinition:
+    """The game of a document that docs/game.schema.json accepts; any other
+    document is a ValidationError that names the field at fault."""
     if not isinstance(doc, dict):
         raise ValidationError("game document must be a JSON object")
+    _json_object(doc, ("players", "prior", "utilities"), "game document")
     if doc.get("players") != ["A", "B", "C"]:
         raise ValidationError('players: must be exactly ["A", "B", "C"]')
 
-    prior_doc = doc.get("prior")
-    if not isinstance(prior_doc, dict):
-        raise ValidationError("prior: missing or not an object")
+    prior_doc = _json_object(doc.get("prior"), _PRIOR_KEYS, "prior")
     weights = []
-    for x in PROFILES:
-        key = " ".join(str(b) for b in x)
+    for key in _PRIOR_KEYS:
         if key not in prior_doc:
             raise ValidationError(f"prior: missing entry for type {key!r}")
         weights.append(parse_rational(prior_doc[key], f"prior[{key!r}]"))
-    extra = set(prior_doc) - {" ".join(str(b) for b in x) for x in PROFILES}
-    if extra:
-        raise ValidationError(f"prior: unexpected keys {sorted(extra)}")
     prior = Prior(tuple(weights))
 
-    util_doc = doc.get("utilities")
-    if not isinstance(util_doc, dict):
-        raise ValidationError("utilities: missing or not an object")
+    util_doc = _json_object(doc.get("utilities"), ("A", "B", "C"), "utilities")
     tables = []
     for p in PLAYERS:
         rows_doc = util_doc.get(p.name)
         if not isinstance(rows_doc, list) or len(rows_doc) != 8:
-            raise ValidationError(
-                f"utilities[{p.name!r}]: expected 8 rows (one per type index)"
-            )
+            raise ValidationError(f"utilities[{p.name!r}]: expected 8 rows (one per type index)")
         rows = []
         for xi, row_doc in enumerate(rows_doc):
+            field = f"utilities[{p.name!r}][{xi}]"
             if not isinstance(row_doc, list) or len(row_doc) != 8:
-                raise ValidationError(
-                    f"utilities[{p.name!r}][{xi}]: expected 8 entries"
-                )
-            rows.append(
-                tuple(
-                    parse_rational(v, f"utilities[{p.name!r}][{xi}][{yi}]")
-                    for yi, v in enumerate(row_doc)
-                )
-            )
+                raise ValidationError(f"{field}: expected 8 entries")
+            rows.append(tuple(parse_rational(v, f"{field}[{yi}]") for yi, v in enumerate(row_doc)))
         tables.append(tuple(rows))
     return GameDefinition(UtilityTable(tuple(tables)), prior)
 

@@ -192,10 +192,9 @@ def _nelder_mead(
         shrink = False
         try:
             xr = (2 * c0 - w0, 2 * c1 - w1, 2 * c2 - w2, 2 * c3 - w3)
-            # As SciPy's wrapper does, an evaluation past the budget raises
-            # instead, and the step ends there.
-            if nfev == max_fev:
-                raise _Exhausted
+            # The loop runs while the budget lasts, so the reflection is
+            # evaluated.  As SciPy's wrapper does, a later evaluation past
+            # the budget raises instead, and the step ends there.
             nfev += 1
             fxr = -objective(xr)
             if fxr < fbest:
@@ -315,26 +314,27 @@ def _best_run(runs: Sequence[Run]) -> tuple[list[float], float, bool]:
 
 
 def _planar_rows(weights: np.ndarray) -> list[tuple[float, ...]]:
-    """The distinct rows (const_i, *coef_i) of the players' planar payoffs
-    (see maximize_planar), in player order.
+    """The rows (const_i, *coef_i) of the players' planar payoffs (see
+    maximize_planar) that their minimum needs.
 
-    Players with identical rows share one row; the minimum over the players
-    is unchanged.  When all rows have the same coefficients (compared by
-    repr, so that the sign of a zero counts) and finite constants, as in
-    every player-symmetric game, whose constants differ at most by
-    rounding, only the row of the least constant is kept.  The grid scan
-    and the objective add the terms to the constant in a fixed order, and
-    float addition is monotone, so that row's value is the least at every
-    point: the same float as the minimum over all rows (up to the sign of a
-    zero on the grid, which ranks its points alike).
+    Players whose coefficients agree by repr (so that the sign of a zero
+    counts) form a group, as all players of a player-symmetric game do.  A
+    group whose constants are finite keeps the row of the least, in the
+    place of its first row; any other group keeps all its rows.  The grid
+    scan and the objective add the terms to the constant in a fixed order,
+    and float addition is monotone, so the kept row is the least of its
+    group at every point: the minimum is the same float, up to the sign of
+    a zero (which ranks grid points alike).
     """
     const = weights[:, :, 0].sum(axis=1)
     coef = -weights[:, :, 4]
-    rows = list(dict.fromkeys(zip(const.tolist(), *coef.T.tolist())))
-    if len({repr(row[1:]) for row in rows}) == 1 and all(
-        math.isfinite(row[0]) for row in rows
-    ):
-        return [min(rows, key=lambda row: row[0])]
+    groups: dict[str, list[tuple[float, ...]]] = {}
+    for row in zip(const.tolist(), *coef.T.tolist()):
+        groups.setdefault(repr(row[1:]), []).append(row)
+    rows = []
+    for group in groups.values():
+        finite = all(math.isfinite(row[0]) for row in group)
+        rows += [min(group, key=lambda row: row[0])] if finite else group
     return rows
 
 

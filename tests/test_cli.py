@@ -219,7 +219,36 @@ class TestEquilibriaCommand:
         code = main(["equilibria", "--game", str(path)])
         captured = capsys.readouterr()
         assert code == 0
-        assert "not player-symmetric" in captured.err
+        assert captured.err == (
+            f"warning: {path}: utilities are not player-symmetric (2 relations "
+            "fail; first: swap AB at x=(0, 0, 0) y=(0, 0, 0))\n"
+        )
+
+    @pytest.mark.parametrize(
+        "game_name, warning",
+        [
+            (
+                "nonuniform_game",
+                "prior is not player-symmetric (12 relations fail; first: swap AB "
+                "at x=(0, 1, 0))",
+            ),
+            ("affine_game", None),
+            ("table1", None),
+        ],
+    )
+    def test_symmetry_warning_covers_the_prior(self, request, capsys, tmp_path, game_name, warning):
+        """Condition (i) asks the prior to be symmetric too: table1's
+        utilities under the prior P(x) = (index(x) + 1) / 36 warn, and
+        neither the relabelled affine copy nor a re-indented copy of table1
+        does."""
+        game = request.getfixturevalue(game_name)
+        path = tmp_path / f"{game_name}.json"
+        path.write_text(json.dumps(game_to_json_dict(game), indent=3))
+        code = main(["equilibria", "--game", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["inputs"]["game_digest"] == game.digest
+        assert captured.err == ("" if warning is None else f"warning: {path}: {warning}\n")
 
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -716,6 +745,55 @@ class TestEntryPoint:
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
+#: Inputs that exit 2: (id, the schema of the document, an edit that makes
+#: the document from table1's, a fragment of the error).  Each edit's
+#: document breaks its schema; ``builtin:nope`` names no document.
+REJECTED = [
+    ("not-an-object", "game", lambda d: [d], "must be a JSON object"),
+    ("extra-key", "game", lambda d: {**d, "comment": "x"}, "unexpected keys ['comment']"),
+    (
+        "extra-table",
+        "game",
+        lambda d: {**d, "utilities": {**d["utilities"], "D": d["utilities"]["A"]}},
+        "utilities: unexpected keys ['D']",
+    ),
+    ("players", "game", lambda d: {**d, "players": ["A", "B"]}, "players"),
+    (
+        "prior-not-an-object",
+        "game",
+        lambda d: {**d, "prior": list(d["prior"].values())},
+        "prior: missing or not an object",
+    ),
+    (
+        "prior-key",
+        "game",
+        lambda d: {**d, "prior": {**d["prior"], "0 0 2": "0"}},
+        "prior: unexpected keys ['0 0 2']",
+    ),
+    (
+        "utilities-not-an-object",
+        "game",
+        lambda d: {**d, "utilities": list(d["utilities"].values())},
+        "utilities: missing or not an object",
+    ),
+    (
+        "row-count",
+        "game",
+        lambda d: {**d, "utilities": {**d["utilities"], "B": d["utilities"]["B"][:7]}},
+        "utilities['B']: expected 8 rows",
+    ),
+    (
+        "entry-count",
+        "game",
+        lambda d: {
+            **d, "utilities": {**d["utilities"], "C": [r + ["0"] for r in d["utilities"]["C"]]}
+        },
+        "utilities['C'][0]: expected 8 entries",
+    ),
+    ("setting-array", "setting", lambda d: [0.0] * 6, "setting document must be a JSON object"),
+    ("unknown-builtin", None, None, "unknown builtin game 'nope'"),
+]
+
 
 class TestSchemas:
     def test_bundled_game_matches_schema(self):
@@ -744,3 +822,28 @@ class TestSchemas:
         jsonschema.validate(planar, schema)
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate({"phi_A0": 0.5}, schema)
+
+    @pytest.mark.parametrize(
+        "schema_name, edit, named", [pytest.param(*case[1:], id=case[0]) for case in REJECTED]
+    )
+    def test_the_loaders_reject_what_the_schemas_reject(
+        self, capsys, tmp_path, schema_name, edit, named
+    ):
+        """Each input exits 2 with nothing on stdout and an error that names
+        what is wrong, and jsonschema rejects the same document."""
+        doc = None if edit is None else edit(game_to_json_dict(builtin_game()))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = {
+            "game": ["equilibria", "--game", str(path)],
+            "setting": ["bell", "--setting", str(path)],
+            None: ["equilibria", "--game", "builtin:nope"],
+        }[schema_name]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert named in captured.err
+        if schema_name is not None:
+            jsonschema = pytest.importorskip("jsonschema")
+            schema = json.loads((DOCS / f"{schema_name}.schema.json").read_text())
+            assert not jsonschema.Draft202012Validator(schema).is_valid(doc)

@@ -45,6 +45,7 @@ ORACLES = {
     "game.Prior.uniform",
     "game.UtilityTable.constant",
     "game.UtilityTable.from_function",
+    "game.UtilityTable.utility",
     "game.affine_transform",
     "game.expected_payoffs",
     "quantum.QuantumAdvisor",

@@ -23,6 +23,7 @@ from bellgame.game import (
     ValidationError,
     affine_transform,
     check_player_symmetry,
+    check_prior_symmetry,
     expected_payoffs,
     game_from_json_dict,
     game_to_json_dict,
@@ -189,6 +190,32 @@ class TestAffineTransform:
         assert moved == tuple(alpha * v + beta for v in base)
 
 
+def walked_symmetry_violations(table: UtilityTable) -> list[tuple]:
+    """The oracle of check_player_symmetry: each transposition (i, j) with
+    bystander k, then each x and y, swapping the slots of the profiles and
+    reading the entries u_i(x, y) against u_j(sx, sy) and u_k(x, y) against
+    u_k(sx, sy)."""
+    def u(player, x, y):
+        return table.values[player][profile_index(x)][profile_index(y)]
+
+    def swap(p, i, j):
+        out = list(p)
+        out[i], out[j] = out[j], out[i]
+        return tuple(out)
+
+    found = []
+    for i, j, k in ((Player.A, Player.B, Player.C), (Player.A, Player.C, Player.B),
+                    (Player.B, Player.C, Player.A)):
+        for x in PROFILES:
+            for y in PROFILES:
+                sx, sy = swap(x, i, j), swap(y, i, j)
+                if u(i, x, y) != u(j, sx, sy):
+                    found.append(((i, j), i, x, y))
+                if u(k, x, y) != u(k, sx, sy):
+                    found.append(((i, j), k, x, y))
+    return found
+
+
 class TestPlayerSymmetry:
     def test_bundled_game_is_symmetric(self, utilities):
         assert check_player_symmetry(utilities) == []
@@ -210,6 +237,35 @@ class TestPlayerSymmetry:
             and v.y == (0, 0, 0)
             for v in violations
         )
+
+    def test_audit_matches_the_entry_walk(self, utilities):
+        """The same (swap, player, x, y) relations in the same order as a
+        walk that swaps the profiles' slots and reads every entry, on table1,
+        a constant game and 300 seeded perturbations of table1."""
+        tables = [utilities, UtilityTable.constant(Fraction(-2, 3))]
+        rng = random.Random(24)
+        for _ in range(300):
+            values = [[list(row) for row in rows] for rows in utilities.values]
+            for _ in range(rng.randint(1, 8)):
+                values[rng.randrange(3)][rng.randrange(8)][rng.randrange(8)] = Fraction(
+                    rng.randint(-6, 6), rng.randint(1, 4)
+                )
+            tables.append(UtilityTable(tuple(tuple(map(tuple, rows)) for rows in values)))
+        found = [[tuple(v) for v in check_player_symmetry(t)] for t in tables]
+        assert found == [walked_symmetry_violations(t) for t in tables]
+        assert found[:2] == [[], []]
+        assert sum(map(bool, found[2:])) > 250  # a few draws keep an entry as it was
+
+    def test_prior_audit(self, nonuniform_game):
+        assert check_prior_symmetry(Prior.uniform()) == []
+        # P(x) = (index(x) + 1) / 36 differs between x and sx whenever the
+        # swapped bits differ
+        assert check_prior_symmetry(nonuniform_game.prior) == [
+            ((i, j), x)
+            for i, j in ((Player.A, Player.B), (Player.A, Player.C), (Player.B, Player.C))
+            for x in PROFILES
+            if x[i] != x[j]
+        ]
 
     def test_permutation_covariance(self, utilities, uniform_prior):
         # for a symmetric game, swapping two players' slots in the

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -68,6 +69,21 @@ def split_game(table1):
     return GameDefinition(
         affine_transform(table1.utilities, Fraction(2, 3), Fraction(-1, 3)), table1.prior
     )
+
+
+@pytest.fixture(scope="module")
+def split_warped_game(warped_game):
+    """warped_game under u -> 2/3 u - 1/3: A keeps coefficients of its own,
+    and B's and C's rows differ only in the rounding of their constants."""
+    return GameDefinition(
+        affine_transform(warped_game.utilities, Fraction(2, 3), Fraction(-1, 3)),
+        warped_game.prior,
+    )
+
+
+#: The rows _planar_rows keeps: one per group of players whose coefficients
+#: agree.
+KEPT_ROWS = {"warped_game": 2, "split_warped_game": 2}
 
 
 def _fresh(game: GameDefinition) -> GameDefinition:
@@ -485,18 +501,22 @@ class TestGridStarts:
     @pytest.mark.parametrize("grid", [optimize.GRID])  # the engine's one grid
     @pytest.mark.parametrize(
         "game_name",
-        ["table1", "affine_game", "split_game", "nonuniform_game", "warped_game"],
+        [
+            "table1", "affine_game", "split_game", "nonuniform_game", "warped_game",
+            "split_warped_game",
+        ],
     )
     def test_distinct_rows_give_the_three_row_starts(
         self, request, game_name, grid, restarts
     ):
         """Players whose rows differ only in their constants, by rounding
-        (split_game) or by the prior (nonuniform_game), keep one row, the
-        least constant's, as the symmetric games do."""
+        (split_game, and B and C in split_warped_game) or by the prior
+        (nonuniform_game), keep one row, the least constant's, as the
+        symmetric games do."""
         game = request.getfixturevalue(game_name)
         weights = ghz_weights(game.utilities, game.prior)
         rows = optimize._planar_rows(weights)
-        assert len(rows) == (2 if game_name == "warped_game" else 1)
+        assert len(rows) == KEPT_ROWS.get(game_name, 1)
         got = optimize._grid_starts(rows, restarts)
         assert got == _three_row_grid_starts(
             weights[:, :, 0].sum(axis=1), -weights[:, :, 4], grid, restarts
@@ -533,10 +553,14 @@ class TestGridStarts:
         assert peak <= 1.4 * 16**4 * 8
 
     def test_rows_with_a_constant_that_is_not_finite_are_all_kept(self, table1):
+        """B's constant is inf, so its group, all three players of table1,
+        keeps every row, A's and C's equal ones too, in player order."""
         weights = ghz_weights(table1.utilities, table1.prior).copy()
         weights[1, 0, 0] = math.inf
         rows = optimize._planar_rows(weights)
-        assert [math.isinf(row[0]) for row in rows] == [False, True]
+        const, coef = weights[:, :, 0].sum(axis=1), -weights[:, :, 4]
+        assert rows == list(zip(const.tolist(), *coef.T.tolist()))
+        assert [math.isinf(row[0]) for row in rows] == [False, True, False]
 
 
 def _three_row_grid_starts(
@@ -581,7 +605,8 @@ def _min_over_players(const, coef, x) -> float:
 
 class TestPlanarObjective:
     @pytest.mark.parametrize(
-        "game_name", ["table1", "split_game", "nonuniform_game", "warped_game"]
+        "game_name",
+        ["table1", "split_game", "nonuniform_game", "warped_game", "split_warped_game"],
     )
     def test_equals_the_minimum_over_the_players_to_the_bit(self, request, game_name):
         """On one kept row (players whose coefficients agree) and on two,
@@ -589,10 +614,13 @@ class TestPlanarObjective:
         game = request.getfixturevalue(game_name)
         weights = ghz_weights(game.utilities, game.prior)
         const, coef = weights[:, :, 0].sum(axis=1).tolist(), (-weights[:, :, 4]).tolist()
-        distinct_constants = {"table1": 1, "split_game": 2, "nonuniform_game": 3, "warped_game": 2}
+        distinct_constants = {
+            "table1": 1, "split_game": 2, "nonuniform_game": 3, "warped_game": 2,
+            "split_warped_game": 3,
+        }
         assert len(set(const)) == distinct_constants[game_name]
         rows = optimize._planar_rows(weights)
-        assert len(rows) == (2 if game_name == "warped_game" else 1)
+        assert len(rows) == KEPT_ROWS.get(game_name, 1)
         objective = optimize._planar_objective(rows)
         points = np.random.default_rng(3).uniform(-20, 20, size=(2000, 4)).tolist()
         points += [list(x) for x in optimize._grid_starts(rows, 200)]
@@ -720,11 +748,8 @@ class TestBoundHierarchyLP:
         variables [p(y|x) for x, y in profile order] + extra, in [0, 1],
         subject to a_eq @ variables == b_eq."""
         total = [
-            float(
-                game.prior.weight(x)
-                * sum(game.utilities.utility(p, x, y) for p in PLAYERS)
-            )
-            for x in PROFILES
+            float(w * sum(game.utilities.utility(p, x, y) for p in PLAYERS))
+            for x, w in zip(PROFILES, game.prior.weights)
             for y in PROFILES
         ]
         c = -np.array(total + [0.0] * (a_eq.shape[1] - 64))
@@ -940,6 +965,59 @@ class TestPolishMatchesScipy:
         (_, best), (value, vertex) = sorts[-2][0], sorts[-2][-1]
         moved = tuple(b + 0.5 * (v - b) for v, b in zip(vertex, best))
         assert (value, moved) in sorts[-1] and (value, vertex) not in sorts[-1]
+
+    def test_budget_runs_out_at_every_step(self, oracle, monkeypatch):
+        """With NM_MAX_ITER 6, and so a budget of 24 evaluations, scripted
+        objectives run out of it at each step that evaluates after the
+        reflection: the expansion, the outside and the inside contraction,
+        and a shrink.  (The reflection is the first evaluation of a step,
+        and a step begins only while the budget lasts; a fifth script runs
+        out at the end of a step, and the loop ends there.)  Each script
+        gives the values to be minimized (the negated objective) call by
+        call, then NaN.  A step whose reflection and inside contraction do
+        no better than the worst vertex shrinks the simplex: six
+        evaluations, finite or NaN.  Each run ends where SciPy's does, and
+        the four that run out inside a step stop at the port's four budget
+        exits, in source order."""
+        monkeypatch.setattr(optimize, "NM_MAX_ITER", 6)
+        exits = []
+
+        class Exhausted(optimize._Exhausted):
+            def __init__(self):
+                exits.append(sys._getframe(1).f_lineno)
+
+        monkeypatch.setattr(optimize, "_Exhausted", Exhausted)
+        nan, start = math.nan, [1, 2, 3, 4, 5]
+        shrink = [100, 100, 2, 3, 4, 5]
+        scripts = {
+            # one step keeps its reflection, three shrink among NaN: 6 + 18
+            "end of a step": start + [1.5],
+            # three steps shrink among NaN, then the reflection beats the best
+            "expansion": start + [nan] * 18 + [0],
+            # three finite shrinks, then a reflection between the two worst
+            "outside contraction": start + shrink * 3 + [4.5],
+            # the same, then a reflection no better than the worst
+            "inside contraction": start + shrink * 3 + [100],
+            # NaN everywhere with a budget of 20: the third step shrinks
+            "shrink": [],
+        }
+        for step, script in scripts.items():
+            if step == "shrink":
+                monkeypatch.setattr(optimize, "NM_MAX_ITER", 5)
+
+            def scripted(script=script):
+                values = iter(script)
+                return lambda x: -next(values, nan)
+
+            res = oracle(scripted(), [0.3, -1.2, 2.0, 0.7])
+            before = len(exits)
+            got = optimize._nelder_mead(scripted(), [0.3, -1.2, 2.0, 0.7])
+            expected = (res.x.tolist(), -float(res.fun), bool(res.success))
+            assert repr(got) == repr(expected), step
+            assert got[0] == expected[0] and res.nfev == 4 * optimize.NM_MAX_ITER
+            assert not got[2] and res.nit < optimize.NM_MAX_ITER, step
+            assert len(exits) - before == (step != "end of a step"), step
+        assert len(exits) == 4 and exits == sorted(set(exits))
 
     def test_tied_values_follow_numpy_argsort(self, oracle, monkeypatch):
         """Tied vertices are ordered as np.argsort orders them, which need
