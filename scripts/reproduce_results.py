@@ -7,7 +7,6 @@ Usage: python scripts/reproduce_results.py [--samples N] [--seed N]
 
 import argparse
 import math
-from fractions import Fraction
 
 from bellgame.builtin import builtin_game
 from bellgame.classical import (
@@ -17,6 +16,7 @@ from bellgame.classical import (
     deterministic_bell_extremes,
     enumerate_deterministic_equilibria,
 )
+from bellgame.game import format_rational
 from bellgame.optimize import (
     EQUILIBRIUM_IMPROVEMENT_TOL,
     OptimizationConfig,
@@ -24,10 +24,6 @@ from bellgame.optimize import (
     quantum_advantage_report,
 )
 from bellgame.quantum import ghz_bell
-
-
-def frac(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -48,7 +44,7 @@ def main(argv: list[str] | None = None) -> None:
     for r in reports:
         tag = "fair" if r.fair else "unfair"
         sat = "saturates 9/4" if r.saturates_bound else ""
-        payoffs = ", ".join(frac(v) for v in r.payoffs)
+        payoffs = ", ".join(format_rational(v) for v in r.payoffs)
         print(f"  A={r.profile[0]} B={r.profile[1]} C={r.profile[2]}  "
               f"({payoffs})  {tag} {sat}")
     print(f"  total: {len(reports)} equilibria, "
@@ -57,18 +53,18 @@ def main(argv: list[str] | None = None) -> None:
     print("\n== classical bound audit ==")
     audit = classical_bound_audit(profiles, samples=args.samples, seed=args.seed)
     print(f"  max total over 64 deterministic profiles: "
-          f"{frac(audit.deterministic_max)} "
+          f"{format_rational(audit.deterministic_max)} "
           f"({len(audit.attaining_profiles)} profiles attain it)")
-    sample_max = "none" if audit.sample_max is None else frac(audit.sample_max)
+    sample_max = "none" if audit.sample_max is None else format_rational(audit.sample_max)
     print(f"  max total over {audit.samples} random mixtures: "
           f"{sample_max} (within bound: {audit.samples_within_bound})")
-    print(f"  fair cap: {frac(audit.fair_cap)}; "
-          f"max min-payoff audited: {frac(audit.max_min_payoff)}")
+    print(f"  fair cap: {format_rational(audit.fair_cap)}; "
+          f"max min-payoff audited: {format_rational(audit.max_min_payoff)}")
     extremes = deterministic_bell_extremes()
     for variant in BellVariant:
         lo, hi = extremes[variant]
         print(f"  Bell {variant.name} over deterministic profiles: "
-              f"[{frac(lo)}, {frac(hi)}]")
+              f"[{format_rational(lo)}, {format_rational(hi)}]")
 
     print("\n== quantum optimum (GHZ advisor, planar measurements) ==")
     config = OptimizationConfig(seed=args.seed)
@@ -82,10 +78,10 @@ def main(argv: list[str] | None = None) -> None:
         f"{v.name} = {value:+.6f}"
         for v, value in ghz_bell(opt.setting.ghz_features).items()
     ))
-    print(f"  classical fair cap: {frac(summary.classical_fair_cap)}; "
+    print(f"  classical fair cap: {format_rational(summary.classical_fair_cap)}; "
           f"advantage: {summary.advantage:.6f}")
     print(f"  quantum total {summary.quantum_total:.6f} "
-          f"vs classical bound {frac(summary.classical_total_bound)}")
+          f"vs classical bound {format_rational(summary.classical_total_bound)}")
 
     print("\n== equilibrium certification at the optimum ==")
     verdict = best_response_check(game, opt.setting, "planar")

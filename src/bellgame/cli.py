@@ -11,12 +11,10 @@ Two things outlive a call, and no result depends on either: the argument
 parser, built once per process, and each bundled game, loaded once per
 process by builtin_game together with what the game object derives on
 first use (see game.GameDefinition): its digest, profile table and GHZ
-weights, and the runs of ``optimize``'s grid starts, which every later
-``optimize`` on the game reuses whatever its seed (the seed only chooses
-the random starts), extended when a call asks for more restarts than any
-before.  A game file is read into a new object on each call.  Callers that
-run many commands in one process (the tests, a benchmark) may call ``main``
-again and again.
+weights, and the runs of ``optimize``'s grid starts (see
+optimize.PlanarSearch).  A game file is read into a new object on each
+call.  Callers that run many commands in one process (the tests, a
+benchmark) may call ``main`` again and again.
 
 Only the commands that run the GHZ engine (``bell --setting``,
 ``optimize`` and ``check``) import it, and with it numpy; the classical

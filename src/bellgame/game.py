@@ -333,10 +333,8 @@ class GameDefinition:
     The digest, the profile table, the GHZ weights and the planar search are
     derived from the two fields on first use and kept on the object, which
     cannot change.  A call that raises keeps nothing, so the next one raises
-    again.  The planar search holds optimize.maximize_planar's work that
-    does not depend on the seed, which only chooses the random starts: the
-    polished runs of the grid's best points, kept for the largest number of
-    restarts asked for so far.
+    again.  The planar search keeps the runs of optimize's grid starts (see
+    optimize.PlanarSearch).
     """
 
     utilities: UtilityTable

@@ -13,12 +13,8 @@ the whole simplex is sorted, in ``np.argsort``'s order, only after a shrink,
 when the evaluation budget runs out, or while values tie or are NaN.  The
 contract is the value reached, not the search path.
 
-The seed only chooses the random starts.  The grid scan and the polishes
-of its best points depend on the game alone, so each game object keeps
-them (PlanarSearch, as GameDefinition.planar_search) for the largest number
-of restarts asked for so far, and a call on a game already searched
-polishes only its own random starts.  A search reports the same floats
-whether or not the grid runs were kept.
+The seed only chooses the random starts; each game object keeps the runs
+of its grid starts (see PlanarSearch).
 
 Certification needs no search.  With the other two players' observables
 fixed, a player's GHZ payoff is affine in the Bloch vectors of their own two
@@ -278,8 +274,8 @@ def _nelder_mead(
 TIE_WINDOW = 1e-9
 
 
-#: One polished start: (value, the wrapped angles, x, converged).
-Run = tuple[float, tuple[float, ...], list[float], bool]
+#: One polished start: (value, the wrapped angles, converged).
+Run = tuple[float, Azimuths, bool]
 
 
 def _polish(
@@ -289,53 +285,50 @@ def _polish(
     runs = []
     for x0 in starts:
         x, value, ok = _nelder_mead(objective, x0)
-        runs.append((value, tuple(wrap_angle(v) for v in x), x, ok))
+        runs.append((value, tuple(wrap_angle(v) for v in x), ok))
     return runs
 
 
-def _best_run(runs: Sequence[Run]) -> tuple[list[float], float, bool]:
-    """(x, value, converged) of the best local maximum among the runs.
+def _best_run(runs: Sequence[Run]) -> Run:
+    """The run of the best local maximum among the runs.
 
     Order-independent merge: highest value wins; runs within TIE_WINDOW of
     the best count as ties, broken by lexicographic order of the wrapped
-    angle vector.  Runs that end at NaN are left out; if every run does (a
-    row constant of the planar payoff overflowing to inf - inf makes it NaN
-    everywhere), the utilities are too large for the float engine.
+    angle vector.
     """
-    runs = [r for r in runs if not math.isnan(r[0])]
-    if not runs:
-        raise ValidationError(
-            "utilities too large: the planar payoff is NaN at every polished point"
-        )
     vmax = max(r[0] for r in runs)
     tied = [r for r in runs if r[0] >= vmax - TIE_WINDOW]
-    winner = min(tied, key=lambda r: r[1])
-    return winner[2], winner[0], winner[3]
+    return min(tied, key=lambda r: r[1])
 
 
 def _planar_rows(weights: np.ndarray) -> list[tuple[float, ...]]:
     """The rows (const_i, *coef_i) of the players' planar payoffs (see
     maximize_planar) that their minimum needs.
 
+    A constant that is not finite (a sum of weights that overflows, to
+    inf - inf = NaN at worst) is a ValidationError.  With every constant
+    and coefficient finite, a planar payoff can overflow only to +-inf,
+    never to NaN, so the grid, the objective and the runs hold no NaN.
+
     Players whose coefficients agree by repr (so that the sign of a zero
     counts) form a group, as all players of a player-symmetric game do.  A
-    group whose constants are finite keeps the row of the least, in the
-    place of its first row; any other group keeps all its rows.  The grid
-    scan and the objective add the terms to the constant in a fixed order,
-    and float addition is monotone, so the kept row is the least of its
-    group at every point: the minimum is the same float, up to the sign of
-    a zero (which ranks grid points alike).
+    group keeps the row of its least constant, in the place of its first
+    row.  The grid scan and the objective add the terms to the constant in
+    a fixed order, and float addition is monotone, so the kept row is the
+    least of its group at every point: the minimum is the same float, up to
+    the sign of a zero (which ranks grid points alike).
     """
-    const = weights[:, :, 0].sum(axis=1)
+    const = weights[:, :, 0].sum(axis=1).tolist()
+    for player, k in zip(PLAYERS, const):
+        if not math.isfinite(k):
+            raise ValidationError(
+                f"utilities too large: {player.name}'s planar constant is {k}"
+            )
     coef = -weights[:, :, 4]
     groups: dict[str, list[tuple[float, ...]]] = {}
-    for row in zip(const.tolist(), *coef.T.tolist()):
+    for row in zip(const, *coef.T.tolist()):
         groups.setdefault(repr(row[1:]), []).append(row)
-    rows = []
-    for group in groups.values():
-        finite = all(math.isfinite(row[0]) for row in group)
-        rows += [min(group, key=lambda row: row[0])] if finite else group
-    return rows
+    return [min(group, key=lambda row: row[0]) for group in groups.values()]
 
 
 def _grid_starts(
@@ -414,7 +407,7 @@ def _planar_objective(rows: list[tuple[float, ...]]) -> Callable[[Azimuths], flo
         ab = a1 + b1
         s0, s1, s2, s3 = sin(c0), sin(c1), sin(b1 + c0), sin(b1 + c1)
         s4, s5, s6, s7 = sin(a1 + c0), sin(a1 + c1), sin(ab + c0), sin(ab + c1)
-        # The loop keeps the first least value, as min() does, NaN included.
+        # The loop keeps the first least value, as min() does.
         value = None
         for k, r0, r1, r2, r3, r4, r5, r6, r7 in rows:
             v = k + (
@@ -430,16 +423,21 @@ def _planar_objective(rows: list[tuple[float, ...]]) -> Callable[[Azimuths], flo
 
 class PlanarSearch:
     """The part of maximize_planar on one game that the seed does not
-    choose: the planar objective and the runs of the grid starts.  A game
-    keeps one (GameDefinition.planar_search).
+    choose: the planar objective and the runs of the grid starts.
 
-    The grid starts of ``restarts`` are the first ``restarts`` points of one
-    order of the grid, by value and then by grid index (see _grid_starts).
-    So the runs kept for the largest ``restarts`` asked for so far serve
-    every smaller number, and a larger one polishes only the points it
-    adds; they are at most 10000, the largest ``restarts`` allowed.  (A grid
-    holds a NaN only where a row's constant is NaN, and then everywhere; it
-    gives no starts at all, so no runs are kept.)
+    The seed only chooses the random starts; the grid scan and the polishes
+    of its best points depend on the game alone.  So each game object keeps
+    one PlanarSearch (GameDefinition.planar_search), made on first use, and
+    every later maximize_planar on that object reuses its runs, whatever
+    the seed.  The grid starts of ``restarts`` are the first ``restarts``
+    points of one order of the grid, by value and then by grid index (see
+    _grid_starts).  So the runs kept for the largest ``restarts`` asked for
+    so far serve every smaller number, and a larger one polishes only the
+    points it adds; they are at most 10000, the largest ``restarts``
+    allowed.  A seed sweep on one game object therefore polishes the grid
+    once, and each call reports the same floats as on a fresh object.  The
+    kept runs assume the module's search constants (GRID and the NM_*
+    values) as they were when the runs were made.
     """
 
     def __init__(self, weights: np.ndarray) -> None:
@@ -467,25 +465,21 @@ def maximize_planar(
     and coefficients read off the game's GHZ weights.  The top points of a
     grid scan and seeded random points start Nelder-Mead polishes; more
     restarts can only improve the reported value (up to the tie window).
-
-    The seed only chooses the random starts.  The runs of the grid starts
-    are the game's (game.planar_search): made once per game object and
-    reused by every later call on it, with any seed.  They assume the
-    module's search constants (GRID and the NM_* values) as they were when
-    the runs were made.
+    The runs of the grid starts are kept on the game object (see
+    PlanarSearch).
     """
     config = config or OptimizationConfig()
     search = game.planar_search
     rng = np.random.default_rng(config.seed)
     random_starts = rng.uniform(-math.pi, math.pi, size=(config.restarts, 4))
     runs = search.grid_runs(config.restarts) + _polish(search.objective, random_starts)
-    x, _, ok = _best_run(runs)
-    a1, b1, c0, c1 = (wrap_angle(v) for v in x)
+    _, angles, ok = _best_run(runs)
+    a1, b1, c0, c1 = angles
     setting = MeasurementSetting.planar([0.0, a1, 0.0, b1, c0, c1])
     payoffs = ghz_payoffs(game.ghz_weights, setting.ghz_features)
     return OptimumReport(
         setting=setting,
-        value=search.objective((a1, b1, c0, c1)),
+        value=search.objective(angles),
         payoffs=PayoffTriple(*payoffs.tolist()),
         converged=ok,
     )

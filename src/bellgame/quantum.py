@@ -398,16 +398,23 @@ def setting_to_json_dict(setting: MeasurementSetting) -> dict:
     return doc
 
 
+#: Every angle of a setting file lies strictly within +-ANGLE_LIMIT, as
+#: docs/setting.schema.json states: three such azimuths sum to a finite
+#: float, whose sine ghz_features can take.
+ANGLE_LIMIT = 2**1022
+
+
 def _angle(doc: dict, key: str) -> float:
     """An angle value as the schema types it: a JSON number, not a string or
-    a boolean (``bool`` is an ``int`` subclass in Python)."""
+    a boolean (``bool`` is an ``int`` subclass in Python), of magnitude
+    below ANGLE_LIMIT.  The JSON value itself is compared, an integer
+    exactly, before it is converted to float; NaN and infinities fail."""
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key}: angle must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValidationError(f"{key}: angle is too large for a float") from None
+    if not abs(value) < ANGLE_LIMIT:
+        raise ValidationError(f"{key}: angle must lie strictly within +-2**1022")
+    return float(value)
 
 
 def setting_from_json_dict(doc: dict) -> MeasurementSetting:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from bellgame.game import (
     parse_rational,
 )
 from bellgame.quantum import (
+    ANGLE_LIMIT,
     PLANAR_KEYS,
     MeasurementSetting,
     ghz_advisor,
@@ -630,6 +632,39 @@ class TestBadNumbers:
         if digits == 401:
             assert "phi_A0" in captured.err
 
+    @pytest.mark.parametrize("command", ["bell", "check"])
+    def test_angles_beyond_the_format_range_exit_2(
+        self, capsys, tmp_path, optimum_setting_file, command
+    ):
+        """Two azimuths of 1e308 sum to inf in the triple correlator, whose
+        sine is NaN.  The loader refuses the angle and names it; the
+        utilities, which bell does not read, are not blamed."""
+        doc = {**json.loads(Path(optimum_setting_file).read_text()), **LARGE_ANGLES}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        code = main([command, "--setting", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "phi_A0: angle must lie strictly within +-2**1022" in captured.err
+        assert "utilities" not in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "edge", [math.nextafter(2.0**1022, 0), 2**1022 - 1], ids=["float", "int"]
+    )
+    def test_three_azimuths_at_the_edge_of_the_range_give_a_report(
+        self, capsys, tmp_path, edge
+    ):
+        """The largest angles the format admits, one per player in every
+        context (an integer one rounds up to 2.0**1022), sum to a finite
+        float: bell reports finite values."""
+        doc = {key: (edge if key.endswith("0") else -edge) for key in PLANAR_KEYS}
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_cli(capsys, "bell", "--setting", str(path))
+        assert code == 0
+        assert all(math.isfinite(v) for v in report["results"]["values"].values())
+
     def test_long_integer_in_game_exits_2(self, capsys, tmp_path, table1):
         doc = game_to_json_dict(table1)
         doc["utilities"]["A"][0][0] = "BIG"
@@ -683,8 +718,9 @@ class TestBadNumbers:
     def test_a_planar_payoff_that_is_nan_everywhere_exits_2(self, capsys, tmp_path, table1):
         """Utilities of 8*10**308 in contexts x = 0, 1 and -8*10**308 in
         x = 2, 3 give finite GHZ weights of +-10**308, but each player's
-        planar constant sums to inf - inf: the planar payoff is NaN at every
-        point, so every polish ends at NaN."""
+        planar constant sums to inf - inf = NaN, which would make the
+        planar payoff NaN at every point.  optimize refuses the constant
+        before it searches."""
         doc = game_to_json_dict(table1)
         big = "8" + "0" * 308
         for name in "ABC":
@@ -696,7 +732,25 @@ class TestBadNumbers:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "error: utilities too large: the planar payoff is NaN" in captured.err
+        assert "error: utilities too large: A's planar constant is nan\n" in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_planar_constant_that_is_nan_exits_2(self, capsys, tmp_path, table1):
+        """The same rows for B alone: A's and C's planar payoffs are finite,
+        and a search that skipped B's NaN payoff reported table1's value,
+        0.842, with beats_classical true, beside B's payoff of 0."""
+        doc = game_to_json_dict(table1)
+        big = "8" + "0" * 308
+        for xi, value in enumerate([big, big, "-" + big, "-" + big] + ["0"] * 4):
+            doc["utilities"]["B"][xi] = [value] * 8
+        path = tmp_path / "nan-row.json"
+        path.write_text(json.dumps(doc))
+        code = main(["optimize", "--game", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith(
+            "error: utilities too large: B's planar constant is nan\n"
+        )
 
     @pytest.mark.parametrize("option", ["--game", "--setting"])
     def test_non_utf8_file_exits_2(self, capsys, tmp_path, option):
@@ -745,6 +799,10 @@ class TestEntryPoint:
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
+#: Two azimuths whose sum overflows to inf, so that the sine of the triple
+#: correlator would be NaN: outside the setting format's angle range.
+LARGE_ANGLES = {"phi_A0": 1e308, "phi_B0": 1e308}
+
 #: Inputs that exit 2: (id, the schema of the document, an edit that makes
 #: the document from table1's, a fragment of the error).  Each edit's
 #: document breaks its schema; ``builtin:nope`` names no document.
@@ -791,6 +849,12 @@ REJECTED = [
         "utilities['C'][0]: expected 8 entries",
     ),
     ("setting-array", "setting", lambda d: [0.0] * 6, "setting document must be a JSON object"),
+    (
+        "setting-angle-range",
+        "setting",
+        lambda d: {**LARGE_ANGLES, "phi_A1": 0.0, "phi_B1": 0.0, "phi_C0": 0.0, "phi_C1": 0.0},
+        "phi_A0: angle must lie strictly within +-2**1022",
+    ),
     ("unknown-builtin", None, None, "unknown builtin game 'nope'"),
 ]
 
@@ -822,6 +886,19 @@ class TestSchemas:
         jsonschema.validate(planar, schema)
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate({"phi_A0": 0.5}, schema)
+
+    def test_the_setting_schema_states_the_loaders_angle_range(self):
+        """One range for every angle: the schema's $defs entry, which every
+        angle key refers to, bounds it by the loader's ANGLE_LIMIT."""
+        schema = json.loads((DOCS / "setting.schema.json").read_text())
+        angle = schema["$defs"]["angle"]
+        assert (angle["exclusiveMinimum"], angle["exclusiveMaximum"]) == (
+            -ANGLE_LIMIT, ANGLE_LIMIT,
+        )
+        for branch in schema["oneOf"]:
+            assert all(
+                v == {"$ref": "#/$defs/angle"} for v in branch["properties"].values()
+            )
 
     @pytest.mark.parametrize(
         "schema_name, edit, named", [pytest.param(*case[1:], id=case[0]) for case in REJECTED]

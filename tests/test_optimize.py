@@ -552,15 +552,17 @@ class TestGridStarts:
             tracemalloc.stop()
         assert peak <= 1.4 * 16**4 * 8
 
-    def test_rows_with_a_constant_that_is_not_finite_are_all_kept(self, table1):
-        """B's constant is inf, so its group, all three players of table1,
-        keeps every row, A's and C's equal ones too, in player order."""
+    @pytest.mark.parametrize("constant", [math.inf, -math.inf, math.nan])
+    def test_a_constant_that_is_not_finite_is_refused(self, table1, constant):
+        """B's constant is not finite, so the rows are not made: the planar
+        payoff would be +-inf or NaN at every point."""
         weights = ghz_weights(table1.utilities, table1.prior).copy()
-        weights[1, 0, 0] = math.inf
-        rows = optimize._planar_rows(weights)
-        const, coef = weights[:, :, 0].sum(axis=1), -weights[:, :, 4]
-        assert rows == list(zip(const.tolist(), *coef.T.tolist()))
-        assert [math.isinf(row[0]) for row in rows] == [False, True, False]
+        weights[1, 0, 0] = constant
+        with pytest.raises(
+            ValidationError,
+            match=rf"^utilities too large: B's planar constant is {constant}$",
+        ):
+            optimize._planar_rows(weights)
 
 
 def _three_row_grid_starts(
@@ -626,6 +628,71 @@ class TestPlanarObjective:
         points += [list(x) for x in optimize._grid_starts(rows, 200)]
         for x in points:
             assert repr(objective(tuple(x))) == repr(_min_over_players(const, coef, x))
+
+
+def _nan_row_game(table1: GameDefinition) -> GameDefinition:
+    """table1 with B's utility 8*10**308 in contexts x = 0, 1, -8*10**308 in
+    x = 2, 3 and 0 elsewhere, for every y: B's GHZ weights are finite, but
+    its planar constant sums to inf - inf = NaN."""
+    big = 8 * 10**308
+
+    def utility(i, x, y):
+        if i is Player.B:
+            return Fraction((big, big, -big, -big, 0, 0, 0, 0)[PROFILES.index(x)])
+        return table1.utilities.utility(i, x, y)
+
+    return GameDefinition(UtilityTable.from_function(utility), table1.prior)
+
+
+def _seeded_relabelling(game: GameDefinition, seed: int) -> GameDefinition:
+    """``game`` with seeded type and action bits flipped and a seeded
+    positive affine map of the utilities, under the same (uniform) prior."""
+    rng = np.random.default_rng(seed)
+    type_flip, action_flip = (tuple(rng.integers(0, 2, 3).tolist()) for _ in range(2))
+    alpha = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+    beta = Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 20)))
+
+    def utility(i, x, y):
+        x = tuple(b ^ f for b, f in zip(x, type_flip))
+        y = tuple(b ^ f for b, f in zip(y, action_flip))
+        return game.utilities.utility(i, x, y)
+
+    return GameDefinition(
+        affine_transform(UtilityTable.from_function(utility), alpha, beta), game.prior
+    )
+
+
+class TestValueIsTheLeastPayoff:
+    """optimize's value is the least of the payoffs it reports, up to the
+    rounding of two engines: the objective's scalar sum and ghz_payoffs'
+    matrix product."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize(
+        "game_name",
+        ["table1", "affine_game", "nonuniform_game", "split_game", "warped_game", "constant"]
+        + [f"relabelled-{k}" for k in range(10)],
+    )
+    def test_on_every_game(self, request, table1, game_name, seed):
+        if game_name == "constant":
+            game = GameDefinition(UtilityTable.constant(Fraction(7, 3)), Prior.uniform())
+        elif game_name.startswith("relabelled-"):
+            game = _seeded_relabelling(table1, int(game_name.split("-")[1]))
+        else:
+            game = request.getfixturevalue(game_name)
+        report = maximize_planar(_fresh(game), OptimizationConfig(restarts=4, seed=seed))
+        assert math.isfinite(report.value)
+        gap = abs(report.value - min(report.payoffs))
+        assert gap <= 1e-12 * max(1.0, abs(report.value))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's inf - inf
+    def test_a_planar_constant_that_is_not_finite_is_refused(self, table1):
+        """On the NaN-row game a search would skip B's NaN payoff and report
+        table1's value, 0.842, beside B's reported payoff of 0."""
+        with pytest.raises(
+            ValidationError, match=r"^utilities too large: B's planar constant is nan$"
+        ):
+            maximize_planar(_nan_row_game(table1), OptimizationConfig(restarts=4))
 
 
 class TestAdvantageReport:

@@ -595,7 +595,8 @@ class TestSettingSerialization:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError, match="Bloch angles must be finite"):
                 MeasurementSetting(np.full((3, 2), bad), np.zeros((3, 2)))
-            with pytest.raises(ValidationError, match="Bloch angles must be finite"):
+            # the loader refuses the first angle out of range and names it
+            with pytest.raises(ValidationError, match=r"^phi_A0: angle must lie"):
                 setting_from_json_dict(dict.fromkeys(PLANAR_KEYS, bad))
         phi = np.zeros((3, 2))
         setting = MeasurementSetting.planar(phi)
