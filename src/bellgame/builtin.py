@@ -1,10 +1,11 @@
-"""Bundled game definitions shipped as package resources."""
+"""Bundled game definitions, read from the ``data`` directory beside this
+module."""
 
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
-from importlib import resources
 
 from .game import GameDefinition, ValidationError, game_from_json_dict
 
@@ -12,6 +13,9 @@ from .game import GameDefinition, ValidationError, game_from_json_dict
 #: "table1" is the symmetric conflicting-interest game whose classical total
 #: payoff is capped at 9/4 by the two tripartite Bell inequalities.
 BUILTIN_NAMES = ("table1",)
+
+#: The directory of the bundled game files, data/<name>.json.
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 @lru_cache(maxsize=None)
@@ -21,7 +25,5 @@ def builtin_game(name: str = "table1") -> GameDefinition:
         raise ValidationError(
             f"unknown builtin game {name!r}; available: {BUILTIN_NAMES}"
         )
-    text = (
-        resources.files("bellgame").joinpath(f"data/{name}.json").read_text()
-    )
-    return game_from_json_dict(json.loads(text))
+    with open(os.path.join(DATA_DIR, f"{name}.json"), encoding="utf-8") as f:
+        return game_from_json_dict(json.load(f))

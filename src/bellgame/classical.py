@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +35,7 @@ from .game import (
     PROFILES,
     Bit,
     ConditionalDistribution,
+    Frozen,
     Numeric,
     PayoffTriple,
     Prior,
@@ -81,8 +81,7 @@ def strategy_to_distribution(
 ResponseTable = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 
-@dataclass(frozen=True)
-class HiddenVariableModel:
+class HiddenVariableModel(Frozen):
     """Finite mixture of product response tables.
 
     Each atom carries a weight and one response table per player; the
@@ -91,11 +90,12 @@ class HiddenVariableModel:
     support is accepted.
     """
 
+    _fields = ("atoms",)
     atoms: tuple[tuple[Fraction, tuple[ResponseTable, ...]], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, atoms: tuple[tuple[Fraction, tuple[ResponseTable, ...]], ...]) -> None:
         total = Fraction(0)
-        for weight, responses in self.atoms:
+        for weight, responses in atoms:
             if weight < 0:
                 raise ValidationError(f"negative mixture weight {weight}")
             total += weight
@@ -110,6 +110,7 @@ class HiddenVariableModel:
                         )
         if total != 1:
             raise ValidationError(f"mixture weights sum to {total}, not 1")
+        super().__init__(atoms)
 
     @classmethod
     def from_profiles(
@@ -286,8 +287,7 @@ def profile_table(table: UtilityTable, prior: Prior) -> ProfileTable:
     return ProfileTable(tuple(numerators), denominator)
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     profile: StrategyProfile
     payoffs: PayoffTriple
     fair: bool
@@ -331,8 +331,7 @@ def _can_improve(profiles: ProfileTable, k: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class BoundAuditReport:
+class BoundAuditReport(NamedTuple):
     """Exact deterministic scan plus seeded random-mixture audit."""
 
     deterministic_max: Fraction

@@ -16,9 +16,13 @@ optimize.PlanarSearch).  A game file is read into a new object on each
 call.  Callers that run many commands in one process (the tests, a
 benchmark) may call ``main`` again and again.
 
-Only the commands that run the GHZ engine (``bell --setting``,
-``optimize`` and ``check``) import it, and with it numpy; the classical
-commands run on the exact engine alone.
+Start-up imports the exact engine (game, classical, builtin) and the
+standard modules every command uses: argparse, hashlib, json and fractions.
+It imports none of dataclasses, inspect, pathlib and importlib.resources:
+the value types are NamedTuples and game.Frozen classes, and files are
+opened with open().  numpy is still loaded lazily: only the commands that
+run the GHZ engine (``bell --setting``, ``optimize`` and ``check``) import
+it; the classical commands run on the exact engine alone.
 
 Exit codes: 0 success, 2 validation failure (also for a non-finite result,
 from utilities too large for the float engine), 3 non-convergence, 4 I/O.
@@ -35,7 +39,6 @@ from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache, reduce
 from operator import add
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -394,7 +397,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.out == "-":
             sys.stdout.write(text)
         else:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.write(text)
         return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,16 +26,16 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
     import numpy as np
 
     from . import classical, optimize
@@ -69,6 +69,46 @@ def profile_index(p: Profile) -> int:
     return 4 * p[0] + 2 * p[1] + p[2]
 
 
+class Frozen:
+    """Base of the value classes that validate their fields or derive
+    values from them; plain records are NamedTuples instead.
+
+    A subclass lists its fields in ``_fields`` and its ``__init__``, after
+    validating them, sets them once through ``Frozen.__init__``.  After that
+    no attribute can be assigned or deleted (functools.cached_property
+    writes to the instance's ``__dict__`` directly, so a derived value is
+    still kept).  Equality and hash go by class and field values, and the
+    repr is ``Cls(field=...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class PayoffTriple(NamedTuple):
     """Expected payoff per player; Fractions on the exact path, else floats."""
 
@@ -80,22 +120,22 @@ class PayoffTriple(NamedTuple):
         return self.a + self.b + self.c
 
 
-@dataclass(frozen=True)
-class UtilityTable:
+class UtilityTable(Frozen):
     """Dense 3 x 8 x 8 table of exact player utilities.
 
     ``values[player][x_index][y_index]`` is the gain of ``player`` when the
     type profile is x and the action profile is y.
     """
 
+    _fields = ("values",)
     values: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != 3 or any(
-            len(rows) != 8 or any(len(row) != 8 for row in rows)
-            for rows in self.values
+    def __init__(self, values: tuple[tuple[tuple[Fraction, ...], ...], ...]) -> None:
+        if len(values) != 3 or any(
+            len(rows) != 8 or any(len(row) != 8 for row in rows) for rows in values
         ):
             raise ValidationError("utility table must be 3 x 8 x 8")
+        super().__init__(values)
 
     @classmethod
     def from_function(
@@ -120,41 +160,45 @@ class UtilityTable:
         return self.values[player][profile_index(x)][profile_index(y)]
 
 
-@dataclass(frozen=True)
-class Prior:
+class Prior(Frozen):
     """Distribution over type profiles, exact and normalized."""
 
+    _fields = ("weights",)
     weights: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != 8:
+    def __init__(self, weights: tuple[Fraction, ...]) -> None:
+        if len(weights) != 8:
             raise ValidationError("prior must have 8 entries")
-        for i, w in enumerate(self.weights):
+        for i, w in enumerate(weights):
             if w < 0:
                 raise ValidationError(
                     f"prior entry for type profile {PROFILES[i]} is negative: "
                     f"{format_rational(w)}"
                 )
-        total = sum(self.weights)
+        total = sum(weights)
         if total != 1:
             raise ValidationError(
                 f"prior entries sum to {format_rational(total)}, expected exactly 1"
             )
+        super().__init__(weights)
 
     @classmethod
     def uniform(cls) -> "Prior":
         return cls((Fraction(1, 8),) * 8)
 
 
-@dataclass(frozen=True)
-class ConditionalDistribution:
+class ConditionalDistribution(Frozen):
     """Row-stochastic table p(y | x): rows indexed by type profile x.
 
     Entries are Fractions for classical sources (validated exactly) or
     floats for quantum sources (validated within a tolerance).
     """
 
+    _fields = ("rows",)
     rows: tuple[tuple[Numeric, ...], ...]
+
+    def __init__(self, rows: tuple[tuple[Numeric, ...], ...]) -> None:
+        super().__init__(rows)
 
     @classmethod
     def uniform(cls) -> "ConditionalDistribution":
@@ -326,8 +370,7 @@ def no_signalling_residual(dist: ConditionalDistribution) -> Numeric:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GameDefinition:
+class GameDefinition(Frozen):
     """A utility table with its prior, as read from a game file.
 
     The digest, the profile table, the GHZ weights and the planar search are
@@ -337,8 +380,12 @@ class GameDefinition:
     optimize.PlanarSearch).
     """
 
+    _fields = ("utilities", "prior")
     utilities: UtilityTable
     prior: Prior
+
+    def __init__(self, utilities: UtilityTable, prior: Prior) -> None:
+        super().__init__(utilities, prior)
 
     @cached_property
     def digest(self) -> str:
@@ -497,7 +544,8 @@ def read_json(path: str | Path) -> object:
     """The JSON document in a file; a file that is not UTF-8 JSON, or holds a
     number too long for Python to read, is a ValidationError."""
     try:
-        return json.loads(Path(path).read_text())
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "

@@ -37,17 +37,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sin
 from operator import lt
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .game import (
     PLAYERS,
     PROFILES,
+    Frozen,
     GameDefinition,
     PayoffTriple,
     Player,
@@ -60,22 +60,22 @@ from .quantum import MeasurementSetting, ghz_features, ghz_payoffs, wrap_angle
 EQUILIBRIUM_IMPROVEMENT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class OptimizationConfig:
-    restarts: int = 12
-    seed: int = 0
+class OptimizationConfig(Frozen):
+    _fields = ("restarts", "seed")
+    restarts: int
+    seed: int
 
-    def __post_init__(self) -> None:
-        if self.restarts < 1:
+    def __init__(self, restarts: int = 12, seed: int = 0) -> None:
+        if restarts < 1:
             raise ValidationError("restarts must be positive")
-        if self.restarts > 10_000:
+        if restarts > 10_000:
             raise ValidationError("restarts must be at most 10000")
-        if self.seed < 0:
+        if seed < 0:
             raise ValidationError("seed must be non-negative")
+        super().__init__(restarts, seed)
 
 
-@dataclass(frozen=True)
-class OptimumReport:
+class OptimumReport(NamedTuple):
     setting: MeasurementSetting  # planar, in the canonical gauge a0 = b0 = 0
     value: float
     payoffs: PayoffTriple
@@ -311,7 +311,11 @@ def _planar_rows(weights: np.ndarray) -> list[tuple[float, ...]]:
     never to NaN, so the grid, the objective and the runs hold no NaN.
 
     Players whose coefficients agree by repr (so that the sign of a zero
-    counts) form a group, as all players of a player-symmetric game do.  A
+    counts) form a group, as all three players of table1 and its relabelled
+    copies do.  Player symmetry alone does not group them: a swap of two
+    players carries one's coefficient vector to the other's with their
+    type bits swapped, so the vectors agree only if that swap leaves them
+    unchanged too, and a generic player-symmetric game keeps three rows.  A
     group keeps the row of its least constant, in the place of its first
     row.  The grid scan and the objective add the terms to the constant in
     a fixed order, and float addition is monotone, so the kept row is the
@@ -341,7 +345,8 @@ def _grid_starts(
     profile's sine depends on at most three of the angles, so it is
     evaluated on a broadcast axis and added into the (len(rows), GRID**4)
     payoff array in place; no full mesh of the four angles is built.  A
-    player-symmetric game scans one row.
+    game whose players' coefficient vectors agree, such as table1, scans
+    one row.
     """
     table = np.array(rows)
     const, coef = table[:, 0], table[:, 1:]
@@ -386,7 +391,8 @@ def _planar_objective(rows: list[tuple[float, ...]]) -> Callable[[Azimuths], flo
     calls, and numpy's per-call overhead would dominate them.  The terms
     are added left to right, as sum() no longer does for floats from Python
     3.12 on, so the polish takes one path on every version.  A single row
-    (every player-symmetric game) is evaluated without a loop over rows.
+    (players whose coefficient vectors agree, as in table1) is evaluated
+    without a loop over rows.
     """
     if len(rows) == 1:
         ((k, r0, r1, r2, r3, r4, r5, r6, r7),) = rows
@@ -485,16 +491,14 @@ def maximize_planar(
     )
 
 
-@dataclass(frozen=True)
-class PlayerBestResponse:
+class PlayerBestResponse(NamedTuple):
     player: Player
     improvement: float  # payoff - baseline, exact (see best_response_check)
     payoff: float  # own payoff at the best deviation
     deviation: MeasurementSetting  # the candidate with this player's best observables
 
 
-@dataclass(frozen=True)
-class BestResponseVerdict:
+class BestResponseVerdict(NamedTuple):
     mode: str  # "planar" | "full_sphere"
     baseline: PayoffTriple
     responses: tuple[PlayerBestResponse, PlayerBestResponse, PlayerBestResponse]
@@ -591,8 +595,7 @@ def best_response_check(
     )
 
 
-@dataclass(frozen=True)
-class QuantumAdvantageReport:
+class QuantumAdvantageReport(NamedTuple):
     classical_total_bound: Fraction  # exact max total over deterministic profiles
     classical_fair_cap: Fraction  # bound / 3: best fair classical payoff
     optimum: OptimumReport

@@ -32,10 +32,9 @@ Conventions (load-bearing, fixed once here):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .game import (
     PLAYERS,
     PROFILES,
     ConditionalDistribution,
+    Frozen,
     PayoffTriple,
     Player,
     Prior,
@@ -54,6 +54,9 @@ from .game import (
     profile_index,
     read_json,
 )
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 TAU = 2 * math.pi
 ALGEBRA_TOL = 1e-12
@@ -94,20 +97,21 @@ def projectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
     return (IDENTITY2 - m) / 2, (IDENTITY2 + m) / 2
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementSetting:
+class MeasurementSetting(Frozen):
     """Two +/-1 observables n.sigma per player, one per type bit, given by
     their Bloch angles: ``theta`` and ``phi`` are read-only float arrays of
     shape (3, 2), indexed by player and type bit, as ghz_features takes them.
     Two settings are equal when their angles are; a setting is unhashable.
     """
 
+    _fields = ("theta", "phi")
     theta: np.ndarray
     phi: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name in ("theta", "phi"):
-            angles = np.array(getattr(self, name), dtype=float)
+    def __init__(self, theta, phi) -> None:
+        arrays = []
+        for name, value in (("theta", theta), ("phi", phi)):
+            angles = np.array(value, dtype=float)
             if angles.shape != (3, 2):
                 raise ValidationError(
                     f"{name} must have shape (3, 2), got {angles.shape}"
@@ -115,7 +119,8 @@ class MeasurementSetting:
             if not np.isfinite(angles).all():
                 raise ValidationError("Bloch angles must be finite")
             angles.setflags(write=False)
-            object.__setattr__(self, name, angles)
+            arrays.append(angles)
+        super().__init__(*arrays)
 
     @classmethod
     def planar(cls, phi) -> "MeasurementSetting":
@@ -145,18 +150,22 @@ class MeasurementSetting:
     __hash__ = None
 
 
-@dataclass(frozen=True, eq=False)
-class QuantumAdvisor:
-    """Tripartite density operator on the 8-dimensional joint space."""
+class QuantumAdvisor(Frozen):
+    """Tripartite density operator on the 8-dimensional joint space.  Two
+    advisors are equal only when they are the same object."""
 
+    _fields = ("rho",)
     rho: np.ndarray
 
-    def __post_init__(self) -> None:
-        rho = np.array(self.rho, dtype=complex)
+    def __init__(self, rho) -> None:
+        rho = np.array(rho, dtype=complex)
         if rho.shape != (8, 8):
             raise ValidationError(f"advisor state must be 8x8, got {rho.shape}")
         rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
+        super().__init__(rho)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def validate(self, tol: float = ALGEBRA_TOL) -> None:
         dev = np.abs(self.rho - self.rho.conj().T).max()

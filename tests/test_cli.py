@@ -796,6 +796,54 @@ class TestEntryPoint:
         )
         assert proc.stdout == "[0, 0, 0] False\n"
 
+    @pytest.mark.parametrize(
+        "commands, unused",
+        [
+            pytest.param(
+                [["equilibria"], ["audit-bound"], ["bell"]],
+                ["dataclasses", "importlib.resources", "inspect", "pathlib"],
+                id="classical",
+            ),
+            # numpy imports inspect itself
+            pytest.param(
+                [["optimize", "--restarts", "1"], ["check", "--setting", "SETTING"]],
+                ["dataclasses"],
+                id="ghz",
+            ),
+        ],
+    )
+    def test_commands_import_no_module_they_do_not_use(
+        self, optimum_setting_file, commands, unused
+    ):
+        """None of the modules in ``unused`` is imported by the commands.
+        The interpreter starts with -S: ``site`` may import pathlib and
+        importlib.resources itself (through a .pth file), which would hide
+        the program's imports.  The code puts src first on sys.path, and
+        numpy's directory after it, without running its .pth files."""
+        import numpy
+
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import io, json\n"
+            "from contextlib import redirect_stdout\n"
+            "sys.path[:0] = sys.argv[1:3]\n"
+            "from bellgame.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in json.loads(sys.argv[3])]\n"
+            "print(json.dumps([codes, sorted(set(sys.modules) - before)]))\n"
+        )
+        argvs = [[optimum_setting_file if a == "SETTING" else a for a in c] for c in commands]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        site_dir = str(Path(numpy.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, src, site_dir, json.dumps(argvs)],
+            capture_output=True, text=True, check=True,
+        )
+        codes, imported = json.loads(proc.stdout)
+        assert codes == [0] * len(commands)
+        assert [name for name in unused if name in imported] == []
+
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 

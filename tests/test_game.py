@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -8,15 +9,22 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellgame.classical import ALL_PROFILES, profile_table, strategy_to_distribution
+from bellgame.classical import (
+    ALL_PROFILES,
+    HiddenVariableModel,
+    profile_table,
+    strategy_to_distribution,
+)
 from bellgame.game import (
     PLAYERS,
     PROFILES,
     ConditionalDistribution,
+    GameDefinition,
     Player,
     Prior,
     UtilityTable,
@@ -32,7 +40,8 @@ from bellgame.game import (
     no_signalling_residual,
     profile_index,
 )
-from bellgame.quantum import ghz_weights
+from bellgame.optimize import OptimizationConfig
+from bellgame.quantum import MeasurementSetting, QuantumAdvisor, ghz_advisor, ghz_weights
 
 RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -429,13 +438,217 @@ class TestDerivedValues:
         with pytest.raises(ValueError, match="read-only"):
             table1.ghz_weights[0, 0, 0] = 1.0
 
-    def test_an_overflow_is_raised_on_every_use(self, table1):
+    @staticmethod
+    def _count_derivations(monkeypatch) -> dict[str, int]:
+        """Count the calls that derive each of a game's four values."""
+        calls = dict.fromkeys(["digest", "profile_table", "ghz_weights", "planar_search"], 0)
+        for name, target in [
+            ("digest", "bellgame.game.game_to_json_dict"),
+            ("profile_table", "bellgame.classical.profile_table"),
+            ("ghz_weights", "bellgame.quantum.ghz_weights"),
+            ("planar_search", "bellgame.optimize.PlanarSearch"),
+        ]:
+            module, _, attr = target.rpartition(".")
+            derive = getattr(importlib.import_module(module), attr)
+
+            def spy(*args, name=name, derive=derive):
+                calls[name] += 1
+                return derive(*args)
+
+            monkeypatch.setattr(target, spy)
+        return calls
+
+    def test_each_value_is_derived_once_and_kept(self, game, monkeypatch):
+        calls = self._count_derivations(monkeypatch)
+        fresh = GameDefinition(game.utilities, game.prior)
+        for _ in range(2):
+            kept = [getattr(fresh, name) for name in calls]
+        assert calls == dict.fromkeys(calls, 1)
+        for name, value in zip(calls, kept):
+            assert getattr(fresh, name) is value
+            with pytest.raises(AttributeError):
+                setattr(fresh, name, value)
+            with pytest.raises(AttributeError):
+                delattr(fresh, name)
+            assert getattr(fresh, name) is value
+
+    def test_an_overflow_is_raised_on_every_use(self, table1, monkeypatch):
+        """A derivation that raises keeps nothing: the weights, and the
+        planar search that reads them, are tried again and raise again,
+        while the digest and the profile table are derived once."""
         doc = game_to_json_dict(table1)
         doc["utilities"]["A"][0][0] = "9" * 401
         game = game_from_json_dict(doc)
+        calls = self._count_derivations(monkeypatch)
         for _ in range(2):
             with pytest.raises(ValidationError, match="utilities too large"):
                 game.ghz_weights
+            with pytest.raises(ValidationError, match="utilities too large"):
+                game.planar_search
+            game.digest, game.profile_table
+        assert calls == {"digest": 1, "profile_table": 1, "ghz_weights": 4, "planar_search": 0}
+
+
+#: The value classes by name: their fields, a function that builds one
+#: object afresh, and one that builds an object with other field values.
+VALUE_CLASSES = {
+    "UtilityTable": (
+        ("values",), lambda: UtilityTable.constant(1), lambda: UtilityTable.constant(2)
+    ),
+    "Prior": (
+        ("weights",),
+        Prior.uniform,
+        lambda: Prior((Fraction(1, 2),) * 2 + (Fraction(0),) * 6),
+    ),
+    "ConditionalDistribution": (
+        ("rows",),
+        ConditionalDistribution.uniform,
+        lambda: strategy_to_distribution(ALL_PROFILES[0]),
+    ),
+    "GameDefinition": (
+        ("utilities", "prior"),
+        lambda: GameDefinition(UtilityTable.constant(1), Prior.uniform()),
+        lambda: GameDefinition(UtilityTable.constant(2), Prior.uniform()),
+    ),
+    "HiddenVariableModel": (
+        ("atoms",),
+        lambda: HiddenVariableModel.from_profiles([(1, ALL_PROFILES[0])]),
+        lambda: HiddenVariableModel.from_profiles([(1, ALL_PROFILES[1])]),
+    ),
+    "OptimizationConfig": (
+        ("restarts", "seed"), OptimizationConfig, lambda: OptimizationConfig(seed=1)
+    ),
+    "MeasurementSetting": (
+        ("theta", "phi"),
+        lambda: MeasurementSetting.planar(np.zeros(6)),
+        lambda: MeasurementSetting.planar(np.ones(6)),
+    ),
+    "QuantumAdvisor": (
+        ("rho",), ghz_advisor, lambda: QuantumAdvisor(np.eye(8, dtype=complex) / 8)
+    ),
+}
+
+_F = Fraction
+_CERTAIN = ((_F(1), _F(0)), (_F(1), _F(0)))  # a response table: y = 0 for both types
+
+#: (id, a construction the class refuses, the whole message of its error)
+REFUSED = [
+    ("utility-shape", lambda: UtilityTable(((),)), "utility table must be 3 x 8 x 8"),
+    ("prior-length", lambda: Prior((_F(1, 8),) * 7), "prior must have 8 entries"),
+    (
+        "prior-negative",
+        lambda: Prior((_F(-1, 8),) + (_F(9, 56),) * 7),
+        "prior entry for type profile (0, 0, 0) is negative: -1/8",
+    ),
+    (
+        "prior-sum",
+        lambda: Prior((_F(1, 10),) * 8),
+        "prior entries sum to 4/5, expected exactly 1",
+    ),
+    (
+        "mixture-weight",
+        lambda: HiddenVariableModel(((_F(-1), ()),)),
+        "negative mixture weight -1",
+    ),
+    (
+        "mixture-tables",
+        lambda: HiddenVariableModel(((_F(1), ()),)),
+        "each atom needs 3 response tables",
+    ),
+    (
+        "mixture-row",
+        lambda: HiddenVariableModel(
+            ((_F(1), (((_F(1, 2), _F(1, 3)), (_F(1), _F(0))),) * 3),)
+        ),
+        "response row (Fraction(1, 2), Fraction(1, 3)) is not a distribution",
+    ),
+    (
+        "mixture-sum",
+        lambda: HiddenVariableModel(((_F(1, 2), (_CERTAIN,) * 3),)),
+        "mixture weights sum to 1/2, not 1",
+    ),
+    ("restarts-low", lambda: OptimizationConfig(restarts=0), "restarts must be positive"),
+    (
+        "restarts-high",
+        lambda: OptimizationConfig(restarts=10_001),
+        "restarts must be at most 10000",
+    ),
+    ("seed", lambda: OptimizationConfig(seed=-1), "seed must be non-negative"),
+    (
+        "theta-shape",
+        lambda: MeasurementSetting(np.zeros((2, 3)), np.zeros((3, 2))),
+        "theta must have shape (3, 2), got (2, 3)",
+    ),
+    (
+        "phi-shape",
+        lambda: MeasurementSetting(np.zeros((3, 2)), np.zeros(6)),
+        "phi must have shape (3, 2), got (6,)",
+    ),
+    (
+        "angle-finite",
+        lambda: MeasurementSetting(np.zeros((3, 2)), np.full((3, 2), math.nan)),
+        "Bloch angles must be finite",
+    ),
+    (
+        "advisor-shape",
+        lambda: QuantumAdvisor(np.eye(4)),
+        "advisor state must be 8x8, got (4, 4)",
+    ),
+]
+
+
+class TestValueTypes:
+    """The value classes of the game, classical, optimize and quantum
+    modules: fields set once by the constructor, which validates them;
+    equality and hash by value, except a setting's (by its angles, and
+    unhashable) and an advisor's (by identity); the repr Cls(field=...)."""
+
+    @pytest.mark.parametrize("name", VALUE_CLASSES)
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        fields, make, _ = VALUE_CLASSES[name]
+        obj = make()
+        for field in fields:
+            value = getattr(obj, field)
+            with pytest.raises(AttributeError):
+                setattr(obj, field, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+            assert getattr(obj, field) is value
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert not hasattr(obj, "extra")
+
+    @pytest.mark.parametrize(
+        "name", [n for n in VALUE_CLASSES if n not in ("MeasurementSetting", "QuantumAdvisor")]
+    )
+    def test_equality_and_hash_go_by_value(self, name):
+        fields, make, make_other = VALUE_CLASSES[name]
+        a, b, other = make(), make(), make_other()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != other
+        # by class as well: the same field values in a tuple are not equal
+        assert a != tuple(getattr(a, field) for field in fields)
+
+    def test_a_quantum_advisor_compares_by_identity(self):
+        advisor = ghz_advisor()
+        assert advisor == advisor
+        assert advisor != ghz_advisor()
+        assert len({advisor, advisor, ghz_advisor()}) == 2
+
+    @pytest.mark.parametrize("name", VALUE_CLASSES)
+    def test_the_repr_names_each_field(self, name):
+        fields, make, _ = VALUE_CLASSES[name]
+        obj = make()
+        shown = ", ".join(f"{field}={getattr(obj, field)!r}" for field in fields)
+        assert repr(obj) == f"{name}({shown})"
+
+    @pytest.mark.parametrize(
+        "build, message", [pytest.param(*case[1:], id=case[0]) for case in REFUSED]
+    )
+    def test_validation_messages(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestPriorValidation:

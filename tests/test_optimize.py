@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -16,6 +17,7 @@ from bellgame.game import (
     UtilityTable,
     ValidationError,
     affine_transform,
+    check_player_symmetry,
 )
 from bellgame.builtin import builtin_game
 from bellgame.game import GameDefinition
@@ -81,9 +83,26 @@ def split_warped_game(warped_game):
     )
 
 
+def _player_symmetric_game(seed: int) -> GameDefinition:
+    """A seeded random player-symmetric game: a uniform prior, and each u_i
+    an integer in [-9, 9] chosen by the player's own (x_i, y_i) and the
+    multiset of the other two players' pairs."""
+    rng = random.Random(seed)
+    values = {}
+
+    def utility(i, x, y):
+        others = tuple(sorted((x[j], y[j]) for j in PLAYERS if j != i))
+        return values.setdefault(((x[i], y[i]), others), rng.randint(-9, 9))
+
+    return GameDefinition(UtilityTable.from_function(utility), Prior.uniform())
+
+
+#: Names of the seeded random player-symmetric games, and their seeds.
+PLAYER_SYMMETRIC = {f"player_symmetric_{seed}": seed for seed in range(10)}
+
 #: The rows _planar_rows keeps: one per group of players whose coefficients
-#: agree.
-KEPT_ROWS = {"warped_game": 2, "split_warped_game": 2}
+#: agree.  Player symmetry alone does not make them agree.
+KEPT_ROWS = {"warped_game": 2, "split_warped_game": 2, **dict.fromkeys(PLAYER_SYMMETRIC, 3)}
 
 
 def _fresh(game: GameDefinition) -> GameDefinition:
@@ -503,7 +522,7 @@ class TestGridStarts:
         "game_name",
         [
             "table1", "affine_game", "split_game", "nonuniform_game", "warped_game",
-            "split_warped_game",
+            "split_warped_game", *PLAYER_SYMMETRIC,
         ],
     )
     def test_distinct_rows_give_the_three_row_starts(
@@ -511,9 +530,14 @@ class TestGridStarts:
     ):
         """Players whose rows differ only in their constants, by rounding
         (split_game, and B and C in split_warped_game) or by the prior
-        (nonuniform_game), keep one row, the least constant's, as the
-        symmetric games do."""
-        game = request.getfixturevalue(game_name)
+        (nonuniform_game), keep one row, the least constant's, as table1's
+        players do.  Rows collapse only where the players' coefficient
+        vectors agree: the seeded random player-symmetric games keep three."""
+        if game_name in PLAYER_SYMMETRIC:
+            game = _player_symmetric_game(PLAYER_SYMMETRIC[game_name])
+            assert check_player_symmetry(game.utilities) == []
+        else:
+            game = request.getfixturevalue(game_name)
         weights = ghz_weights(game.utilities, game.prior)
         rows = optimize._planar_rows(weights)
         assert len(rows) == KEPT_ROWS.get(game_name, 1)
