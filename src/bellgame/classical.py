@@ -12,9 +12,10 @@ payoffs from game.integer_form, which the GHZ engine reads too, and the
 equilibrium scan, the bound audit and its sampled mixtures all read that
 table.  The audit draws each response as one integer code and contracts
 each atom as it is drawn, against packed integers that hold three payoff
-numerators each, with the sum over player C's strategies staged once per
-response code of C; the fields are wide enough that the contraction stays
-exact for any size of input.  Reported values stay exact ``Fraction`` s.
+numerators each, with the sum over player C's strategies staged for all
+17 codes that share C's p(y=0|x=0) at once, stepped along the other
+numerator; the fields are wide enough that the contraction stays exact for
+any size of input.  Reported values stay exact ``Fraction`` s.
 The ``Fraction`` routes beside them (deterministic_payoffs, the
 hidden-variable models and the distribution-level Bell expressions) are the
 oracles the tests hold the scans to.
@@ -270,21 +271,29 @@ class ProfileTable(NamedTuple):
         return Fraction(sum(self.numerators[self.attainers()[0]]), self.denominator)
 
 
+#: Per profile of ALL_PROFILES, the index of the action profile it plays
+#: in each type profile of PROFILES.
+_PLAYED = tuple(
+    tuple(4 * sa[xa] + 2 * sb[xb] + sc[xc] for xa, xb, xc in PROFILES)
+    for sa, sb, sc in ALL_PROFILES
+)
+
+
 def profile_table(table: UtilityTable, prior: Prior) -> ProfileTable:
     """Integer payoff table of the 64 deterministic profiles.
 
     Each numerator is an integer sum of prior-numerator times
     utility-numerator products from game.integer_form, which
-    quantum.ghz_weights reads too; it is exact for any size of input.
+    quantum.ghz_weights reads too; it is exact for any size of input.  The
+    action profile that each profile plays in each type profile is read off
+    one 64 x 8 index table, built at import.
     """
     weights, utils, denominator = integer_form(table, prior)
-    numerators = []
-    for sa, sb, sc in ALL_PROFILES:
-        played = [profile_index((sa[x[0]], sb[x[1]], sc[x[2]])) for x in PROFILES]
-        numerators.append(tuple(
-            sum(w * row[yi] for w, row, yi in zip(weights, u, played)) for u in utils
-        ))
-    return ProfileTable(tuple(numerators), denominator)
+    numerators = tuple(
+        tuple(sum(w * row[yi] for w, row, yi in zip(weights, u, played)) for u in utils)
+        for played in _PLAYED
+    )
+    return ProfileTable(numerators, denominator)
 
 
 class EquilibriumReport(NamedTuple):
@@ -457,9 +466,14 @@ def _sampled_payoffs(
     numerator less the least of them, lo_i, in the i-th field of ``width``
     bits.  A mixture's weights sum to ``sum(raw) * d**6 <= MIXTURE_WEIGHT_CAP``,
     so no field sum reaches the width and no carry crosses into the next
-    field, for any size of numerator.  The sum over player C's four
-    strategies is staged once per response code of C, bilinearly in p and
-    q, so an atom costs one multiply-add per strategy pair of A and B.
+    field, for any size of numerator.  For C's code 17 p + q, the sum over
+    C's four strategies, with packed sums s_c by C's strategy c, is
+    ``d (p s_1 + (d - p) s_3) + q (p (s_0 - s_1) + (d - p) (s_2 - s_3))``:
+    a base plus q times a step, both fixed by p.  So the first code drawn
+    with a given p stages all 17 codes of that p, one addition per sum from
+    each q to the next.  A step may be negative, but every staged sum is the
+    same nonnegative integer as the bilinear sum.  An atom then costs one
+    multiply-add per strategy pair of A and B.
     """
     nums = profiles.numerators
     lows = [min(column) for column in zip(*nums)]
@@ -512,12 +526,16 @@ def _sampled_payoffs(
             ca, cb, cc = codes
             over_c = staged[cc]
             if over_c is None:
-                p, q = divmod(cc, _ROWS)
-                p00, p01, p10, p11 = p * q, p * (d - q), (d - p) * q, (d - p) * (d - q)
-                over_c = staged[cc] = [
-                    p00 * s00 + p01 * s01 + p10 * s10 + p11 * s11
-                    for s00, s01, s10, s11 in by_c
-                ]
+                # the sums of C's codes 17 p + q, q = 0 to d: base + q * step
+                p = cc // _ROWS
+                sums = [d * (p * s01 + (d - p) * s11) for _, s01, _, s11 in by_c]
+                step = [p * (s00 - s01) + (d - p) * (s10 - s11) for s00, s01, s10, s11 in by_c]
+                p_row = [sums]
+                for _ in range(d):
+                    sums = [s + t for s, t in zip(sums, step)]
+                    p_row.append(sums)
+                staged[_ROWS * p : _ROWS * (p + 1)] = p_row
+                over_c = staged[cc]
             bs = b_weights[cb]
             for row, qa in a_weights[ca]:
                 wa = w * qa

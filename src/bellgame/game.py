@@ -293,10 +293,18 @@ def check_player_symmetry(table: UtilityTable) -> list[SymmetryViolation]:
     u_i(x, y) = u_j(sx, sy) and u_k(x, y) = u_k(sx, sy), where s swaps the
     i and j bits of both profiles (read off _SWAPS).  Returns every failing
     relation: by transposition, x and y, the relation of i before k's.
+
+    Entries are compared as (numerator, denominator) pairs of ints, read
+    once per entry: a Fraction is always in lowest terms with a positive
+    denominator, so two are equal exactly when their pairs are.
     """
+    pairs = [
+        [[(v.numerator, v.denominator) for v in row] for row in rows]
+        for rows in table.values
+    ]
     violations = []
     for i, j, k, swapped in _SWAPS:
-        ui, uj, uk = table.values[i], table.values[j], table.values[k]
+        ui, uj, uk = pairs[i], pairs[j], pairs[k]
         for xi, sxi in enumerate(swapped):
             for yi, syi in enumerate(swapped):
                 if ui[xi][yi] != uj[sxi][syi]:
@@ -458,16 +466,14 @@ def format_rational(v: Fraction) -> str:
 #: The ``rational`` pattern of docs/game.schema.json, matched against the
 #: whole string.
 RATIONAL_PATTERN = r"-?[0-9]+(/[0-9]+)?"
+_RATIONAL = re.compile(RATIONAL_PATTERN)
 
 
-def parse_rational(s: str, field: str) -> Fraction:
-    """Read a "num/den" or bare-integer string, exactly as the schema's
-    ``rational`` accepts it; numbers, booleans, decimals and exponents are
-    rejected, and so is a zero denominator."""
-    if not isinstance(s, str) or re.fullmatch(RATIONAL_PATTERN, s) is None:
+def _rational(s: str) -> Fraction:
+    """parse_rational without the field label in its error messages."""
+    if not isinstance(s, str) or _RATIONAL.fullmatch(s) is None:
         raise ValidationError(
-            f'{field}: invalid rational {s!r}; expected a "num/den" or '
-            f"integer string"
+            f'invalid rational {s!r}; expected a "num/den" or integer string'
         )
     num, _, den = s.partition("/")
     numerator = _int_from_digits(num.lstrip("-"))
@@ -477,7 +483,17 @@ def parse_rational(s: str, field: str) -> Fraction:
             _int_from_digits(den or "1"),
         )
     except ZeroDivisionError as exc:
-        raise ValidationError(f"{field}: zero denominator in rational") from exc
+        raise ValidationError("zero denominator in rational") from exc
+
+
+def parse_rational(s: str, field: str) -> Fraction:
+    """Read a "num/den" or bare-integer string, exactly as the schema's
+    ``rational`` accepts it; numbers, booleans, decimals and exponents are
+    rejected, and so is a zero denominator."""
+    try:
+        return _rational(s)
+    except ValidationError as exc:
+        raise ValidationError(f"{field}: {exc}") from exc.__cause__
 
 
 #: The prior's keys, "x_A x_B x_C", in index order.
@@ -532,10 +548,16 @@ def game_from_json_dict(doc: dict) -> GameDefinition:
             raise ValidationError(f"utilities[{p.name!r}]: expected 8 rows (one per type index)")
         rows = []
         for xi, row_doc in enumerate(rows_doc):
-            field = f"utilities[{p.name!r}][{xi}]"
             if not isinstance(row_doc, list) or len(row_doc) != 8:
-                raise ValidationError(f"{field}: expected 8 entries")
-            rows.append(tuple(parse_rational(v, f"{field}[{yi}]") for yi, v in enumerate(row_doc)))
+                raise ValidationError(f"utilities[{p.name!r}][{xi}]: expected 8 entries")
+            row = []
+            try:
+                for v in row_doc:
+                    row.append(_rational(v))
+            except ValidationError as exc:  # the entry at fault is the next one
+                field = f"utilities[{p.name!r}][{xi}][{len(row)}]"
+                raise ValidationError(f"{field}: {exc}") from exc.__cause__
+            rows.append(tuple(row))
         tables.append(tuple(rows))
     return GameDefinition(UtilityTable(tuple(tables)), prior)
 

@@ -63,6 +63,33 @@ BOUND = F(9, 4)
 def constant_game():
     return GameDefinition(UtilityTable.constant(F(5, 7)), Prior.uniform())
 
+
+@pytest.fixture(scope="module")
+def mixed_sign_game():
+    """Seeded integer utilities of 21 to 25 digits, of either sign, under a
+    uniform prior: the audit's packed fields are wider than 64 bits, and
+    its staging steps, differences of packed sums, go negative."""
+    rng = random.Random(27)
+    game = GameDefinition(
+        UtilityTable.from_function(
+            lambda i, x, y: rng.choice((-1, 1)) * rng.randrange(10**20, 10**25)
+        ),
+        Prior.uniform(),
+    )
+    # the packing of _sampled_payoffs; the step of p = 0 is C's packed sum
+    # of strategy 2 less that of strategy 3
+    numerators = game.profile_table.numerators
+    lows = [min(column) for column in zip(*numerators)]
+    span = max(n - lo for row in numerators for n, lo in zip(row, lows))
+    width = MIXTURE_WEIGHT_CAP.bit_length() + span.bit_length()
+    packed = [
+        sum((n - lo) << i * width for i, (n, lo) in enumerate(zip(row, lows)))
+        for row in numerators
+    ]
+    assert width > 64
+    assert any(packed[k + 2] < packed[k + 3] for k in range(0, 64, 4))
+    return game
+
 GAMES = ["table1", "affine_game", "nonuniform_game"]
 
 #: Rationals with large denominators, for utility tables and priors.
@@ -497,7 +524,7 @@ class TestProfileTable:
         for k, profile in enumerate(ALL_PROFILES):
             assert profiles.payoffs(k) == deterministic_payoffs(table, prior, profile)
 
-    @pytest.mark.parametrize("game", GAMES)
+    @pytest.mark.parametrize("game", [*GAMES, "mixed_sign_game"])
     def test_sampled_payoffs_match_fraction_oracle(self, game, request):
         game = request.getfixturevalue(game)
         profiles = profile_table(game.utilities, game.prior)

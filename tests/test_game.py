@@ -225,6 +225,41 @@ def walked_symmetry_violations(table: UtilityTable) -> list[tuple]:
     return found
 
 
+def planted_symmetric_table(rng: random.Random) -> UtilityTable:
+    """A seeded player-symmetric table with a few planted asymmetries.
+
+    u_i(x, y) depends on the player's own (x_i, y_i) and the multiset of the
+    others' pairs, with values of up to 30 digits, of either sign, some of
+    them integers.  Then one to four entries change either their numerator
+    alone or their denominator alone (times the prime 2**127 - 1, which
+    divides no numerator here), and a few others are rewritten as the same
+    value: built from a numerator and denominator both tripled, or as an int
+    where the value is an integer.
+    """
+    drawn: dict[tuple, Fraction] = {}
+
+    def value(i, x, y):
+        key = (x[i], y[i], tuple(sorted((x[j], y[j]) for j in PLAYERS if j != i)))
+        if key not in drawn:
+            drawn[key] = Fraction(
+                rng.randint(-(10**30), 10**30), rng.choice((1, 1, 7, 10**12))
+            )
+        return drawn[key]
+
+    values = [[list(row) for row in rows] for rows in UtilityTable.from_function(value).values]
+    for _ in range(rng.randint(1, 4)):
+        row = values[rng.randrange(3)][rng.randrange(8)]
+        yi = rng.randrange(8)
+        n, d = row[yi].numerator or 1, row[yi].denominator
+        row[yi] = Fraction(n + d, d) if rng.random() < 0.5 else Fraction(n, d * (2**127 - 1))
+    for _ in range(rng.randint(0, 6)):
+        row = values[rng.randrange(3)][rng.randrange(8)]
+        yi = rng.randrange(8)
+        v = row[yi]
+        row[yi] = int(v) if v.denominator == 1 else Fraction(3 * v.numerator, 3 * v.denominator)
+    return UtilityTable(tuple(tuple(map(tuple, rows)) for rows in values))
+
+
 class TestPlayerSymmetry:
     def test_bundled_game_is_symmetric(self, utilities):
         assert check_player_symmetry(utilities) == []
@@ -249,8 +284,10 @@ class TestPlayerSymmetry:
 
     def test_audit_matches_the_entry_walk(self, utilities):
         """The same (swap, player, x, y) relations in the same order as a
-        walk that swaps the profiles' slots and reads every entry, on table1,
-        a constant game and 300 seeded perturbations of table1."""
+        walk that swaps the profiles' slots and compares every entry as a
+        Fraction, on table1, a constant game, 300 seeded perturbations of
+        table1 and 100 seeded player-symmetric tables of large entries with
+        planted asymmetries."""
         tables = [utilities, UtilityTable.constant(Fraction(-2, 3))]
         rng = random.Random(24)
         for _ in range(300):
@@ -260,10 +297,15 @@ class TestPlayerSymmetry:
                     rng.randint(-6, 6), rng.randint(1, 4)
                 )
             tables.append(UtilityTable(tuple(tuple(map(tuple, rows)) for rows in values)))
-        found = [[tuple(v) for v in check_player_symmetry(t)] for t in tables]
-        assert found == [walked_symmetry_violations(t) for t in tables]
+        planted = [planted_symmetric_table(random.Random(seed)) for seed in range(100)]
+        found = [[tuple(v) for v in check_player_symmetry(t)] for t in tables + planted]
+        assert found == [walked_symmetry_violations(t) for t in tables + planted]
         assert found[:2] == [[], []]
-        assert sum(map(bool, found[2:])) > 250  # a few draws keep an entry as it was
+        assert sum(map(bool, found[2:302])) > 250  # a few draws keep an entry as it was
+        # a planted entry breaks its relation under each of the two
+        # transpositions that move its player, and up to two more as the
+        # bystander of the third
+        assert all(2 <= len(v) <= 16 for v in found[302:])
 
     def test_prior_audit(self, nonuniform_game):
         assert check_prior_symmetry(Prior.uniform()) == []
@@ -683,6 +725,45 @@ class TestSerialization:
         doc["utilities"]["B"][3][4] = "not-a-number"
         with pytest.raises(ValidationError, match=r"utilities\['B'\]\[3\]\[4\]"):
             game_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda d: d["prior"].update({"0 1 0": "1/8.0"}),
+                """prior['0 1 0']: invalid rational '1/8.0'; expected a "num/den" or integer string""",
+                id="prior-entry",
+            ),
+            pytest.param(
+                lambda d: d["prior"].update({"0 1 0": "1/0"}),
+                "prior['0 1 0']: zero denominator in rational",
+                id="prior-zero-denominator",
+            ),
+            pytest.param(
+                lambda d: d["utilities"]["B"][3].pop(),
+                "utilities['B'][3]: expected 8 entries",
+                id="short-row",
+            ),
+            pytest.param(
+                lambda d: d["utilities"]["B"][3].__setitem__(5, 1.5),
+                """utilities['B'][3][5]: invalid rational 1.5; expected a "num/den" or integer string""",
+                id="utility-entry",
+            ),
+            pytest.param(
+                lambda d: d["utilities"]["B"][3].__setitem__(5, "-3/00"),
+                "utilities['B'][3][5]: zero denominator in rational",
+                id="utility-zero-denominator",
+            ),
+        ],
+    )
+    def test_loader_messages(self, table1, edit, message):
+        """The whole message of each kind of bad entry; a zero denominator
+        keeps the ZeroDivisionError as its cause."""
+        doc = game_to_json_dict(table1)
+        edit(doc)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as caught:
+            game_from_json_dict(doc)
+        assert isinstance(caught.value.__cause__, ZeroDivisionError) == ("zero" in message)
 
     def test_missing_prior_entry_named(self, table1):
         doc = game_to_json_dict(table1)
