@@ -1,5 +1,5 @@
-"""Classical advisors: local hidden-variable models, deterministic Nash
-equilibria, Bell expressions and the total-payoff bound.
+"""Classical advisors: deterministic Nash equilibria, Bell expressions and
+the total-payoff bound, audited on seeded local hidden-variable mixtures.
 
 A classical advisor distributes advice independent of the players' types;
 the reachable conditional distributions are exactly the finite mixtures of
@@ -16,9 +16,11 @@ numerators each, with the sum over player C's strategies staged for all
 17 codes that share C's p(y=0|x=0) at once, stepped along the other
 numerator; the fields are wide enough that the contraction stays exact for
 any size of input.  Reported values stay exact ``Fraction`` s.
-The ``Fraction`` routes beside them (deterministic_payoffs, the
-hidden-variable models and the distribution-level Bell expressions) are the
-oracles the tests hold the scans to.
+The ``Fraction`` routes that the tests hold the scans to (deterministic
+payoffs by direct summation, the hidden-variable models, and the
+type-relabelled distributions) live in tests/oracles.py.  The
+distribution-level correlator and bell_expression stay here only while
+bench/test_bench.py reaches them through quantum.quantum_bell.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .game import (
     PLAYERS,
     PROFILES,
     Bit,
     ConditionalDistribution,
-    Frozen,
     Numeric,
     PayoffTriple,
     Prior,
@@ -58,108 +59,6 @@ ALL_PROFILES: tuple[StrategyProfile, ...] = tuple(
 )
 
 
-def strategy_to_distribution(
-    profile: StrategyProfile,
-) -> ConditionalDistribution:
-    """The delta distribution of a deterministic profile.
-
-    p(y|x) = 1 exactly when each player's action equals their strategy's
-    response to their own type; product form, so no-signalling holds exactly.
-    """
-    rows = []
-    for x in PROFILES:
-        target = tuple(profile[p][x[p]] for p in PLAYERS)
-        ti = profile_index(target)
-        rows.append(
-            tuple(
-                Fraction(1) if yi == ti else Fraction(0) for yi in range(8)
-            )
-        )
-    return ConditionalDistribution(tuple(rows))
-
-
-#: Per-player response rows: resp[x] = (p(y=0|x), p(y=1|x)).
-ResponseTable = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-
-
-class HiddenVariableModel(Frozen):
-    """Finite mixture of product response tables.
-
-    Each atom carries a weight and one response table per player; the
-    induced conditional distribution is the weighted sum of the products.
-    Three-bit hidden variables suffice for binary actions, but any finite
-    support is accepted.
-    """
-
-    _fields = ("atoms",)
-    atoms: tuple[tuple[Fraction, tuple[ResponseTable, ...]], ...]
-
-    def __init__(self, atoms: tuple[tuple[Fraction, tuple[ResponseTable, ...]], ...]) -> None:
-        total = Fraction(0)
-        for weight, responses in atoms:
-            if weight < 0:
-                raise ValidationError(f"negative mixture weight {weight}")
-            total += weight
-            if len(responses) != 3:
-                raise ValidationError("each atom needs 3 response tables")
-            for resp in responses:
-                for x in (0, 1):
-                    p0, p1 = resp[x]
-                    if p0 < 0 or p1 < 0 or p0 + p1 != 1:
-                        raise ValidationError(
-                            f"response row {resp[x]} is not a distribution"
-                        )
-        if total != 1:
-            raise ValidationError(f"mixture weights sum to {total}, not 1")
-        super().__init__(atoms)
-
-    @classmethod
-    def from_profiles(
-        cls, weighted: Sequence[tuple[Numeric, StrategyProfile]]
-    ) -> "HiddenVariableModel":
-        return cls(
-            tuple(
-                (
-                    Fraction(w),
-                    tuple(
-                        tuple((Fraction(1 - s[x]), Fraction(s[x])) for x in (0, 1))
-                        for s in prof
-                    ),
-                )
-                for w, prof in weighted
-            )
-        )
-
-
-def hv_model_to_distribution(
-    model: HiddenVariableModel,
-) -> ConditionalDistribution:
-    """p(y|x) = sum over atoms of weight * prod_i p_i(y_i | x_i).
-
-    The product weight * p_A * p_B is formed once per (x, y_A, y_B), and a
-    zero factor ends its branch: deterministic responses are mostly zeros.
-    """
-    rows = []
-    for xa, xb, xc in PROFILES:
-        row = [Fraction(0)] * 8
-        for weight, (resp_a, resp_b, resp_c) in model.atoms:
-            if weight == 0:
-                continue
-            for ya, pa in enumerate(resp_a[xa]):
-                if pa == 0:
-                    continue
-                wa = weight * pa
-                for yb, pb in enumerate(resp_b[xb]):
-                    if pb == 0:
-                        continue
-                    wab = wa * pb
-                    for yc, pc in enumerate(resp_c[xc]):
-                        if pc != 0:
-                            row[4 * ya + 2 * yb + yc] += wab * pc
-        rows.append(tuple(row))
-    return ConditionalDistribution(tuple(rows))
-
-
 class BellVariant(Enum):
     """The two tripartite Bell expressions used by the payoff bound.
 
@@ -167,7 +66,7 @@ class BellVariant(Enum):
     the sum of the triple correlators of the first three minus the fourth,
     bounded by 2 in absolute value for every local hidden-variable source.
     The remaining six inequalities of the family follow by flipping type
-    bits; see :func:`flip_types`.
+    bits; see ``flip_types`` in tests/oracles.py.
     """
 
     V011 = (((0, 1, 1), (1, 0, 1), (1, 1, 0)), (0, 0, 0))
@@ -205,40 +104,6 @@ def bell_expression(
         value += correlator(dist, x)
     value -= correlator(dist, variant.negative_context)
     return value
-
-
-def flip_types(
-    dist: ConditionalDistribution, flips: Profile
-) -> ConditionalDistribution:
-    """Relabel type bits: p'(y|x) = p(y | x XOR flips).
-
-    Evaluating V011/V100 on relabelled distributions yields the other six
-    Bell inequalities of the family.
-    """
-    rows = []
-    for x in PROFILES:
-        fx = (x[0] ^ flips[0], x[1] ^ flips[1], x[2] ^ flips[2])
-        rows.append(dist.rows[profile_index(fx)])
-    return ConditionalDistribution(tuple(rows))
-
-
-def deterministic_payoffs(
-    table: UtilityTable, prior: Prior, profile: StrategyProfile
-) -> PayoffTriple:
-    """Exact payoffs of a deterministic profile by direct summation.
-
-    Equals expected_payoffs over strategy_to_distribution(profile); the
-    delta form collapses the action sum to the single played profile.
-    """
-    sums = [Fraction(0)] * 3
-    for xi, (x, w) in enumerate(zip(PROFILES, prior.weights)):
-        if w == 0:
-            continue
-        y = (profile[0][x[0]], profile[1][x[1]], profile[2][x[2]])
-        yi = profile_index(y)
-        for p in PLAYERS:
-            sums[p] += w * table.values[p][xi][yi]
-    return PayoffTriple(*sums)
 
 
 class ProfileTable(NamedTuple):
@@ -379,42 +244,6 @@ _DETERMINISTIC_CODES = tuple(
 )
 
 
-@lru_cache(maxsize=None)  # one tuple per process, built on first use
-def _response_rows() -> tuple[tuple[Fraction, Fraction], ...]:
-    """The response rows (k/d, 1 - k/d) of the seeded random mixtures, k = 0
-    to d = MIXTURE_DENOMINATOR."""
-    d = MIXTURE_DENOMINATOR
-    return tuple((Fraction(k, d), 1 - Fraction(k, d)) for k in range(d + 1))
-
-
-def random_hidden_variable_model(rng: random.Random) -> HiddenVariableModel:
-    """Seeded random mixture with exact rational weights and responses.
-
-    It has one to MIXTURE_MAX_ATOMS atoms, each of raw weight 1 to 100 (an
-    atom's weight is its raw weight over their sum).  Each player's
-    response in an atom is, with equal chance, a deterministic strategy or
-    a pair of response rows whose p(y=0|x) are multiples of
-    1/MIXTURE_DENOMINATOR.  The draws are made with the public ``randint``,
-    ``choice`` and ``random``: the reference that the audit's own draws in
-    :func:`_sampled_payoffs` are tested against.
-    """
-    d = MIXTURE_DENOMINATOR
-    rows = _response_rows()
-    raw = [rng.randint(1, 100) for _ in range(rng.randint(1, MIXTURE_MAX_ATOMS))]
-    atoms = []
-    for w in raw:
-        responses = []
-        for _ in PLAYERS:
-            if rng.random() < 0.5:
-                s0, s1 = rng.choice(STRATEGIES)
-                k0, k1 = d * (1 - s0), d * (1 - s1)
-            else:
-                k0, k1 = rng.randint(0, d), rng.randint(0, d)
-            responses.append((rows[k0], rows[k1]))
-        atoms.append((Fraction(w, sum(raw)), tuple(responses)))
-    return HiddenVariableModel(tuple(atoms))
-
-
 #: (strategy slot, integer weight) of each strategy a response plays.
 _StrategyWeights = tuple[tuple[int, int], ...]
 
@@ -444,8 +273,9 @@ def _sampled_payoffs(
     profiles: ProfileTable, rng: random.Random, samples: int
 ) -> Iterator[tuple[tuple[int, int, int], int]]:
     """Exact payoffs of ``samples`` random mixtures, drawn as by
-    :func:`random_hidden_variable_model` from the same ``rng``: per mixture
-    the three players' integer numerators and their common denominator.
+    ``random_hidden_variable_model`` (tests/oracles.py) from the same
+    ``rng``: per mixture the three players' integer numerators and their
+    common denominator.
 
     The draws are those of ``randint(a, b)`` and ``choice(seq)``, which are
     ``a + _randbelow(b - a + 1)`` and ``seq[_randbelow(len(seq))]``, with
@@ -460,7 +290,8 @@ def _sampled_payoffs(
     strategies (the code table gives their integer weights), so a mixture
     is a convex combination of the 64 profiles; its payoffs contract the
     integer strategy weights against the profile table.  Equals
-    expected_payoffs over hv_model_to_distribution (tested).
+    expected_payoffs over the oracle ``hv_model_to_distribution``
+    (tests/oracles.py; tested).
 
     The contraction runs on one packed integer per profile: player i's
     numerator less the least of them, lo_i, in the i-th field of ``width``

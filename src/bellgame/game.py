@@ -5,8 +5,11 @@ bit.  A game is a utility table u_i(x, y) over type profiles x and action
 profiles y together with a prior over type profiles.  Every advisor kind
 (classical or quantum) enters payoff computations only through the
 conditional distribution p(y | x); expected_payoffs is that bilinear form,
-kept as the exact oracle that the integer classical scans and the GHZ float
-engine are tested against.
+the exact oracle that the integer classical scans and the GHZ float engine
+are tested against.  It stays here only while bench/test_bench.py reaches it
+through quantum.quantum_payoffs; the tests' other oracles and input builders
+(affine utility maps, tables from a function, uniform priors) live in
+tests/oracles.py.
 
 Both engines read one exact integer form of a game (integer_form): the
 64-profile scans of :mod:`bellgame.classical` compare its integers and report
@@ -31,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
-from typing import TYPE_CHECKING, Callable, NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -137,28 +140,6 @@ class UtilityTable(Frozen):
             raise ValidationError("utility table must be 3 x 8 x 8")
         super().__init__(values)
 
-    @classmethod
-    def from_function(
-        cls, fn: Callable[[Player, Profile, Profile], Numeric]
-    ) -> "UtilityTable":
-        return cls(
-            tuple(
-                tuple(
-                    tuple(Fraction(fn(p, x, y)) for y in PROFILES)
-                    for x in PROFILES
-                )
-                for p in PLAYERS
-            )
-        )
-
-    @classmethod
-    def constant(cls, value: Numeric) -> "UtilityTable":
-        v = Fraction(value)
-        return cls.from_function(lambda p, x, y: v)
-
-    def utility(self, player: Player, x: Profile, y: Profile) -> Fraction:
-        return self.values[player][profile_index(x)][profile_index(y)]
-
 
 class Prior(Frozen):
     """Distribution over type profiles, exact and normalized."""
@@ -182,10 +163,6 @@ class Prior(Frozen):
             )
         super().__init__(weights)
 
-    @classmethod
-    def uniform(cls) -> "Prior":
-        return cls((Fraction(1, 8),) * 8)
-
 
 class ConditionalDistribution(Frozen):
     """Row-stochastic table p(y | x): rows indexed by type profile x.
@@ -199,10 +176,6 @@ class ConditionalDistribution(Frozen):
 
     def __init__(self, rows: tuple[tuple[Numeric, ...], ...]) -> None:
         super().__init__(rows)
-
-    @classmethod
-    def uniform(cls) -> "ConditionalDistribution":
-        return cls(((Fraction(1, 8),) * 8,) * 8)
 
     def validate(self) -> None:
         """Check nonnegativity and row normalization within DEFAULT_TOL,
@@ -319,25 +292,6 @@ def check_prior_symmetry(prior: Prior) -> list[tuple[tuple[Player, Player], Prof
     check_player_symmetry and in its order."""
     w = prior.weights
     return [((i, j), PROFILES[n]) for i, j, _, s in _SWAPS for n in range(8) if w[n] != w[s[n]]]
-
-
-def affine_transform(
-    table: UtilityTable, alpha: Numeric, beta: Numeric
-) -> UtilityTable:
-    """Rescale utilities u -> alpha*u + beta; preserves best responses.
-
-    alpha must be positive, otherwise preferences would flip.
-    """
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    if alpha <= 0:
-        raise ValidationError(f"affine scale must be positive, got {alpha}")
-    return UtilityTable(
-        tuple(
-            tuple(tuple(alpha * v + beta for v in row) for row in rows)
-            for rows in table.values
-        )
-    )
 
 
 #: Every no-signalling comparison as the indices (x0, x1, y0, y1): one

@@ -1,6 +1,6 @@
 """Quantum advisor: GHZ state, Bloch-parameterized projective measurements,
-trace-rule conditional distributions, the GHZ engine derived from a game's
-utility table, and the gauge symmetry of planar settings.
+trace-rule conditional distributions and the GHZ engine derived from a
+game's utility table.
 
 Two routes give the same quantum numbers.  The GHZ engine (ghz_weights,
 kept per game as GameDefinition.ghz_weights; ghz_features, kept per setting
@@ -11,7 +11,10 @@ distribution diagnostics that searches and reports use.  Like the classical
 engine, it reads game.integer_form and does no ``Fraction`` arithmetic.  The
 trace rule (quantum_distribution, and quantum_payoffs and quantum_bell on
 top of it) builds the full 8 x 8 distribution for any advisor state; it is a
-test-only oracle that the engine is held to.
+test-only oracle that the engine is held to, kept here while
+bench/test_bench.py imports it.  The gauge symmetry of planar settings and
+the single-party marginal of GHZ advice are test oracles in
+tests/oracles.py.
 
 Conventions (load-bearing, fixed once here):
 
@@ -45,7 +48,6 @@ from .game import (
     ConditionalDistribution,
     Frozen,
     PayoffTriple,
-    Player,
     Prior,
     UtilityTable,
     ValidationError,
@@ -313,68 +315,6 @@ def ghz_bell(features: np.ndarray) -> dict[BellVariant, np.ndarray]:
         value = sum(triple[..., profile_index(x)] for x in variant.positive_contexts)
         values[variant] = value - triple[..., profile_index(variant.negative_context)]
     return values
-
-
-def gauge_transform(phi, chi1: float, chi2: float, chi3: float) -> np.ndarray:
-    """Shift each player's pair of azimuths by a common phase: ``phi`` and
-    the result, wrapped to (-pi, pi], have shape (3, 2), indexed by player
-    and type bit.
-
-    Valid only when chi1 + chi2 + chi3 is a multiple of 2*pi: the shift then
-    acts on the GHZ state as a global sign, so the payoff is unchanged.
-    """
-    residue = math.remainder(chi1 + chi2 + chi3, TAU)
-    if abs(residue) > ALGEBRA_TOL:
-        raise ValidationError(
-            f"gauge shifts must sum to a multiple of 2*pi "
-            f"(residue {residue:.3e})"
-        )
-    shifted = np.asarray(phi, dtype=float) + np.array([[chi1], [chi2], [chi3]])
-    # wrap_angle rounds to the nearest turn (math.remainder); np.remainder
-    # floors, and would give other canonical angles
-    return np.reshape([wrap_angle(v) for v in shifted.flat], (3, 2))
-
-
-def gauge_canonicalize(phi) -> np.ndarray:
-    """The unique gauge-equivalent (3, 2) azimuth array with a0 = b0 = 0.
-
-    Two planar settings are gauge-equivalent iff their canonical forms agree
-    componentwise modulo 2*pi.
-    """
-    a0, b0 = phi[0][0], phi[1][0]
-    canonical = gauge_transform(phi, -a0, -b0, a0 + b0)
-    # force the fixed components to exact zeros (they are zero up to -0.0)
-    canonical[:2, 0] = 0.0
-    return canonical
-
-
-def gauge_equivalent(first, second, tol: float = 1e-4) -> bool:
-    ca, cb = gauge_canonicalize(first), gauge_canonicalize(second)
-    return all(abs(wrap_angle(u - v)) <= tol for u, v in zip(ca.flat, cb.flat))
-
-
-def ghz_single_party_marginal(projector: np.ndarray, party: Player) -> float:
-    """Probability of one party's rank-1 measurement outcome on GHZ advice.
-
-    The GHZ reduced state of any single party is maximally mixed, so this is
-    1/2 for every rank-1 projector: no measurement setting can reproduce a
-    deterministic single-party marginal, hence none of the unfair classical
-    equilibrium distributions is quantum-realizable with this advisor.
-    """
-    p = np.asarray(projector, dtype=complex)
-    if p.shape != (2, 2):
-        raise ValidationError(f"projector must be 2x2, got {p.shape}")
-    if np.abs(p - p.conj().T).max() > ALGEBRA_TOL:
-        raise ValidationError("projector must be Hermitian")
-    if np.abs(p @ p - p).max() > 1e-10:
-        raise ValidationError("projector must be idempotent")
-    if abs(np.trace(p).real - 1) > 1e-10:
-        raise ValidationError("projector must have rank 1 (trace 1)")
-    ops = [IDENTITY2, IDENTITY2, IDENTITY2]
-    ops[party] = p
-    lifted = np.kron(np.kron(ops[0], ops[1]), ops[2])
-    vec = ghz_state()
-    return float(np.real(vec.conj() @ lifted @ vec))
 
 
 def quantum_bell(

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from bellgame.builtin import builtin_game
-from bellgame.game import GameDefinition, Prior, UtilityTable, affine_transform
+from bellgame.game import GameDefinition, Prior
 from bellgame.quantum import ghz_advisor
+from oracles import (
+    affine_transform,
+    make_uniform_prior,
+    table_entry,
+    table_from_function,
+)
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +27,7 @@ def utilities(table1):
 
 @pytest.fixture(scope="session")
 def uniform_prior():
-    return Prior.uniform()
+    return make_uniform_prior()
 
 
 @pytest.fixture(scope="session")
@@ -38,11 +44,11 @@ def affine_game(table1):
     def flip(bits):
         return tuple(1 - b for b in bits)
 
-    flipped = UtilityTable.from_function(
-        lambda i, x, y: table1.utilities.utility(i, flip(x), flip(y))
+    flipped = table_from_function(
+        lambda i, x, y: table_entry(table1.utilities, i, flip(x), flip(y))
     )
     return GameDefinition(
-        affine_transform(flipped, Fraction(7, 3), Fraction(-5, 2)), Prior.uniform()
+        affine_transform(flipped, Fraction(7, 3), Fraction(-5, 2)), make_uniform_prior()
     )
 
 

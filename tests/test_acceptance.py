@@ -20,12 +20,10 @@ from bellgame.classical import (
     BellVariant,
     bell_expression,
     classical_bound_audit,
-    deterministic_payoffs,
     enumerate_deterministic_equilibria,
     profile_table,
-    strategy_to_distribution,
 )
-from bellgame.game import Player, affine_transform, no_signalling_residual
+from bellgame.game import Player, no_signalling_residual
 from bellgame.optimize import (
     EQUILIBRIUM_IMPROVEMENT_TOL,
     best_response_check,
@@ -36,12 +34,17 @@ from bellgame.quantum import (
     PAULI_Y,
     PAULI_Z,
     MeasurementSetting,
-    gauge_equivalent,
     ghz_payoffs,
-    ghz_single_party_marginal,
     ghz_weights,
     quantum_distribution,
     quantum_payoffs,
+)
+from oracles import (
+    affine_transform,
+    deterministic_payoffs,
+    gauge_equivalent,
+    ghz_single_party_marginal,
+    strategy_to_distribution,
 )
 
 F = Fraction

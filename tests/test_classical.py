@@ -12,33 +12,38 @@ from bellgame.classical import (
     MIXTURE_WEIGHT_CAP,
     STRATEGIES,
     BellVariant,
-    HiddenVariableModel,
     _deterministic_correlator,
     _sampled_payoffs,
     bell_expression,
     classical_bound_audit,
     correlator,
     deterministic_bell_extremes,
-    deterministic_payoffs,
     enumerate_deterministic_equilibria,
-    flip_types,
-    hv_model_to_distribution,
     profile_table,
-    random_hidden_variable_model,
-    strategy_to_distribution,
 )
 from bellgame.game import (
     PLAYERS,
     PROFILES,
-    ConditionalDistribution,
     GameDefinition,
     PayoffTriple,
     Prior,
-    UtilityTable,
     ValidationError,
-    affine_transform,
     expected_payoffs,
     no_signalling_residual,
+)
+from oracles import (
+    HiddenVariableModel,
+    affine_transform,
+    bell_decomposition,
+    constant_table,
+    deterministic_payoffs,
+    flip_types,
+    hv_model_to_distribution,
+    make_uniform_distribution,
+    make_uniform_prior,
+    random_hidden_variable_model,
+    strategy_to_distribution,
+    table_from_function,
 )
 
 F = Fraction
@@ -61,7 +66,7 @@ BOUND = F(9, 4)
 
 @pytest.fixture(scope="module")
 def constant_game():
-    return GameDefinition(UtilityTable.constant(F(5, 7)), Prior.uniform())
+    return GameDefinition(constant_table(F(5, 7)), make_uniform_prior())
 
 
 @pytest.fixture(scope="module")
@@ -71,10 +76,10 @@ def mixed_sign_game():
     its staging steps, differences of packed sums, go negative."""
     rng = random.Random(27)
     game = GameDefinition(
-        UtilityTable.from_function(
+        table_from_function(
             lambda i, x, y: rng.choice((-1, 1)) * rng.randrange(10**20, 10**25)
         ),
-        Prior.uniform(),
+        make_uniform_prior(),
     )
     # the packing of _sampled_payoffs; the step of p = 0 is C's packed sum
     # of strategy 2 less that of strategy 3
@@ -226,7 +231,7 @@ class TestBellExpression:
         assert value == -2
 
     def test_uniform_distribution_vanishes(self):
-        dist = ConditionalDistribution.uniform()
+        dist = make_uniform_distribution()
         assert bell_expression(dist, BellVariant.V011) == 0
         assert bell_expression(dist, BellVariant.V100) == 0
 
@@ -341,6 +346,50 @@ class TestBellExpression:
             assert total == (26 + 3 * b1 - 2 * b2) / F(16)
 
 
+def _bell_value(w, profile) -> F:
+    """sum_x w_x E_x for a deterministic profile, E_x its correlator in
+    context x (action 1 is +1)."""
+    return sum(wx * _deterministic_correlator(profile, x) for wx, x in zip(w, PROFILES))
+
+
+class TestBellDecomposition:
+    """The total payoff as c + sum_x w_x E_x (oracles.bell_decomposition)."""
+
+    @pytest.mark.parametrize(
+        "name", ["table1", "affine_game", "nonuniform_game", "constant_game"]
+    )
+    def test_reproduces_every_profile_total_and_the_bound(self, name, request):
+        game = request.getfixturevalue(name)
+        c, w = bell_decomposition(game)
+        profiles = profile_table(game.utilities, game.prior)
+        assert [F(sum(n), profiles.denominator) for n in profiles.numerators] == [
+            c + _bell_value(w, p) for p in ALL_PROFILES
+        ]
+        assert c + max(_bell_value(w, p) for p in ALL_PROFILES) == profiles.max_total()
+
+    def test_table1_is_13_8_plus_3_16_v011_minus_1_8_v100(self, table1):
+        c, w = bell_decomposition(table1)
+        assert c == F(13, 8)
+        assert dict(zip(PROFILES, w)) == {
+            (0, 0, 0): F(-3, 16),
+            (0, 1, 1): F(3, 16),
+            (1, 0, 1): F(3, 16),
+            (1, 1, 0): F(3, 16),
+            (0, 0, 1): F(-1, 8),
+            (0, 1, 0): F(-1, 8),
+            (1, 0, 0): F(-1, 8),
+            (1, 1, 1): F(1, 8),
+        }  # 3/16 V011 - 1/8 V100, as test_total_payoff_bell_identity reads it
+
+    def test_a_total_that_depends_on_more_than_parity_has_none(self):
+        rng = random.Random(28)
+        game = GameDefinition(
+            table_from_function(lambda i, x, y: F(rng.randint(-9, 9), rng.randint(1, 4))),
+            make_uniform_prior(),
+        )
+        assert bell_decomposition(game) is None
+
+
 class TestEquilibria:
     def test_known_equilibria_reproduced_exactly(self, utilities, uniform_prior):
         reports = enumerate_deterministic_equilibria(profile_table(utilities, uniform_prior))
@@ -361,7 +410,7 @@ class TestEquilibria:
 
     def test_constant_game_everything_is_a_fair_equilibrium(self, uniform_prior):
         reports = enumerate_deterministic_equilibria(
-            profile_table(UtilityTable.constant(F(1, 3)), uniform_prior)
+            profile_table(constant_table(F(1, 3)), uniform_prior)
         )
         assert len(reports) == 64
         assert all(r.fair for r in reports)
@@ -416,7 +465,7 @@ class TestEquilibria:
         assert best_gain > 0
 
     def test_constant_game_everything_is_nash(self, uniform_prior):
-        table = UtilityTable.constant(2)
+        table = constant_table(2)
         reports = enumerate_deterministic_equilibria(profile_table(table, uniform_prior))
         assert [r.profile for r in reports] == list(ALL_PROFILES)
 
@@ -518,7 +567,7 @@ class TestProfileTable:
         st.randoms(use_true_random=False),
     )
     def test_entries_match_on_large_denominators(self, pool, raw_prior, rng):
-        table = UtilityTable.from_function(lambda i, x, y: rng.choice(pool))
+        table = table_from_function(lambda i, x, y: rng.choice(pool))
         prior = Prior(tuple(F(w, sum(raw_prior)) for w in raw_prior))
         profiles = profile_table(table, prior)
         for k, profile in enumerate(ALL_PROFILES):
@@ -568,9 +617,9 @@ class TestProfileTable:
     def test_packed_samples_match_fraction_oracle(self, pool, raw_prior, pick, seed):
         """The packed contraction on large, negative and constant tables,
         under uniform and non-uniform priors."""
-        table = UtilityTable.from_function(lambda i, x, y: pick.choice(pool))
+        table = table_from_function(lambda i, x, y: pick.choice(pool))
         if raw_prior is None:
-            prior = Prior.uniform()
+            prior = make_uniform_prior()
         else:
             prior = Prior(tuple(F(w, sum(raw_prior)) for w in raw_prior))
         self.assert_samples_match_oracle(table, prior, seed, 4)
@@ -583,7 +632,7 @@ class TestProfileTable:
         so a field one bit narrower would carry into the next one."""
         span = 2**110 - 1
         base = (-(10**31), 10**31, -(10**31))
-        table = UtilityTable.from_function(
+        table = table_from_function(
             lambda i, x, y: base[i] - span if y == (0, 0, 0) else base[i]
         )
         prior = Prior((F(1),) + (F(0),) * 7)

@@ -10,18 +10,11 @@ import pytest
 
 from bellgame import __version__, cli, optimize
 from bellgame.builtin import builtin_game
-from bellgame.classical import (
-    BellVariant,
-    HiddenVariableModel,
-    hv_model_to_distribution,
-    profile_table,
-)
+from bellgame.classical import BellVariant, profile_table
 from bellgame.cli import EXIT_NO_CONVERGENCE, main
 from bellgame.game import (
     GameDefinition,
     Player,
-    Prior,
-    UtilityTable,
     expected_payoffs,
     game_from_json_dict,
     game_to_json_dict,
@@ -36,6 +29,12 @@ from bellgame.quantum import (
     ghz_weights,
     quantum_bell,
     setting_to_json_dict,
+)
+from oracles import (
+    HiddenVariableModel,
+    constant_table,
+    hv_model_to_distribution,
+    make_uniform_prior,
 )
 
 F = Fraction
@@ -153,7 +152,7 @@ class TestEquilibriaCommand:
         assert all(e["saturates_bound"] for e in results["equilibria"])
 
     def test_constant_utility_file_yields_64(self, capsys, tmp_path):
-        game = GameDefinition(UtilityTable.constant(F(1, 2)), Prior.uniform())
+        game = GameDefinition(constant_table(F(1, 2)), make_uniform_prior())
         path = tmp_path / "constant.json"
         path.write_text(json.dumps(game_to_json_dict(game)))
         code, report = run_cli(capsys, "equilibria", "--game", str(path))

@@ -1,20 +1,25 @@
 """Every public function, class and method of the package is used by the
-program itself (``src/`` or ``scripts/``), or is a test oracle named in
-ORACLES.
+program itself (``src/`` or ``scripts/``), or is one of the ORACLES: the
+test-only definitions that ``bench/test_bench.py`` reaches, which stay in
+the package while the benchmark imports them from there.  Any other
+definition that only the tests call lives in ``tests/oracles.py``, which
+imports from the package only value types, constants and small helpers,
+never an engine that it checks.
 
-Program use is a fixpoint.  It starts from the program code that lies
-outside every definition of the package (module-level statements and the
-scripts); a definition is used once code already counted refers to it, and
-from then on its own body counts too.  A method can be used only once its
-class is.  References inside ORACLES entries and inside definitions not yet
-used never count, nor do import lines: a call from an oracle or from dead
-code, or a bare import, keeps nothing alive.
+Use is a fixpoint.  It starts from code that lies outside every definition
+of the package (the program's module-level statements and the scripts, or
+the benchmark's tests); a definition is used once code already counted
+refers to it, and from then on its own body counts too.  A method can be
+used only once its class is.  For program use, references inside ORACLES
+entries and inside definitions not yet used never count, nor do import
+lines: a call from an oracle or from dead code, or a bare import, keeps
+nothing alive.
 
 A function or class is referred to by its name, as a name or an attribute.
 A method or property counts only as an attribute (a local variable of the
 same name does not keep it alive), and a classmethod or staticmethod only
-through its class (``Prior.uniform``, or ``cls.uniform`` inside ``Prior``;
-``rng.uniform`` does not count).
+through its class (``MeasurementSetting.planar``, or ``cls.planar`` inside
+``MeasurementSetting``; ``other.planar`` does not count).
 """
 
 import ast
@@ -25,42 +30,63 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bellgame"
 PROGRAM = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 TESTS = sorted(p for p in Path(__file__).parent.glob("*.py") if p != Path(__file__))
+BENCH_TESTS = ROOT / "bench" / "test_bench.py"
+ORACLE_MODULE = Path(__file__).parent / "oracles.py"
 
-#: Definitions that only the tests call: the Fraction oracles and the whole
-#: trace rule (state, observables, advisor and distribution), which the
-#: production paths are held to; the paper's symmetry tools; and
-#: constructors of test inputs.  ``check`` reads its distribution off the GHZ
-#: closed form, so no program path builds a trace-rule distribution.
+#: Definitions that only the tests call and that bench/test_bench.py reaches:
+#: the trace rule (state, observables, advisor and distribution) with the
+#: trace-rule payoffs and Bell values, and the exact bilinear form and
+#: distribution-level Bell expression that those read.  ``check`` reads its
+#: distribution off the GHZ closed form, so no program path builds a
+#: trace-rule distribution.
 ORACLES = {
-    "classical.HiddenVariableModel",
-    "classical.HiddenVariableModel.from_profiles",
     "classical.bell_expression",
     "classical.correlator",
-    "classical.deterministic_payoffs",
-    "classical.flip_types",
-    "classical.hv_model_to_distribution",
-    "classical.random_hidden_variable_model",
-    "classical.strategy_to_distribution",
-    "game.ConditionalDistribution.uniform",
-    "game.Prior.uniform",
-    "game.UtilityTable.constant",
-    "game.UtilityTable.from_function",
-    "game.UtilityTable.utility",
-    "game.affine_transform",
     "game.expected_payoffs",
     "quantum.QuantumAdvisor",
     "quantum.QuantumAdvisor.validate",
-    "quantum.gauge_canonicalize",
-    "quantum.gauge_equivalent",
-    "quantum.gauge_transform",
     "quantum.ghz_advisor",
-    "quantum.ghz_single_party_marginal",
     "quantum.ghz_state",
     "quantum.observable_matrix",
     "quantum.projectors",
     "quantum.quantum_bell",
     "quantum.quantum_distribution",
     "quantum.quantum_payoffs",
+}
+
+#: What tests/oracles.py may import from the package: value types,
+#: constants and small helpers.
+ORACLE_IMPORTS = {
+    "ALGEBRA_TOL",
+    "ConditionalDistribution",
+    "Frozen",
+    "GameDefinition",
+    "IDENTITY2",
+    "MIXTURE_DENOMINATOR",
+    "MIXTURE_MAX_ATOMS",
+    "Numeric",
+    "PLAYERS",
+    "PROFILES",
+    "PayoffTriple",
+    "Player",
+    "Prior",
+    "Profile",
+    "STRATEGIES",
+    "StrategyProfile",
+    "TAU",
+    "UtilityTable",
+    "ValidationError",
+    "profile_index",
+    "wrap_angle",
+}
+#: Engines that the oracles check, which tests/oracles.py never imports;
+#: nor any ghz_* function.
+ENGINES = {
+    "_sampled_payoffs",
+    "best_response_check",
+    "integer_form",
+    "maximize_planar",
+    "profile_table",
 }
 
 
@@ -144,10 +170,11 @@ def _owner(path: Path, line: int) -> str | None:
     return max(owners, key=len, default=None)
 
 
-def _program_use() -> tuple[set[str], set[str]]:
-    """(the definitions the program uses, the keys of the references that
-    count), as the fixpoint of the module docstring."""
-    refs = [(_owner(path, line), key) for path, line, key in _references(PROGRAM)]
+def _use(paths, excluded) -> tuple[set[str], set[str]]:
+    """(the definitions that the code of the files uses, the keys of the
+    references that count), as the fixpoint of the module docstring, with
+    the excluded definitions never used."""
+    refs = [(_owner(path, line), key) for path, line, key in _references(paths)]
     used: set[str] = set()
     while True:
         live = {key for owner, key in refs if owner is None or owner in used}
@@ -155,7 +182,7 @@ def _program_use() -> tuple[set[str], set[str]]:
             name
             for name, d in DEFINITIONS.items()
             if name not in used
-            and name not in ORACLES
+            and name not in excluded
             and (d.parent is None or d.parent in used)
             and d.keys & live
         }
@@ -165,7 +192,7 @@ def _program_use() -> tuple[set[str], set[str]]:
 
 
 DEFINITIONS = _definitions()
-USED, LIVE_KEYS = _program_use()
+USED, LIVE_KEYS = _use(PROGRAM, ORACLES)
 
 
 def test_every_public_definition_is_used_by_the_program():
@@ -190,3 +217,26 @@ def test_oracles_exist_are_tested_and_unused_by_the_program():
     assert called == []
     tested = {key for _, _, key in _references(TESTS)}
     assert [name for name in sorted(ORACLES) if not DEFINITIONS[name].keys & tested] == []
+
+
+def test_oracles_are_exactly_what_the_bench_reaches_beyond_the_program():
+    """Run from the program and bench/test_bench.py together, with no
+    definition excluded, the fixpoint reaches ORACLES and nothing else
+    that the program does not use: no other test-only definition is kept
+    in the package."""
+    reached, _ = _use(PROGRAM + [BENCH_TESTS], set())
+    assert sorted(reached - USED) == sorted(ORACLES)
+
+
+def test_the_oracles_share_no_code_with_the_engines():
+    """tests/oracles.py imports from bellgame only names of ORACLE_IMPORTS,
+    each by name (a module import would reach every engine)."""
+    imported = []
+    for node in ast.walk(ast.parse(ORACLE_MODULE.read_text())):
+        if isinstance(node, ast.Import):
+            assert [a.name for a in node.names if a.name.partition(".")[0] == "bellgame"] == []
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "bellgame":
+            imported += [a.name for a in node.names]
+    assert [n for n in imported if n in ENGINES or n.startswith("ghz_")] == []
+    assert sorted(set(imported) - ORACLE_IMPORTS) == []
+    assert imported

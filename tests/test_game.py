@@ -14,12 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellgame.classical import (
-    ALL_PROFILES,
-    HiddenVariableModel,
-    profile_table,
-    strategy_to_distribution,
-)
+from bellgame.classical import ALL_PROFILES, profile_table
 from bellgame.game import (
     PLAYERS,
     PROFILES,
@@ -29,7 +24,6 @@ from bellgame.game import (
     Prior,
     UtilityTable,
     ValidationError,
-    affine_transform,
     check_player_symmetry,
     check_prior_symmetry,
     expected_payoffs,
@@ -42,6 +36,16 @@ from bellgame.game import (
 )
 from bellgame.optimize import OptimizationConfig
 from bellgame.quantum import MeasurementSetting, QuantumAdvisor, ghz_advisor, ghz_weights
+from oracles import (
+    HiddenVariableModel,
+    affine_transform,
+    constant_table,
+    make_uniform_distribution,
+    make_uniform_prior,
+    strategy_to_distribution,
+    table_entry,
+    table_from_function,
+)
 
 RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -93,19 +97,19 @@ class TestExpectedPayoffs:
 
     def test_constant_utilities_give_constant_payoffs(self, uniform_prior):
         c = Fraction(7, 3)
-        table = UtilityTable.constant(c)
+        table = constant_table(c)
         dist = strategy_to_distribution(((1, 1), (0, 0), (1, 1)))  # always (1, 0, 1)
         assert expected_payoffs(table, uniform_prior, dist) == (c, c, c)
 
     def test_uniform_distribution_equals_direct_sum(self, utilities, uniform_prior):
         # independent oracle: plain double loop over all 64 table entries
         f = expected_payoffs(
-            utilities, uniform_prior, ConditionalDistribution.uniform()
+            utilities, uniform_prior, make_uniform_distribution()
         )
         for player in PLAYERS:
             direct = (
                 sum(
-                    utilities.utility(player, x, y)
+                    table_entry(utilities, player, x, y)
                     for x in PROFILES
                     for y in PROFILES
                 )
@@ -176,8 +180,8 @@ class TestAffineTransform:
         scaled = affine_transform(utilities, 6, 20)
         assert min(v for rows in scaled.values for row in rows for v in row) >= 0
         # the most negative entry -19/6 lands at 1
-        assert scaled.utility(Player.A, (0, 1, 0), (1, 1, 1)) == 1
-        assert utilities.utility(Player.A, (0, 1, 0), (1, 1, 1)) == Fraction(-19, 6)
+        assert table_entry(scaled, Player.A, (0, 1, 0), (1, 1, 1)) == 1
+        assert table_entry(utilities, Player.A, (0, 1, 0), (1, 1, 1)) == Fraction(-19, 6)
 
     @pytest.mark.parametrize("alpha", [0, -1, Fraction(-3, 7)])
     def test_nonpositive_scale_rejected(self, utilities, alpha):
@@ -246,7 +250,7 @@ def planted_symmetric_table(rng: random.Random) -> UtilityTable:
             )
         return drawn[key]
 
-    values = [[list(row) for row in rows] for rows in UtilityTable.from_function(value).values]
+    values = [[list(row) for row in rows] for rows in table_from_function(value).values]
     for _ in range(rng.randint(1, 4)):
         row = values[rng.randrange(3)][rng.randrange(8)]
         yi = rng.randrange(8)
@@ -265,15 +269,15 @@ class TestPlayerSymmetry:
         assert check_player_symmetry(utilities) == []
 
     def test_constant_game_is_symmetric(self):
-        assert check_player_symmetry(UtilityTable.constant(3)) == []
+        assert check_player_symmetry(constant_table(3)) == []
 
     def test_single_perturbed_entry_is_caught(self, utilities):
         def perturbed(player, x, y):
             if player == Player.A and x == (0, 0, 0) and y == (0, 0, 0):
                 return Fraction(3)
-            return utilities.utility(player, x, y)
+            return table_entry(utilities, player, x, y)
 
-        violations = check_player_symmetry(UtilityTable.from_function(perturbed))
+        violations = check_player_symmetry(table_from_function(perturbed))
         assert violations
         assert any(
             v.swap == (Player.A, Player.B)
@@ -288,7 +292,7 @@ class TestPlayerSymmetry:
         Fraction, on table1, a constant game, 300 seeded perturbations of
         table1 and 100 seeded player-symmetric tables of large entries with
         planted asymmetries."""
-        tables = [utilities, UtilityTable.constant(Fraction(-2, 3))]
+        tables = [utilities, constant_table(Fraction(-2, 3))]
         rng = random.Random(24)
         for _ in range(300):
             values = [[list(row) for row in rows] for rows in utilities.values]
@@ -308,7 +312,7 @@ class TestPlayerSymmetry:
         assert all(2 <= len(v) <= 16 for v in found[302:])
 
     def test_prior_audit(self, nonuniform_game):
-        assert check_prior_symmetry(Prior.uniform()) == []
+        assert check_prior_symmetry(make_uniform_prior()) == []
         # P(x) = (index(x) + 1) / 36 differs between x and sx whenever the
         # swapped bits differ
         assert check_prior_symmetry(nonuniform_game.prior) == [
@@ -535,22 +539,22 @@ class TestDerivedValues:
 #: object afresh, and one that builds an object with other field values.
 VALUE_CLASSES = {
     "UtilityTable": (
-        ("values",), lambda: UtilityTable.constant(1), lambda: UtilityTable.constant(2)
+        ("values",), lambda: constant_table(1), lambda: constant_table(2)
     ),
     "Prior": (
         ("weights",),
-        Prior.uniform,
+        make_uniform_prior,
         lambda: Prior((Fraction(1, 2),) * 2 + (Fraction(0),) * 6),
     ),
     "ConditionalDistribution": (
         ("rows",),
-        ConditionalDistribution.uniform,
+        make_uniform_distribution,
         lambda: strategy_to_distribution(ALL_PROFILES[0]),
     ),
     "GameDefinition": (
         ("utilities", "prior"),
-        lambda: GameDefinition(UtilityTable.constant(1), Prior.uniform()),
-        lambda: GameDefinition(UtilityTable.constant(2), Prior.uniform()),
+        lambda: GameDefinition(constant_table(1), make_uniform_prior()),
+        lambda: GameDefinition(constant_table(2), make_uniform_prior()),
     ),
     "HiddenVariableModel": (
         ("atoms",),
@@ -695,7 +699,7 @@ class TestValueTypes:
 
 class TestPriorValidation:
     def test_uniform_prior(self):
-        prior = Prior.uniform()
+        prior = make_uniform_prior()
         assert sum(prior.weights) == 1
 
     def test_unnormalized_prior_rejected(self):
@@ -833,4 +837,4 @@ class TestSerialization:
         doc = game_to_json_dict(table1)
         doc["utilities"]["A"][0][0] = "2"  # instead of "2/1"
         game = game_from_json_dict(doc)
-        assert game.utilities.utility(Player.A, (0, 0, 0), (0, 0, 0)) == 2
+        assert table_entry(game.utilities, Player.A, (0, 0, 0), (0, 0, 0)) == 2

@@ -13,10 +13,7 @@ from bellgame.game import (
     PLAYERS,
     PROFILES,
     Player,
-    Prior,
-    UtilityTable,
     ValidationError,
-    affine_transform,
     check_player_symmetry,
 )
 from bellgame.builtin import builtin_game
@@ -31,13 +28,20 @@ from bellgame.optimize import (
 )
 from bellgame.quantum import (
     MeasurementSetting,
-    gauge_equivalent,
     ghz_advisor,
     ghz_bell,
     ghz_features,
     ghz_payoffs,
     ghz_weights,
     quantum_payoffs,
+)
+from oracles import (
+    affine_transform,
+    constant_table,
+    gauge_equivalent,
+    make_uniform_prior,
+    table_entry,
+    table_from_function,
 )
 
 #: Exact maximum of the reduced planar objective, derived by maximizing
@@ -59,9 +63,9 @@ def warped_game(table1):
     def utility(i, x, y):
         if (i, x, y) == (Player.A, (0, 0, 0), (0, 0, 0)):
             return Fraction(3)
-        return table1.utilities.utility(i, x, y)
+        return table_entry(table1.utilities, i, x, y)
 
-    return GameDefinition(UtilityTable.from_function(utility), table1.prior)
+    return GameDefinition(table_from_function(utility), table1.prior)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +98,7 @@ def _player_symmetric_game(seed: int) -> GameDefinition:
         others = tuple(sorted((x[j], y[j]) for j in PLAYERS if j != i))
         return values.setdefault(((x[i], y[i]), others), rng.randint(-9, 9))
 
-    return GameDefinition(UtilityTable.from_function(utility), Prior.uniform())
+    return GameDefinition(table_from_function(utility), make_uniform_prior())
 
 
 #: Names of the seeded random player-symmetric games, and their seeds.
@@ -467,7 +471,7 @@ class TestBestResponse:
         """No deviation changes a constant payoff: the improvement is exactly
         0 and each player keeps their own observables (their azimuths on the
         equator, when planar mode meets a tilted candidate)."""
-        game = GameDefinition(UtilityTable.constant(Fraction(7, 3)), Prior.uniform())
+        game = GameDefinition(constant_table(Fraction(7, 3)), make_uniform_prior())
         setting = (
             MeasurementSetting.planar(reference_angles) if candidate == "optimum" else TILTED
         )
@@ -553,7 +557,7 @@ class TestGridStarts:
         table1's tied grid, on the three-row game and on a constant game,
         whose grid ties everywhere: what lets a game keep its grid runs."""
         if game_name == "constant":
-            game = GameDefinition(UtilityTable.constant(Fraction(7, 3)), Prior.uniform())
+            game = GameDefinition(constant_table(Fraction(7, 3)), make_uniform_prior())
         else:
             game = request.getfixturevalue(game_name)
         rows = optimize._planar_rows(ghz_weights(game.utilities, game.prior))
@@ -663,9 +667,9 @@ def _nan_row_game(table1: GameDefinition) -> GameDefinition:
     def utility(i, x, y):
         if i is Player.B:
             return Fraction((big, big, -big, -big, 0, 0, 0, 0)[PROFILES.index(x)])
-        return table1.utilities.utility(i, x, y)
+        return table_entry(table1.utilities, i, x, y)
 
-    return GameDefinition(UtilityTable.from_function(utility), table1.prior)
+    return GameDefinition(table_from_function(utility), table1.prior)
 
 
 def _seeded_relabelling(game: GameDefinition, seed: int) -> GameDefinition:
@@ -679,10 +683,10 @@ def _seeded_relabelling(game: GameDefinition, seed: int) -> GameDefinition:
     def utility(i, x, y):
         x = tuple(b ^ f for b, f in zip(x, type_flip))
         y = tuple(b ^ f for b, f in zip(y, action_flip))
-        return game.utilities.utility(i, x, y)
+        return table_entry(game.utilities, i, x, y)
 
     return GameDefinition(
-        affine_transform(UtilityTable.from_function(utility), alpha, beta), game.prior
+        affine_transform(table_from_function(utility), alpha, beta), game.prior
     )
 
 
@@ -699,7 +703,7 @@ class TestValueIsTheLeastPayoff:
     )
     def test_on_every_game(self, request, table1, game_name, seed):
         if game_name == "constant":
-            game = GameDefinition(UtilityTable.constant(Fraction(7, 3)), Prior.uniform())
+            game = GameDefinition(constant_table(Fraction(7, 3)), make_uniform_prior())
         elif game_name.startswith("relabelled-"):
             game = _seeded_relabelling(table1, int(game_name.split("-")[1]))
         else:
@@ -732,7 +736,7 @@ class TestAdvantageReport:
 
     def test_constant_game_has_no_advantage(self):
         c = Fraction(7, 3)
-        game = GameDefinition(UtilityTable.constant(c), Prior.uniform())
+        game = GameDefinition(constant_table(c), make_uniform_prior())
         report = quantum_advantage_report(game, OptimizationConfig(restarts=2))
         assert report.classical_total_bound == 3 * c
         assert report.classical_fair_cap == c
@@ -747,8 +751,8 @@ class TestAdvantageReport:
 
 def _relabelled_copy(game: GameDefinition) -> GameDefinition:
     """Every type bit flipped and u -> 3/2 u + 1/4, under the same prior."""
-    flipped = UtilityTable.from_function(
-        lambda i, x, y: game.utilities.utility(i, tuple(1 - b for b in x), y)
+    flipped = table_from_function(
+        lambda i, x, y: table_entry(game.utilities, i, tuple(1 - b for b in x), y)
     )
     return GameDefinition(affine_transform(flipped, Fraction(3, 2), Fraction(1, 4)), game.prior)
 
@@ -839,7 +843,7 @@ class TestBoundHierarchyLP:
         variables [p(y|x) for x, y in profile order] + extra, in [0, 1],
         subject to a_eq @ variables == b_eq."""
         total = [
-            float(w * sum(game.utilities.utility(p, x, y) for p in PLAYERS))
+            float(w * sum(table_entry(game.utilities, p, x, y) for p in PLAYERS))
             for x, w in zip(PROFILES, game.prior.weights)
             for y in PROFILES
         ]

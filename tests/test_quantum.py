@@ -12,13 +12,11 @@ from bellgame.builtin import builtin_game
 from bellgame.classical import BellVariant, bell_expression, correlator
 from bellgame.game import (
     PROFILES,
-    ConditionalDistribution,
     GameDefinition,
     Player,
     Prior,
     UtilityTable,
     ValidationError,
-    affine_transform,
     expected_payoffs,
     no_signalling_residual,
 )
@@ -30,14 +28,10 @@ from bellgame.quantum import (
     PLANAR_KEYS,
     MeasurementSetting,
     QuantumAdvisor,
-    gauge_canonicalize,
-    gauge_equivalent,
-    gauge_transform,
     ghz_bell,
     ghz_distribution,
     ghz_features,
     ghz_payoffs,
-    ghz_single_party_marginal,
     ghz_state,
     ghz_weights,
     load_setting,
@@ -49,6 +43,18 @@ from bellgame.quantum import (
     setting_from_json_dict,
     setting_to_json_dict,
     wrap_angle,
+)
+from oracles import (
+    affine_transform,
+    constant_table,
+    gauge_canonicalize,
+    gauge_equivalent,
+    gauge_transform,
+    ghz_single_party_marginal,
+    make_uniform_distribution,
+    make_uniform_prior,
+    table_entry,
+    table_from_function,
 )
 
 ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -73,8 +79,8 @@ def relabelled_affine_copy(game: GameDefinition) -> GameDefinition:
     def flip(bits):
         return tuple(1 - b for b in bits)
 
-    flipped = UtilityTable.from_function(
-        lambda i, x, y: game.utilities.utility(i, flip(x), flip(y))
+    flipped = table_from_function(
+        lambda i, x, y: table_entry(game.utilities, i, flip(x), flip(y))
     )
     prior = Prior(tuple(Fraction(k, 36) for k in range(1, 9)))
     return GameDefinition(affine_transform(flipped, Fraction(7, 3), Fraction(-5, 2)), prior)
@@ -247,7 +253,7 @@ class TestQuantumPayoffs:
             table1.utilities, table1.prior, MAXIMALLY_MIXED, setting
         )
         g = expected_payoffs(
-            table1.utilities, table1.prior, ConditionalDistribution.uniform()
+            table1.utilities, table1.prior, make_uniform_distribution()
         )
         for quantum, classical in zip(f, g):
             assert quantum == pytest.approx(float(classical), abs=1e-12)
@@ -354,7 +360,7 @@ class TestGhzPayoffs:
 
     def test_constant_game_is_constant(self):
         c = Fraction(7, 3)
-        weights = ghz_weights(UtilityTable.constant(c), Prior.uniform())
+        weights = ghz_weights(constant_table(c), make_uniform_prior())
         rng = np.random.default_rng(6)
         values = ghz_payoffs(
             weights,
@@ -396,7 +402,7 @@ class TestGhzWeights:
     def test_match_the_fraction_oracle_on_random_games(self, pool, raw_prior, rng):
         """Negative utilities, denominators up to 10**6 and priors with zero
         entries."""
-        table = UtilityTable.from_function(lambda i, x, y: rng.choice(pool))
+        table = table_from_function(lambda i, x, y: rng.choice(pool))
         prior = Prior(tuple(Fraction(w, sum(raw_prior)) for w in raw_prior))
         assert_same_floats(ghz_weights(table, prior), fraction_ghz_weights(table, prior))
 
@@ -411,20 +417,20 @@ class TestGhzWeights:
         def utility(i, x, y):
             if x == (0, 0, 0):
                 return tiny if y == (1, 0, 1) else 0
-            return nonuniform_game.utilities.utility(i, x, y) + tiny
+            return table_entry(nonuniform_game.utilities, i, x, y) + tiny
 
-        table = UtilityTable.from_function(utility)
+        table = table_from_function(utility)
         weights = ghz_weights(table, nonuniform_game.prior)
         assert_same_floats(weights, fraction_ghz_weights(table, nonuniform_game.prior))
         assert (weights[:, 0] == 0).all()
         assert np.signbit(weights[:, 0]).any() and not np.signbit(weights[:, 0]).all()
 
     def test_a_401_digit_utility_overflows(self):
-        table = UtilityTable.constant(10**400)
+        table = constant_table(10**400)
         with pytest.raises(ValidationError, match="a GHZ weight overflows"):
-            ghz_weights(table, Prior.uniform())
+            ghz_weights(table, make_uniform_prior())
         with pytest.raises(ValidationError, match="a GHZ weight overflows"):
-            fraction_ghz_weights(table, Prior.uniform())
+            fraction_ghz_weights(table, make_uniform_prior())
 
 
 class TestGaugeSymmetry:
