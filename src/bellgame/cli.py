@@ -17,12 +17,16 @@ call.  Callers that run many commands in one process (the tests, a
 benchmark) may call ``main`` again and again.
 
 Start-up imports the exact engine (game, classical, builtin) and the
-standard modules every command uses: argparse, hashlib, json and fractions.
-It imports none of dataclasses, inspect, pathlib and importlib.resources:
-the value types are NamedTuples and game.Frozen classes, and files are
-opened with open().  numpy is still loaded lazily: only the commands that
-run the GHZ engine (``bell --setting``, ``optimize`` and ``check``) import
-it; the classical commands run on the exact engine alone.
+standard modules every command uses: argparse, json and fractions.  It
+imports none of dataclasses, inspect, pathlib and importlib.resources: the
+value types are NamedTuples and game.Frozen classes, and files are opened
+with open().  Nor does it import hashlib, whose OpenSSL binding costs more
+to load than the digests it would serve: game.sha256 is CPython's built-in
+sha256, with hashlib's only as a fallback.  Each other engine loads with the
+first command that runs it: the GHZ engine and numpy with ``bell
+--setting``, ``optimize`` and ``check``, and the audit's sampler
+(mixtures) and the random module with ``audit-bound``.  ``equilibria`` and
+``bell`` without a setting run on the exact engine alone.
 
 Exit codes: 0 success, 2 validation failure (also for a non-finite result,
 from utilities too large for the float engine), 3 non-convergence, 4 I/O.
@@ -31,7 +35,6 @@ from utilities too large for the float engine), 3 non-convergence, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -59,6 +62,7 @@ from .game import (
     format_rational,
     load_game,
     no_signalling_residual,
+    sha256,
 )
 
 if TYPE_CHECKING:
@@ -138,7 +142,7 @@ def _setting_digest(setting: MeasurementSetting) -> str:
     from .quantum import setting_to_json_dict
 
     blob = json.dumps(setting_to_json_dict(setting), sort_keys=True)
-    return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+    return "sha256:" + sha256(blob.encode()).hexdigest()
 
 
 def _config_from_args(args) -> OptimizationConfig:

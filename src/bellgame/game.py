@@ -26,15 +26,26 @@ significant bit.  Serialized tables use the same index order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
+import sys
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple, Union
+
+# CPython's built-in sha256, taken as random.py takes its sha512: hashlib
+# would load OpenSSL for one digest per game.  The version picks the one
+# module to try, since a failed import searches the whole of sys.path.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -355,7 +366,7 @@ class GameDefinition(Frozen):
         blob = json.dumps(
             game_to_json_dict(self), sort_keys=True, separators=(",", ":")
         )
-        return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+        return "sha256:" + sha256(blob.encode()).hexdigest()
 
     @cached_property
     def profile_table(self) -> classical.ProfileTable:

@@ -7,12 +7,7 @@ import pytest
 from bellgame.builtin import builtin_game
 from bellgame.game import GameDefinition, Prior
 from bellgame.quantum import ghz_advisor
-from oracles import (
-    affine_transform,
-    make_uniform_prior,
-    table_entry,
-    table_from_function,
-)
+from oracles import make_uniform_prior, relabelled_copy
 
 
 @pytest.fixture(scope="session")
@@ -40,16 +35,9 @@ def nonuniform_game(table1):
 
 @pytest.fixture(scope="session")
 def affine_game(table1):
-    """table1 with every type and action bit flipped and u -> 7/3 u - 5/2."""
-    def flip(bits):
-        return tuple(1 - b for b in bits)
-
-    flipped = table_from_function(
-        lambda i, x, y: table_entry(table1.utilities, i, flip(x), flip(y))
-    )
-    return GameDefinition(
-        affine_transform(flipped, Fraction(7, 3), Fraction(-5, 2)), make_uniform_prior()
-    )
+    """table1 with every type and action bit flipped and u -> 7/3 u - 5/2,
+    under table1's uniform prior."""
+    return relabelled_copy(table1, (1, 1, 1), (1, 1, 1), Fraction(7, 3), Fraction(-5, 2))
 
 
 @pytest.fixture(scope="session")

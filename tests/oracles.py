@@ -8,11 +8,13 @@ response tables, the distribution-level type relabelling that generates
 the Bell family, and the direct payoff sum of a deterministic profile.
 :func:`bell_decomposition` reads the paper's Bell form off a game's total
 payoff.  The quantum ones are the gauge symmetry of planar settings and
-the single-party marginal of GHZ advice.
+the single-party marginal of GHZ advice.  Among the test inputs,
+:func:`relabelled_copy` builds every relabelled, rescaled copy of a game
+that the tests use.
 
 The module imports from ``bellgame`` only value types, constants and small
 helpers, never an engine that it checks (``profile_table``,
-``integer_form``, ``_sampled_payoffs``, the ``ghz_*`` functions,
+``integer_form``, ``mixtures._sampled_payoffs``, the ``ghz_*`` functions,
 ``maximize_planar`` or ``best_response_check``);
 ``tests/test_dead_code.py`` holds it to that.  The trace rule
 (``quantum.quantum_distribution`` and what it calls) and
@@ -31,12 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from bellgame.classical import (
-    MIXTURE_DENOMINATOR,
-    MIXTURE_MAX_ATOMS,
-    STRATEGIES,
-    StrategyProfile,
-)
+from bellgame.classical import STRATEGIES, StrategyProfile
 from bellgame.game import (
     PLAYERS,
     PROFILES,
@@ -52,6 +49,7 @@ from bellgame.game import (
     ValidationError,
     profile_index,
 )
+from bellgame.mixtures import MIXTURE_DENOMINATOR, MIXTURE_MAX_ATOMS
 from bellgame.quantum import ALGEBRA_TOL, IDENTITY2, TAU, wrap_angle
 
 # ---------------------------------------------------------------------------
@@ -102,6 +100,43 @@ def affine_transform(table: UtilityTable, alpha: Numeric, beta: Numeric) -> Util
             for rows in table.values
         )
     )
+
+
+def _flip(x: Profile, f: Profile) -> Profile:
+    """x XOR f, bit by bit."""
+    return (x[0] ^ f[0], x[1] ^ f[1], x[2] ^ f[2])
+
+
+def relabelled_copy(
+    game: GameDefinition,
+    type_flip: Profile,
+    action_flip: Profile,
+    alpha: Numeric,
+    beta: Numeric,
+    prior: Prior | None = None,
+) -> GameDefinition:
+    """``game`` with type and action bits flipped and its utilities mapped
+    affinely: u'_i(x, y) = alpha u_i(x XOR type_flip, y XOR action_flip) +
+    beta, under ``prior`` (by default the game's prior, not relabelled).
+    alpha must be positive."""
+
+    def utility(i, x, y):
+        return table_entry(game.utilities, i, _flip(x, type_flip), _flip(y, action_flip))
+
+    return GameDefinition(
+        affine_transform(table_from_function(utility), alpha, beta),
+        game.prior if prior is None else prior,
+    )
+
+
+def seeded_relabelling(seed: int) -> tuple[Profile, Profile, Fraction, Fraction]:
+    """The type flip, action flip, alpha and beta of a seeded
+    :func:`relabelled_copy`: alpha in [1/19, 19], beta in [-20, 20]."""
+    rng = np.random.default_rng(seed)
+    type_flip, action_flip = (tuple(rng.integers(0, 2, 3).tolist()) for _ in range(2))
+    alpha = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+    beta = Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 20)))
+    return type_flip, action_flip, alpha, beta
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +259,7 @@ def random_hidden_variable_model(rng: random.Random) -> HiddenVariableModel:
     a pair of response rows whose p(y=0|x) are multiples of
     1/MIXTURE_DENOMINATOR.  The draws are made with the public ``randint``,
     ``choice`` and ``random``: the reference that the audit's own draws in
-    ``classical._sampled_payoffs`` are tested against.
+    ``mixtures._sampled_payoffs`` are tested against.
     """
     d = MIXTURE_DENOMINATOR
     rows = _response_rows()
@@ -275,17 +310,35 @@ def deterministic_payoffs(
     return PayoffTriple(*sums)
 
 
+#: The coefficient of each context's correlator E_x in the Bell expression
+#: V011, by x in profile index order; V100's coefficient of E_x is V011's of
+#: x XOR (1, 1, 1).
+_V011 = tuple({0: -1, 2: 1}.get(sum(x), 0) for x in PROFILES)
+
+
+#: A type flip f and a pair (alpha, beta): the Bell form of bell_decomposition.
+BellForm = tuple[Profile, tuple[Fraction, Fraction]]
+
+
 def bell_decomposition(
     game: GameDefinition,
-) -> tuple[Fraction, tuple[Fraction, ...]] | None:
+) -> tuple[Fraction, tuple[Fraction, ...], BellForm | None] | None:
     """The game's total payoff as a Bell expression, exactly, or None.
 
     In each context x the total u_A + u_B + u_C must be m_x + d_x s_A s_B s_C
     over the action profiles y, with s = 2y - 1: one value on each parity
-    class of y.  Returns (c, w) with c = sum_x P(x) m_x and w[x] = P(x) d_x,
-    in profile index order of x, so that the total payoff of any advice is
-    c + sum_x w[x] E_x, E_x its triple correlator in context x.  Returns None
-    when some context's total is not parity-only.
+    class of y.  Returns (c, w, form) with c = sum_x P(x) m_x and
+    w[x] = P(x) d_x, in profile index order of x, so that the total payoff
+    of any advice is c + sum_x w[x] E_x, E_x its triple correlator in
+    context x.  Returns None when some context's total is not parity-only.
+
+    ``form`` is (f, (alpha, beta)) when w, read through the type flip f, is
+    alpha V011 + beta V100: w[x XOR f] = alpha V011_x + beta V100_x, with
+    V011_x and V100_x the coefficients of E_x in the two expressions.  The
+    flips f and f XOR (1, 1, 1) give the same form with alpha and beta
+    swapped, so f is the first flip of even weight that fits, in profile
+    index order: the identity when w is zero.  ``form`` is None when no
+    flip fits.
     """
     c = Fraction(0)
     w = []
@@ -299,7 +352,18 @@ def bell_decomposition(
         (even,), (odd,) = by_parity[1], by_parity[-1]
         c += weight * (even + odd) / 2
         w.append(weight * (even - odd) / 2)
-    return c, tuple(w)
+    for f in PROFILES:
+        if sum(f) % 2:
+            continue
+        # V011 is -1 at context 000 and V100 at 111, and each is 0 at the
+        # other; x XOR (1, 1, 1) has index 7 - index(x)
+        alpha, beta = -w[profile_index(f)], -w[7 - profile_index(f)]
+        if all(
+            w[profile_index(_flip(x, f))] == alpha * _V011[xi] + beta * _V011[7 - xi]
+            for xi, x in enumerate(PROFILES)
+        ):
+            return c, tuple(w), (f, (alpha, beta))
+    return c, tuple(w), None
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from bellgame import classical
 from bellgame.classical import (
     ALL_PROFILES,
-    MIXTURE_WEIGHT_CAP,
     STRATEGIES,
     BellVariant,
     _deterministic_correlator,
-    _sampled_payoffs,
     bell_expression,
     classical_bound_audit,
     correlator,
@@ -31,6 +29,7 @@ from bellgame.game import (
     expected_payoffs,
     no_signalling_residual,
 )
+from bellgame.mixtures import MIXTURE_WEIGHT_CAP, _sampled_payoffs
 from oracles import (
     HiddenVariableModel,
     affine_transform,
@@ -42,6 +41,8 @@ from oracles import (
     make_uniform_distribution,
     make_uniform_prior,
     random_hidden_variable_model,
+    relabelled_copy,
+    seeded_relabelling,
     strategy_to_distribution,
     table_from_function,
 )
@@ -360,7 +361,7 @@ class TestBellDecomposition:
     )
     def test_reproduces_every_profile_total_and_the_bound(self, name, request):
         game = request.getfixturevalue(name)
-        c, w = bell_decomposition(game)
+        c, w, _ = bell_decomposition(game)
         profiles = profile_table(game.utilities, game.prior)
         assert [F(sum(n), profiles.denominator) for n in profiles.numerators] == [
             c + _bell_value(w, p) for p in ALL_PROFILES
@@ -368,8 +369,9 @@ class TestBellDecomposition:
         assert c + max(_bell_value(w, p) for p in ALL_PROFILES) == profiles.max_total()
 
     def test_table1_is_13_8_plus_3_16_v011_minus_1_8_v100(self, table1):
-        c, w = bell_decomposition(table1)
+        c, w, form = bell_decomposition(table1)
         assert c == F(13, 8)
+        assert form == ((0, 0, 0), (F(3, 16), F(-1, 8)))
         assert dict(zip(PROFILES, w)) == {
             (0, 0, 0): F(-3, 16),
             (0, 1, 1): F(3, 16),
@@ -380,6 +382,31 @@ class TestBellDecomposition:
             (1, 0, 0): F(-1, 8),
             (1, 1, 1): F(1, 8),
         }  # 3/16 V011 - 1/8 V100, as test_total_payoff_bell_identity reads it
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_seeded_relabelled_copy_scales_the_pair(self, table1, seed):
+        """For u' = a u(x XOR t, y XOR g) + b under table1's uniform prior,
+        table1's pair is scaled by a and signed by g's parity; an odd t maps
+        V011 to V100, so the flip is t XOR 111 and the pair swaps."""
+        t, g, a, b = seeded_relabelling(seed)
+        scale = a * (-1) ** sum(g)
+        pair = (scale * F(3, 16), scale * F(-1, 8))
+        expected = (t, pair) if sum(t) % 2 == 0 else (tuple(1 - f for f in t), pair[::-1])
+        *_, form = bell_decomposition(relabelled_copy(table1, t, g, a, b))
+        assert form == expected
+
+    def test_affine_game_is_7_24_v011_minus_7_16_v100(self, affine_game):
+        """Flipping every action bit negates table1's pair, scaled by 7/3;
+        flipping every type bit swaps V011 and V100."""
+        *_, form = bell_decomposition(affine_game)
+        assert form == ((0, 0, 0), (F(7, 24), F(-7, 16)))
+
+    def test_a_non_uniform_prior_breaks_the_bell_form(self, nonuniform_game):
+        assert bell_decomposition(nonuniform_game)[2] is None
+
+    def test_a_constant_game_is_zero_times_both(self, constant_game):
+        *_, form = bell_decomposition(constant_game)
+        assert form == ((0, 0, 0), (0, 0))
 
     def test_a_total_that_depends_on_more_than_parity_has_none(self):
         rng = random.Random(28)

@@ -27,6 +27,7 @@ from bellgame.quantum import (
     MeasurementSetting,
     ghz_advisor,
     ghz_weights,
+    load_setting,
     quantum_bell,
     setting_to_json_dict,
 )
@@ -442,7 +443,10 @@ class TestBellCommand:
             quantum_bell(advisor, setting, BellVariant.V100), abs=1e-9
         )
         assert report["results"]["difference"] > 4
-        assert report["inputs"]["setting_digest"].startswith("sha256:")
+        blob = json.dumps(setting_to_json_dict(load_setting(optimum_setting_file)), sort_keys=True)
+        assert report["inputs"]["setting_digest"] == (
+            "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+        )
 
 
 class TestOptimizeCommand:
@@ -795,19 +799,76 @@ class TestEntryPoint:
         )
         assert proc.stdout == "[0, 0, 0] False\n"
 
+    def test_only_audit_bound_loads_the_sampler(self):
+        code = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from bellgame.cli import main\n"
+            "loaded = []\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    for c in ('equilibria', 'bell', 'audit-bound'):\n"
+            "        main([c])\n"
+            "        loaded.append('bellgame.mixtures' in sys.modules)\n"
+            "print(loaded)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "[False, False, True]\n"
+
+    def test_digests_fall_back_to_hashlib(self, reference_angles):
+        """With neither built-in sha256 module importable, game.sha256 is
+        hashlib's, and the game and setting digests are the same."""
+        code = (
+            "import json, sys\n"
+            "if sys.argv[1] == 'fallback':\n"
+            "    sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from bellgame import cli, game\n"
+            "from bellgame.builtin import builtin_game\n"
+            "from bellgame.quantum import MeasurementSetting\n"
+            "setting = MeasurementSetting.planar(json.loads(sys.argv[2]))\n"
+            "print(json.dumps([game.sha256.__module__, builtin_game().digest,\n"
+            "                  cli._setting_digest(setting)]))\n"
+        )
+        angles = json.dumps(reference_angles.tolist())
+        (lean_module, *lean), (fallback_module, *fallback) = (
+            json.loads(subprocess.run(
+                [sys.executable, "-c", code, path, angles],
+                capture_output=True, text=True, check=True,
+            ).stdout)
+            for path in ("lean", "fallback")
+        )
+        assert lean_module in ("_sha2", "_sha256")
+        assert fallback_module not in ("_sha2", "_sha256")
+        setting = MeasurementSetting.planar(reference_angles)
+        assert fallback == lean == [builtin_game().digest, cli._setting_digest(setting)]
+
     @pytest.mark.parametrize(
         "commands, unused",
         [
             pytest.param(
-                [["equilibria"], ["audit-bound"], ["bell"]],
-                ["dataclasses", "importlib.resources", "inspect", "pathlib"],
+                [["equilibria"], ["bell"]],
+                [
+                    "bellgame.mixtures", "dataclasses", "hashlib", "importlib.resources",
+                    "inspect", "pathlib", "random",
+                ],
                 id="classical",
             ),
-            # numpy imports inspect itself
+            pytest.param(
+                [["audit-bound"]],
+                ["dataclasses", "hashlib", "importlib.resources", "inspect", "pathlib"],
+                id="audit",
+            ),
+            # numpy imports inspect itself, and numpy.random hashlib
             pytest.param(
                 [["optimize", "--restarts", "1"], ["check", "--setting", "SETTING"]],
-                ["dataclasses"],
+                ["bellgame.mixtures", "dataclasses"],
                 id="ghz",
+            ),
+            pytest.param(
+                [["check", "--setting", "SETTING"], ["bell", "--setting", "SETTING"]],
+                ["bellgame.mixtures", "dataclasses", "hashlib"],
+                id="setting",
             ),
         ],
     )

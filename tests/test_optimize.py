@@ -40,6 +40,8 @@ from oracles import (
     constant_table,
     gauge_equivalent,
     make_uniform_prior,
+    relabelled_copy,
+    seeded_relabelling,
     table_entry,
     table_from_function,
 )
@@ -672,24 +674,6 @@ def _nan_row_game(table1: GameDefinition) -> GameDefinition:
     return GameDefinition(table_from_function(utility), table1.prior)
 
 
-def _seeded_relabelling(game: GameDefinition, seed: int) -> GameDefinition:
-    """``game`` with seeded type and action bits flipped and a seeded
-    positive affine map of the utilities, under the same (uniform) prior."""
-    rng = np.random.default_rng(seed)
-    type_flip, action_flip = (tuple(rng.integers(0, 2, 3).tolist()) for _ in range(2))
-    alpha = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 20)))
-    beta = Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 20)))
-
-    def utility(i, x, y):
-        x = tuple(b ^ f for b, f in zip(x, type_flip))
-        y = tuple(b ^ f for b, f in zip(y, action_flip))
-        return table_entry(game.utilities, i, x, y)
-
-    return GameDefinition(
-        affine_transform(table_from_function(utility), alpha, beta), game.prior
-    )
-
-
 class TestValueIsTheLeastPayoff:
     """optimize's value is the least of the payoffs it reports, up to the
     rounding of two engines: the objective's scalar sum and ghz_payoffs'
@@ -705,7 +689,7 @@ class TestValueIsTheLeastPayoff:
         if game_name == "constant":
             game = GameDefinition(constant_table(Fraction(7, 3)), make_uniform_prior())
         elif game_name.startswith("relabelled-"):
-            game = _seeded_relabelling(table1, int(game_name.split("-")[1]))
+            game = relabelled_copy(table1, *seeded_relabelling(int(game_name.split("-")[1])))
         else:
             game = request.getfixturevalue(game_name)
         report = maximize_planar(_fresh(game), OptimizationConfig(restarts=4, seed=seed))
@@ -749,14 +733,6 @@ class TestAdvantageReport:
         assert report.optimum == maximize_planar(table1, config)
 
 
-def _relabelled_copy(game: GameDefinition) -> GameDefinition:
-    """Every type bit flipped and u -> 3/2 u + 1/4, under the same prior."""
-    flipped = table_from_function(
-        lambda i, x, y: table_entry(game.utilities, i, tuple(1 - b for b in x), y)
-    )
-    return GameDefinition(affine_transform(flipped, Fraction(3, 2), Fraction(1, 4)), game.prior)
-
-
 def _as_reported(report) -> str:
     """Everything ``optimize`` reports of a search, by repr: the value, the
     angles, the payoffs and the convergence flag."""
@@ -776,7 +752,8 @@ class TestGridRunsKeptPerGame:
     )
     def test_a_warm_object_reports_as_a_fresh_one(self, request, table1, game_name):
         if game_name == "relabelled":
-            game = _relabelled_copy(table1)
+            # every type bit flipped and u -> 3/2 u + 1/4
+            game = relabelled_copy(table1, (1, 1, 1), (0, 0, 0), Fraction(3, 2), Fraction(1, 4))
         else:
             game = request.getfixturevalue(game_name)
         warm = _fresh(game)

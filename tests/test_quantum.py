@@ -12,7 +12,6 @@ from bellgame.builtin import builtin_game
 from bellgame.classical import BellVariant, bell_expression, correlator
 from bellgame.game import (
     PROFILES,
-    GameDefinition,
     Player,
     Prior,
     UtilityTable,
@@ -45,7 +44,6 @@ from bellgame.quantum import (
     wrap_angle,
 )
 from oracles import (
-    affine_transform,
     constant_table,
     gauge_canonicalize,
     gauge_equivalent,
@@ -53,6 +51,7 @@ from oracles import (
     ghz_single_party_marginal,
     make_uniform_distribution,
     make_uniform_prior,
+    relabelled_copy,
     table_entry,
     table_from_function,
 )
@@ -71,19 +70,6 @@ def planar_payoffs(phi) -> np.ndarray:
     azimuths ``phi``."""
     setting = MeasurementSetting.planar(phi)
     return ghz_payoffs(TABLE1_WEIGHTS, setting.ghz_features)
-
-
-def relabelled_affine_copy(game: GameDefinition) -> GameDefinition:
-    """Flip every type and action bit, map u -> 7/3 u - 5/2 and use a
-    non-uniform prior."""
-    def flip(bits):
-        return tuple(1 - b for b in bits)
-
-    flipped = table_from_function(
-        lambda i, x, y: table_entry(game.utilities, i, flip(x), flip(y))
-    )
-    prior = Prior(tuple(Fraction(k, 36) for k in range(1, 9)))
-    return GameDefinition(affine_transform(flipped, Fraction(7, 3), Fraction(-5, 2)), prior)
 
 
 def fraction_ghz_weights(table: UtilityTable, prior: Prior) -> np.ndarray:
@@ -322,7 +308,8 @@ class TestGhzPayoffs:
         trace rule, on a batch of 200 full-sphere settings."""
         game = builtin_game()
         if relabel:
-            game = relabelled_affine_copy(game)
+            prior = Prior(tuple(Fraction(k, 36) for k in range(1, 9)))
+            game = relabelled_copy(game, (1, 1, 1), (1, 1, 1), Fraction(7, 3), Fraction(-5, 2), prior)
         weights = ghz_weights(game.utilities, game.prior)
         rng = np.random.default_rng(21)
         settings_ = [random_setting(rng, planar=False) for _ in range(200)]
