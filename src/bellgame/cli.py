@@ -28,8 +28,9 @@ first command that runs it: the GHZ engine and numpy with ``bell
 (mixtures) and the random module with ``audit-bound``.  ``equilibria`` and
 ``bell`` without a setting run on the exact engine alone.
 
-Exit codes: 0 success, 2 validation failure (also for a non-finite result,
-from utilities too large for the float engine), 3 non-convergence, 4 I/O.
+Exit codes: 0 success, 2 validation failure (also when ``optimize`` or
+``check`` reads a game outside the GHZ engine's magnitude rule,
+quantum.MAGNITUDE_LIMIT), 3 non-convergence, 4 I/O.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache, reduce
 from operator import add
@@ -372,16 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         game = _resolve_game(args.game)
-        guard = nullcontext()
-        if args.command == "optimize" or getattr(args, "setting", None) is not None:
-            # The GHZ engine's commands.  Utilities near the float range
-            # overflow inside numpy; the report's serialisation below turns
-            # every non-finite result into exit 2.
-            import numpy as np
-
-            guard = np.errstate(over="ignore", invalid="ignore")
-        with guard:
-            code, results, setting = args.func(args, game)
+        code, results, setting = args.func(args, game)
         inputs = {"game_digest": game.digest}
         if setting is not None:
             inputs["setting_digest"] = _setting_digest(setting)
@@ -392,12 +383,7 @@ def main(argv: list[str] | None = None) -> int:
             "wall_time_s": round(time.perf_counter() - started, 6),
             "results": results,
         }
-        try:
-            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-        except ValueError:  # Infinity or NaN, which JSON cannot carry
-            raise ValidationError(
-                "utilities too large: a result is not a finite float"
-            ) from None
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
         if args.out == "-":
             sys.stdout.write(text)
         else:

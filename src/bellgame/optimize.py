@@ -303,12 +303,9 @@ def _best_run(runs: Sequence[Run]) -> Run:
 
 def _planar_rows(weights: np.ndarray) -> list[tuple[float, ...]]:
     """The rows (const_i, *coef_i) of the players' planar payoffs (see
-    maximize_planar) that their minimum needs.
-
-    A constant that is not finite (a sum of weights that overflows, to
-    inf - inf = NaN at worst) is a ValidationError.  With every constant
-    and coefficient finite, a planar payoff can overflow only to +-inf,
-    never to NaN, so the grid, the objective and the runs hold no NaN.
+    maximize_planar) that their minimum needs.  The magnitude rule of
+    quantum.ghz_weights keeps every constant, coefficient and planar payoff
+    finite.
 
     Players whose coefficients agree by repr (so that the sign of a zero
     counts) form a group, as all three players of table1 and its relabelled
@@ -323,11 +320,6 @@ def _planar_rows(weights: np.ndarray) -> list[tuple[float, ...]]:
     the sign of a zero (which ranks grid points alike).
     """
     const = weights[:, :, 0].sum(axis=1).tolist()
-    for player, k in zip(PLAYERS, const):
-        if not math.isfinite(k):
-            raise ValidationError(
-                f"utilities too large: {player.name}'s planar constant is {k}"
-            )
     coef = -weights[:, :, 4]
     groups: dict[str, list[tuple[float, ...]]] = {}
     for row in zip(const, *coef.T.tolist()):
@@ -610,11 +602,10 @@ def quantum_advantage_report(
     """Side-by-side of the classical fair cap and the quantum optimum."""
     bound = game.profile_table.max_total()
     cap = bound / 3
-    try:
-        cap_float = float(cap)
-    except OverflowError:
-        raise ValidationError("utilities too large: the fair cap overflows") from None
+    # The search derives the GHZ weights, whose magnitude rule also keeps
+    # the fair cap within the float range.
     optimum = maximize_planar(game, config)
+    cap_float = float(cap)
     return QuantumAdvantageReport(
         classical_total_bound=bound,
         classical_fair_cap=cap,

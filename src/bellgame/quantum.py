@@ -240,26 +240,42 @@ _FEATURE_COLUMNS = tuple(zip(*GHZ_FEATURES))
 _TYPE_BITS = tuple(np.array(bits) for bits in zip(*PROFILES))
 
 
+#: The GHZ engine's magnitude rule: ghz_weights accepts a game only if each
+#: player's S_i = sum_x sum_y P(x)|u_i(x, y)| lies below this limit.  Every
+#: outcome-sign feature has |f| <= 1, so a player's 40 weights sum in
+#: magnitude to at most 5/8 S_i.  That bounds, in any summation order, every
+#: GHZ payoff and every planar constant, grid value and probe payoff of
+#: optimize by about S_i, the fair cap by sum_i S_i / 3, and
+#: best_response_check's squared gradient norms by about 5 S_i**2, which is
+#: below 2**1024: no float of the engine can overflow.
+MAGNITUDE_LIMIT = 2**500
+
+
 def ghz_weights(table: UtilityTable, prior: Prior) -> np.ndarray:
     """Payoff weights of a game under GHZ advice, shape (3, 8, 5).
 
     W[i, x, k] = P(x) * sum_y f_k(y) u_i(x, y) / 8 with f the outcome-sign
     features of GHZ_FEATURES.  The sums run over game.integer_form, as
     profile_table's do; each entry is one int / int division, rounded once
-    as float(Fraction) is, and one beyond the float range is a
-    ValidationError.  The GHZ payoff of any game is linear in these weights
-    and the five correlation features of each type profile (see ghz_payoffs).
+    as float(Fraction) is.  A game outside MAGNITUDE_LIMIT, checked exactly
+    on the same integers, is a ValidationError that names the first player
+    outside it.  The GHZ payoff of any game is linear in these weights and
+    the five correlation features of each type profile (see ghz_payoffs).
     """
     prior_nums, utils, denominator = integer_form(table, prior)
+    limit = MAGNITUDE_LIMIT * denominator
+    for player, rows in zip(PLAYERS, utils):
+        if sum(w * sum(map(abs, u)) for w, u in zip(prior_nums, rows)) >= limit:
+            raise ValidationError(
+                "utilities too large for the GHZ engine: the sum of "
+                f"P(x)|u_{player.name}(x, y)| over x and y is not below 2**500"
+            )
     scale = 8 * denominator
-    try:
-        return np.array([
-            [[w * sum(map(mul, f, u)) / scale for f in _FEATURE_COLUMNS]
-             for w, u in zip(prior_nums, rows)]
-            for rows in utils
-        ])
-    except OverflowError:
-        raise ValidationError("utilities too large: a GHZ weight overflows") from None
+    return np.array([
+        [[w * sum(map(mul, f, u)) / scale for f in _FEATURE_COLUMNS]
+         for w, u in zip(prior_nums, rows)]
+        for rows in utils
+    ])
 
 
 def ghz_features(theta, phi) -> np.ndarray:

@@ -7,10 +7,13 @@ as delta distributions, hidden-variable models as mixtures of product
 response tables, the distribution-level type relabelling that generates
 the Bell family, and the direct payoff sum of a deterministic profile.
 :func:`bell_decomposition` reads the paper's Bell form off a game's total
-payoff.  The quantum ones are the gauge symmetry of planar settings and
-the single-party marginal of GHZ advice.  Among the test inputs,
+payoff.  The quantum ones are the gauge symmetry of planar settings, the
+maximum of a planar payoff row over the third player's azimuths
+(:func:`reduced_planar_maximum`) and the single-party marginal of GHZ
+advice.  Among the test inputs,
 :func:`relabelled_copy` builds every relabelled, rescaled copy of a game
-that the tests use.
+that the tests use, and :func:`scaled_to_magnitude` the games at the edge of
+the GHZ engine's magnitude rule.
 
 The module imports from ``bellgame`` only value types, constants and small
 helpers, never an engine that it checks (``profile_table``,
@@ -137,6 +140,30 @@ def seeded_relabelling(seed: int) -> tuple[Profile, Profile, Fraction, Fraction]
     alpha = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 20)))
     beta = Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 20)))
     return type_flip, action_flip, alpha, beta
+
+
+def magnitude(game: GameDefinition, player: Player) -> Fraction:
+    """S_i = sum_x sum_y P(x)|u_i(x, y)|, the quantity that the GHZ engine's
+    magnitude rule (quantum.MAGNITUDE_LIMIT) bounds."""
+    return sum(
+        w * sum(map(abs, row))
+        for w, row in zip(game.prior.weights, game.utilities.values[player])
+    )
+
+
+def scaled_to_magnitude(
+    game: GameDefinition, players: Sequence[Player], target: Numeric
+) -> GameDefinition:
+    """``game`` with the utilities of each of ``players`` scaled by one
+    positive factor, so that its :func:`magnitude` is exactly ``target``;
+    the other players' utilities and the prior are kept."""
+    factors = {p: Fraction(target) / magnitude(game, p) for p in players}
+    return GameDefinition(
+        table_from_function(
+            lambda i, x, y: table_entry(game.utilities, i, x, y) * factors.get(i, 1)
+        ),
+        game.prior,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +394,29 @@ def bell_decomposition(
 
 
 # ---------------------------------------------------------------------------
-# Quantum symmetry tools
+# Quantum oracles
 # ---------------------------------------------------------------------------
+
+
+def planar_row_phasors(row: Sequence[float], a1: float, b1: float) -> tuple[complex, complex]:
+    """Z_0 and Z_1 of a planar payoff row (k, r_0, ..., r_7), coefficients
+    in profile index order, at the azimuths (a1, b1) in the gauge
+    a0 = b0 = 0: Z_c = sum over x with x_C = c of r_x e^{i(a(x_A) + b(x_B))}.
+    The row's payoff k + sum_x r_x sin(a(x_A) + b(x_B) + c(x_C)) is then
+    k + Im(e^{i c0} Z_0) + Im(e^{i c1} Z_1)."""
+    a, b = (0.0, a1), (0.0, b1)
+    z = [0j, 0j]
+    for r, (xa, xb, xc) in zip(row[1:], PROFILES):
+        z[xc] += r * complex(math.cos(a[xa] + b[xb]), math.sin(a[xa] + b[xb]))
+    return z[0], z[1]
+
+
+def reduced_planar_maximum(row: Sequence[float], a1: float, b1: float) -> float:
+    """k + |Z_0(a1, b1)| + |Z_1(a1, b1)|: the maximum of a planar payoff row
+    over (c0, c1) at fixed (a1, b1), reached at c_j = pi/2 - arg Z_j, since
+    Im(e^{i c} Z) <= |Z| with equality there (see planar_row_phasors)."""
+    z0, z1 = planar_row_phasors(row, a1, b1)
+    return row[0] + abs(z0) + abs(z1)
 
 
 def gauge_transform(phi, chi1: float, chi2: float, chi3: float) -> np.ndarray:

@@ -41,9 +41,12 @@ from bellgame.quantum import (
 )
 from oracles import (
     affine_transform,
+    bell_decomposition,
     deterministic_payoffs,
     gauge_equivalent,
     ghz_single_party_marginal,
+    relabelled_copy,
+    seeded_relabelling,
     strategy_to_distribution,
 )
 
@@ -284,4 +287,44 @@ def test_criterion_10_equilibrium_set_invariant_under_affine_maps(table1):
         "criterion 10: equilibrium set invariant under affine maps",
         checked == 100,
         f"{checked} random (alpha, beta) pairs, exact profile-set equality",
+    )
+
+
+def test_criterion_11_optimum_is_global_over_quantum_advisors(table1, affine_game):
+    """The planar optimum is the best fair value of any quantum advisor.
+
+    Proof.  oracles.bell_decomposition writes the total payoff of any advice
+    as c + sum_x w_x E_x, E_x the correlator of the three outcome signs in
+    context x, and finds a type flip f and (alpha, beta) with w[x XOR f] =
+    alpha V011_x + beta V100_x.  A quantum advisor is a state rho and a
+    +-1 observable per player and type (any dimension; a two-outcome POVM
+    is one after a Naimark dilation), and renaming each player's types by
+    f maps observables to observables.  So the total is c + Tr rho (alpha
+    V011 + beta V100) for some observables.  With r = sqrt(alpha^2 +
+    beta^2), alpha = r cos chi and beta = r sin chi, that Bell operator is
+    r (P (x) D + Q (x) D'), whose norm is at most 4r by operator
+    Cauchy-Schwarz (test_quantum.TestBellOperatorBound checks the identity
+    and the bound).  So every advisor's total is at most c + 4r, and its
+    least payoff, at most the mean, is at most (c + 4r)/3.  The search's
+    value reaches that bound, so no advisor gives every player more; by
+    criterion 9 the optimum is an equilibrium as well.
+    """
+    games = {"table1": table1, "affine_game": affine_game}
+    games.update(
+        (f"relabelled-{k}", relabelled_copy(table1, *seeded_relabelling(k))) for k in range(10)
+    )
+    worst = 0.0
+    for name, game in games.items():
+        c, _, form = bell_decomposition(game)
+        _, (alpha, beta) = form
+        value = maximize_planar(game).value
+        gap = abs(3 * value - (float(c) + 4 * math.hypot(alpha, beta)))
+        if gap > 1e-12 * max(1.0, abs(value)):
+            report("criterion 11: optimum equals the Bell bound", False, f"{name}: gap {gap:.2e}")
+        worst = max(worst, gap / max(1.0, abs(value)))
+    report(
+        "criterion 11: 3 x optimum equals c + 4 sqrt(alpha^2 + beta^2), the bound "
+        "of every quantum advisor",
+        True,
+        f"{len(games)} games, worst relative gap {worst:.1e}",
     )

@@ -23,6 +23,7 @@ from bellgame.game import (
 )
 from bellgame.quantum import (
     ANGLE_LIMIT,
+    MAGNITUDE_LIMIT,
     PLANAR_KEYS,
     MeasurementSetting,
     ghz_advisor,
@@ -36,6 +37,7 @@ from oracles import (
     constant_table,
     hv_model_to_distribution,
     make_uniform_prior,
+    scaled_to_magnitude,
 )
 
 F = Fraction
@@ -389,7 +391,7 @@ class TestRepeatedCalls:
             captured = capsys.readouterr()
             assert code == 2
             assert captured.out == ""
-            assert "error: utilities too large: a GHZ weight overflows" in captured.err
+            assert captured.err.endswith(too_large("A"))
 
 
 class TestPinnedResults:
@@ -565,6 +567,50 @@ class TestCheckCommand:
         assert code == 2
 
 
+def too_large(name: str) -> str:
+    """The one error line of a game outside the GHZ engine's magnitude rule,
+    naming player ``name``."""
+    return (
+        "error: utilities too large for the GHZ engine: the sum of "
+        f"P(x)|u_{name}(x, y)| over x and y is not below 2**500\n"
+    )
+
+
+#: The commands that run the GHZ engine, as argv heads.
+GHZ_COMMANDS = [("optimize",), ("check",), ("check", "--mode", "full"), ("bell",)]
+
+#: Games around the magnitude rule, by id, with the first player outside it
+#: (None: inside).  "d-digits" is table1 with u_A at x = y = (0, 0, 0) a
+#: string of d nines (S_A of about 1.25e150 at 151 digits, 1.25e151 at 152;
+#: the limit is 2**500, about 3.27e150).  "nan-row" gives B utilities of
+#: 8e308 in contexts x = 0, 1 and -8e308 in x = 2, 3 (finite GHZ weights
+#: whose planar constant sums to inf - inf), "nan-every-row" gives them to
+#: every player.  "inside-P"/"at-P" is table1 with the players P scaled to
+#: S = 2**500 - 1 and S = 2**500 exactly.
+MAGNITUDE_GAMES = {
+    "151-digits": None, "152-digits": "A", "160-digits": "A", "310-digits": "A",
+    "401-digits": "A", "nan-row": "B", "nan-every-row": "A",
+    "inside-A": None, "inside-ABC": None, "at-A": "A", "at-B": "B", "at-ABC": "A",
+}
+
+
+def magnitude_game(table1: GameDefinition, game_id: str) -> GameDefinition:
+    """The game of MAGNITUDE_GAMES named ``game_id``."""
+    kind, _, arg = game_id.partition("-")
+    if kind in ("inside", "at"):
+        limit = MAGNITUDE_LIMIT - (kind == "inside")
+        return scaled_to_magnitude(table1, [Player[p] for p in arg], limit)
+    doc = game_to_json_dict(table1)
+    if kind == "nan":
+        big = "8" + "0" * 308
+        for name in "B" if arg == "row" else "ABC":
+            for xi, value in enumerate([big, big, "-" + big, "-" + big] + ["0"] * 4):
+                doc["utilities"][name][xi] = [value] * 8
+    else:
+        doc["utilities"]["A"][0][0] = "9" * int(kind)
+    return game_from_json_dict(doc)
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize(
         "argv",
@@ -680,80 +726,36 @@ class TestBadNumbers:
         assert str(path) in captured.err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", GHZ_COMMANDS, ids=" ".join)
     @pytest.mark.parametrize(
-        ("command", "digits", "expected"),
-        [
-            ("optimize", 160, 0),
-            ("check", 160, 2),  # the best-response norms overflow to Infinity
-            ("optimize", 310, 2),  # the fair cap overflows a float
-            ("check", 310, 2),  # Infinity - Infinity gives NaN improvements
-            ("optimize", 401, 2),
-            ("check", 401, 2),  # the GHZ weights overflow a float
-            ("bell", 401, 0),  # Bell values do not read the utilities
-        ],
+        ("game_id", "outside"), MAGNITUDE_GAMES.items(), ids=list(MAGNITUDE_GAMES)
     )
-    def test_utilities_beyond_the_float_range(
-        self, capsys, tmp_path, table1, optimum_setting_file, command, digits, expected
+    def test_one_magnitude_rule_for_every_ghz_command(
+        self, capsys, tmp_path, table1, optimum_setting_file, command, game_id, outside
     ):
-        """A schema-valid utility that the float engine cannot carry exits 2
-        with a message and no report, never with a traceback, a numpy
-        warning or a report holding Infinity or NaN, which JSON cannot
-        carry.  Every command that runs the GHZ engine is covered."""
-        doc = game_to_json_dict(table1)
-        doc["utilities"]["A"][0][0] = "9" * digits
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(doc))
-        argv = [command, "--game", str(path)]
-        if command != "bell":
+        """A game inside the GHZ engine's magnitude rule gives a finite
+        report from every command that runs the engine; one outside it
+        exits 2 from each of them with the one message, naming the first
+        player outside, and no report.  Neither prints a traceback, a numpy
+        warning or a report holding Infinity or NaN.  bell --setting reads
+        no utilities and reports on every game.  optimize may fail to
+        converge on large utilities (exit 3), but never exits 2 inside the
+        rule."""
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game_to_json_dict(magnitude_game(table1, game_id))))
+        argv = [command[0], "--game", str(path), *command[1:]]
+        if command[0] == "optimize":
             argv += ["--restarts", "1"]
-        if command != "optimize":
+        else:
             argv += ["--setting", optimum_setting_file]
         code = main(argv)
         captured = capsys.readouterr()
-        assert code == expected
-        if expected == 0:
+        if outside is None or command[0] == "bell":
+            assert code in ((0, 3) if command[0] == "optimize" else (0,))
             json.loads(captured.out, parse_constant=pytest.fail)
         else:
-            assert captured.out == ""
-            assert "error: utilities too large" in captured.err
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_a_planar_payoff_that_is_nan_everywhere_exits_2(self, capsys, tmp_path, table1):
-        """Utilities of 8*10**308 in contexts x = 0, 1 and -8*10**308 in
-        x = 2, 3 give finite GHZ weights of +-10**308, but each player's
-        planar constant sums to inf - inf = NaN, which would make the
-        planar payoff NaN at every point.  optimize refuses the constant
-        before it searches."""
-        doc = game_to_json_dict(table1)
-        big = "8" + "0" * 308
-        for name in "ABC":
-            for xi, value in enumerate([big, big, "-" + big, "-" + big] + ["0"] * 4):
-                doc["utilities"][name][xi] = [value] * 8
-        path = tmp_path / "nan.json"
-        path.write_text(json.dumps(doc))
-        code = main(["optimize", "--game", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "error: utilities too large: A's planar constant is nan\n" in captured.err
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_one_planar_constant_that_is_nan_exits_2(self, capsys, tmp_path, table1):
-        """The same rows for B alone: A's and C's planar payoffs are finite,
-        and a search that skipped B's NaN payoff reported table1's value,
-        0.842, with beats_classical true, beside B's payoff of 0."""
-        doc = game_to_json_dict(table1)
-        big = "8" + "0" * 308
-        for xi, value in enumerate([big, big, "-" + big, "-" + big] + ["0"] * 4):
-            doc["utilities"]["B"][xi] = [value] * 8
-        path = tmp_path / "nan-row.json"
-        path.write_text(json.dumps(doc))
-        code = main(["optimize", "--game", str(path)])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err.endswith(
-            "error: utilities too large: B's planar constant is nan\n"
-        )
+            assert (code, captured.out) == (2, "")
+            assert captured.err.endswith(too_large(outside))
 
     @pytest.mark.parametrize("option", ["--game", "--setting"])
     def test_non_utf8_file_exits_2(self, capsys, tmp_path, option):

@@ -40,6 +40,8 @@ from oracles import (
     constant_table,
     gauge_equivalent,
     make_uniform_prior,
+    planar_row_phasors,
+    reduced_planar_maximum,
     relabelled_copy,
     seeded_relabelling,
     table_entry,
@@ -582,18 +584,6 @@ class TestGridStarts:
             tracemalloc.stop()
         assert peak <= 1.4 * 16**4 * 8
 
-    @pytest.mark.parametrize("constant", [math.inf, -math.inf, math.nan])
-    def test_a_constant_that_is_not_finite_is_refused(self, table1, constant):
-        """B's constant is not finite, so the rows are not made: the planar
-        payoff would be +-inf or NaN at every point."""
-        weights = ghz_weights(table1.utilities, table1.prior).copy()
-        weights[1, 0, 0] = constant
-        with pytest.raises(
-            ValidationError,
-            match=rf"^utilities too large: B's planar constant is {constant}$",
-        ):
-            optimize._planar_rows(weights)
-
 
 def _three_row_grid_starts(
     const: np.ndarray, coef: np.ndarray, g: int, restarts: int
@@ -660,18 +650,30 @@ class TestPlanarObjective:
             assert repr(objective(tuple(x))) == repr(_min_over_players(const, coef, x))
 
 
-def _nan_row_game(table1: GameDefinition) -> GameDefinition:
-    """table1 with B's utility 8*10**308 in contexts x = 0, 1, -8*10**308 in
-    x = 2, 3 and 0 elsewhere, for every y: B's GHZ weights are finite, but
-    its planar constant sums to inf - inf = NaN."""
-    big = 8 * 10**308
+class TestReducedPlanarFunction:
+    """At fixed (a1, b1), a planar payoff row is k + Im(e^{i c0} Z_0) +
+    Im(e^{i c1} Z_1), so its maximum over (c0, c1) is the reduced function
+    k + |Z_0| + |Z_1| (oracles.reduced_planar_maximum)."""
 
-    def utility(i, x, y):
-        if i is Player.B:
-            return Fraction((big, big, -big, -big, 0, 0, 0, 0)[PROFILES.index(x)])
-        return table_entry(table1.utilities, i, x, y)
-
-    return GameDefinition(table_from_function(utility), table1.prior)
+    @pytest.mark.parametrize("game_name", ["table1", "warped_game"])
+    def test_the_row_maximum_over_c_is_the_reduced_function(self, request, game_name):
+        """Each kept row's one-row objective reaches the oracle at
+        c_j = pi/2 - arg Z_j, and no point of a 64 x 64 (c0, c1) grid
+        exceeds it, at 20 seeded (a1, b1)."""
+        game = request.getfixturevalue(game_name)
+        rows = optimize._planar_rows(ghz_weights(game.utilities, game.prior))
+        assert len(rows) == KEPT_ROWS.get(game_name, 1)
+        grid = np.linspace(-math.pi, math.pi, 64, endpoint=False).tolist()
+        rng = np.random.default_rng(5)
+        for row in rows:
+            objective = optimize._planar_objective([row])
+            for a1, b1 in rng.uniform(-math.pi, math.pi, (20, 2)).tolist():
+                peak = reduced_planar_maximum(row, a1, b1)
+                z0, z1 = planar_row_phasors(row, a1, b1)
+                c0, c1 = (math.pi / 2 - math.atan2(z.imag, z.real) for z in (z0, z1))
+                assert objective((a1, b1, c0, c1)) == pytest.approx(peak, abs=1e-12)
+                grid_max = max(objective((a1, b1, u, v)) for u in grid for v in grid)
+                assert grid_max <= peak + 1e-12
 
 
 class TestValueIsTheLeastPayoff:
@@ -696,15 +698,6 @@ class TestValueIsTheLeastPayoff:
         assert math.isfinite(report.value)
         gap = abs(report.value - min(report.payoffs))
         assert gap <= 1e-12 * max(1.0, abs(report.value))
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's inf - inf
-    def test_a_planar_constant_that_is_not_finite_is_refused(self, table1):
-        """On the NaN-row game a search would skip B's NaN payoff and report
-        table1's value, 0.842, beside B's reported payoff of 0."""
-        with pytest.raises(
-            ValidationError, match=r"^utilities too large: B's planar constant is nan$"
-        ):
-            maximize_planar(_nan_row_game(table1), OptimizationConfig(restarts=4))
 
 
 class TestAdvantageReport:

@@ -1,6 +1,8 @@
 import json
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from bellgame.game import (
 )
 from bellgame.quantum import (
     GHZ_FEATURES,
+    MAGNITUDE_LIMIT,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -52,6 +55,7 @@ from oracles import (
     make_uniform_distribution,
     make_uniform_prior,
     relabelled_copy,
+    scaled_to_magnitude,
     table_entry,
     table_from_function,
 )
@@ -77,14 +81,11 @@ def fraction_ghz_weights(table: UtilityTable, prior: Prior) -> np.ndarray:
     sum, rounded once by float().  The oracle that the integer route must
     match bit for bit."""
     weights = np.empty((3, 8, 5))
-    try:
-        for player in range(3):
-            for xi, urow in enumerate(table.values[player]):
-                for k in range(5):
-                    exact = sum(f[k] * u for f, u in zip(GHZ_FEATURES, urow))
-                    weights[player, xi, k] = float(prior.weights[xi] * exact / 8)
-    except OverflowError:
-        raise ValidationError("utilities too large: a GHZ weight overflows") from None
+    for player in range(3):
+        for xi, urow in enumerate(table.values[player]):
+            for k in range(5):
+                exact = sum(f[k] * u for f, u in zip(GHZ_FEATURES, urow))
+                weights[player, xi, k] = float(prior.weights[xi] * exact / 8)
     return weights
 
 
@@ -412,12 +413,101 @@ class TestGhzWeights:
         assert (weights[:, 0] == 0).all()
         assert np.signbit(weights[:, 0]).any() and not np.signbit(weights[:, 0]).all()
 
-    def test_a_401_digit_utility_overflows(self):
-        table = constant_table(10**400)
-        with pytest.raises(ValidationError, match="a GHZ weight overflows"):
-            ghz_weights(table, make_uniform_prior())
-        with pytest.raises(ValidationError, match="a GHZ weight overflows"):
-            fraction_ghz_weights(table, make_uniform_prior())
+
+class TestMagnitudeRule:
+    """ghz_weights accepts a game only if each player's S_i = sum_x sum_y
+    P(x)|u_i(x, y)| is below MAGNITUDE_LIMIT, checked exactly."""
+
+    def test_the_rule_is_exact_at_the_limit(self):
+        """A constant table under the uniform prior has S_i = 8|u|: just
+        inside, the weights are the Fraction oracle's; at the limit, of
+        either sign, and at 401 digits, the game is refused."""
+        prior = make_uniform_prior()
+        inside = constant_table(Fraction(MAGNITUDE_LIMIT - 1, 8))
+        assert_same_floats(ghz_weights(inside, prior), fraction_ghz_weights(inside, prior))
+        for value in (Fraction(MAGNITUDE_LIMIT, 8), -Fraction(MAGNITUDE_LIMIT, 8), 10**400):
+            with pytest.raises(ValidationError, match=r"\|u_A\(x, y\)\| .* below 2\*\*500$"):
+                ghz_weights(constant_table(value), prior)
+
+    @pytest.mark.parametrize("players", ["A", "B", "ABC"])
+    def test_the_first_player_outside_is_named(self, table1, players):
+        game = scaled_to_magnitude(table1, [Player[p] for p in players], MAGNITUDE_LIMIT)
+        with pytest.raises(
+            ValidationError,
+            match=rf"^utilities too large for the GHZ engine: the sum of P\(x\)\|u_{players[0]}",
+        ):
+            ghz_weights(game.utilities, game.prior)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("players", ["A", "ABC"])
+    def test_payoffs_just_inside_are_finite_in_every_order(self, table1, players):
+        """table1 with the players ``players`` scaled to S_i = limit - 1
+        (utilities of both signs).  At random settings, and at the feature
+        signs that make each payoff's terms all agree, the 40 products of
+        each payoff sum to a finite float left to right, reversed and by
+        math.fsum, within 5/8 S_i in magnitude; so does ghz_payoffs."""
+        game = scaled_to_magnitude(table1, [Player[p] for p in players], MAGNITUDE_LIMIT - 1)
+        weights = ghz_weights(game.utilities, game.prior)
+        rng = np.random.default_rng(11)
+        features = [random_setting(rng, i % 2 == 0).ghz_features for i in range(100)]
+        features += [np.sign(w) for w in weights]
+        bound = 5 / 8 * float(MAGNITUDE_LIMIT)
+        for feature in features:
+            assert np.isfinite(ghz_payoffs(weights, feature)).all()
+            for w in weights:
+                products = (feature * w).ravel().tolist()
+                for value in (
+                    reduce(add, products), reduce(add, reversed(products)),
+                    math.fsum(products),
+                ):
+                    assert math.isfinite(value) and abs(value) <= bound
+
+
+def random_observable(rng, dim: int) -> np.ndarray:
+    """A +-1 observable U diag(+-1) U^dagger of dimension ``dim``, U a random
+    unitary (QR of a complex Gaussian matrix)."""
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return u @ np.diag(rng.choice([-1.0, 1.0], dim)) @ u.conj().T
+
+
+def bell_operator(variant: BellVariant, a, b, c) -> np.ndarray:
+    """The operator of a Bell variant on A (x) B (x) C for the observable
+    pairs ``a``, ``b``, ``c`` (indexed by type bit): the products of the
+    positive contexts minus that of the negative context."""
+    def term(x):
+        return np.kron(np.kron(a[x[0]], b[x[1]]), c[x[2]])
+
+    return sum(term(x) for x in variant.positive_contexts) - term(variant.negative_context)
+
+
+class TestBellOperatorBound:
+    """cos chi V011 + sin chi V100 is bounded by 4 for every pair of +-1
+    observables per party, in any dimension: it is P (x) D + Q (x) D' with
+    P = A0 B1 + A1 B0, Q = A1 B1 - A0 B0 (on A (x) B), D = cos chi C1 +
+    sin chi C0 and D' = cos chi C0 - sin chi C1.  Then D^2 + D'^2 = 2I and
+    ||P^2 + Q^2|| <= 8, and operator Cauchy-Schwarz gives sqrt(8) sqrt(2)
+    = 4.  This is the quantum half of the bound that criterion 11 of the
+    acceptance suite relies on."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 2), (3, 2, 3)])
+    def test_the_identity_and_the_bound_on_random_observables(self, dims):
+        rng = np.random.default_rng(sum(d * 10**k for k, d in enumerate(dims)))
+        eye_c = np.eye(dims[2])
+        for _ in range(5):
+            a, b, c = ([random_observable(rng, d) for _ in range(2)] for d in dims)
+            chi = rng.uniform(-math.pi, math.pi)
+            p = np.kron(a[0], b[1]) + np.kron(a[1], b[0])
+            q = np.kron(a[1], b[1]) - np.kron(a[0], b[0])
+            d = math.cos(chi) * c[1] + math.sin(chi) * c[0]
+            d_prime = math.cos(chi) * c[0] - math.sin(chi) * c[1]
+            operator = (
+                math.cos(chi) * bell_operator(BellVariant.V011, a, b, c)
+                + math.sin(chi) * bell_operator(BellVariant.V100, a, b, c)
+            )
+            assert np.abs(np.kron(p, d) + np.kron(q, d_prime) - operator).max() <= 1e-12
+            assert np.abs(d @ d + d_prime @ d_prime - 2 * eye_c).max() <= 1e-12
+            assert np.linalg.norm(p @ p + q @ q, 2) <= 8 + 1e-12
+            assert np.abs(np.linalg.eigvalsh(operator)).max() <= 4 + 1e-12
 
 
 class TestGaugeSymmetry:
