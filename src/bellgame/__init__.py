@@ -2,11 +2,10 @@
 GHZ quantum advisor.
 
 The package splits into: exact game core (:mod:`bellgame.game`), classical
-equilibrium enumeration and bound (:mod:`bellgame.classical`), the bound
-audit's seeded hidden-variable mixtures (:mod:`bellgame.mixtures`), GHZ
-measurement engine (:mod:`bellgame.quantum`), payoff optimizer
-(:mod:`bellgame.optimize`), the bundled games (:mod:`bellgame.builtin`) and
-the ``bellgame`` CLI (:mod:`bellgame.cli`).
+equilibrium enumeration, bound and its seeded audit
+(:mod:`bellgame.classical`), GHZ measurement engine (:mod:`bellgame.quantum`),
+payoff optimizer (:mod:`bellgame.optimize`), the bundled games
+(:mod:`bellgame.builtin`) and the ``bellgame`` CLI (:mod:`bellgame.cli`).
 Import from those modules; the package itself exports only ``__version__``.
 """
 

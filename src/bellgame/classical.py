@@ -10,10 +10,10 @@ total-payoff bound reduce to exact scans over them.
 Those scans compare integers: :func:`profile_table` builds the 64 profiles'
 payoffs from game.integer_form, which the GHZ engine reads too, and the
 equilibrium scan, the bound audit and its sampled mixtures all read that
-table.  The audit's sampler of seeded mixtures lives in
-:mod:`bellgame.mixtures`, which classical_bound_audit imports on its first
-call, so that only ``audit-bound`` loads it.  Reported values stay exact
-``Fraction`` s.
+table.  By Fine's theorem every local hidden-variable model is a mixture
+of those 64 profiles, so the audit samples such mixtures directly; the
+``random`` module loads with the first audit, so that only ``audit-bound``
+imports it.  Reported values stay exact ``Fraction`` s.
 The ``Fraction`` routes that the tests hold the scans to (deterministic
 payoffs by direct summation, the hidden-variable models, and the
 type-relabelled distributions) live in tests/oracles.py.  The
@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .game import (
     PLAYERS,
@@ -43,6 +43,10 @@ from .game import (
     integer_form,
     profile_index,
 )
+
+if TYPE_CHECKING:
+    import random
+    from collections.abc import Iterator
 
 #: A deterministic strategy (y(0), y(1)): the action played for each own type.
 Strategy = tuple[Bit, Bit]
@@ -218,18 +222,37 @@ class BoundAuditReport(NamedTuple):
         return self.deterministic_max / 3
 
 
-#: Most mixtures one audit draws: each costs about 0.012 ms (100000 samples
+#: Most mixtures one audit draws: each costs about 0.010 ms (100000 samples
 #: of table1 on a 2-vCPU Xeon, Python 3.11), so the cap keeps an audit near
-#: 12 s.
+#: 10 s.
 AUDIT_MAX_SAMPLES = 1_000_000
+#: Most deterministic profiles that one sampled mixture puts weight on.
+MIXTURE_MAX_ATOMS = 8
+
+
+def _sampled_payoffs(
+    profiles: ProfileTable, rng: random.Random, samples: int
+) -> Iterator[tuple[tuple[int, int, int], int]]:
+    """Exact payoffs of ``samples`` random mixtures of the 64 profiles: per
+    mixture the three players' integer numerators and their common
+    denominator.  A mixture has ``randint(1, MIXTURE_MAX_ATOMS)`` atoms, each
+    a profile ``randrange(64)`` of raw weight ``randint(1, 100)``."""
+    nums, den = profiles.numerators, profiles.denominator
+    randint, randrange = rng.randint, rng.randrange
+    for _ in range(samples):
+        na = nb = nc = weight = 0
+        for _ in range(randint(1, MIXTURE_MAX_ATOMS)):
+            a, b, c = nums[randrange(64)]
+            w = randint(1, 100)
+            na, nb, nc, weight = na + w * a, nb + w * b, nc + w * c, weight + w
+        yield (na, nb, nc), weight * den
 
 
 def classical_bound_audit(
     profiles: ProfileTable, samples: int = 1000, seed: int = 0
 ) -> BoundAuditReport:
     """Verify the total-payoff cap on a game's 64 deterministic profiles
-    (its :func:`profile_table`) and on seeded random hidden-variable
-    mixtures.
+    (its :func:`profile_table`) and on seeded random mixtures of them.
 
     The deterministic maximum IS the classical bound (total payoff is affine
     in the mixture weights), so the sampled part is a consistency audit.
@@ -242,10 +265,7 @@ def classical_bound_audit(
         raise ValidationError(f"sample count must be at most {AUDIT_MAX_SAMPLES}")
     if seed < 0:  # random.Random(-n) would draw the samples of seed n
         raise ValidationError("seed must be non-negative")
-    # the sampler and the random module load with the first audit
-    import random
-
-    from .mixtures import _sampled_payoffs
+    import random  # loads with the first audit
 
     det_max = profiles.max_total()
     attaining = tuple(ALL_PROFILES[k] for k in profiles.attainers())

@@ -24,9 +24,9 @@ with open().  Nor does it import hashlib, whose OpenSSL binding costs more
 to load than the digests it would serve: game.sha256 is CPython's built-in
 sha256, with hashlib's only as a fallback.  Each other engine loads with the
 first command that runs it: the GHZ engine and numpy with ``bell
---setting``, ``optimize`` and ``check``, and the audit's sampler
-(mixtures) and the random module with ``audit-bound``.  ``equilibria`` and
-``bell`` without a setting run on the exact engine alone.
+--setting``, ``optimize`` and ``check``, and the random module with
+``audit-bound``.  ``equilibria`` and ``bell`` without a setting run on the
+exact engine alone.
 
 Exit codes: 0 success, 2 validation failure (also when ``optimize`` or
 ``check`` reads a game outside the GHZ engine's magnitude rule,

@@ -17,7 +17,7 @@ the GHZ engine's magnitude rule.
 
 The module imports from ``bellgame`` only value types, constants and small
 helpers, never an engine that it checks (``profile_table``,
-``integer_form``, ``mixtures._sampled_payoffs``, the ``ghz_*`` functions,
+``integer_form``, ``classical._sampled_payoffs``, the ``ghz_*`` functions,
 ``maximize_planar`` or ``best_response_check``);
 ``tests/test_dead_code.py`` holds it to that.  The trace rule
 (``quantum.quantum_distribution`` and what it calls) and
@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from bellgame.classical import STRATEGIES, StrategyProfile
+from bellgame.classical import MIXTURE_MAX_ATOMS, STRATEGIES, StrategyProfile
 from bellgame.game import (
     PLAYERS,
     PROFILES,
@@ -52,7 +52,6 @@ from bellgame.game import (
     ValidationError,
     profile_index,
 )
-from bellgame.mixtures import MIXTURE_DENOMINATOR, MIXTURE_MAX_ATOMS
 from bellgame.quantum import ALGEBRA_TOL, IDENTITY2, TAU, wrap_angle
 
 # ---------------------------------------------------------------------------
@@ -269,6 +268,10 @@ def hv_model_to_distribution(model: HiddenVariableModel) -> ConditionalDistribut
     return ConditionalDistribution(tuple(rows))
 
 
+#: Response denominator of random_hidden_variable_model.
+MIXTURE_DENOMINATOR = 16
+
+
 @lru_cache(maxsize=None)  # one tuple per process, built on first use
 def _response_rows() -> tuple[tuple[Fraction, Fraction], ...]:
     """The response rows (k/d, 1 - k/d) of the seeded random mixtures, k = 0
@@ -285,8 +288,7 @@ def random_hidden_variable_model(rng: random.Random) -> HiddenVariableModel:
     response in an atom is, with equal chance, a deterministic strategy or
     a pair of response rows whose p(y=0|x) are multiples of
     1/MIXTURE_DENOMINATOR.  The draws are made with the public ``randint``,
-    ``choice`` and ``random``: the reference that the audit's own draws in
-    ``mixtures._sampled_payoffs`` are tested against.
+    ``choice`` and ``random``.
     """
     d = MIXTURE_DENOMINATOR
     rows = _response_rows()
@@ -303,6 +305,23 @@ def random_hidden_variable_model(rng: random.Random) -> HiddenVariableModel:
             responses.append((rows[k0], rows[k1]))
         atoms.append((Fraction(w, sum(raw)), tuple(responses)))
     return HiddenVariableModel(tuple(atoms))
+
+
+def random_profile_mixture(rng: random.Random) -> HiddenVariableModel:
+    """Seeded random mixture of deterministic profiles, drawn with the
+    public calls of the audit's ``classical._sampled_payoffs``: one to
+    MIXTURE_MAX_ATOMS atoms, each a profile index ``randrange(64)`` and then
+    a raw weight ``randint(1, 100)``; an atom's weight is its raw weight
+    over their sum.  Profile k plays ``STRATEGIES[k // 16]``,
+    ``STRATEGIES[k // 4 % 4]`` and ``STRATEGIES[k % 4]``.
+    """
+    raw = []
+    for _ in range(rng.randint(1, MIXTURE_MAX_ATOMS)):
+        k = rng.randrange(64)
+        profile = (STRATEGIES[k // 16], STRATEGIES[k // 4 % 4], STRATEGIES[k % 4])
+        raw.append((rng.randint(1, 100), profile))
+    total = sum(w for w, _ in raw)
+    return HiddenVariableModel.from_profiles([(Fraction(w, total), p) for w, p in raw])
 
 
 def flip_types(dist: ConditionalDistribution, flips: Profile) -> ConditionalDistribution:

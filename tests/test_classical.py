@@ -12,6 +12,7 @@ from bellgame.classical import (
     STRATEGIES,
     BellVariant,
     _deterministic_correlator,
+    _sampled_payoffs,
     bell_expression,
     classical_bound_audit,
     correlator,
@@ -29,7 +30,6 @@ from bellgame.game import (
     expected_payoffs,
     no_signalling_residual,
 )
-from bellgame.mixtures import MIXTURE_WEIGHT_CAP, _sampled_payoffs
 from oracles import (
     HiddenVariableModel,
     affine_transform,
@@ -41,6 +41,7 @@ from oracles import (
     make_uniform_distribution,
     make_uniform_prior,
     random_hidden_variable_model,
+    random_profile_mixture,
     relabelled_copy,
     seeded_relabelling,
     strategy_to_distribution,
@@ -73,28 +74,14 @@ def constant_game():
 @pytest.fixture(scope="module")
 def mixed_sign_game():
     """Seeded integer utilities of 21 to 25 digits, of either sign, under a
-    uniform prior: the audit's packed fields are wider than 64 bits, and
-    its staging steps, differences of packed sums, go negative."""
+    uniform prior: payoff numerators far wider than 64 bits."""
     rng = random.Random(27)
-    game = GameDefinition(
+    return GameDefinition(
         table_from_function(
             lambda i, x, y: rng.choice((-1, 1)) * rng.randrange(10**20, 10**25)
         ),
         make_uniform_prior(),
     )
-    # the packing of _sampled_payoffs; the step of p = 0 is C's packed sum
-    # of strategy 2 less that of strategy 3
-    numerators = game.profile_table.numerators
-    lows = [min(column) for column in zip(*numerators)]
-    span = max(n - lo for row in numerators for n, lo in zip(row, lows))
-    width = MIXTURE_WEIGHT_CAP.bit_length() + span.bit_length()
-    packed = [
-        sum((n - lo) << i * width for i, (n, lo) in enumerate(zip(row, lows)))
-        for row in numerators
-    ]
-    assert width > 64
-    assert any(packed[k + 2] < packed[k + 3] for k in range(0, 64, 4))
-    return game
 
 GAMES = ["table1", "affine_game", "nonuniform_game"]
 
@@ -600,37 +587,32 @@ class TestProfileTable:
         for k, profile in enumerate(ALL_PROFILES):
             assert profiles.payoffs(k) == deterministic_payoffs(table, prior, profile)
 
-    @pytest.mark.parametrize("game", [*GAMES, "mixed_sign_game"])
-    def test_sampled_payoffs_match_fraction_oracle(self, game, request):
-        game = request.getfixturevalue(game)
-        profiles = profile_table(game.utilities, game.prior)
-        for seed in (11, 12):
-            # both routes draw from their own copy of one seeded rng, so
-            # they stay in step only if every draw makes the same rng calls
-            model_rng, audit_rng = random.Random(seed), random.Random(seed)
-            for numerators, den in _sampled_payoffs(profiles, audit_rng, 100):
-                model = random_hidden_variable_model(model_rng)
-                triple = PayoffTriple(*(F(n, den) for n in numerators))
-                assert triple == expected_payoffs(
-                    game.utilities, game.prior, hv_model_to_distribution(model)
-                )
-            # a draw that one route makes and the other skips shows here
-            assert audit_rng.getstate() == model_rng.getstate()
+
+class TestSampledPayoffs:
+    """The audit's sampled mixtures against the Fraction oracle: both routes
+    draw from their own copy of one seeded rng, so they stay in step only if
+    every mixture makes the same rng calls."""
 
     @staticmethod
     def assert_samples_match_oracle(table, prior, seed, samples):
-        """_sampled_payoffs against the Fraction oracle, in step on one
-        seed; returns the profile table and the sampled numerators."""
         profiles = profile_table(table, prior)
         model_rng, audit_rng = random.Random(seed), random.Random(seed)
-        sampled = list(_sampled_payoffs(profiles, audit_rng, samples))
-        for numerators, den in sampled:
-            model = random_hidden_variable_model(model_rng)
+        drawn = 0
+        for numerators, den in _sampled_payoffs(profiles, audit_rng, samples):
+            model = random_profile_mixture(model_rng)
+            # a draw that one route makes and the other skips shows here
+            assert audit_rng.getstate() == model_rng.getstate()
             assert PayoffTriple(*(F(n, den) for n in numerators)) == expected_payoffs(
                 table, prior, hv_model_to_distribution(model)
             )
-        assert audit_rng.getstate() == model_rng.getstate()
-        return profiles, sampled
+            drawn += 1
+        assert drawn == samples
+
+    @pytest.mark.parametrize("game", [*GAMES, "mixed_sign_game"])
+    def test_samples_match_fraction_oracle(self, game, request):
+        game = request.getfixturevalue(game)
+        for seed in (11, 12):
+            self.assert_samples_match_oracle(game.utilities, game.prior, seed, 100)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -639,53 +621,17 @@ class TestProfileTable:
         st.randoms(use_true_random=False),
         st.integers(0, 2**32),
     )
-    @example([F(-5, 7)], None, random.Random(0), 0)  # a constant table: span 0
+    @example([F(-5, 7)], None, random.Random(0), 0)  # a constant table
     @example([-(10**31), F(-3, 10**9), 7], [0, 0, 5, 0, 1, 0, 0, 9], random.Random(1), 2)
-    def test_packed_samples_match_fraction_oracle(self, pool, raw_prior, pick, seed):
-        """The packed contraction on large, negative and constant tables,
-        under uniform and non-uniform priors."""
+    def test_samples_match_fraction_oracle_on_large_tables(self, pool, raw_prior, pick, seed):
+        """Large, negative and constant tables, under uniform and
+        non-uniform priors."""
         table = table_from_function(lambda i, x, y: pick.choice(pool))
         if raw_prior is None:
             prior = make_uniform_prior()
         else:
             prior = Prior(tuple(F(w, sum(raw_prior)) for w in raw_prior))
         self.assert_samples_match_oracle(table, prior, seed, 4)
-
-    def test_packed_fields_near_their_width_stay_exact(self):
-        """Profile payoffs whose offsets span 2**110 - 1 for every player:
-        all prior mass sits on the all-zero type profile, where the all-zero
-        action profile pays M_i - span and every other one pays M_i.  The
-        first mixture of seed 4266 fills a packed field past half its width,
-        so a field one bit narrower would carry into the next one."""
-        span = 2**110 - 1
-        base = (-(10**31), 10**31, -(10**31))
-        table = table_from_function(
-            lambda i, x, y: base[i] - span if y == (0, 0, 0) else base[i]
-        )
-        prior = Prior((F(1),) + (F(0),) * 7)
-        profiles, sampled = self.assert_samples_match_oracle(table, prior, 4266, 1)
-        lows = [min(column) for column in zip(*profiles.numerators)]
-        width = MIXTURE_WEIGHT_CAP.bit_length() + span.bit_length()
-        (numerators, den), = sampled
-        weight = den // profiles.denominator
-        fields = [n - lo * weight for n, lo in zip(numerators, lows)]
-        assert max(fields) >= 2 ** (width - 1)
-
-
-def test_sampled_payoffs_make_the_draws_of_randint_and_choice(table1):
-    """The audit's rejection loops over getrandbits make exactly the draws
-    of random_hidden_variable_model, which draws with the public randint,
-    choice and random: a twin rng is in the same state after each mixture."""
-    profiles = profile_table(table1.utilities, table1.prior)
-    for seed in range(50):
-        rng, reference = random.Random(seed), random.Random(seed)
-        mixtures = 0
-        for _ in _sampled_payoffs(profiles, rng, 200):
-            random_hidden_variable_model(reference)
-            assert rng.getstate() == reference.getstate()
-            mixtures += 1
-        assert mixtures == 200
-        assert rng.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("name", [*GAMES, "constant_game"])

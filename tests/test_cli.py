@@ -53,9 +53,12 @@ F = Fraction
 #: All four check cases, here and in PINNED_KEY_ORDER, were re-recorded when
 #: check's distribution moved from the trace rule to the GHZ closed form:
 #: row_sum_max_error and no_signalling_max_residual moved by at most 3.3e-16.
+#: The audit-bound nonuniform_game case, here and in PINNED_KEY_ORDER, was
+#: re-recorded when the audit began to sample mixtures of the 64
+#: deterministic profiles: its max_min_payoff went from 7/12 to 44483/75384.
 PINNED_RESULTS = {
     ("audit-bound", "table1"): "9600c69b834e0231aa2db49638a73567f0c74c2083185cd0453b1729b216d730",
-    ("audit-bound", "nonuniform_game"): "753c0c6c70e985cd3c21f17b0798c2420e726b77d03b631a4678f742e52e3e62",
+    ("audit-bound", "nonuniform_game"): "1131fc9698eee57e74190c7c92f9999e4ac51a3abcaf96210ffb63d9acb481a9",
     ("audit-bound", "affine_game"): "617326a10c82371e09204519ad481d984136cbba4139b1008d08ee1f210364d2",
     ("equilibria", "table1"): "2afb1d31e6733c8d115d6ec3ee1e76abebe9f7165fe9fa952e700acf59d24cf8",
     ("equilibria", "nonuniform_game"): "0467d699bd7a3fcd36dda75853cf31858f87e664be75d4e0782aff1f588253f9",
@@ -77,7 +80,7 @@ PINNED_RESULTS = {
 #: timing, digest and writing code moved into main.
 PINNED_KEY_ORDER = {
     ("audit-bound", "table1"): "1933bf6cc134ae9b44cc9a2c3ed2aa8bdcf3c28125e2c984e90a9e5fed0a3b48",
-    ("audit-bound", "nonuniform_game"): "a43bee72805bc4c3e871c36cfbf0b144f8f1f22d969c484e2f2ba3af6fe08858",
+    ("audit-bound", "nonuniform_game"): "f1cb177ccdd649c04a9f01c4363a9d3d29630c57db919093acb6e1c0d06e1718",
     ("audit-bound", "affine_game"): "b85ac5ebc1b25bee0f0dddb0f97fd195736a8ed402a7f8b543bd65e05136b335",
     ("equilibria", "table1"): "e680ce42ef39aca4d74e6b975ab34b25daa69ab70c75519ae03ae8c5f81a6b63",
     ("equilibria", "nonuniform_game"): "177a65fd12c5f0162a2b7d7b6ddc930d38aadb1cc35258d0ba3e006665c22d8b",
@@ -629,7 +632,7 @@ class TestBadNumbers:
             ["check", "--setting", "{string_angles}"],
             # random.Random(-1) would draw the samples of seed 1
             ["audit-bound", "--seed", "-1"],
-            # the limit that keeps an audit near a minute
+            # the limit that keeps an audit near 10 s
             ["audit-bound", "--samples", "1000001"],
         ],
     )
@@ -801,20 +804,25 @@ class TestEntryPoint:
         )
         assert proc.stdout == "[0, 0, 0] False\n"
 
-    def test_only_audit_bound_loads_the_sampler(self):
+    def test_only_audit_bound_loads_random(self):
+        """The interpreter starts with -S, since ``site`` may import random
+        itself (through a .pth file); the code puts src first on sys.path."""
         code = (
-            "import io, sys\n"
+            "import sys\n"
+            "sys.path[:0] = sys.argv[1:2]\n"
+            "import io\n"
             "from contextlib import redirect_stdout\n"
             "from bellgame.cli import main\n"
             "loaded = []\n"
             "with redirect_stdout(io.StringIO()):\n"
             "    for c in ('equilibria', 'bell', 'audit-bound'):\n"
             "        main([c])\n"
-            "        loaded.append('bellgame.mixtures' in sys.modules)\n"
+            "        loaded.append('random' in sys.modules)\n"
             "print(loaded)\n"
         )
+        src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True
         )
         assert proc.stdout == "[False, False, True]\n"
 
@@ -851,8 +859,8 @@ class TestEntryPoint:
             pytest.param(
                 [["equilibria"], ["bell"]],
                 [
-                    "bellgame.mixtures", "dataclasses", "hashlib", "importlib.resources",
-                    "inspect", "pathlib", "random",
+                    "dataclasses", "hashlib", "importlib.resources", "inspect",
+                    "pathlib", "random",
                 ],
                 id="classical",
             ),
@@ -861,15 +869,15 @@ class TestEntryPoint:
                 ["dataclasses", "hashlib", "importlib.resources", "inspect", "pathlib"],
                 id="audit",
             ),
-            # numpy imports inspect itself, and numpy.random hashlib
+            # numpy imports inspect itself, and numpy.random hashlib and random
             pytest.param(
                 [["optimize", "--restarts", "1"], ["check", "--setting", "SETTING"]],
-                ["bellgame.mixtures", "dataclasses"],
+                ["dataclasses"],
                 id="ghz",
             ),
             pytest.param(
                 [["check", "--setting", "SETTING"], ["bell", "--setting", "SETTING"]],
-                ["bellgame.mixtures", "dataclasses", "hashlib"],
+                ["dataclasses", "hashlib", "random"],
                 id="setting",
             ),
         ],

@@ -62,7 +62,6 @@ ORACLE_IMPORTS = {
     "Frozen",
     "GameDefinition",
     "IDENTITY2",
-    "MIXTURE_DENOMINATOR",
     "MIXTURE_MAX_ATOMS",
     "Numeric",
     "PLAYERS",
