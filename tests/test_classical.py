@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bellgame import classical
 from bellgame.classical import (
     ALL_PROFILES,
+    MIXTURE_MAX_ATOMS,
     STRATEGIES,
     BellVariant,
     _deterministic_correlator,
@@ -613,6 +614,23 @@ class TestSampledPayoffs:
         game = request.getfixturevalue(game)
         for seed in (11, 12):
             self.assert_samples_match_oracle(game.utilities, game.prior, seed, 100)
+
+    @pytest.mark.parametrize("game", [*GAMES, "mixed_sign_game"])
+    def test_samples_lie_between_the_profile_payoffs(self, game, request):
+        """Without the oracle: a sample is a mixture of the 64 profiles with
+        raw weights summing to W, 1 <= W <= 100 * MIXTURE_MAX_ATOMS, so its
+        denominator is W times the profile table's, and each player's
+        numerator, and their total, lies between W times the least and the
+        greatest of the profiles' own."""
+        game = request.getfixturevalue(game)
+        profiles = profile_table(game.utilities, game.prior)
+        columns = [*zip(*profiles.numerators), [sum(n) for n in profiles.numerators]]
+        lows, highs = [min(c) for c in columns], [max(c) for c in columns]
+        for numerators, den in _sampled_payoffs(profiles, random.Random(5), 500):
+            weight, rest = divmod(den, profiles.denominator)
+            assert rest == 0 and 1 <= weight <= 100 * MIXTURE_MAX_ATOMS
+            for n, lo, hi in zip([*numerators, sum(numerators)], lows, highs):
+                assert lo * weight <= n <= hi * weight
 
     @settings(max_examples=20, deadline=None)
     @given(
