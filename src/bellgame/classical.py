@@ -222,9 +222,9 @@ class BoundAuditReport(NamedTuple):
         return self.deterministic_max / 3
 
 
-#: Most mixtures one audit draws: each costs about 0.010 ms (100000 samples
-#: of table1 on a 2-vCPU Xeon, Python 3.11), so the cap keeps an audit near
-#: 10 s.
+#: Most mixtures one audit draws: each costs about 0.0022 ms (100000
+#: samples of table1 on a 2-vCPU Xeon, Python 3.11), so the cap keeps an
+#: audit near 3 s (2.5-2.9 s for the whole command).
 AUDIT_MAX_SAMPLES = 1_000_000
 #: Most deterministic profiles that one sampled mixture puts weight on.
 MIXTURE_MAX_ATOMS = 8
@@ -236,14 +236,30 @@ def _sampled_payoffs(
     """Exact payoffs of ``samples`` random mixtures of the 64 profiles: per
     mixture the three players' integer numerators and their common
     denominator.  A mixture has ``randint(1, MIXTURE_MAX_ATOMS)`` atoms, each
-    a profile ``randrange(64)`` of raw weight ``randint(1, 100)``."""
+    a profile ``randrange(64)`` of raw weight ``randint(1, 100)``.
+
+    The draws call ``rng.getrandbits`` directly, exactly as ``randint`` and
+    ``randrange`` make them: a value below n is ``getrandbits(n.bit_length())``,
+    drawn again while it is n or more.  So the samples, and the rng's state
+    after each one, are those of the public calls, without their overhead."""
     nums, den = profiles.numerators, profiles.denominator
-    randint, randrange = rng.randint, rng.randrange
+    getrandbits = rng.getrandbits
+    atom_bits = MIXTURE_MAX_ATOMS.bit_length()
+    profile_bits, weight_bits = (64).bit_length(), (100).bit_length()
     for _ in range(samples):
+        atoms = getrandbits(atom_bits)
+        while atoms >= MIXTURE_MAX_ATOMS:
+            atoms = getrandbits(atom_bits)
         na = nb = nc = weight = 0
-        for _ in range(randint(1, MIXTURE_MAX_ATOMS)):
-            a, b, c = nums[randrange(64)]
-            w = randint(1, 100)
+        for _ in range(atoms + 1):
+            k = getrandbits(profile_bits)
+            while k >= 64:
+                k = getrandbits(profile_bits)
+            a, b, c = nums[k]
+            w = getrandbits(weight_bits)
+            while w >= 100:
+                w = getrandbits(weight_bits)
+            w += 1
             na, nb, nc, weight = na + w * a, nb + w * b, nc + w * c, weight + w
         yield (na, nb, nc), weight * den
 

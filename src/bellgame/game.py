@@ -497,12 +497,19 @@ def game_from_json_dict(doc: dict) -> GameDefinition:
     if doc.get("players") != ["A", "B", "C"]:
         raise ValidationError('players: must be exactly ["A", "B", "C"]')
 
+    # Each distinct string is read once.  Only strings are looked up, and a
+    # bad entry raises before it is stored, so the first one is named.
+    parsed: dict[str, Fraction] = {}
     prior_doc = _json_object(doc.get("prior"), _PRIOR_KEYS, "prior")
     weights = []
     for key in _PRIOR_KEYS:
         if key not in prior_doc:
             raise ValidationError(f"prior: missing entry for type {key!r}")
-        weights.append(parse_rational(prior_doc[key], f"prior[{key!r}]"))
+        v = prior_doc[key]
+        w = parsed.get(v) if isinstance(v, str) else None
+        if w is None:
+            w = parsed[v] = parse_rational(v, f"prior[{key!r}]")
+        weights.append(w)
     prior = Prior(tuple(weights))
 
     util_doc = _json_object(doc.get("utilities"), ("A", "B", "C"), "utilities")
@@ -518,7 +525,10 @@ def game_from_json_dict(doc: dict) -> GameDefinition:
             row = []
             try:
                 for v in row_doc:
-                    row.append(_rational(v))
+                    r = parsed.get(v) if isinstance(v, str) else None
+                    if r is None:
+                        r = parsed[v] = _rational(v)
+                    row.append(r)
             except ValidationError as exc:  # the entry at fault is the next one
                 field = f"utilities[{p.name!r}][{xi}][{len(row)}]"
                 raise ValidationError(f"{field}: {exc}") from exc.__cause__

@@ -308,8 +308,10 @@ def random_hidden_variable_model(rng: random.Random) -> HiddenVariableModel:
 
 
 def random_profile_mixture(rng: random.Random) -> HiddenVariableModel:
-    """Seeded random mixture of deterministic profiles, drawn with the
-    public calls of the audit's ``classical._sampled_payoffs``: one to
+    """Seeded random mixture of deterministic profiles, drawn with public
+    ``randint`` and ``randrange`` calls: the audit's
+    ``classical._sampled_payoffs`` makes the same ``getrandbits`` draws
+    directly, so the two stay in step.  It has one to
     MIXTURE_MAX_ATOMS atoms, each a profile index ``randrange(64)`` and then
     a raw weight ``randint(1, 100)``; an atom's weight is its raw weight
     over their sum.  Profile k plays ``STRATEGIES[k // 16]``,

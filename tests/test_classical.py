@@ -615,6 +615,28 @@ class TestSampledPayoffs:
         for seed in (11, 12):
             self.assert_samples_match_oracle(game.utilities, game.prior, seed, 100)
 
+    @pytest.mark.parametrize("game", ["table1", "affine_game"])
+    def test_samples_replay_the_public_calls_at_full_size(self, game, request):
+        """Over a default audit's 1000 samples per seed, the sampler's draws
+        are those of ``randint(1, MIXTURE_MAX_ATOMS)``, ``randrange(64)`` and
+        ``randint(1, 100)``, summed here in integers alone, and it leaves the
+        rng in the same state."""
+        game = request.getfixturevalue(game)
+        profiles = profile_table(game.utilities, game.prior)
+        nums, den = profiles.numerators, profiles.denominator
+        for seed in range(5):
+            audit_rng, public_rng = random.Random(seed), random.Random(seed)
+            replayed = []
+            for _ in range(1000):
+                na = nb = nc = weight = 0
+                for _ in range(public_rng.randint(1, MIXTURE_MAX_ATOMS)):
+                    a, b, c = nums[public_rng.randrange(64)]
+                    w = public_rng.randint(1, 100)
+                    na, nb, nc, weight = na + w * a, nb + w * b, nc + w * c, weight + w
+                replayed.append(((na, nb, nc), weight * den))
+            assert list(_sampled_payoffs(profiles, audit_rng, 1000)) == replayed
+            assert audit_rng.getstate() == public_rng.getstate()
+
     @pytest.mark.parametrize("game", [*GAMES, "mixed_sign_game"])
     def test_samples_lie_between_the_profile_payoffs(self, game, request):
         """Without the oracle: a sample is a mixture of the 64 profiles with

@@ -632,7 +632,7 @@ class TestBadNumbers:
             ["check", "--setting", "{string_angles}"],
             # random.Random(-1) would draw the samples of seed 1
             ["audit-bound", "--seed", "-1"],
-            # the limit that keeps an audit near 10 s
+            # the limit that keeps an audit near 3 s
             ["audit-bound", "--samples", "1000001"],
         ],
     )

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellgame.classical import ALL_PROFILES, profile_table
+from bellgame.builtin import DATA_DIR
+from bellgame.classical import ALL_PROFILES, enumerate_deterministic_equilibria, profile_table
 from bellgame.game import (
     PLAYERS,
     PROFILES,
@@ -769,6 +770,69 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as caught:
             game_from_json_dict(doc)
         assert isinstance(caught.value.__cause__, ZeroDivisionError) == ("zero" in message)
+
+    def test_repeated_strings_load_as_distinct_ones(self, table1):
+        """table1's file repeats 12 strings over 192 utilities and one over
+        the prior.  A copy that writes each value unreduced, with a factor
+        of its own at every place, repeats none, and loads to the same game,
+        digest and equilibria."""
+        doc = json.loads((Path(DATA_DIR) / "table1.json").read_text())
+        factors = itertools.count(2)
+
+        def unreduced(s):
+            v, k = Fraction(s), next(factors)
+            return f"{v.numerator * k}/{v.denominator * k}"
+
+        distinct = {
+            "players": doc["players"],
+            "prior": {key: unreduced(s) for key, s in doc["prior"].items()},
+            "utilities": {
+                p: [[unreduced(s) for s in row] for row in rows]
+                for p, rows in doc["utilities"].items()
+            },
+        }
+        strings = [*distinct["prior"].values()]
+        strings += [s for rows in distinct["utilities"].values() for row in rows for s in row]
+        assert len(set(strings)) == len(strings) == 8 + 192
+        repeated, copy = game_from_json_dict(doc), game_from_json_dict(distinct)
+        # each entry read apart from the loader, by Fraction's own parser
+        values = [Fraction(s) for rows in doc["utilities"].values() for row in rows for s in row]
+        assert [v for rows in copy.utilities.values for row in rows for v in row] == values
+        assert repeated == copy == table1
+        assert repeated.digest == copy.digest == table1.digest
+        assert enumerate_deterministic_equilibria(
+            repeated.profile_table
+        ) == enumerate_deterministic_equilibria(copy.profile_table)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1/0", "zero denominator in rational"),
+            ("1/2.0", """invalid rational '1/2.0'; expected a "num/den" or integer string"""),
+            (True, """invalid rational True; expected a "num/den" or integer string"""),
+            ([1], """invalid rational [1]; expected a "num/den" or integer string"""),
+        ],
+    )
+    def test_a_bad_entry_after_repeats_is_named_at_its_place(self, bad, message):
+        """Every entry is the string "1" up to utilities['B'][3][4], and
+        that entry, and every later one, is bad: the error names the first.
+        A bad prior entry after seven "1/8" is named the same way."""
+        ones = [["1"] * 8 for _ in range(8)]
+        rows = [[*row] for row in ones]
+        rows[3][4:] = [bad] * 4
+        rows[4:] = [[bad] * 8 for _ in range(4)]
+        doc = {
+            "players": ["A", "B", "C"],
+            "prior": {" ".join(map(str, x)): "1/8" for x in PROFILES},
+            "utilities": {"A": ones, "B": rows, "C": [[bad] * 8 for _ in range(8)]},
+        }
+        with pytest.raises(ValidationError) as caught:
+            game_from_json_dict(doc)
+        assert str(caught.value) == f"utilities['B'][3][4]: {message}"
+        doc["prior"]["1 1 1"] = bad
+        with pytest.raises(ValidationError) as caught:
+            game_from_json_dict(doc)
+        assert str(caught.value) == f"prior['1 1 1']: {message}"
 
     def test_missing_prior_entry_named(self, table1):
         doc = game_to_json_dict(table1)
