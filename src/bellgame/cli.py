@@ -7,14 +7,19 @@ the setting it read or None); ``main`` alone resolves the game, times the
 run, builds ``inputs`` (``game_digest``, plus ``setting_digest`` when a
 setting was read) and writes the report: command, inputs, engine version,
 wall time and ``results``, which are deterministic for fixed inputs and seed.
-Two things outlive a call, and no result depends on either: the argument
-parser, built once per process, and each bundled game, loaded once per
+Three things outlive a call, and no result depends on any of them: the
+argument parser, built once per process; each bundled game, loaded once per
 process by builtin_game together with what the game object derives on
 first use (see game.GameDefinition): its digest, profile table and GHZ
 weights, and the runs of ``optimize``'s grid starts (see
-optimize.PlanarSearch).  A game file is read into a new object on each
-call.  Callers that run many commands in one process (the tests, a
-benchmark) may call ``main`` again and again.
+optimize.PlanarSearch); and the Bell extremes of the 64 deterministic
+profiles, scanned once per process by classical._bell_extremes, the cache
+behind deterministic_bell_extremes.  A game file is read into a new object
+on each call.  Callers that run many commands in one process (the tests, a
+benchmark) may call ``main`` again and again.  In tests/test_cli.py,
+``TestRepeatedCalls.test_results_do_not_depend_on_the_process`` checks that
+every command reports the same in one process as in fresh ones, under other
+hash seeds.
 
 Start-up imports the exact engine (game, classical, builtin) and the
 standard modules every command uses: argparse, json and fractions.  It

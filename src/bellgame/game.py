@@ -178,8 +178,8 @@ class Prior(Frozen):
 class ConditionalDistribution(Frozen):
     """Row-stochastic table p(y | x): rows indexed by type profile x.
 
-    Entries are Fractions for classical sources (validated exactly) or
-    floats for quantum sources (validated within a tolerance).
+    Entries are Fractions for classical sources or floats for quantum
+    sources; validate() holds either kind to DEFAULT_TOL.
     """
 
     _fields = ("rows",)
@@ -538,8 +538,9 @@ def game_from_json_dict(doc: dict) -> GameDefinition:
 
 
 def read_json(path: str | Path) -> object:
-    """The JSON document in a file; a file that is not UTF-8 JSON, or holds a
-    number too long for Python to read, is a ValidationError."""
+    """The JSON document in a file; a file that is not UTF-8 JSON, holds a
+    number too long for Python to read or nests deeper than the recursion
+    limit, is a ValidationError."""
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
@@ -548,7 +549,7 @@ def read_json(path: str | Path) -> object:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    except ValueError as exc:  # int-string limit, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # int-string limit, not UTF-8, or too deep
         raise ValidationError(f"{path}: unreadable JSON: {exc}") from exc
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -43,41 +44,21 @@ from oracles import (
 F = Fraction
 
 
-#: sha256 of each report's results as one sorted-key JSON line
-#: (json.dumps(results, sort_keys=True) + "\n"). The audit-bound, equilibria
-#: and bell cases were recorded before the profile scans moved to integers;
-#: the optimize, bell --setting and check cases before their payoffs and Bell
-#: values moved from the trace rule to the GHZ engine.  The two check-optimum
-#: cases were re-recorded when the best-response search gave way to the
-#: closed form: their improvements moved in the last digits (at most 1.1e-16).
-#: All four check cases, here and in PINNED_KEY_ORDER, were re-recorded when
-#: check's distribution moved from the trace rule to the GHZ closed form:
-#: row_sum_max_error and no_signalling_max_residual moved by at most 3.3e-16.
-#: The audit-bound nonuniform_game case, here and in PINNED_KEY_ORDER, was
-#: re-recorded when the audit began to sample mixtures of the 64
-#: deterministic profiles: its max_min_payoff went from 7/12 to 44483/75384.
-PINNED_RESULTS = {
-    ("audit-bound", "table1"): "9600c69b834e0231aa2db49638a73567f0c74c2083185cd0453b1729b216d730",
-    ("audit-bound", "nonuniform_game"): "1131fc9698eee57e74190c7c92f9999e4ac51a3abcaf96210ffb63d9acb481a9",
-    ("audit-bound", "affine_game"): "617326a10c82371e09204519ad481d984136cbba4139b1008d08ee1f210364d2",
-    ("equilibria", "table1"): "2afb1d31e6733c8d115d6ec3ee1e76abebe9f7165fe9fa952e700acf59d24cf8",
-    ("equilibria", "nonuniform_game"): "0467d699bd7a3fcd36dda75853cf31858f87e664be75d4e0782aff1f588253f9",
-    ("equilibria", "affine_game"): "6cddb916d66b7be83ec5982918d3ef65ebd72381a954c5c72031c37f0eba2fc3",
-    ("bell", "table1"): "abd7851fb34874c424b5a25b4e8958221fd6e48a67deaccdd3f0c741c049f2de",
-    ("optimize", "table1"): "b5e57c4d17f1281872278cfbebcd6f2f67397e261441dcdb32d050dffba227ef",
-    ("optimize", "nonuniform_game"): "253b91f7836443d0fdda2490a7b9d86f040588053a2a27cf09fcec3fbbc01c11",
-    ("optimize", "affine_game"): "bd2e52ddf362ed1bf87ca33540b0c10edf449436dbfec26a8d1876c4acf65f7e",
-    ("bell-optimum", "table1"): "5e8234dfae27d70369ec4910d95d1c116dde2153d37d1e7e3032a03bb0d81642",
-    ("check-optimum-planar", "table1"): "9c2e4b7ca69dacf823bbcb0c78745315388d15b49f4d31e6db1f4c564b25f9a0",
-    ("check-optimum-full", "table1"): "1c5a6a1e8f1ca4c1411646be20fc10c7df15727b21c6e39c0aa9d610c06d1580",
-    ("check-tilted-planar", "table1"): "3c5bfa5623e5bae07e1fd0a8a82672d7f883e361f40be01b986042d0f5f97ccf",
-    ("check-tilted-full", "table1"): "dd2e768a3858f56697847a92e6462598666134b093db3149bdab1bcae75920b4",
-}
-
 #: sha256 of each pinned case's results as json.dumps(results) + "\n", with
-#: keys in report order: this pins the order of every key, which the
-#: sorted-key hashes above do not see.  Recorded before the commands' shared
-#: timing, digest and writing code moved into main.
+#: keys in report order: this pins every key, value and the order of the
+#: keys.  The audit-bound, equilibria and bell cases were recorded before the
+#: profile scans moved to integers; the optimize, bell --setting and check
+#: cases before their payoffs and Bell values moved from the trace rule to
+#: the GHZ engine, and all of them before the commands' shared timing, digest
+#: and writing code moved into main.  The two check-optimum cases were
+#: re-recorded when the best-response search gave way to the closed form:
+#: their improvements moved in the last digits (at most 1.1e-16).  All four
+#: check cases were re-recorded when check's distribution moved from the
+#: trace rule to the GHZ closed form: row_sum_max_error and
+#: no_signalling_max_residual moved by at most 3.3e-16.  The audit-bound
+#: nonuniform_game case was re-recorded when the audit began to sample
+#: mixtures of the 64 deterministic profiles: its max_min_payoff went from
+#: 7/12 to 44483/75384.
 PINNED_KEY_ORDER = {
     ("audit-bound", "table1"): "1933bf6cc134ae9b44cc9a2c3ed2aa8bdcf3c28125e2c984e90a9e5fed0a3b48",
     ("audit-bound", "nonuniform_game"): "f1cb177ccdd649c04a9f01c4363a9d3d29630c57db919093acb6e1c0d06e1718",
@@ -111,6 +92,41 @@ PINNED_ARGS = {
         for name in ("optimum", "tilted")
         for mode in ("planar", "full")
     },
+}
+
+
+#: Command lines on which a file copy of table1 must report what the builtin
+#: does; {setting} stands for the optimum's setting file.
+ROUND_TRIP_ARGS = [
+    ["equilibria"],
+    ["audit-bound", "--samples", "50", "--seed", "3"],
+    ["bell"],
+    ["bell", "--setting", "{setting}"],
+    ["optimize", "--restarts", "2"],
+    ["check", "--setting", "{setting}"],
+    ["check", "--setting", "{setting}", "--mode", "full"],
+]
+
+
+def _doubled(value: str) -> str:
+    """A rational string with numerator and denominator doubled: "2/1" ->
+    "4/2"."""
+    num, _, den = value.partition("/")
+    return f"{2 * int(num)}/{2 * int(den or 1)}"
+
+
+#: Texts of a game document that state the same game: compact, re-indented,
+#: and with every utility unreduced.
+ROUND_TRIP_COPIES = {
+    "compact": json.dumps,
+    "indent3": lambda doc: json.dumps(doc, indent=3),
+    "unreduced": lambda doc: json.dumps({
+        **doc,
+        "utilities": {
+            name: [[_doubled(v) for v in row] for row in rows]
+            for name, rows in doc["utilities"].items()
+        },
+    }),
 }
 
 
@@ -266,16 +282,25 @@ class TestEquilibriaCommand:
         assert report["engine_version"] == __version__
         assert report["inputs"]["game_digest"].startswith("sha256:")
 
-    def test_round_tripped_game_gives_identical_digest(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv", ROUND_TRIP_ARGS, ids=" ".join)
+    @pytest.mark.parametrize("copy", list(ROUND_TRIP_COPIES))
+    def test_round_tripped_game_gives_identical_digest(
+        self, capsys, tmp_path, optimum_setting_file, copy, argv
+    ):
+        """A file copy of table1 that differs from the bundled file byte for
+        byte, but not as a game, reports the builtin's exit code, game
+        digest and results on every command, and prints nothing to stderr."""
         path = tmp_path / "copy.json"
-        path.write_text(json.dumps(game_to_json_dict(builtin_game())))
-        _, builtin_report = run_cli(capsys, "equilibria")
-        _, file_report = run_cli(capsys, "equilibria", "--game", str(path))
-        assert (
-            file_report["inputs"]["game_digest"]
-            == builtin_report["inputs"]["game_digest"]
-        )
-        assert file_report["results"] == builtin_report["results"]
+        path.write_text(ROUND_TRIP_COPIES[copy](game_to_json_dict(builtin_game())))
+        argv = [arg.format(setting=optimum_setting_file) for arg in argv]
+        reports = []
+        for game in ("builtin:table1", str(path)):
+            code = main([*argv, "--game", game])
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            report = json.loads(captured.out)
+            reports.append((code, report["inputs"]["game_digest"], report["results"]))
+        assert reports[1] == reports[0]
 
 
 class TestAuditCommand:
@@ -396,9 +421,64 @@ class TestRepeatedCalls:
             assert captured.out == ""
             assert captured.err.endswith(too_large("A"))
 
+    def test_results_do_not_depend_on_the_process(
+        self, capsys, tmp_path, affine_game, optimum_setting_file
+    ):
+        """What outlives a call changes no result: two fresh processes under
+        different hash seeds, running the same command lines in opposite
+        orders, report what this process does.  optimize runs at four seeds
+        on the bundled game, whose object keeps its grid runs, and on a
+        relabelled file, read into a new object on each call.  The
+        interpreters start with -S, with src and numpy's directory first on
+        sys.path, as in TestEntryPoint."""
+        import numpy
+
+        path = tmp_path / "relabelled.json"
+        path.write_text(json.dumps(game_to_json_dict(affine_game), indent=2))
+        setting = ["--setting", optimum_setting_file]
+        argvs = [
+            ["optimize", "--seed", str(seed), *game]
+            for game in ([], ["--game", str(path)])
+            for seed in range(4)
+        ] + [
+            ["equilibria"], ["audit-bound"], ["bell"], ["bell", *setting],
+            ["check", *setting], ["check", *setting, "--mode", "full"],
+        ]
+        script = (
+            "import sys\n"
+            "sys.path[:0] = sys.argv[1:3]\n"
+            "import io, json\n"
+            "from contextlib import redirect_stdout\n"
+            "from bellgame.cli import main\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[3]):\n"
+            "    out = io.StringIO()\n"
+            "    with redirect_stdout(out):\n"
+            "        code = main(argv)\n"
+            "    runs.append([code, json.dumps(json.loads(out.getvalue())['results'])])\n"
+            "print(json.dumps(runs))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        site_dir = str(Path(numpy.__file__).resolve().parents[1])
+
+        def runs_in_a_process(hash_seed, lines):
+            proc = subprocess.run(
+                [sys.executable, "-S", "-c", script, src, site_dir, json.dumps(lines)],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": str(hash_seed)},
+            )
+            return [tuple(run) for run in json.loads(proc.stdout)]
+
+        here = []
+        for argv in argvs:
+            code, report = run_cli(capsys, *argv)
+            here.append((code, json.dumps(report["results"])))
+        assert runs_in_a_process(0, argvs) == here
+        assert runs_in_a_process(1, argvs[::-1])[::-1] == here
+
 
 class TestPinnedResults:
-    @pytest.mark.parametrize(("case", "game"), sorted(PINNED_RESULTS))
+    @pytest.mark.parametrize(("case", "game"), sorted(PINNED_KEY_ORDER))
     def test_results_match_pinned_hash(
         self, capsys, tmp_path, request, optimum_setting_file, tilted_setting_file,
         case, game,
@@ -413,8 +493,6 @@ class TestPinnedResults:
         argv = [arg.format(**files) for arg in PINNED_ARGS[case]]
         code, report = run_cli(capsys, *argv, "--game", selector)
         assert code == 0
-        line = json.dumps(report["results"], sort_keys=True) + "\n"
-        assert hashlib.sha256(line.encode()).hexdigest() == PINNED_RESULTS[case, game]
         line = json.dumps(report["results"]) + "\n"
         assert hashlib.sha256(line.encode()).hexdigest() == PINNED_KEY_ORDER[case, game]
         # the envelope: every subcommand, with and without a setting file
@@ -767,6 +845,20 @@ class TestBadNumbers:
         code = main(["bell", option, str(path)])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["equilibria", "--game"], ["bell", "--setting"]], ids=" ".join
+    )
+    def test_deeply_nested_file_exits_2(self, capsys, tmp_path, argv):
+        """JSON nested deeper than the recursion limit is an unreadable file
+        that the error names, not a RecursionError."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert str(path) in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestEntryPoint:
