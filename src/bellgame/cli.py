@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_bell)
 
-    p = sub.add_parser("optimize", help="maximize the quantum payoff")
+    p = sub.add_parser("optimize", help="planar GHZ optimum + advantage summary")
     add_common(p)
     add_config(p)
     p.set_defaults(func=cmd_optimize)

@@ -6,12 +6,14 @@ The objective landscape is smooth and low-dimensional (four free azimuths
 once the gauge a0 = b0 = 0 is fixed), so a seeded coarse grid scan followed
 by Nelder-Mead polish from the best starts finds the optimum reliably.  The
 polish is in-house and works in those four dimensions only, on 4-tuples
-and scalar locals: it follows SciPy's Nelder-Mead path exactly, float for
-float, without SciPy's per-iteration numpy overhead or its import.  A step
+and scalar locals: it follows the path of SciPy's Nelder-Mead with a stable
+argsort exactly, float for float, without SciPy's per-iteration numpy
+overhead or its import.  Tied vertices keep their order, as tied grid
+points do (see _grid_starts), so the path is the same on every CPU.  A step
 that replaces only the worst vertex puts the new one in place by bisection;
-the whole simplex is sorted, in ``np.argsort``'s order, only after a shrink,
-when the evaluation budget runs out, or while values tie or are NaN.  The
-contract is the value reached, not the search path.
+the whole simplex is sorted only after a shrink, when the evaluation budget
+runs out, or while a value is NaN.  The contract is the value reached, not
+the search path.
 
 The seed only chooses the random starts; each game object keeps the runs
 of its grid starts (see PlanarSearch).
@@ -36,10 +38,9 @@ player's two observables replaced.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from fractions import Fraction
 from math import sin
-from operator import lt
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -105,15 +106,15 @@ class _Exhausted(Exception):
 def _sort_simplex(
     fsim: list[float], sim: list[Azimuths]
 ) -> tuple[list[float], list[Azimuths]]:
-    """The values and their vertices in the order of ``np.argsort`` over the
-    values, as SciPy sorts its simplex.
+    """The values and their vertices in ascending order of the values, NaN
+    last, with tied values (zeros of either sign among them) and NaN values
+    in the order they stand: the order of ``np.argsort(kind="stable")``.
 
-    Distinct values have one ascending order.  Tied (or NaN) values take
-    the order that ``np.argsort`` gives them as they stand: it is not a
-    stable sort on every CPU, and the order of tied vertices steers the
-    rest of the path.
+    The order of tied vertices steers the rest of the path.  numpy's default
+    argsort, which SciPy calls, is not stable and orders ties by CPU; this
+    rule is one sorted() in pure Python, the same on every CPU.
     """
-    order = np.array(fsim).argsort().tolist()
+    order = sorted(range(len(fsim)), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
     return [fsim[i] for i in order], [sim[i] for i in order]
 
 
@@ -126,21 +127,22 @@ def _nelder_mead(
 
     This is SciPy 1.17's ``minimize(lambda x: -objective(x), x0,
     method="Nelder-Mead")`` with xatol NM_XATOL, fatol NM_FATOL,
-    maxiter NM_MAX_ITER and maxfev 4 * NM_MAX_ITER, in four dimensions on
-    Python floats: the same initial simplex, the same steps with the
-    coefficients rho = 1, chi = 2, psi = sigma = 1/2 substituted into
-    SciPy's expressions, and the same vertex order, so every point and
-    value is the same float as SciPy's.  The simplex is two parallel lists,
-    the values ``fsim`` and the vertices ``sim`` as 4-tuples, kept in
-    SciPy's order after every step.  Each step unpacks the vertices into
-    scalar locals; the centroid is (b + p + q + s) / 4 per coordinate,
-    summed left to right as SciPy's column sum does for these four rows.
-    While the values are distinct and none is NaN, ``np.argsort`` has one
-    answer, and a step that replaces only the worst vertex puts the new one
-    in place by bisection.  After a shrink, after the budget runs out, and
-    whenever a tie or a NaN is present, _sort_simplex sorts the whole
-    simplex, with ``np.argsort``'s order on ties.  ``objective`` gets each
-    point as a 4-tuple.
+    maxiter NM_MAX_ITER and maxfev 4 * NM_MAX_ITER, run with
+    ``np.argsort(kind="stable")`` in place of ``np.argsort``, in four
+    dimensions on Python floats: the same initial simplex, the same steps
+    with the coefficients rho = 1, chi = 2, psi = sigma = 1/2 substituted
+    into SciPy's expressions, and the same vertex order, so every point and
+    value is the same float as SciPy's on every CPU.  The value is that of
+    the returned vertex, the first of the final simplex.  The simplex is
+    two parallel lists, the values ``fsim`` and the vertices ``sim`` as
+    4-tuples, kept in the order of _sort_simplex after every step.  Each
+    step unpacks the vertices into scalar locals; the centroid is
+    (b + p + q + s) / 4 per coordinate, summed left to right as SciPy's
+    column sum does for these four rows.  A step that replaces only the
+    worst vertex puts the new one in place by bisection, after the
+    survivors it ties, while no survivor is NaN.  After a shrink, after
+    the budget runs out, and while a survivor is NaN, _sort_simplex sorts
+    the whole simplex.  ``objective`` gets each point as a 4-tuple.
     """
     max_fev = 4 * NM_MAX_ITER
     fatol, xatol = NM_FATOL, NM_XATOL
@@ -154,9 +156,8 @@ def _nelder_mead(
     # 5 evaluations, within budget
     fsim = [-objective(v) for v in vertices]
     nfev = 5
-    # SciPy sorts twice here; a second sort can only move tied vertices.
-    fsim, sim = _sort_simplex(*_sort_simplex(fsim, vertices))
-    distinct = all(map(lt, fsim, fsim[1:]))  # no tie and no NaN
+    # SciPy sorts twice here; a stable sort leaves a sorted simplex as it is.
+    fsim, sim = _sort_simplex(fsim, vertices)
 
     nit = 1
     while nfev < max_fev and nit < NM_MAX_ITER:
@@ -246,25 +247,18 @@ def _nelder_mead(
             nit += 1
         except _Exhausted:
             shrink = True  # a step cut short is sorted in full, as a shrink is
-        if distinct and not shrink:
+        if not shrink and fsim[3] == fsim[3]:
             # Only the worst vertex changed, and the survivors fsim[:4] are
-            # strictly ascending.  The new value is not NaN, since a NaN
-            # fails every comparison that accepts a vertex; unless it ties
-            # a survivor, bisection finds its one place.
-            fnew = fsim[4]
-            i = bisect_left(fsim, fnew, 0, 4)
-            if i == 4 or fsim[i] != fnew:
-                if i < 4:
-                    fsim.insert(i, fsim.pop())
-                    sim.insert(i, sim.pop())
-                continue
-        fsim, sim = _sort_simplex(fsim, sim)
-        distinct = all(map(lt, fsim, fsim[1:]))
+            # in order; NaN sorts last, so none of them is NaN.  Nor is the
+            # new value, since a NaN fails every comparison that accepts a
+            # vertex.  A stable sort puts it after the survivors it ties.
+            i = bisect_right(fsim, fsim[4], 0, 4)
+            fsim.insert(i, fsim.pop())
+            sim.insert(i, sim.pop())
+        else:
+            fsim, sim = _sort_simplex(fsim, sim)
 
-    # np.min over the values, as SciPy reports: with tied values (zeros of
-    # either sign) or a NaN it need not be the first.
-    value = -float(np.min(fsim))
-    return list(sim[0]), value, nfev < max_fev and nit < NM_MAX_ITER
+    return list(sim[0]), -float(fsim[0]), nfev < max_fev and nit < NM_MAX_ITER
 
 
 #: Runs whose values lie within this window of the best are treated as ties

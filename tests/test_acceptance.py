@@ -23,7 +23,7 @@ from bellgame.classical import (
     enumerate_deterministic_equilibria,
     profile_table,
 )
-from bellgame.game import Player, no_signalling_residual
+from bellgame.game import Player, format_rational, no_signalling_residual
 from bellgame.optimize import (
     EQUILIBRIUM_IMPROVEMENT_TOL,
     best_response_check,
@@ -144,10 +144,14 @@ def test_criterion_03_bell_bound_classical():
         all(abs(v) <= 2 for v in vals) and max(vals) == 2 and min(vals) == -2
         for vals in values.values()
     ) and elapsed < 1.0
+    extremes = ", ".join(
+        f"{variant.name} [{format_rational(min(v))}, {format_rational(max(v))}]"
+        for variant, v in values.items()
+    )
     report(
         "criterion 3: |Bell| <= 2 on all 64 profiles, value 2 attained",
         ok,
-        f"extremes {[ (min(v), max(v)) for v in values.values() ]}, {elapsed:.3f}s",
+        f"extremes {extremes}, {elapsed:.3f}s",
     )
 
 

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -252,20 +253,28 @@ def _deviation_grid(mode: str, res: int) -> np.ndarray:
 
 def _scipy_nelder_mead(objective, x0):
     """scipy.optimize.minimize's Nelder-Mead on -objective with the options
-    of the in-house polish: that polish's oracle, and the search of the
-    best-response oracle.  Skips the test without SciPy."""
+    of the in-house polish, and with np.argsort made stable for this call
+    only, so that tied vertices keep their order on every CPU: that
+    polish's oracle, and the search of the best-response oracle.  Skips the
+    test without SciPy."""
     minimize = pytest.importorskip("scipy.optimize").minimize
-    return minimize(
-        lambda x: -objective(x.tolist()),
-        np.asarray(x0, dtype=float),
-        method="Nelder-Mead",
-        options={
-            "xatol": optimize.NM_XATOL,
-            "fatol": optimize.NM_FATOL,
-            "maxiter": optimize.NM_MAX_ITER,
-            "maxfev": 4 * optimize.NM_MAX_ITER,
-        },
-    )
+    argsort = np.argsort
+
+    def stable_argsort(a):
+        return argsort(a, kind="stable")
+
+    with mock.patch.object(np, "argsort", stable_argsort):
+        return minimize(
+            lambda x: -objective(x.tolist()),
+            np.asarray(x0, dtype=float),
+            method="Nelder-Mead",
+            options={
+                "xatol": optimize.NM_XATOL,
+                "fatol": optimize.NM_FATOL,
+                "maxiter": optimize.NM_MAX_ITER,
+                "maxfev": 4 * optimize.NM_MAX_ITER,
+            },
+        )
 
 
 def _ghz_coefficients(game: GameDefinition, player: int) -> list[tuple]:
@@ -925,8 +934,9 @@ def _inf_edge(x: list[float]) -> float:
 
 class TestPolishMatchesScipy:
     """The in-house Nelder-Mead against scipy.optimize.minimize with the same
-    options, the oracle: the same point, value and success flag, by == and
-    by repr (by repr alone for a NaN value)."""
+    options and a stable argsort, the oracle: the same point, value (the
+    first of the final simplex) and success flag, by == and by repr (by
+    repr alone for a NaN value)."""
 
     @pytest.fixture(scope="class")
     def oracle(self):
@@ -938,7 +948,9 @@ class TestPolishMatchesScipy:
         for objective, x0 in polishes:
             res = oracle(objective, x0)
             got = optimize._nelder_mead(objective, x0)
-            expected = (res.x.tolist(), -float(res.fun), bool(res.success))
+            expected = (
+                res.x.tolist(), -float(res.final_simplex[1][0]), bool(res.success)
+            )
             assert repr(got) == repr(expected)  # the signs of zeros, and NaN
             if not math.isnan(got[1]):  # a NaN value is never == to itself
                 assert got == expected
@@ -1077,22 +1089,38 @@ class TestPolishMatchesScipy:
             res = oracle(scripted(), [0.3, -1.2, 2.0, 0.7])
             before = len(exits)
             got = optimize._nelder_mead(scripted(), [0.3, -1.2, 2.0, 0.7])
-            expected = (res.x.tolist(), -float(res.fun), bool(res.success))
+            expected = (
+                res.x.tolist(), -float(res.final_simplex[1][0]), bool(res.success)
+            )
             assert repr(got) == repr(expected), step
             assert got[0] == expected[0] and res.nfev == 4 * optimize.NM_MAX_ITER
             assert not got[2] and res.nit < optimize.NM_MAX_ITER, step
             assert len(exits) - before == (step != "end of a step"), step
         assert len(exits) == 4 and exits == sorted(set(exits))
 
-    def test_tied_values_follow_numpy_argsort(self, oracle, monkeypatch):
-        """Tied vertices are ordered as np.argsort orders them, which need
-        not be the order of a stable sort."""
+    def test_tied_values_keep_their_order(self, oracle, monkeypatch):
+        """Tied vertices keep the order they stand in, NaN last, as
+        np.argsort(kind="stable") orders them: numpy's default argsort puts
+        the three tied ones of (2, 1, 1, 1, 0) in the order 1, 3, 2 on some
+        CPUs and 1, 2, 3 on others.  The rounded bowl ties often, and every
+        sort of its runs keeps that order."""
+        sort = optimize._sort_simplex
+        assert sort([2.0, 1.0, 1.0, 1.0, 0.0], list("abcde")) == (
+            [0.0, 1.0, 1.0, 1.0, 2.0], list("ebcda")
+        )
+        nan = math.nan
+        assert repr(sort([nan, 0.0, nan, -0.0, -1.0], list("abcde"))) == repr(
+            ([-1.0, 0.0, -0.0, nan, nan], list("ebdac"))
+        )
         real_sort = optimize._sort_simplex
         tie_sorts = []
 
         def spy(fsim, sim):
+            ordered = real_sort(fsim, sim)
+            order = np.argsort(fsim, kind="stable").tolist()
+            assert ordered == ([fsim[i] for i in order], [sim[i] for i in order])
             tie_sorts.append(len(set(fsim)) < len(fsim))
-            return real_sort(fsim, sim)
+            return ordered
 
         monkeypatch.setattr(optimize, "_sort_simplex", spy)
         rng = np.random.default_rng(11)
@@ -1144,20 +1172,19 @@ class TestPolishMatchesScipy:
         shrinks later the reflection is finite again and is expanded; that
         step replaces only the worst vertex, but a NaN value is still among
         the survivors, so the simplex must be sorted in full, not put in
-        order by bisection, whose survivors must be strictly ascending.  Two
-        NaN values are never ==, so a distinct flag that counted the set of
-        values would let them through."""
-        real_bisect = optimize.bisect_left
+        order by bisection, whose survivors must be NaN-free and
+        ascending."""
+        real_bisect = optimize.bisect_right
         bisections = []
 
         def spy(a, x, lo, hi):
             survivors = a[lo:hi]
             assert not any(map(math.isnan, survivors))
-            assert all(u < v for u, v in zip(survivors, survivors[1:]))
+            assert all(u <= v for u, v in zip(survivors, survivors[1:]))
             bisections.append(survivors)
             return real_bisect(a, x, lo, hi)
 
-        monkeypatch.setattr(optimize, "bisect_left", spy)
+        monkeypatch.setattr(optimize, "bisect_right", spy)
         values = []
 
         def nan_corner(x: list[float]) -> float:
@@ -1196,11 +1223,16 @@ class TestPolishMatchesScipy:
         ]
         assert partial
 
-    def test_value_of_tied_signed_zeros_is_numpy_min(self, oracle):
-        """With tied vertex values the reported value is np.min's pick, as
-        in scipy: here the sort keeps 0.0 first and np.min returns -0.0."""
+    def test_value_of_tied_signed_zeros_is_the_first_vertexs(self, oracle):
+        """With tied vertex values the reported value is that of the first
+        vertex, the one returned, with its sign: np.min, which scipy
+        reports as fun, may pick either zero, and which one depends on the
+        CPU."""
         def signed_zero(x: list[float]) -> float:
             return 0.0 if x[0] > 0.3 else -0.0
 
         x0 = [0.3, 0.0, 0.0, 0.0]
-        self.assert_same_paths(oracle, [(signed_zero, x0)])
+        (res,) = self.assert_same_paths(oracle, [(signed_zero, x0)])
+        # the objective's values at the final vertices: the first is x0
+        values = [-v for v in res.final_simplex[1].tolist()]
+        assert res.x.tolist() == x0 and repr(values) == repr([-0.0, 0.0, -0.0, -0.0, -0.0])

@@ -1,5 +1,6 @@
-"""Smoke runs of the reproduction scripts at small sizes, so that a change
-to the library API cannot break them unnoticed."""
+"""Runs of the reproduction scripts at their default sizes, as a reader
+runs them, so that a change to the library API cannot break them
+unnoticed, and of their argument checks."""
 
 import importlib.util
 import math
@@ -19,18 +20,20 @@ def load_script(name: str):
 
 def test_landscape_scan(tmp_path, capsys):
     out = tmp_path / "scan.csv"
-    load_script("landscape_scan").main(["--resolution", "5", "--out", str(out)])
+    load_script("landscape_scan").main(["--out", str(out)])
     lines = out.read_text().splitlines()
-    assert lines[0] == "c0,c1,payoff" and len(lines) == 1 + 5 * 5
+    # the default resolution is 90 points per angle
+    assert lines[0] == "c0,c1,payoff" and len(lines) == 1 + 90 * 90
     values = [float(line.split(",")[2]) for line in lines[1:]]
     assert max(values) <= (13 + 2 * math.sqrt(13)) / 24 + 1e-12
     assert "grid max" in capsys.readouterr().err
 
 
 def test_reproduce_results(capsys):
-    load_script("reproduce_results").main(["--samples", "10"])
+    load_script("reproduce_results").main([])
     out = capsys.readouterr().out
     assert "total: 9 equilibria, 3 fair" in out
+    assert "max total over 1000 random mixtures: 9/4 (within bound: True)" in out
     assert f"common payoff: {(13 + 2 * math.sqrt(13)) / 24:.9f}" in out
     assert "certified equilibrium (threshold 1e-06): True" in out
 
