@@ -12,8 +12,9 @@ payoffs from game.integer_form, which the GHZ engine reads too, and the
 equilibrium scan, the bound audit and its sampled mixtures all read that
 table.  By Fine's theorem every local hidden-variable model is a mixture
 of those 64 profiles, so the audit samples such mixtures directly; the
-``random`` module loads with the first audit, so that only ``audit-bound``
-imports it.  Reported values stay exact ``Fraction`` s.
+``random`` module loads with the first audit, so that of the classical
+commands only ``audit-bound`` imports it.  Reported values stay exact
+``Fraction`` s.
 The ``Fraction`` routes that the tests hold the scans to (deterministic
 payoffs by direct summation, the hidden-variable models, and the
 type-relabelled distributions) live in tests/oracles.py.  The

@@ -30,8 +30,9 @@ to load than the digests it would serve: game.sha256 is CPython's built-in
 sha256, with hashlib's only as a fallback.  Each other engine loads with the
 first command that runs it: the GHZ engine and numpy with ``bell
 --setting``, ``optimize`` and ``check``, and the random module with
-``audit-bound``.  ``equilibria`` and ``bell`` without a setting run on the
-exact engine alone.
+``audit-bound`` and ``optimize``, the two commands that draw seeded points.
+No command loads numpy.random.  ``equilibria`` and ``bell`` without a
+setting run on the exact engine alone.
 
 Exit codes: 0 success, 2 validation failure (also when ``optimize`` or
 ``check`` reads a game outside the GHZ engine's magnitude rule,
@@ -329,8 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="output path (default stdout)")
 
     def add_config(p):
-        p.add_argument("--restarts", type=int, default=12)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--restarts", type=int, default=12,
+            help="grid starts and random starts to polish, each (1 to 10000; default 12)",
+        )
+        p.add_argument(
+            "--seed", type=int, default=0,
+            help="seed of random.Random, which draws the random starts (0 or more; default 0)",
+        )
 
     p = sub.add_parser("equilibria", help="enumerate deterministic Nash equilibria")
     add_common(p)
@@ -340,8 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
         "audit-bound", help="verify the classical total-payoff bound"
     )
     add_common(p)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--samples", type=int, default=1000,
+        help="random mixtures to audit (0 to 1000000; default 1000)",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of random.Random, which draws the mixtures (0 or more; default 0)",
+    )
     p.set_defaults(func=cmd_audit_bound)
 
     p = sub.add_parser("bell", help="evaluate the two Bell expressions")

@@ -15,7 +15,11 @@ the whole simplex is sorted only after a shrink, when the evaluation budget
 runs out, or while a value is NaN.  The contract is the value reached, not
 the search path.
 
-The seed only chooses the random starts; each game object keeps the runs
+The seed only chooses the random starts, drawn with random.Random(seed):
+four azimuths per start, each uniform in [-pi, pi], from the Mersenne
+Twister, so a seed gives the same starts on every platform and on Python
+3.10 and later.  random loads with the first search, so that ``check``, which
+imports this module, does not load it.  Each game object keeps the runs
 of its grid starts (see PlanarSearch).
 
 Certification needs no search.  With the other two players' observables
@@ -455,15 +459,21 @@ def maximize_planar(
     On the equator only the triple correlator survives, so each payoff is
     const_i + sum_x coef_i[x] sin(a(x_A) + b(x_B) + c(x_C)) with constants
     and coefficients read off the game's GHZ weights.  The top points of a
-    grid scan and seeded random points start Nelder-Mead polishes; more
-    restarts can only improve the reported value (up to the tie window).
+    grid scan and as many seeded random points start Nelder-Mead polishes;
+    the random points take four draws each of
+    random.Random(config.seed).uniform(-pi, pi), in order.  More restarts
+    can only improve the reported value (up to the tie window).
     The runs of the grid starts are kept on the game object (see
     PlanarSearch).
     """
+    import random  # loads with the first search
+
     config = config or OptimizationConfig()
     search = game.planar_search
-    rng = np.random.default_rng(config.seed)
-    random_starts = rng.uniform(-math.pi, math.pi, size=(config.restarts, 4))
+    uniform = random.Random(config.seed).uniform
+    random_starts = [
+        [uniform(-math.pi, math.pi) for _ in range(4)] for _ in range(config.restarts)
+    ]
     runs = search.grid_runs(config.restarts) + _polish(search.objective, random_starts)
     _, angles, ok = _best_run(runs)
     a1, b1, c0, c1 = angles

@@ -61,6 +61,10 @@ F = Fraction
 #: 7/12 to 44483/75384.  The three optimize cases were re-recorded when the
 #: polish began to keep tied vertices in order, the same on every CPU: their
 #: angles moved by at most 3.2e-8 and their Bell values by at most 7.5e-8,
+#: and their values and payoffs kept every printed digit.  The table1 and
+#: affine_game optimize cases were re-recorded when the random starts came
+#: to be drawn with random.Random in place of numpy's default_rng: their
+#: angles moved by at most 2.8e-8 and their Bell values by at most 6.8e-8,
 #: and their values and payoffs kept every printed digit.
 PINNED_KEY_ORDER = {
     ("audit-bound", "table1"): "1933bf6cc134ae9b44cc9a2c3ed2aa8bdcf3c28125e2c984e90a9e5fed0a3b48",
@@ -70,9 +74,9 @@ PINNED_KEY_ORDER = {
     ("equilibria", "nonuniform_game"): "177a65fd12c5f0162a2b7d7b6ddc930d38aadb1cc35258d0ba3e006665c22d8b",
     ("equilibria", "affine_game"): "266d6d798a2202a58e79556a116fff8f47e77de1d21406771cfc8bdda579bb26",
     ("bell", "table1"): "7286f5425d75a018c0cf4a469eb55b9bad68c7a07e6901994fe545da92c8a496",
-    ("optimize", "table1"): "19cc3bff135635ab343e7917f10e69b2c05622a00d7d6420be34b8309a90aff3",
+    ("optimize", "table1"): "58c06d433a52fbe5366fd30eb2b4aa3d81862bdc4d6cab97f5da3e3fc78debc6",
     ("optimize", "nonuniform_game"): "2829f9117b225b443d1537625dbe5f4bc57b78f0d06261f29116fa1e64a92dea",
-    ("optimize", "affine_game"): "ee71b9ecfb339790df9c025952ea02837ada8cd536bb6124f2b0bbe2e3734134",
+    ("optimize", "affine_game"): "662496ba529868793530b5f3c9facb57f7ac3337bf9b57e599f1fc9d54c4d489",
     ("bell-optimum", "table1"): "6e824f35970bd331b532458a30214c9bbe28d725d1ec30b781433c43c943b8e6",
     ("check-optimum-planar", "table1"): "f26f03863c69540477048788880bfacdeeb8143d2177672c670f6df06e003e36",
     ("check-optimum-full", "table1"): "c1eeb436bbdbf17ade2e61bbc815f8d2adc630d66cd8512d39817069e766d04e",
@@ -904,27 +908,34 @@ class TestEntryPoint:
         )
         assert proc.stdout == "[0, 0, 0] False\n"
 
-    def test_only_audit_bound_loads_random(self):
-        """The interpreter starts with -S, since ``site`` may import random
-        itself (through a .pth file); the code puts src first on sys.path."""
+    def test_only_the_seeded_commands_load_random(self):
+        """Of the classical commands only audit-bound loads random, and
+        optimize loads it for its random starts.  The interpreter starts
+        with -S, since ``site`` may import random itself (through a .pth
+        file); the code puts src first on sys.path, and numpy's directory
+        after it."""
+        import numpy
+
         code = (
             "import sys\n"
-            "sys.path[:0] = sys.argv[1:2]\n"
+            "sys.path[:0] = sys.argv[1:3]\n"
             "import io\n"
             "from contextlib import redirect_stdout\n"
             "from bellgame.cli import main\n"
             "loaded = []\n"
             "with redirect_stdout(io.StringIO()):\n"
-            "    for c in ('equilibria', 'bell', 'audit-bound'):\n"
+            "    for c in ('equilibria', 'bell', 'audit-bound', 'optimize'):\n"
             "        main([c])\n"
             "        loaded.append('random' in sys.modules)\n"
             "print(loaded)\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
+        site_dir = str(Path(numpy.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True
+            [sys.executable, "-S", "-c", code, src, site_dir],
+            capture_output=True, text=True, check=True,
         )
-        assert proc.stdout == "[False, False, True]\n"
+        assert proc.stdout == "[False, False, True, True]\n"
 
     def test_digests_fall_back_to_hashlib(self, reference_angles):
         """With neither built-in sha256 module importable, game.sha256 is
@@ -969,10 +980,10 @@ class TestEntryPoint:
                 ["dataclasses", "hashlib", "importlib.resources", "inspect", "pathlib"],
                 id="audit",
             ),
-            # numpy imports inspect itself, and numpy.random hashlib and random
+            # numpy imports inspect itself, and optimize random for its starts
             pytest.param(
                 [["optimize", "--restarts", "1"], ["check", "--setting", "SETTING"]],
-                ["dataclasses"],
+                ["dataclasses", "hashlib", "numpy.random", "secrets"],
                 id="ghz",
             ),
             pytest.param(

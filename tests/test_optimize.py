@@ -803,6 +803,25 @@ class TestGridRunsKeptPerGame:
         for config, report in reports:
             assert _as_reported(report) == _as_reported(maximize_planar(_fresh(table1), config))
 
+    @pytest.mark.parametrize(("seed", "restarts"), [(0, 1), (1, 12), (7, 5), (2**40 + 3, 3)])
+    def test_random_starts_are_drawn_with_random_random(
+        self, table1, monkeypatch, seed, restarts
+    ):
+        """On a fresh object the grid starts come first; the random starts
+        after them are four uniform(-pi, pi) draws each, in order."""
+        polished = []
+        real_nelder_mead = optimize._nelder_mead
+
+        def nelder_mead(objective, x0):
+            polished.append(tuple(x0))
+            return real_nelder_mead(objective, x0)
+
+        monkeypatch.setattr(optimize, "_nelder_mead", nelder_mead)
+        maximize_planar(_fresh(table1), OptimizationConfig(restarts=restarts, seed=seed))
+        uniform = random.Random(seed).uniform
+        draws = [uniform(-math.pi, math.pi) for _ in range(4 * restarts)]
+        assert polished[restarts:] == [tuple(draws[k:k + 4]) for k in range(0, 4 * restarts, 4)]
+
 
 class TestBoundHierarchyLP:
     """Linear programs over the 64 entries p(y|x), built from the utilities
