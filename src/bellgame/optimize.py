@@ -8,12 +8,13 @@ by Nelder-Mead polish from the best starts finds the optimum reliably.  The
 polish is in-house and works in those four dimensions only, on 4-tuples
 and scalar locals: it follows the path of SciPy's Nelder-Mead with a stable
 argsort exactly, float for float, without SciPy's per-iteration numpy
-overhead or its import.  Tied vertices keep their order, as tied grid
-points do (see _grid_starts), so the path is the same on every CPU.  A step
-that replaces only the worst vertex puts the new one in place by bisection;
-the whole simplex is sorted only after a shrink, when the evaluation budget
-runs out, or while a value is NaN.  The contract is the value reached, not
-the search path.
+overhead or its import.  That holds on objectives that never return NaN,
+and the planar objective never does (see _planar_rows).  Tied vertices
+keep their order, as tied grid points do (see _grid_starts), so the path
+is the same on every CPU.  A step that replaces only the worst vertex puts
+the new one in place by bisection; the whole simplex is sorted only after a
+shrink or when the evaluation budget runs out.  The contract is the value
+reached, not the search path.
 
 The seed only chooses the random starts, drawn with random.Random(seed):
 four azimuths per start, each uniform in [-pi, pi], from the Mersenne
@@ -24,9 +25,10 @@ of its grid starts (see PlanarSearch).
 
 Certification needs no search.  With the other two players' observables
 fixed, a player's GHZ payoff is affine in the Bloch vectors of their own two
-observables, so the best deviation is the unit vector along each gradient
-and the improvement it buys is exact (see best_response_check).  The tests
-hold it to the search it replaced, run with SciPy's Nelder-Mead.
+observables, with gradients read off the game's GHZ weights in closed form,
+so the best deviation is the unit vector along each gradient and the
+improvement it buys is exact (see best_response_check).  The tests hold it
+to the search it replaced, run with SciPy's Nelder-Mead.
 
 Every game takes the same path, and every engine takes its game
 explicitly: the search, the best responses and the reported payoffs all
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from math import sin
+from math import cos, sin
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -58,7 +60,7 @@ from .game import (
     Player,
     ValidationError,
 )
-from .quantum import MeasurementSetting, ghz_features, ghz_payoffs, wrap_angle
+from .quantum import MeasurementSetting, ghz_payoffs, wrap_angle
 
 #: A candidate counts as a numerical equilibrium when no player can gain
 #: more than this by a unilateral change of their own observables.
@@ -110,15 +112,15 @@ class _Exhausted(Exception):
 def _sort_simplex(
     fsim: list[float], sim: list[Azimuths]
 ) -> tuple[list[float], list[Azimuths]]:
-    """The values and their vertices in ascending order of the values, NaN
-    last, with tied values (zeros of either sign among them) and NaN values
-    in the order they stand: the order of ``np.argsort(kind="stable")``.
+    """The values and their vertices in ascending order of the values, with
+    tied values (zeros of either sign among them) in the order they stand:
+    the order of ``np.argsort(kind="stable")`` on values that are not NaN.
 
     The order of tied vertices steers the rest of the path.  numpy's default
     argsort, which SciPy calls, is not stable and orders ties by CPU; this
     rule is one sorted() in pure Python, the same on every CPU.
     """
-    order = sorted(range(len(fsim)), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
     return [fsim[i] for i in order], [sim[i] for i in order]
 
 
@@ -136,17 +138,17 @@ def _nelder_mead(
     dimensions on Python floats: the same initial simplex, the same steps
     with the coefficients rho = 1, chi = 2, psi = sigma = 1/2 substituted
     into SciPy's expressions, and the same vertex order, so every point and
-    value is the same float as SciPy's on every CPU.  The value is that of
-    the returned vertex, the first of the final simplex.  The simplex is
-    two parallel lists, the values ``fsim`` and the vertices ``sim`` as
-    4-tuples, kept in the order of _sort_simplex after every step.  Each
-    step unpacks the vertices into scalar locals; the centroid is
-    (b + p + q + s) / 4 per coordinate, summed left to right as SciPy's
-    column sum does for these four rows.  A step that replaces only the
-    worst vertex puts the new one in place by bisection, after the
-    survivors it ties, while no survivor is NaN.  After a shrink, after
-    the budget runs out, and while a survivor is NaN, _sort_simplex sorts
-    the whole simplex.  ``objective`` gets each point as a 4-tuple.
+    value is the same float as SciPy's on every CPU, on objectives that
+    never return NaN.  The value is that of the returned vertex, the first
+    of the final simplex.  The simplex is two parallel lists, the values
+    ``fsim`` and the vertices ``sim`` as 4-tuples, kept in the order of
+    _sort_simplex after every step.  Each step unpacks the vertices into
+    scalar locals; the centroid is (b + p + q + s) / 4 per coordinate,
+    summed left to right as SciPy's column sum does for these four rows.  A
+    step that replaces only the worst vertex puts the new one in place by
+    bisection, after the survivors it ties.  After a shrink and after the
+    budget runs out, _sort_simplex sorts the whole simplex.  ``objective``
+    gets each point as a 4-tuple.
     """
     max_fev = 4 * NM_MAX_ITER
     fatol, xatol = NM_FATOL, NM_XATOL
@@ -169,9 +171,9 @@ def _nelder_mead(
         b0, b1, b2, b3 = best
         w0, w1, w2, w3 = worst
         fbest, fworst = fsim[0], fsim[4]
-        # The values are ascending with any NaN last, so fworst - fbest is
-        # SciPy's max |fsim[0] - fsim[1:]|, NaN included.  The vertices are
-        # tested worst first, the one most likely to be far from the best.
+        # The values are ascending, so fworst - fbest is SciPy's
+        # max |fsim[0] - fsim[1:]|.  The vertices are tested worst first,
+        # the one most likely to be far from the best.
         # SciPy's break here skips its end-of-iteration sort; so does this
         # one.
         if fworst - fbest <= fatol:
@@ -251,11 +253,9 @@ def _nelder_mead(
             nit += 1
         except _Exhausted:
             shrink = True  # a step cut short is sorted in full, as a shrink is
-        if not shrink and fsim[3] == fsim[3]:
+        if not shrink:
             # Only the worst vertex changed, and the survivors fsim[:4] are
-            # in order; NaN sorts last, so none of them is NaN.  Nor is the
-            # new value, since a NaN fails every comparison that accepts a
-            # vertex.  A stable sort puts it after the survivors it ties.
+            # in order.  A stable sort puts it after the survivors it ties.
             i = bisect_right(fsim, fsim[4], 0, 4)
             fsim.insert(i, fsim.pop())
             sim.insert(i, sim.pop())
@@ -508,13 +508,6 @@ class BestResponseVerdict(NamedTuple):
         return self.max_improvement < EQUILIBRIUM_IMPROVEMENT_TOL
 
 
-#: Bloch angles (theta, phi) of the probe observables along x, y, +z and
-#: -z: a player's payoffs at these four read off the affine map of one of
-#: their observables.
-_PROBE_THETA = np.array([math.pi / 2, math.pi / 2, 0.0, math.pi])
-_PROBE_PHI = np.array([0.0, math.pi / 2, 0.0, 0.0])
-
-
 def best_response_check(
     game: GameDefinition, candidate: MeasurementSetting, mode: str = "planar"
 ) -> BestResponseVerdict:
@@ -534,60 +527,57 @@ def best_response_check(
     planar deviation.  An observable whose g_t has no part to align with
     stays the candidate's own (its azimuth on the equator, in planar mode).
 
-    Each g_t comes from the player's payoffs with that observable swapped
-    for the probes x, y, +z and -z: g_z = (u_+z - u_-z)/2 and, with
-    c' = (u_+z + u_-z)/2, g_x = u_x - c' and g_y = u_y - c'.  All 24 probe
-    settings go through one ghz_payoffs call.
+    Each g_t is read off player p's GHZ weights W[p, x, k] (see
+    quantum.ghz_weights) as a sum over the type profiles x with x_p = t,
+    where q and r are the other two players, each with the Bloch vector of
+    their own type in x.  The pair features z_p z_q and z_p z_r give the
+    z-part W[p, x, f_pq] z_q + W[p, x, f_pr] z_r.  The triple correlator is
+    -Im of the product of the three n_x + i n_y, so it gives the xy-part
+    -W[p, x, 4] (Im P, Re P) with P = (q_x + i q_y)(r_x + i r_y).
     """
     if mode not in ("planar", "full_sphere"):
         raise ValidationError(f"unknown best-response mode {mode!r}")
-    weights = game.ghz_weights
-    theta0, phi0 = candidate.theta, candidate.phi
-    baseline = ghz_payoffs(weights, candidate.ghz_features)
-
-    # Axes: deviating player, their type bit, probe, then the setting's own
-    # (player, type bit) axes.
-    shape = (3, 2, 4, 3, 2)
-    theta = np.broadcast_to(theta0, shape).copy()
-    phi = np.broadcast_to(phi0, shape).copy()
-    player, bit = np.arange(3)[:, None], np.arange(2)[None, :]
-    theta[player, bit, :, player, bit] = _PROBE_THETA
-    phi[player, bit, :, player, bit] = _PROBE_PHI
-    own = ghz_payoffs(weights, ghz_features(theta, phi))[player, bit, :, player]
-    u_x, u_y, u_up, u_down = np.moveaxis(own, -1, 0)
-    rest = (u_up + u_down) / 2
-    g = np.stack([u_x - rest, u_y - rest, (u_up - u_down) / 2], axis=-1)
-    sin0 = np.sin(theta0)
-    n = np.stack([sin0 * np.cos(phi0), sin0 * np.sin(phi0), np.cos(theta0)], axis=-1)
-    reach = g.copy()  # the part of g that a deviation can align with
-    if mode == "planar":
-        reach[..., 2] = 0.0
-    norm = np.sqrt((reach * reach).sum(axis=-1))
-    payoffs = baseline + (norm - (g * n).sum(axis=-1)).sum(axis=-1)
-
-    aligned = norm > 0
-    best_theta = np.where(
-        aligned,
-        np.arctan2(np.hypot(reach[..., 0], reach[..., 1]), reach[..., 2]),
-        theta0 if mode == "full_sphere" else math.pi / 2,
-    )
-    best_phi = np.where(aligned, np.arctan2(reach[..., 1], reach[..., 0]), phi0)
-    # improvement is payoff - baseline exactly, as floats, so that the
-    # reported payoff and improvement agree.
-    responses = tuple(
-        PlayerBestResponse(
+    full_sphere = mode == "full_sphere"
+    theta0, phi0 = candidate.theta.tolist(), candidate.phi.tolist()
+    baseline = ghz_payoffs(game.ghz_weights, candidate.ghz_features).tolist()
+    # The Bloch vector (x, y, z) of each observable, by player and type bit.
+    bloch = [
+        [(sin(t) * cos(f), sin(t) * sin(f), cos(t)) for t, f in zip(thetas, phis)]
+        for thetas, phis in zip(theta0, phi0)
+    ]
+    responses = []
+    for p, rows, base in zip(PLAYERS, game.ghz_weights.tolist(), baseline):
+        q, r = (i for i in PLAYERS if i != p)
+        g = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        for x, w in zip(PROFILES, rows):
+            (qx, qy, qz), (rx, ry, rz) = bloch[q][x[q]], bloch[r][x[r]]
+            g_t = g[x[p]]
+            g_t[0] -= w[4] * (qx * ry + qy * rx)
+            g_t[1] -= w[4] * (qx * rx - qy * ry)
+            # The pair feature of players i < j is column i + j: AB 1, AC 2, BC 3.
+            g_t[2] += w[p + q] * qz + w[p + r] * rz
+        theta, phi = [list(row) for row in theta0], [list(row) for row in phi0]
+        gains = []
+        for t, ((gx, gy, gz), (nx, ny, nz)) in enumerate(zip(g, bloch[p])):
+            reach_z = gz if full_sphere else 0.0  # the part a deviation can align with
+            norm = math.sqrt(gx * gx + gy * gy + reach_z * reach_z)
+            gains.append(norm - (gx * nx + gy * ny + gz * nz))
+            if norm > 0:
+                theta[p][t] = math.atan2(math.hypot(gx, gy), reach_z)
+                phi[p][t] = math.atan2(gy, gx)
+            elif not full_sphere:
+                theta[p][t] = math.pi / 2
+        payoff = base + (gains[0] + gains[1])
+        # improvement is payoff - base exactly, as floats, so that the
+        # reported payoff and improvement agree.
+        responses.append(PlayerBestResponse(
             player=p,
             improvement=payoff - base,
             payoff=payoff,
-            deviation=MeasurementSetting(
-                np.where(player == p, best_theta, theta0),
-                np.where(player == p, best_phi, phi0),
-            ),
-        )
-        for p, base, payoff in zip(PLAYERS, baseline.tolist(), payoffs.tolist())
-    )
+            deviation=MeasurementSetting(theta, phi),
+        ))
     return BestResponseVerdict(
-        mode=mode, baseline=PayoffTriple(*baseline.tolist()), responses=responses
+        mode=mode, baseline=PayoffTriple(*baseline), responses=tuple(responses)
     )
 
 

@@ -243,11 +243,12 @@ _TYPE_BITS = tuple(np.array(bits) for bits in zip(*PROFILES))
 #: The GHZ engine's magnitude rule: ghz_weights accepts a game only if each
 #: player's S_i = sum_x sum_y P(x)|u_i(x, y)| lies below this limit.  Every
 #: outcome-sign feature has |f| <= 1, so a player's 40 weights sum in
-#: magnitude to at most 5/8 S_i.  That bounds, in any summation order, every
-#: GHZ payoff and every planar constant, grid value and probe payoff of
-#: optimize by about S_i, the fair cap by sum_i S_i / 3, and
-#: best_response_check's squared gradient norms by about 5 S_i**2, which is
-#: below 2**1024: no float of the engine can overflow.
+#: magnitude to at most 5/8 S_i, and the 32 of its correlator features to at
+#: most S_i / 2.  That bounds, in any summation order, every GHZ payoff and
+#: every planar constant and grid value of optimize by about S_i, the fair
+#: cap by sum_i S_i / 3, and each gradient of best_response_check by about
+#: S_i / 2 in norm, so its squared norms by about S_i**2 / 4, which is below
+#: 2**1024: no float of the engine can overflow.
 MAGNITUDE_LIMIT = 2**500
 
 

@@ -332,3 +332,82 @@ def test_criterion_11_optimum_is_global_over_quantum_advisors(table1, affine_gam
         True,
         f"{len(games)} games, worst relative gap {worst:.1e}",
     )
+
+
+#: Rounds of best-response dynamics within which each start of criterion 12
+#: must settle; the slowest start took 45 rounds, the last of them moving
+#: no one.
+BEST_RESPONSE_ROUNDS = 100
+
+#: Starts of criterion 12 that settle in each payoff class, all-z class
+#: first, per game.
+SETTLED_CLASSES = {"table1": (11, 9), "affine_game": (7, 13), "relabelled-0": (7, 13)}
+
+
+def test_criterion_12_best_response_dynamics_settle_on_fair_equilibria(table1, affine_game):
+    """Only fair equilibria: from 20 seeded full-sphere settings per game,
+    players move in turn to their exact best response while one gains more
+    than 1e-13.  Every start settles within BEST_RESPONSE_ROUNDS on a
+    setting certified in both modes, whose payoffs are equal, and equal to
+    c/3 or (c + 4 sqrt(alpha^2 + beta^2))/3 of table1's Bell decomposition
+    (the bound of criterion 11), mapped affinely on the copies.  In the
+    first class every observable lies along z; it is fair but below the
+    classical fair cap (13/24 < 3/4 on table1).  The second is the planar
+    optimum's value."""
+    c, _, form = bell_decomposition(table1)
+    _, (alpha, beta) = form
+    classes = (float(c) / 3, (float(c) + 4 * math.hypot(alpha, beta)) / 3)
+    assert classes[0] == 13 / 24
+    assert classes[1] == pytest.approx(ANALYTIC_OPTIMUM, abs=1e-15)
+    relabelling = seeded_relabelling(0)
+    games = {
+        "table1": (table1, 1, 0),
+        "affine_game": (affine_game, F(7, 3), F(-5, 2)),
+        "relabelled-0": (relabelled_copy(table1, *relabelling), *relabelling[2:]),
+    }
+    settled = {}
+    for name, (game, scale_by, shift_by) in games.items():
+        values = [float(scale_by) * v + float(shift_by) for v in classes]
+        rng = random.Random(SEED)
+        counts = [0, 0]
+        for start in range(20):
+            angles = [
+                (math.acos(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi))
+                for _ in range(6)
+            ]
+            theta, phi = np.reshape(angles, (3, 2, 2)).transpose(2, 0, 1)
+            setting = MeasurementSetting(theta, phi)
+            for _ in range(BEST_RESPONSE_ROUNDS):
+                moved = False
+                for p in Player:
+                    response = best_response_check(game, setting, "full_sphere").responses[p]
+                    if response.improvement > 1e-13:
+                        setting, moved = response.deviation, True
+                if not moved:
+                    break
+            else:
+                report("criterion 12: dynamics settle", False, f"{name}: start {start}")
+            verdicts = [
+                best_response_check(game, setting, mode) for mode in ("planar", "full_sphere")
+            ]
+            payoffs = verdicts[0].baseline
+            scale = max(1.0, *map(abs, payoffs))
+            gaps = [abs(v - payoffs.total() / 3) for v in values]
+            kind = gaps.index(min(gaps))
+            ok = (
+                all(v.is_equilibrium for v in verdicts)
+                and max(payoffs) - min(payoffs) <= 1e-9 * scale
+                and gaps[kind] <= 1e-9 * scale
+                and (kind == 1 or np.abs(np.cos(setting.theta)).min() >= 1 - 1e-9)
+            )
+            if not ok:
+                report("criterion 12: fair equilibrium", False, f"{name}: start {start}")
+            counts[kind] += 1
+        settled[name] = tuple(counts)
+    report(
+        "criterion 12: best-response dynamics settle only on fair equilibria",
+        settled == SETTLED_CLASSES,
+        ", ".join(
+            f"{name}: {lo} at c/3, {hi} at (c + 4r)/3" for name, (lo, hi) in settled.items()
+        ),
+    )

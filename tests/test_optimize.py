@@ -40,6 +40,7 @@ from oracles import (
     affine_transform,
     constant_table,
     gauge_equivalent,
+    magnitude,
     make_uniform_prior,
     planar_row_phasors,
     reduced_planar_maximum,
@@ -373,6 +374,42 @@ def _searched_best_responses(
     return best
 
 
+#: Bloch angles (theta, phi) of the probe observables along x, y, +z and -z.
+PROBE_THETA = np.array([math.pi / 2, math.pi / 2, 0.0, math.pi])
+PROBE_PHI = np.array([0.0, math.pi / 2, 0.0, 0.0])
+
+
+def _probed_gradients(game: GameDefinition, theta0, phi0) -> np.ndarray:
+    """The gradients g_t of best_response_check at the candidates (theta0,
+    phi0), of shape (N, 3, 2), rebuilt from the engine's payoffs at probe
+    observables: shape (N, 3, 2, 3), by candidate, player, type bit and
+    component.  Each player's payoffs with one observable swapped for x, y,
+    +z and -z give g_z = (u_+z - u_-z)/2 and, with c' = (u_+z + u_-z)/2,
+    g_x = u_x - c' and g_y = u_y - c'.  All 24 probes of every candidate go
+    through one ghz_payoffs call.  This is the reconstruction that reading
+    g off the GHZ weights replaced."""
+    shape = (len(theta0), 3, 2, 4, 3, 2)
+    theta = np.broadcast_to(theta0[:, None, None, None], shape).copy()
+    phi = np.broadcast_to(phi0[:, None, None, None], shape).copy()
+    player, bit = np.arange(3)[:, None], np.arange(2)[None, :]
+    theta[:, player, bit, :, player, bit] = PROBE_THETA
+    phi[:, player, bit, :, player, bit] = PROBE_PHI
+    payoffs = ghz_payoffs(ghz_weights(game.utilities, game.prior), ghz_features(theta, phi))
+    # the advanced indices come first: (player, bit, candidate, probe)
+    own = np.moveaxis(payoffs[:, player, bit, :, player], 2, 0)
+    u_x, u_y, u_up, u_down = np.moveaxis(own, -1, 0)
+    rest = (u_up + u_down) / 2
+    return np.stack([u_x - rest, u_y - rest, (u_up - u_down) / 2], axis=-1)
+
+
+def _bloch(theta, phi) -> np.ndarray:
+    """Unit vectors (sin t cos p, sin t sin p, cos t), shape (..., 3)."""
+    theta, phi = np.asarray(theta), np.asarray(phi)
+    return np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+    )
+
+
 class TestBestResponse:
     def test_optimum_is_certified_planar_equilibrium(self, default_report, table1):
         verdict = best_response_check(table1, default_report.setting, "planar")
@@ -475,6 +512,40 @@ class TestBestResponse:
             searched = _searched_best_responses(candidate, mode, config, grid=8)
             for response, value in zip(verdict.responses, searched):
                 assert response.payoff >= value - 1e-12
+
+    @pytest.mark.parametrize("mode", ["planar", "full_sphere"])
+    def test_matches_the_probe_reconstruction(self, request, mode):
+        """On 50 planar and 50 full-sphere seeded candidates of each of 13
+        games: the gradients read off the GHZ weights give the payoffs and
+        improvements that the probe payoffs give (_probed_gradients) within
+        1e-14 of the game's scale, and each deviation the same Bloch vectors
+        within 1e-12 wherever the part of g_t a deviation can align with
+        exceeds 1e-9."""
+        names = ["table1", "nonuniform_game", "warped_game", *PLAYER_SYMMETRIC]
+        for seed, name in enumerate(names):
+            if name in PLAYER_SYMMETRIC:
+                game = _player_symmetric_game(PLAYER_SYMMETRIC[name])
+            else:
+                game = request.getfixturevalue(name)
+            tol = 1e-14 * max(1.0, float(max(magnitude(game, p) for p in PLAYERS)))
+            theta0, phi0 = _random_angles(np.random.default_rng([seed, 8]), 100, "planar")
+            g = _probed_gradients(game, theta0, phi0)
+            reach = g.copy()
+            if mode == "planar":
+                reach[..., 2] = 0.0
+            norm = np.sqrt((reach * reach).sum(axis=-1))
+            gains = (norm - (g * _bloch(theta0, phi0)).sum(axis=-1)).sum(axis=-1)
+            aligned = norm > 1e-9
+            for k, (theta, phi) in enumerate(zip(theta0, phi0)):
+                verdict = best_response_check(game, MeasurementSetting(theta, phi), mode)
+                for r in verdict.responses:
+                    p = r.player
+                    assert abs(r.improvement - gains[k, p]) <= tol
+                    assert abs(r.payoff - (verdict.baseline[p] + gains[k, p])) <= tol
+                    got = _bloch(r.deviation.theta[p], r.deviation.phi[p])
+                    want = reach[k, p] / norm[k, p, :, None]
+                    gap = np.abs(got - want).max(axis=-1)
+                    assert (gap[aligned[k, p]] <= 1e-12).all()
 
     @pytest.mark.parametrize(
         ("mode", "candidate"),
@@ -934,18 +1005,6 @@ def _hash_noise(x: list[float]) -> float:
     return (s * 43758.5453) % 1.0
 
 
-def _nan_region(x: list[float]) -> float:
-    """NaN beyond x[0] = 1, and a bowl that peaks at 0.8 short of it."""
-    return math.nan if x[0] > 1.0 else -sum((v - 0.8) ** 2 for v in x)
-
-
-def _nan_ring(x: list[float]) -> float:
-    """NaN on the shell 1 < |x|^2 < 1.5, which lies between most starts
-    and the best values, on the sphere |x|^2 = 2."""
-    r = sum(v * v for v in x)
-    return math.nan if 1.0 < r < 1.5 else -((r - 2.0) ** 2) - 0.1 * x[0]
-
-
 def _inf_edge(x: list[float]) -> float:
     """-inf below x[-1] = -0.5, and a bowl that peaks at -0.4 above it."""
     return -math.inf if x[-1] < -0.5 else -sum((v + 0.4) ** 2 for v in x)
@@ -954,8 +1013,8 @@ def _inf_edge(x: list[float]) -> float:
 class TestPolishMatchesScipy:
     """The in-house Nelder-Mead against scipy.optimize.minimize with the same
     options and a stable argsort, the oracle: the same point, value (the
-    first of the final simplex) and success flag, by == and by repr (by
-    repr alone for a NaN value)."""
+    first of the final simplex) and success flag, by == and by repr.  The
+    objectives never return NaN, as the planar objective never does."""
 
     @pytest.fixture(scope="class")
     def oracle(self):
@@ -970,9 +1029,8 @@ class TestPolishMatchesScipy:
             expected = (
                 res.x.tolist(), -float(res.final_simplex[1][0]), bool(res.success)
             )
-            assert repr(got) == repr(expected)  # the signs of zeros, and NaN
-            if not math.isnan(got[1]):  # a NaN value is never == to itself
-                assert got == expected
+            assert repr(got) == repr(expected)  # the signs of zeros
+            assert got == expected
             results.append(res)
         return results
 
@@ -1070,9 +1128,9 @@ class TestPolishMatchesScipy:
         and a step begins only while the budget lasts; a fifth script runs
         out at the end of a step, and the loop ends there.)  Each script
         gives the values to be minimized (the negated objective) call by
-        call, then NaN.  A step whose reflection and inside contraction do
-        no better than the worst vertex shrinks the simplex: six
-        evaluations, finite or NaN.  Each run ends where SciPy's does, and
+        call, then 100, no better than any vertex.  A step whose reflection
+        and inside contraction do no better than the worst vertex shrinks
+        the simplex: six evaluations.  Each run ends where SciPy's does, and
         the four that run out inside a step stop at the port's four budget
         exits, in source order."""
         monkeypatch.setattr(optimize, "NM_MAX_ITER", 6)
@@ -1083,18 +1141,17 @@ class TestPolishMatchesScipy:
                 exits.append(sys._getframe(1).f_lineno)
 
         monkeypatch.setattr(optimize, "_Exhausted", Exhausted)
-        nan, start = math.nan, [1, 2, 3, 4, 5]
-        shrink = [100, 100, 2, 3, 4, 5]
+        start, shrink = [1, 2, 3, 4, 5], [100, 100, 2, 3, 4, 5]
         scripts = {
-            # one step keeps its reflection, three shrink among NaN: 6 + 18
+            # one step keeps its reflection, three shrink at 100: 6 + 18
             "end of a step": start + [1.5],
-            # three steps shrink among NaN, then the reflection beats the best
-            "expansion": start + [nan] * 18 + [0],
+            # three steps shrink at 100, then the reflection beats the best
+            "expansion": start + [100] * 18 + [0],
             # three finite shrinks, then a reflection between the two worst
             "outside contraction": start + shrink * 3 + [4.5],
             # the same, then a reflection no better than the worst
             "inside contraction": start + shrink * 3 + [100],
-            # NaN everywhere with a budget of 20: the third step shrinks
+            # 100 everywhere with a budget of 20: the third step shrinks
             "shrink": [],
         }
         for step, script in scripts.items():
@@ -1103,7 +1160,7 @@ class TestPolishMatchesScipy:
 
             def scripted(script=script):
                 values = iter(script)
-                return lambda x: -next(values, nan)
+                return lambda x: -next(values, 100)
 
             res = oracle(scripted(), [0.3, -1.2, 2.0, 0.7])
             before = len(exits)
@@ -1118,7 +1175,7 @@ class TestPolishMatchesScipy:
         assert len(exits) == 4 and exits == sorted(set(exits))
 
     def test_tied_values_keep_their_order(self, oracle, monkeypatch):
-        """Tied vertices keep the order they stand in, NaN last, as
+        """Tied vertices keep the order they stand in, as
         np.argsort(kind="stable") orders them: numpy's default argsort puts
         the three tied ones of (2, 1, 1, 1, 0) in the order 1, 3, 2 on some
         CPUs and 1, 2, 3 on others.  The rounded bowl ties often, and every
@@ -1127,9 +1184,8 @@ class TestPolishMatchesScipy:
         assert sort([2.0, 1.0, 1.0, 1.0, 0.0], list("abcde")) == (
             [0.0, 1.0, 1.0, 1.0, 2.0], list("ebcda")
         )
-        nan = math.nan
-        assert repr(sort([nan, 0.0, nan, -0.0, -1.0], list("abcde"))) == repr(
-            ([-1.0, 0.0, -0.0, nan, nan], list("ebdac"))
+        assert repr(sort([1.0, 0.0, 1.0, -0.0, -1.0], list("abcde"))) == repr(
+            ([-1.0, 0.0, -0.0, 1.0, 1.0], list("ebdac"))
         )
         real_sort = optimize._sort_simplex
         tie_sorts = []
@@ -1150,23 +1206,13 @@ class TestPolishMatchesScipy:
         self.assert_same_paths(oracle, polishes)
         assert any(tie_sorts)
 
-    @pytest.mark.parametrize("objective", [_nan_region, _nan_ring, _inf_edge])
+    @pytest.mark.parametrize("objective", [_inf_edge])
     # scipy's own convergence test subtracts inf from inf
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_values(self, oracle, objective, monkeypatch):
-        """Objectives that are NaN or -inf in part of the space, from 20
-        starts.  np.argsort sorts a NaN value last, and a NaN compares false
-        both ways, so no simplex that holds one is put in order by
-        bisection.  Starts outside the NaN or -inf part converge; starts
-        inside it never leave it and run to the evaluation limit."""
-        real_sort = optimize._sort_simplex
-        nan_sorts = []
-
-        def spy(fsim, sim):
-            nan_sorts.append(any(map(math.isnan, fsim)))
-            return real_sort(fsim, sim)
-
-        monkeypatch.setattr(optimize, "_sort_simplex", spy)
+    def test_non_finite_values(self, oracle, objective):
+        """An objective that is -inf in part of the space, from 20 starts.
+        Starts outside the -inf part converge; starts inside it never leave
+        it and run to the evaluation limit."""
         values = []
 
         def recorded(x: list[float]) -> float:
@@ -1182,46 +1228,6 @@ class TestPolishMatchesScipy:
         assert not all(map(math.isfinite, values))
         assert any(r.success for r in results)
         assert any(r.nfev == 4 * optimize.NM_MAX_ITER for r in results)
-        if objective is not _inf_edge:
-            assert any(nan_sorts)
-
-    def test_no_bisection_among_nan_values(self, oracle, monkeypatch):
-        """The initial simplex from (0.2, -0.1, 0.99, 0.99) holds two NaN
-        values: its last two vertices step past 1 in x[2] and x[3].  Two
-        shrinks later the reflection is finite again and is expanded; that
-        step replaces only the worst vertex, but a NaN value is still among
-        the survivors, so the simplex must be sorted in full, not put in
-        order by bisection, whose survivors must be NaN-free and
-        ascending."""
-        real_bisect = optimize.bisect_right
-        bisections = []
-
-        def spy(a, x, lo, hi):
-            survivors = a[lo:hi]
-            assert not any(map(math.isnan, survivors))
-            assert all(u <= v for u, v in zip(survivors, survivors[1:]))
-            bisections.append(survivors)
-            return real_bisect(a, x, lo, hi)
-
-        monkeypatch.setattr(optimize, "bisect_right", spy)
-        values = []
-
-        def nan_corner(x: list[float]) -> float:
-            nan = x[2] > 1.0 or x[3] > 1.0
-            values.append(math.nan if nan else -sum((v + 0.5) ** 2 for v in x))
-            return values[-1]
-
-        (res,) = self.assert_same_paths(
-            oracle, [(nan_corner, [0.2, -0.1, 0.99, 0.99])]
-        )
-        # values begins with SciPy's run, whose points are the port's
-        assert sum(map(math.isnan, values[:5])) == 2
-        # 5 + 2 * 6 evaluations: the initial simplex and two steps that
-        # shrink; then the reflection beats every vertex and its expansion
-        # beats the reflection
-        reflection, expansion = values[17:19]
-        assert max(v for v in values[:17] if not math.isnan(v)) < reflection < expansion
-        assert res.success and bisections
 
     def test_converge_with_a_tie_at_the_minimum_only(self, oracle):
         """Runs that stop with some, not all, vertex values tied: scipy
