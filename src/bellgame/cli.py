@@ -36,7 +36,9 @@ setting run on the exact engine alone.
 
 Exit codes: 0 success, 2 validation failure (also when ``optimize`` or
 ``check`` reads a game outside the GHZ engine's magnitude rule,
-quantum.MAGNITUDE_LIMIT), 3 non-convergence, 4 I/O.
+quantum.MAGNITUDE_LIMIT), 3 non-convergence (``optimize``'s optimum failed
+the KKT test, and the tight polish that replaced it ran out of
+iterations; see optimize.PlanarSearch.refine), 4 I/O.
 """
 
 from __future__ import annotations
@@ -227,12 +229,16 @@ def cmd_bell(args, game: GameDefinition) -> Outcome:
 
 
 def cmd_optimize(args, game: GameDefinition) -> Outcome:
-    from .optimize import GRID, NM_FATOL, quantum_advantage_report
+    from .optimize import GRID, NM_FATOL, best_response_check, quantum_advantage_report
     from .quantum import PLANAR_KEYS
 
     config = _config_from_args(args)
     report = quantum_advantage_report(game, config)
     optimum = report.optimum
+    certified = {
+        mode: best_response_check(game, optimum.setting, mode).is_equilibrium
+        for mode in ("planar", "full_sphere")
+    }
     results = {
         "optimum": {
             "angles": {
@@ -242,6 +248,7 @@ def cmd_optimize(args, game: GameDefinition) -> Outcome:
             "payoffs": fmt_payoffs(optimum.payoffs),
             "bell_values": fmt_ghz_bell(optimum.setting),
             "converged": optimum.converged,
+            "certified_equilibrium": certified,
         },
         "advantage": {
             "classical_total_bound": format_rational(report.classical_total_bound),
@@ -364,7 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_bell)
 
-    p = sub.add_parser("optimize", help="planar GHZ optimum + advantage summary")
+    p = sub.add_parser(
+        "optimize",
+        help="planar GHZ optimum + advantage summary",
+        description=(
+            "Maximize the least player payoff over planar GHZ settings: a grid "
+            "scan and Nelder-Mead polishes find each maximum's basin, and "
+            "Newton's method on the KKT system finds the maximum. Exit 3 "
+            "(not converged) means the reported optimum failed the KKT test "
+            "and the tight polish that replaced it ran out of iterations."
+        ),
+    )
     add_common(p)
     add_config(p)
     p.set_defaults(func=cmd_optimize)

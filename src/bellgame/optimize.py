@@ -4,17 +4,28 @@ summary.
 
 The objective landscape is smooth and low-dimensional (four free azimuths
 once the gauge a0 = b0 = 0 is fixed), so a seeded coarse grid scan followed
-by Nelder-Mead polish from the best starts finds the optimum reliably.  The
-polish is in-house and works in those four dimensions only, on 4-tuples
-and scalar locals: it follows the path of SciPy's Nelder-Mead with a stable
-argsort exactly, float for float, without SciPy's per-iteration numpy
-overhead or its import.  That holds on objectives that never return NaN,
-and the planar objective never does (see _planar_rows).  Tied vertices
-keep their order, as tied grid points do (see _grid_starts), so the path
-is the same on every CPU.  A step that replaces only the worst vertex puts
+by Nelder-Mead polish from the best starts finds the basin of the optimum
+reliably.  The polish is loose (NM_XATOL, NM_FATOL): it only chooses the
+basin.  Newton's method on the KKT system of the least payoff then finds
+each distinct maximum among the best runs (see _newton and
+PlanarSearch.finish), from closed-form gradients and Hessians, and the
+reported angles are the maximum's own: the same on every seed that finds
+its basin.  A maximum that fails the KKT test is polished again at the
+tight tolerances instead.  Every value tolerance and the KKT bound are in
+units of the game's scale (see _scale), so no stop rule depends on the
+utility unit.
+
+The polish is in-house and works in four dimensions only, on 4-tuples and
+scalar locals: it follows the path of SciPy's Nelder-Mead with a stable
+argsort exactly, float for float, at either tolerance pair, without SciPy's
+per-iteration numpy overhead or its import.  That contract covers the
+polish only, not the Newton finish.  It holds on objectives that never
+return NaN, and the planar objective never does (see _planar_rows).  Tied
+vertices keep their order, as tied grid points do (see _grid_starts), so
+the path is the same on every CPU; the Newton finish runs in pure Python in
+a fixed order, and is too.  A step that replaces only the worst vertex puts
 the new one in place by bisection; the whole simplex is sorted only after a
-shrink or when the evaluation budget runs out.  The contract is the value
-reached, not the search path.
+shrink or when the evaluation budget runs out.
 
 The seed only chooses the random starts, drawn with random.Random(seed):
 four azimuths per start, each uniform in [-pi, pi], from the Mersenne
@@ -95,9 +106,28 @@ GRID = 16
 #: Iteration cap of one Nelder-Mead polish; it may evaluate the objective
 #: four times as often.
 NM_MAX_ITER = 2000
-#: Simplex convergence tolerances on the vertices and on the values.
-NM_XATOL = 1e-9
-NM_FATOL = 1e-10
+#: Simplex convergence tolerances of the polish of every start, on the
+#: vertices (in radians) and on the values (in units of the game's scale,
+#: see _scale).  The polish only has to reach the basin of a maximum; the
+#: Newton finish (see _newton) finds the maximum itself.
+NM_XATOL = 1e-3
+NM_FATOL = 1e-4
+#: The tolerances of the polish that replaces a failed Newton finish (see
+#: PlanarSearch.refine), in the same units.
+FALLBACK_XATOL = 1e-9
+FALLBACK_FATOL = 1e-10
+#: Rows within this many units of the game's scale of the least row are
+#: active in the Newton finish, and runs within it of the best run are
+#: refined.
+ACTIVE_WINDOW = 1e-3
+#: Runs whose wrapped angles all lie within this of a run already refined
+#: are taken to reach the same maximum, and are not refined again.
+SAME_POINT = 1e-2
+#: The largest KKT residual of a converged Newton finish, in units of the
+#: game's scale.
+KKT_TOL = 1e-12
+#: Iteration cap of one Newton finish.
+NEWTON_MAX_ITER = 30
 
 
 #: The four free azimuths (a1, b1, c0, c1) of a planar setting in the
@@ -127,13 +157,15 @@ def _sort_simplex(
 def _nelder_mead(
     objective: Callable[[Azimuths], float],
     x0: Sequence[float],
+    xatol: float,
+    fatol: float,
 ) -> tuple[list[float], float, bool]:
     """Maximize ``objective`` over the four free azimuths from ``x0``;
     returns (x, value, converged).
 
     This is SciPy 1.17's ``minimize(lambda x: -objective(x), x0,
-    method="Nelder-Mead")`` with xatol NM_XATOL, fatol NM_FATOL,
-    maxiter NM_MAX_ITER and maxfev 4 * NM_MAX_ITER, run with
+    method="Nelder-Mead")`` with the given xatol and fatol, maxiter
+    NM_MAX_ITER and maxfev 4 * NM_MAX_ITER, run with
     ``np.argsort(kind="stable")`` in place of ``np.argsort``, in four
     dimensions on Python floats: the same initial simplex, the same steps
     with the coefficients rho = 1, chi = 2, psi = sigma = 1/2 substituted
@@ -151,7 +183,6 @@ def _nelder_mead(
     gets each point as a 4-tuple.
     """
     max_fev = 4 * NM_MAX_ITER
-    fatol, xatol = NM_FATOL, NM_XATOL
 
     start = [float(v) for v in x0]
     vertices = [tuple(start)]
@@ -277,12 +308,15 @@ Run = tuple[float, Azimuths, bool]
 
 
 def _polish(
-    objective: Callable[[Azimuths], float], starts: Sequence[Sequence[float]]
+    objective: Callable[[Azimuths], float],
+    starts: Sequence[Sequence[float]],
+    xatol: float,
+    fatol: float,
 ) -> list[Run]:
     """The Nelder-Mead run from each start (four azimuths), in start order."""
     runs = []
     for x0 in starts:
-        x, value, ok = _nelder_mead(objective, x0)
+        x, value, ok = _nelder_mead(objective, x0, xatol, fatol)
         runs.append((value, tuple(wrap_angle(v) for v in x), ok))
     return runs
 
@@ -297,6 +331,213 @@ def _best_run(runs: Sequence[Run]) -> Run:
     vmax = max(r[0] for r in runs)
     tied = [r for r in runs if r[0] >= vmax - TIE_WINDOW]
     return min(tied, key=lambda r: r[1])
+
+
+def _scale(rows: list[tuple[float, ...]]) -> float:
+    """The unit of a game's planar values: 2**k, with k the binary exponent
+    (as math.frexp gives it) of the largest magnitude among the constants
+    and coefficients of ``rows``, so that each of them is below it; 1.0 if
+    all of them are zero.  Being a power of two, it divides every row
+    exactly, and a value tolerance times the scale compares as the
+    tolerance does on the divided rows: the stop rules have no unit."""
+    largest = max(abs(v) for row in rows for v in row)
+    return math.ldexp(1.0, math.frexp(largest)[1]) if largest else 1.0
+
+
+#: A row's value, gradient over (a1, b1, c0, c1) and Hessian at one point.
+Derivatives = tuple[float, list[float], list[list[float]]]
+
+
+def _derivatives(rows: list[tuple[float, ...]], x: Azimuths) -> list[Derivatives]:
+    """Each row's value, gradient and Hessian at ``x``, in closed form.
+
+    A row is k + sum_j r_j sin(m_j . x), where m_j holds the type bits
+    (x_A, x_B, 1 - x_C, x_C) of profile j, as in _planar_objective, whose
+    summation order the value keeps.  So the gradient is sum_j r_j
+    cos(m_j . x) m_j and the Hessian -sum_j r_j sin(m_j . x) m_j m_j^T: each
+    entry adds the terms of the profiles that hold both angles, in profile
+    order.  c0 and c1 never meet in a profile, and their entry is 0.
+    """
+    a1, b1, c0, c1 = x
+    ab = a1 + b1
+    phases = (c0, c1, b1 + c0, b1 + c1, a1 + c0, a1 + c1, ab + c0, ab + c1)
+    s0, s1, s2, s3, s4, s5, s6, s7 = map(sin, phases)
+    cosines = [cos(v) for v in phases]
+    out = []
+    for k, *r in rows:
+        r0, r1, r2, r3, r4, r5, r6, r7 = r
+        value = k + (
+            r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3
+            + r4 * s4 + r5 * s5 + r6 * s6 + r7 * s7
+        )
+        w0, w1, w2, w3, w4, w5, w6, w7 = (ri * ci for ri, ci in zip(r, cosines))
+        h0, h1, h2, h3, h4, h5, h6, h7 = (
+            -r0 * s0, -r1 * s1, -r2 * s2, -r3 * s3,
+            -r4 * s4, -r5 * s5, -r6 * s6, -r7 * s7,
+        )
+        h_ab, h_ac0, h_ac1 = h6 + h7, h4 + h6, h5 + h7
+        h_bc0, h_bc1 = h2 + h6, h3 + h7
+        out.append((
+            value,
+            [w4 + w5 + w6 + w7, w2 + w3 + w6 + w7, w0 + w2 + w4 + w6, w1 + w3 + w5 + w7],
+            [
+                [h4 + h5 + h6 + h7, h_ab, h_ac0, h_ac1],
+                [h_ab, h2 + h3 + h6 + h7, h_bc0, h_bc1],
+                [h_ac0, h_bc0, h0 + h2 + h4 + h6, 0.0],
+                [h_ac1, h_bc1, 0.0, h1 + h3 + h5 + h7],
+            ],
+        ))
+    return out
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """u . v, added left to right (sum() is compensated from Python 3.12 on)."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """The solution of matrix @ x = rhs by Gaussian elimination with partial
+    pivoting (the first row of largest magnitude), in a fixed order on
+    Python floats, so that it is the same on every CPU; None if a pivot is
+    zero."""
+    n = len(rhs)
+    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if a[p][k] == 0:
+            return None
+        a[k], a[p] = a[p], a[k]
+        pivot = a[k]
+        for row in a[k + 1:]:
+            f = row[k] / pivot[k]
+            for j in range(k, n + 1):
+                row[j] -= f * pivot[j]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (a[i][n] - _dot(a[i][i + 1:n], x[i + 1:])) / a[i][i]
+    return x
+
+
+def _negative_definite_on(hessian: list[list[float]], normals: list[list[float]]) -> bool:
+    """Whether ``hessian`` is negative definite on the vectors orthogonal to
+    every normal, by a margin of KKT_TOL.
+
+    Modified Gram-Schmidt runs over the normals, then over the unit vectors,
+    taking at each step the one with the largest part left; the unit
+    vectors taken span the tangent space, Z.  Gaussian elimination without
+    pivoting of Z^T hessian Z must meet only pivots below -KKT_TOL.  False
+    if the normals are linearly dependent.
+    """
+    basis: list[list[float]] = []
+
+    def remainder(v: Sequence[float]) -> list[float]:
+        v = list(v)
+        for q in basis:
+            d = _dot(v, q)
+            v = [a - d * b for a, b in zip(v, q)]
+        return v
+
+    def take(v: list[float]) -> list[float]:
+        norm = math.sqrt(_dot(v, v))
+        basis.append([a / norm for a in v])
+        return basis[-1]
+
+    for normal in normals:
+        v = remainder(normal)
+        if not _dot(v, v) > 0:
+            return False
+        take(v)
+    units = [[float(i == j) for j in range(4)] for i in range(4)]
+    tangent = []
+    while len(basis) < 4:
+        tangent.append(take(max(map(remainder, units), key=lambda v: _dot(v, v))))
+    reduced = [
+        [_dot(z, [_dot(row, w) for row in hessian]) for w in tangent] for z in tangent
+    ]
+    for k, pivot in enumerate(reduced):
+        if not pivot[k] < -KKT_TOL:
+            return False
+        for row in reduced[k + 1:]:
+            f = row[k] / pivot[k]
+            for j in range(k, len(row)):
+                row[j] -= f * pivot[j]
+    return True
+
+
+def _newton(rows: list[tuple[float, ...]], x0: Azimuths) -> Azimuths | None:
+    """The local maximum near ``x0`` of the least of ``rows`` (in units of
+    the game's scale, see _scale), by Newton's method on the KKT system of
+    max t s.t. f_i(x) >= t; None if it finds none.
+
+    The rows within ACTIVE_WINDOW of the least at ``x0`` are active.  With
+    multipliers l = (1 - sum_j mu_j, mu_1, ...) over the active rows, the
+    system is sum_i l_i grad f_i = 0 and f_j - f_0 = 0 (j >= 1): 4 to 6
+    unknowns (x, mu), and plain Newton on grad f = 0 for one row.  Each step
+    solves [H N^T; N 0] (dx, mu) = -(grad f_0, f_j - f_0), with H = sum_i l_i
+    Hess f_i and the rows of N the grad f_j - grad f_0 (see _derivatives and
+    _solve).  Steps run from l_i = 1/m while the residual, the largest
+    |component| of the system, falls, at most NEWTON_MAX_ITER of them.  A
+    step that gives a row a negative multiplier ends the run: the row of
+    the least multiplier leaves the active set, and the system is solved
+    again from ``x0``.  Of the points whose residual is at most KKT_TOL,
+    which differ only by rounding, the one of the greatest t (the least
+    active row; the first of ties) is kept; its multipliers are at least 0.
+
+    The kept point passes the KKT test when no inactive row lies more than
+    KKT_TOL below t, and H is negative definite on the tangent space of the
+    active rows, the vectors orthogonal to every row of N (see
+    _negative_definite_on).
+    """
+    values = [v for v, _, _ in _derivatives(rows, x0)]
+    active = [row for row, v in zip(rows, values) if v <= min(values) + ACTIVE_WINDOW]
+    while True:
+        m = len(active)
+        x, weights = x0, [1 / m] * m
+        points = []  # (t, residual, x, H, N) of each point
+        for _ in range(NEWTON_MAX_ITER):
+            derived = _derivatives(active, x)
+            (v0, g0, _), others = derived[0], derived[1:]
+            grad, hessian = [0.0] * 4, [[0.0] * 4 for _ in range(4)]
+            for w, (_, g, h) in zip(weights, derived):
+                for i in range(4):
+                    grad[i] += w * g[i]
+                    hessian_i, h_i = hessian[i], h[i]
+                    for j in range(4):
+                        hessian_i[j] += w * h_i[j]
+            gaps = [v - v0 for v, _, _ in others]
+            residual = max(abs(e) for e in grad + gaps)
+            normals = [[a - b for a, b in zip(g, g0)] for _, g, _ in others]
+            t = min(v for v, _, _ in derived)
+            points.append((t, residual, x, hessian, normals))
+            if len(points) > 1 and not residual < points[-2][1]:
+                break
+            step = _solve(
+                [hessian[i] + [n[i] for n in normals] for i in range(4)]
+                + [n + [0.0] * (m - 1) for n in normals],
+                [-v for v in g0] + [-e for e in gaps],
+            )
+            if step is None:
+                break
+            x = (x[0] + step[0], x[1] + step[1], x[2] + step[2], x[3] + step[3])
+            first = 1.0
+            for mu in step[4:]:
+                first -= mu
+            weights = [first, *step[4:]]
+            if min(weights) < 0:
+                break
+        if min(weights) >= 0:
+            break
+        del active[weights.index(min(weights))]
+    converged = [point for point in points if point[1] <= KKT_TOL]
+    if not converged:
+        return None
+    t, _, x, hessian, normals = max(converged, key=lambda point: point[0])
+    if m < len(rows) and min(v for v, _, _ in _derivatives(rows, x)) < t - KKT_TOL:
+        return None
+    return x if _negative_definite_on(hessian, normals) else None
 
 
 def _planar_rows(weights: np.ndarray) -> list[tuple[float, ...]]:
@@ -417,9 +658,14 @@ def _planar_objective(rows: list[tuple[float, ...]]) -> Callable[[Azimuths], flo
     return objective
 
 
+def _same_point(x: Azimuths, y: Azimuths) -> bool:
+    """Whether each angle of x lies within SAME_POINT of y's, modulo 2 pi."""
+    return max(abs(wrap_angle(u - v)) for u, v in zip(x, y)) <= SAME_POINT
+
+
 class PlanarSearch:
     """The part of maximize_planar on one game that the seed does not
-    choose: the planar objective and the runs of the grid starts.
+    choose: the planar objective, its unit, and the runs of the grid starts.
 
     The seed only chooses the random starts; the grid scan and the polishes
     of its best points depend on the game alone.  So each game object keeps
@@ -432,22 +678,67 @@ class PlanarSearch:
     points it adds; they are at most 10000, the largest ``restarts``
     allowed.  A seed sweep on one game object therefore polishes the grid
     once, and each call reports the same floats as on a fresh object.  The
-    kept runs assume the module's search constants (GRID and the NM_*
-    values) as they were when the runs were made.
+    kept runs are those of the polish, before the Newton finish, and assume
+    the module's search constants (GRID, NM_MAX_ITER and the NM_*
+    tolerances) as they were when the runs were made.
     """
 
     def __init__(self, weights: np.ndarray) -> None:
         self.rows = _planar_rows(weights)
         self.objective = _planar_objective(self.rows)
+        self.scale = _scale(self.rows)
+        # exact: the scale is a power of two
+        self.unit_rows = [tuple(v / self.scale for v in row) for row in self.rows]
         self._runs: list[Run] = []
+
+    def polish(self, starts: Sequence[Sequence[float]]) -> list[Run]:
+        """The loose polish of each start: NM_XATOL and NM_FATOL."""
+        return _polish(self.objective, starts, NM_XATOL, NM_FATOL * self.scale)
 
     def grid_runs(self, restarts: int) -> list[Run]:
         """The runs of the ``restarts`` best grid points, best point first."""
         runs = self._runs
         if restarts > len(runs):
             starts = _grid_starts(self.rows, restarts)
-            self._runs = runs = runs + _polish(self.objective, starts[len(runs):])
+            self._runs = runs = runs + self.polish(starts[len(runs):])
         return runs[:restarts]
+
+    def refine(self, run: Run) -> Run:
+        """The run's maximum by the Newton finish (see _newton), converged.
+        If that fails the KKT test, or lowers the value, the run's vertex is
+        polished again at FALLBACK_XATOL and FALLBACK_FATOL, and that polish
+        gives the run."""
+        value, angles, _ = run
+        x = _newton(self.unit_rows, angles)
+        if x is not None:
+            wrapped = tuple(wrap_angle(v) for v in x)
+            refined = self.objective(wrapped)
+            if refined >= value:
+                return refined, wrapped, True
+        return _polish(
+            self.objective, [angles], FALLBACK_XATOL, FALLBACK_FATOL * self.scale
+        )[0]
+
+    def finish(self, runs: Sequence[Run]) -> list[Run]:
+        """Each distinct maximum among the runs within ACTIVE_WINDOW of the
+        best, refined once.  The runs are taken best value first, ties in
+        the order of their wrapped angles; a run whose angles all lie
+        within SAME_POINT of a run already refined is skipped."""
+        floor = max(r[0] for r in runs) - ACTIVE_WINDOW * self.scale
+        refined: list[Run] = []
+        points: list[Azimuths] = []
+        for run in sorted((r for r in runs if r[0] >= floor), key=lambda r: (-r[0], r[1])):
+            if not any(_same_point(run[1], point) for point in points):
+                points.append(run[1])
+                refined.append(self.refine(run))
+        # Points whose refinements meet, as fallback polishes may, count once,
+        # at their best value.
+        return [
+            run for run in refined
+            if not any(
+                other[0] > run[0] and _same_point(run[1], other[1]) for other in refined
+            )
+        ]
 
 
 def maximize_planar(
@@ -459,12 +750,19 @@ def maximize_planar(
     On the equator only the triple correlator survives, so each payoff is
     const_i + sum_x coef_i[x] sin(a(x_A) + b(x_B) + c(x_C)) with constants
     and coefficients read off the game's GHZ weights.  The top points of a
-    grid scan and as many seeded random points start Nelder-Mead polishes;
-    the random points take four draws each of
-    random.Random(config.seed).uniform(-pi, pi), in order.  More restarts
-    can only improve the reported value (up to the tie window).
-    The runs of the grid starts are kept on the game object (see
-    PlanarSearch).
+    grid scan and as many seeded random points start Nelder-Mead polishes
+    at the loose tolerances NM_XATOL and NM_FATOL, which only choose each
+    start's basin; the random points take four draws each of
+    random.Random(config.seed).uniform(-pi, pi), in order.  Each distinct
+    maximum among the best runs is then found by Newton's method on the
+    KKT system of the least payoff (see PlanarSearch.finish and _newton),
+    and the reported angles are its.  ``converged`` is that point's KKT
+    test, or the flag of the tight polish that replaces a failed one.  So
+    the float-for-float SciPy contract of _nelder_mead covers the polish
+    only, and the reported optimum does not depend on the seed once its
+    basin is found.  More restarts can only improve the reported value (up
+    to the tie window).  The runs of the grid starts are kept on the game
+    object (see PlanarSearch).
     """
     import random  # loads with the first search
 
@@ -474,8 +772,8 @@ def maximize_planar(
     random_starts = [
         [uniform(-math.pi, math.pi) for _ in range(4)] for _ in range(config.restarts)
     ]
-    runs = search.grid_runs(config.restarts) + _polish(search.objective, random_starts)
-    _, angles, ok = _best_run(runs)
+    runs = search.grid_runs(config.restarts) + search.polish(random_starts)
+    _, angles, ok = _best_run(search.finish(runs))
     a1, b1, c0, c1 = angles
     setting = MeasurementSetting.planar([0.0, a1, 0.0, b1, c0, c1])
     payoffs = ghz_payoffs(game.ghz_weights, setting.ghz_features)

@@ -12,7 +12,7 @@ import pytest
 from bellgame import __version__, cli, optimize
 from bellgame.builtin import builtin_game
 from bellgame.classical import BellVariant, profile_table
-from bellgame.cli import EXIT_NO_CONVERGENCE, main
+from bellgame.cli import EXIT_NO_CONVERGENCE, fmt_real, main
 from bellgame.game import (
     GameDefinition,
     Player,
@@ -35,6 +35,7 @@ from bellgame.quantum import (
 )
 from oracles import (
     HiddenVariableModel,
+    affine_transform,
     constant_table,
     hv_model_to_distribution,
     make_uniform_prior,
@@ -42,6 +43,9 @@ from oracles import (
 )
 
 F = Fraction
+
+#: Table1's fair quantum value, (13 + 2 sqrt(13)) / 24.
+ANALYTIC_OPTIMUM = (13 + 2 * math.sqrt(13)) / 24
 
 
 #: sha256 of each pinned case's results as json.dumps(results) + "\n", with
@@ -65,7 +69,13 @@ F = Fraction
 #: affine_game optimize cases were re-recorded when the random starts came
 #: to be drawn with random.Random in place of numpy's default_rng: their
 #: angles moved by at most 2.8e-8 and their Bell values by at most 6.8e-8,
-#: and their values and payoffs kept every printed digit.
+#: and their values and payoffs kept every printed digit.  The three
+#: optimize cases were re-recorded when a Newton finish began to find each
+#: maximum after a looser polish: the angles and Bell values became the
+#: optimum's own (on table1, a1 = b1 = -pi/2 to 12 digits), the values and
+#: payoffs kept every printed digit, the optimum gained
+#: certified_equilibrium per best-response mode, and config.tol became the
+#: loose polish's 1e-4.
 PINNED_KEY_ORDER = {
     ("audit-bound", "table1"): "1933bf6cc134ae9b44cc9a2c3ed2aa8bdcf3c28125e2c984e90a9e5fed0a3b48",
     ("audit-bound", "nonuniform_game"): "f1cb177ccdd649c04a9f01c4363a9d3d29630c57db919093acb6e1c0d06e1718",
@@ -74,9 +84,9 @@ PINNED_KEY_ORDER = {
     ("equilibria", "nonuniform_game"): "177a65fd12c5f0162a2b7d7b6ddc930d38aadb1cc35258d0ba3e006665c22d8b",
     ("equilibria", "affine_game"): "266d6d798a2202a58e79556a116fff8f47e77de1d21406771cfc8bdda579bb26",
     ("bell", "table1"): "7286f5425d75a018c0cf4a469eb55b9bad68c7a07e6901994fe545da92c8a496",
-    ("optimize", "table1"): "58c06d433a52fbe5366fd30eb2b4aa3d81862bdc4d6cab97f5da3e3fc78debc6",
-    ("optimize", "nonuniform_game"): "2829f9117b225b443d1537625dbe5f4bc57b78f0d06261f29116fa1e64a92dea",
-    ("optimize", "affine_game"): "662496ba529868793530b5f3c9facb57f7ac3337bf9b57e599f1fc9d54c4d489",
+    ("optimize", "table1"): "29443325c0a26852cf2a6ce0cd58ed5e8c2e23b4dbba694b1b8f044945e122e0",
+    ("optimize", "nonuniform_game"): "22d648f35f37a6e10a3012ebe1a22e2c9677db317491b43655e7c4e3520036a6",
+    ("optimize", "affine_game"): "cb1a65f20f4d09642d93f3277929fe28e48593bbe2f5c2ea29e0721d9cbd9a58",
     ("bell-optimum", "table1"): "6e824f35970bd331b532458a30214c9bbe28d725d1ec30b781433c43c943b8e6",
     ("check-optimum-planar", "table1"): "f26f03863c69540477048788880bfacdeeb8143d2177672c670f6df06e003e36",
     ("check-optimum-full", "table1"): "c1eeb436bbdbf17ade2e61bbc815f8d2adc630d66cd8512d39817069e766d04e",
@@ -551,6 +561,9 @@ class TestOptimizeCommand:
         results = report["results"]
         assert results["optimum"]["value"] == pytest.approx(0.842, abs=1e-3)
         assert results["optimum"]["converged"] is True
+        assert results["optimum"]["certified_equilibrium"] == {
+            "planar": True, "full_sphere": True,
+        }
         assert results["advantage"]["classical_fair_cap"] == "3/4"
         assert results["advantage"]["beats_classical"] is True
         assert results["advantage"]["quantum_total"] > 2.25
@@ -580,15 +593,52 @@ class TestOptimizeCommand:
         assert "unrecognized arguments: --grid 2" in capsys.readouterr().err
 
     def test_polish_cut_short_exits_3(self, capsys, monkeypatch, tmp_path, table1):
-        """On a game file, which is read into a new object: the shared
-        table1 object may hold grid runs made under the real NM_MAX_ITER,
-        and must not keep runs made under the patched one."""
+        """Polishes cut short at 5 iterations still reach the optimum by the
+        Newton finish, and exit 0.  With the finish failed as well, the
+        tight polish that replaces it is cut short too, and the command
+        exits 3.  On a game file, which is read into a new object: the
+        shared table1 object may hold grid runs made under the real
+        NM_MAX_ITER, and must not keep runs made under the patched one."""
         path = tmp_path / "table1.json"
         path.write_text(json.dumps(game_to_json_dict(table1)))
         monkeypatch.setattr(optimize, "NM_MAX_ITER", 5)
         code, report = run_cli(capsys, "optimize", "--restarts", "1", "--game", str(path))
+        assert code == 0 and report["results"]["optimum"]["converged"] is True
+        assert report["results"]["optimum"]["value"] == fmt_real(ANALYTIC_OPTIMUM)
+        monkeypatch.setattr(optimize, "_newton", lambda rows, x0: None)
+        code, report = run_cli(capsys, "optimize", "--restarts", "1", "--game", str(path))
         assert code == EXIT_NO_CONVERGENCE == 3
         assert report["results"]["optimum"]["converged"] is False
+
+    @pytest.mark.parametrize("game", ["table1", "affine_game"])
+    def test_every_seed_reports_one_optimum(self, capsys, tmp_path, request, game):
+        """Seeds 0-7 print the same results.optimum, byte for byte: the
+        Newton finish leaves no trace of the seed's path."""
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game_to_json_dict(request.getfixturevalue(game))))
+        printed = set()
+        for seed in range(8):
+            code, report = run_cli(capsys, "optimize", "--game", str(path), "--seed", str(seed))
+            assert code == 0
+            printed.add(json.dumps(report["results"]["optimum"]))
+        assert len(printed) == 1
+
+    @pytest.mark.parametrize("exponent", [-6, 0, 6, 12, 20])
+    def test_the_exit_code_has_no_unit(self, capsys, tmp_path, table1, exponent):
+        """table1 with every utility times 10**e: at seeds 0-3 optimize
+        exits 0, and value / 10**e is table1's within 1e-15 relative."""
+        unit = Fraction(10) ** exponent
+        game = GameDefinition(affine_transform(table1.utilities, unit, 0), table1.prior)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game_to_json_dict(game)))
+        reference = optimize.maximize_planar(table1).value
+        for seed in range(4):
+            code, _ = run_cli(capsys, "optimize", "--game", str(path), "--seed", str(seed))
+            assert code == 0
+            value = optimize.maximize_planar(
+                game, optimize.OptimizationConfig(seed=seed)
+            ).value
+            assert abs(value / float(unit) - reference) <= 1e-15 * reference
 
 
 class TestCheckCommand:
