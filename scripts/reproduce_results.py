@@ -18,7 +18,6 @@ from bellgame.classical import (
 )
 from bellgame.game import format_rational
 from bellgame.optimize import (
-    EQUILIBRIUM_IMPROVEMENT_TOL,
     OptimizationConfig,
     best_response_check,
     quantum_advantage_report,
@@ -88,7 +87,7 @@ def main(argv: list[str] | None = None) -> None:
     for r in verdict.responses:
         print(f"  player {r.player.name}: best unilateral improvement "
               f"{r.improvement:+.3e}")
-    print(f"  certified equilibrium (threshold {EQUILIBRIUM_IMPROVEMENT_TOL}): "
+    print(f"  certified equilibrium (threshold {verdict.threshold}): "
           f"{verdict.is_equilibrium}")
 
 

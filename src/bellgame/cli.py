@@ -270,7 +270,7 @@ def cmd_optimize(args, game: GameDefinition) -> Outcome:
 
 
 def cmd_check(args, game: GameDefinition) -> Outcome:
-    from .optimize import EQUILIBRIUM_IMPROVEMENT_TOL, best_response_check
+    from .optimize import best_response_check
     from .quantum import ghz_distribution, load_setting
 
     setting = load_setting(args.setting)
@@ -304,7 +304,7 @@ def cmd_check(args, game: GameDefinition) -> Outcome:
                 r.player.name: fmt_real(r.improvement) for r in verdict.responses
             },
             "max_improvement": fmt_real(verdict.max_improvement),
-            "threshold": EQUILIBRIUM_IMPROVEMENT_TOL,
+            "threshold": verdict.threshold,
             "certified_equilibrium": verdict.is_equilibrium,
         },
     }

@@ -8,12 +8,20 @@ by Nelder-Mead polish from the best starts finds the basin of the optimum
 reliably.  The polish is loose (NM_XATOL, NM_FATOL): it only chooses the
 basin.  Newton's method on the KKT system of the least payoff then finds
 each distinct maximum among the best runs (see _newton and
-PlanarSearch.finish), from closed-form gradients and Hessians, and the
+PlanarSearch.best), from closed-form gradients and Hessians, and the
 reported angles are the maximum's own: the same on every seed that finds
 its basin.  A maximum that fails the KKT test is polished again at the
-tight tolerances instead.  Every value tolerance and the KKT bound are in
-units of the game's scale (see _scale), so no stop rule depends on the
-utility unit.
+tight tolerances instead.
+
+The search runs in one unit per game, its scale (see _scale): a power of
+two that each planar row is divided by once, exactly, as it comes in (see
+PlanarSearch).  The grid, the polishes, the Newton finish and the tie-break
+all compare values of the divided rows with plain constants, so no stop
+rule and no choice among runs depends on the utility unit.  The scale is
+applied again only on the way out, to the reported value and to the
+equilibrium threshold of best_response_check, and both products are exact:
+a game whose utilities are 2**k times another's gets the same angles,
+exactly 2**k times its value and threshold, and the same verdicts.
 
 The polish is in-house and works in four dimensions only, on 4-tuples and
 scalar locals: it follows the path of SciPy's Nelder-Mead with a stable
@@ -74,7 +82,8 @@ from .game import (
 from .quantum import MeasurementSetting, ghz_payoffs, wrap_angle
 
 #: A candidate counts as a numerical equilibrium when no player can gain
-#: more than this by a unilateral change of their own observables.
+#: more than this many units of the game's scale (see _scale) by a
+#: unilateral change of their own observables.
 EQUILIBRIUM_IMPROVEMENT_TOL = 1e-6
 
 
@@ -108,23 +117,22 @@ GRID = 16
 NM_MAX_ITER = 2000
 #: Simplex convergence tolerances of the polish of every start, on the
 #: vertices (in radians) and on the values (in units of the game's scale,
-#: see _scale).  The polish only has to reach the basin of a maximum; the
-#: Newton finish (see _newton) finds the maximum itself.
+#: as every value tolerance here is, see _scale).  The polish only has to
+#: reach the basin of a maximum; the Newton finish (see _newton) finds the
+#: maximum itself.
 NM_XATOL = 1e-3
 NM_FATOL = 1e-4
 #: The tolerances of the polish that replaces a failed Newton finish (see
 #: PlanarSearch.refine), in the same units.
 FALLBACK_XATOL = 1e-9
 FALLBACK_FATOL = 1e-10
-#: Rows within this many units of the game's scale of the least row are
-#: active in the Newton finish, and runs within it of the best run are
-#: refined.
+#: Rows within this of the least row are active in the Newton finish, and
+#: runs within it of the best run are refined.
 ACTIVE_WINDOW = 1e-3
 #: Runs whose wrapped angles all lie within this of a run already refined
 #: are taken to reach the same maximum, and are not refined again.
 SAME_POINT = 1e-2
-#: The largest KKT residual of a converged Newton finish, in units of the
-#: game's scale.
+#: The largest KKT residual of a converged Newton finish.
 KKT_TOL = 1e-12
 #: Iteration cap of one Newton finish.
 NEWTON_MAX_ITER = 30
@@ -296,10 +304,10 @@ def _nelder_mead(
     return list(sim[0]), -float(fsim[0]), nfev < max_fev and nit < NM_MAX_ITER
 
 
-#: Runs whose values lie within this window of the best are treated as ties
-#: and resolved by angle order.  The objective has reflection-symmetric
-#: maxima of equal value; without the window the winning orbit would depend
-#: on float noise between runs.
+#: Refined runs whose values lie within this window of the best are treated
+#: as ties and resolved by angle order (see PlanarSearch.best).  The
+#: objective has reflection-symmetric maxima of equal value; without the
+#: window the winning orbit would depend on float noise between runs.
 TIE_WINDOW = 1e-9
 
 
@@ -321,25 +329,15 @@ def _polish(
     return runs
 
 
-def _best_run(runs: Sequence[Run]) -> Run:
-    """The run of the best local maximum among the runs.
-
-    Order-independent merge: highest value wins; runs within TIE_WINDOW of
-    the best count as ties, broken by lexicographic order of the wrapped
-    angle vector.
-    """
-    vmax = max(r[0] for r in runs)
-    tied = [r for r in runs if r[0] >= vmax - TIE_WINDOW]
-    return min(tied, key=lambda r: r[1])
-
-
 def _scale(rows: list[tuple[float, ...]]) -> float:
     """The unit of a game's planar values: 2**k, with k the binary exponent
     (as math.frexp gives it) of the largest magnitude among the constants
     and coefficients of ``rows``, so that each of them is below it; 1.0 if
     all of them are zero.  Being a power of two, it divides every row
-    exactly, and a value tolerance times the scale compares as the
-    tolerance does on the divided rows: the stop rules have no unit."""
+    exactly (down to entries 2**1021 times smaller than the largest), and
+    the divided rows, every sum of their terms and every difference of
+    those sums are the undivided ones divided by it: the search on the
+    divided rows takes the same path in every unit."""
     largest = max(abs(v) for row in rows for v in row)
     return math.ldexp(1.0, math.frexp(largest)[1]) if largest else 1.0
 
@@ -468,9 +466,9 @@ def _negative_definite_on(hessian: list[list[float]], normals: list[list[float]]
 
 
 def _newton(rows: list[tuple[float, ...]], x0: Azimuths) -> Azimuths | None:
-    """The local maximum near ``x0`` of the least of ``rows`` (in units of
-    the game's scale, see _scale), by Newton's method on the KKT system of
-    max t s.t. f_i(x) >= t; None if it finds none.
+    """The local maximum near ``x0`` of the least of ``rows`` (a game's
+    rows in its unit, see PlanarSearch), by Newton's method on the KKT
+    system of max t s.t. f_i(x) >= t; None if it finds none.
 
     The rows within ACTIVE_WINDOW of the least at ``x0`` are active.  With
     multipliers l = (1 - sum_j mu_j, mu_1, ...) over the active rows, the
@@ -665,7 +663,15 @@ def _same_point(x: Azimuths, y: Azimuths) -> bool:
 
 class PlanarSearch:
     """The part of maximize_planar on one game that the seed does not
-    choose: the planar objective, its unit, and the runs of the grid starts.
+    choose: the game's unit, the planar rows and objective in it, and the
+    runs of the grid starts.
+
+    The unit is the scale of the planar rows (see _scale), and ``rows`` are
+    _planar_rows divided by it, exactly, once.  The grid scan, the objective,
+    both polishes, the Newton finish and the tie-break (see best) all run on
+    them with the module's constants as they stand, so every value in a run
+    is in the game's unit; maximize_planar multiplies the reported value by
+    ``scale``, and best_response_check its threshold.
 
     The seed only chooses the random starts; the grid scan and the polishes
     of its best points depend on the game alone.  So each game object keeps
@@ -684,16 +690,16 @@ class PlanarSearch:
     """
 
     def __init__(self, weights: np.ndarray) -> None:
-        self.rows = _planar_rows(weights)
-        self.objective = _planar_objective(self.rows)
-        self.scale = _scale(self.rows)
+        rows = _planar_rows(weights)
+        self.scale = _scale(rows)
         # exact: the scale is a power of two
-        self.unit_rows = [tuple(v / self.scale for v in row) for row in self.rows]
+        self.rows = [tuple(v / self.scale for v in row) for row in rows]
+        self.objective = _planar_objective(self.rows)
         self._runs: list[Run] = []
 
     def polish(self, starts: Sequence[Sequence[float]]) -> list[Run]:
         """The loose polish of each start: NM_XATOL and NM_FATOL."""
-        return _polish(self.objective, starts, NM_XATOL, NM_FATOL * self.scale)
+        return _polish(self.objective, starts, NM_XATOL, NM_FATOL)
 
     def grid_runs(self, restarts: int) -> list[Run]:
         """The runs of the ``restarts`` best grid points, best point first."""
@@ -709,22 +715,25 @@ class PlanarSearch:
         polished again at FALLBACK_XATOL and FALLBACK_FATOL, and that polish
         gives the run."""
         value, angles, _ = run
-        x = _newton(self.unit_rows, angles)
+        x = _newton(self.rows, angles)
         if x is not None:
             wrapped = tuple(wrap_angle(v) for v in x)
             refined = self.objective(wrapped)
             if refined >= value:
                 return refined, wrapped, True
-        return _polish(
-            self.objective, [angles], FALLBACK_XATOL, FALLBACK_FATOL * self.scale
-        )[0]
+        return _polish(self.objective, [angles], FALLBACK_XATOL, FALLBACK_FATOL)[0]
 
-    def finish(self, runs: Sequence[Run]) -> list[Run]:
-        """Each distinct maximum among the runs within ACTIVE_WINDOW of the
-        best, refined once.  The runs are taken best value first, ties in
+    def best(self, runs: Sequence[Run]) -> Run:
+        """The refined run of the best maximum among the runs.
+
+        Each distinct maximum among the runs within ACTIVE_WINDOW of the
+        best is refined once.  The runs are taken best value first, ties in
         the order of their wrapped angles; a run whose angles all lie
-        within SAME_POINT of a run already refined is skipped."""
-        floor = max(r[0] for r in runs) - ACTIVE_WINDOW * self.scale
+        within SAME_POINT of a run already refined is skipped.  Of the
+        refined runs the highest value wins, and those within TIE_WINDOW of
+        it count as ties, broken by lexicographic order of the wrapped
+        angles: the choice does not depend on the order of the runs."""
+        floor = max(r[0] for r in runs) - ACTIVE_WINDOW
         refined: list[Run] = []
         points: list[Azimuths] = []
         for run in sorted((r for r in runs if r[0] >= floor), key=lambda r: (-r[0], r[1])):
@@ -733,12 +742,14 @@ class PlanarSearch:
                 refined.append(self.refine(run))
         # Points whose refinements meet, as fallback polishes may, count once,
         # at their best value.
-        return [
+        kept = [
             run for run in refined
             if not any(
                 other[0] > run[0] and _same_point(run[1], other[1]) for other in refined
             )
         ]
+        vmax = max(r[0] for r in kept)
+        return min((r for r in kept if r[0] >= vmax - TIE_WINDOW), key=lambda r: r[1])
 
 
 def maximize_planar(
@@ -755,14 +766,15 @@ def maximize_planar(
     start's basin; the random points take four draws each of
     random.Random(config.seed).uniform(-pi, pi), in order.  Each distinct
     maximum among the best runs is then found by Newton's method on the
-    KKT system of the least payoff (see PlanarSearch.finish and _newton),
+    KKT system of the least payoff (see PlanarSearch.best and _newton),
     and the reported angles are its.  ``converged`` is that point's KKT
     test, or the flag of the tight polish that replaces a failed one.  So
     the float-for-float SciPy contract of _nelder_mead covers the polish
     only, and the reported optimum does not depend on the seed once its
     basin is found.  More restarts can only improve the reported value (up
-    to the tie window).  The runs of the grid starts are kept on the game
-    object (see PlanarSearch).
+    to the tie window).  The search runs in the game's unit, and the value
+    is the objective there times the scale, exactly (see PlanarSearch).
+    The runs of the grid starts are kept on the game object.
     """
     import random  # loads with the first search
 
@@ -773,13 +785,13 @@ def maximize_planar(
         [uniform(-math.pi, math.pi) for _ in range(4)] for _ in range(config.restarts)
     ]
     runs = search.grid_runs(config.restarts) + search.polish(random_starts)
-    _, angles, ok = _best_run(search.finish(runs))
+    _, angles, ok = search.best(runs)
     a1, b1, c0, c1 = angles
     setting = MeasurementSetting.planar([0.0, a1, 0.0, b1, c0, c1])
     payoffs = ghz_payoffs(game.ghz_weights, setting.ghz_features)
     return OptimumReport(
         setting=setting,
-        value=search.objective(angles),
+        value=search.objective(angles) * search.scale,
         payoffs=PayoffTriple(*payoffs.tolist()),
         converged=ok,
     )
@@ -796,6 +808,7 @@ class BestResponseVerdict(NamedTuple):
     mode: str  # "planar" | "full_sphere"
     baseline: PayoffTriple
     responses: tuple[PlayerBestResponse, PlayerBestResponse, PlayerBestResponse]
+    threshold: float  # EQUILIBRIUM_IMPROVEMENT_TOL times the game's scale
 
     @property
     def max_improvement(self) -> float:
@@ -803,7 +816,7 @@ class BestResponseVerdict(NamedTuple):
 
     @property
     def is_equilibrium(self) -> bool:
-        return self.max_improvement < EQUILIBRIUM_IMPROVEMENT_TOL
+        return self.max_improvement < self.threshold
 
 
 def best_response_check(
@@ -832,6 +845,11 @@ def best_response_check(
     z-part W[p, x, f_pq] z_q + W[p, x, f_pr] z_r.  The triple correlator is
     -Im of the product of the three n_x + i n_y, so it gives the xy-part
     -W[p, x, 4] (Im P, Re P) with P = (q_x + i q_y)(r_x + i r_y).
+
+    The candidate is an equilibrium when no improvement reaches the
+    threshold, EQUILIBRIUM_IMPROVEMENT_TOL times the game's scale (see
+    PlanarSearch): a unit-free test, which gives a game whose utilities are
+    2**k times another's the same verdict.
     """
     if mode not in ("planar", "full_sphere"):
         raise ValidationError(f"unknown best-response mode {mode!r}")
@@ -875,7 +893,10 @@ def best_response_check(
             deviation=MeasurementSetting(theta, phi),
         ))
     return BestResponseVerdict(
-        mode=mode, baseline=PayoffTriple(*baseline), responses=tuple(responses)
+        mode=mode,
+        baseline=PayoffTriple(*baseline),
+        responses=tuple(responses),
+        threshold=EQUILIBRIUM_IMPROVEMENT_TOL * game.planar_search.scale,
     )
 
 

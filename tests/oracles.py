@@ -12,8 +12,9 @@ maximum of a planar payoff row over the third player's azimuths
 (:func:`reduced_planar_maximum`) and the single-party marginal of GHZ
 advice.  Among the test inputs,
 :func:`relabelled_copy` builds every relabelled, rescaled copy of a game
-that the tests use, and :func:`scaled_to_magnitude` the games at the edge of
-the GHZ engine's magnitude rule.
+that the tests use, :func:`scaled_to_magnitude` the games at the edge of
+the GHZ engine's magnitude rule, and :func:`player_symmetric_game` the
+seeded random player-symmetric games.
 
 The module imports from ``bellgame`` only value types, constants and small
 helpers, never an engine that it checks (``profile_table``,
@@ -163,6 +164,20 @@ def scaled_to_magnitude(
         ),
         game.prior,
     )
+
+
+def player_symmetric_game(seed: int) -> GameDefinition:
+    """A seeded random player-symmetric game: a uniform prior, and each u_i
+    an integer in [-9, 9] chosen by the player's own (x_i, y_i) and the
+    multiset of the other two players' pairs."""
+    rng = random.Random(seed)
+    values = {}
+
+    def utility(i, x, y):
+        others = tuple(sorted((x[j], y[j]) for j in PLAYERS if j != i))
+        return values.setdefault(((x[i], y[i]), others), rng.randint(-9, 9))
+
+    return GameDefinition(table_from_function(utility), make_uniform_prior())
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from oracles import (
     constant_table,
     hv_model_to_distribution,
     make_uniform_prior,
+    player_symmetric_game,
     scaled_to_magnitude,
 )
 
@@ -623,11 +624,22 @@ class TestOptimizeCommand:
             printed.add(json.dumps(report["results"]["optimum"]))
         assert len(printed) == 1
 
-    @pytest.mark.parametrize("exponent", [-6, 0, 6, 12, 20])
-    def test_the_exit_code_has_no_unit(self, capsys, tmp_path, table1, exponent):
-        """table1 with every utility times 10**e: at seeds 0-3 optimize
-        exits 0, and value / 10**e is table1's within 1e-15 relative."""
-        unit = Fraction(10) ** exponent
+    @pytest.mark.parametrize(
+        ("unit", "exact"),
+        [(Fraction(10) ** e, False) for e in (-6, 0, 6, 12, 20)]
+        + [(Fraction(2) ** k, True) for k in (-40, 40)],
+        ids=["-6", "0", "6", "12", "20", "2**-40", "2**40"],
+    )
+    def test_the_exit_code_has_no_unit(self, capsys, tmp_path, request, table1, unit, exact):
+        """table1 with every utility times the unit: at seeds 0-3 optimize
+        exits 0, and value / unit is table1's within 1e-15 relative.
+
+        A power-of-two unit is exact in floats, so there the whole report
+        scales exactly, on table1, nonuniform_game, affine_game and the ten
+        seeded player-symmetric games: the same angles and ``converged``,
+        the value and each best-response verdict's threshold and
+        max_improvement exactly unit times the unscaled game's, and the
+        same verdict in both modes."""
         game = GameDefinition(affine_transform(table1.utilities, unit, 0), table1.prior)
         path = tmp_path / "game.json"
         path.write_text(json.dumps(game_to_json_dict(game)))
@@ -639,6 +651,23 @@ class TestOptimizeCommand:
                 game, optimize.OptimizationConfig(seed=seed)
             ).value
             assert abs(value / float(unit) - reference) <= 1e-15 * reference
+        if not exact:
+            return
+        games = [request.getfixturevalue(name) for name in ("nonuniform_game", "affine_game")]
+        for base in [table1, *games, *map(player_symmetric_game, range(10))]:
+            scaled = GameDefinition(affine_transform(base.utilities, unit, 0), base.prior)
+            want, got = optimize.maximize_planar(base), optimize.maximize_planar(scaled)
+            assert got.setting.phi.tolist() == want.setting.phi.tolist()
+            assert got.value == want.value * float(unit)
+            assert got.converged is want.converged
+            for mode in ("planar", "full_sphere"):
+                want_verdict = optimize.best_response_check(base, want.setting, mode)
+                got_verdict = optimize.best_response_check(scaled, got.setting, mode)
+                assert got_verdict.threshold == want_verdict.threshold * float(unit)
+                assert got_verdict.max_improvement == (
+                    want_verdict.max_improvement * float(unit)
+                )
+                assert got_verdict.is_equilibrium is want_verdict.is_equilibrium
 
 
 class TestCheckCommand:
@@ -683,6 +712,32 @@ class TestCheckCommand:
         classical = expected_payoffs(table1.utilities, table1.prior, mixture)
         for key, value in zip("ABC", classical):
             assert results["payoffs"][key] == pytest.approx(float(value), abs=1e-9)
+
+    def test_the_threshold_is_in_the_game_unit(self, capsys, tmp_path, table1):
+        """check on table1 with every utility times 2**-20, at the planar
+        setting with every azimuth 0: a player gains about 0.208 of the
+        game's unit there, so the setting is no equilibrium, and the
+        threshold is EQUILIBRIUM_IMPROVEMENT_TOL times 2**-20.  The printed
+        max_improvement is table1's times 2**-20."""
+        setting = tmp_path / "zero.json"
+        setting.write_text(json.dumps(dict.fromkeys(PLANAR_KEYS, 0.0)))
+        unit = Fraction(2) ** -20
+        game = GameDefinition(affine_transform(table1.utilities, unit, 0), table1.prior)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game_to_json_dict(game)))
+        code, report = run_cli(capsys, "check", "--setting", str(setting), "--game", str(path))
+        assert code == 0
+        verdict = report["results"]["best_response"]
+        assert verdict["threshold"] == math.ldexp(optimize.EQUILIBRIUM_IMPROVEMENT_TOL, -20)
+        assert verdict["certified_equilibrium"] is False
+        _, unscaled = run_cli(capsys, "check", "--setting", str(setting))
+        assert unscaled["results"]["best_response"]["threshold"] == 1e-6
+        assert unscaled["results"]["best_response"]["certified_equilibrium"] is False
+        gain = optimize.best_response_check(
+            table1, MeasurementSetting.planar([0.0] * 6)
+        ).max_improvement
+        assert gain == pytest.approx(0.208, abs=1e-3)
+        assert verdict["max_improvement"] == fmt_real(math.ldexp(gain, -20))
 
     def test_tilted_setting_reports_three_payoffs(self, capsys, tilted_setting_file):
         code, report = run_cli(
