@@ -26,14 +26,16 @@ exactly 2**k times its value and threshold, and the same verdicts.
 The polish is in-house and works in four dimensions only, on 4-tuples and
 scalar locals: it follows the path of SciPy's Nelder-Mead with a stable
 argsort exactly, float for float, at either tolerance pair, without SciPy's
-per-iteration numpy overhead or its import.  That contract covers the
-polish only, not the Newton finish.  It holds on objectives that never
-return NaN, and the planar objective never does (see _planar_rows).  Tied
-vertices keep their order, as tied grid points do (see _grid_starts), so
-the path is the same on every CPU; the Newton finish runs in pure Python in
-a fixed order, and is too.  A step that replaces only the worst vertex puts
-the new one in place by bisection; the whole simplex is sorted only after a
-shrink or when the evaluation budget runs out.
+per-iteration numpy overhead or its import.  Its first simplex has an edge
+of NM_STEP radians along each azimuth, SciPy's ``initial_simplex`` in the
+contract.  That contract covers the polish only, not the Newton finish.
+It holds on objectives that never return NaN, and the planar objective
+never does (see _planar_rows).  Tied vertices keep their order, as tied
+grid points do (see _grid_starts), so the path is the same on every CPU;
+the Newton finish runs in pure Python in a fixed order, and is too.  A step
+that replaces only the worst vertex puts the new one in place by
+bisection; the whole simplex is sorted only after a shrink or when the
+evaluation budget runs out.
 
 The seed only chooses the random starts, drawn with random.Random(seed):
 four azimuths per start, each uniform in [-pi, pi], from the Mersenne
@@ -115,12 +117,19 @@ GRID = 16
 #: Iteration cap of one Nelder-Mead polish; it may evaluate the objective
 #: four times as often.
 NM_MAX_ITER = 2000
+#: The edge of the polish's first simplex, in radians: the start and the
+#: start with NM_STEP added to one azimuth, for each azimuth in turn.  The
+#: objective is 2 pi-periodic in every angle, so one fixed step suits every
+#: start.  SciPy's default, 5% of each azimuth and 0.00025 at zero, gives a
+#: grid start on zero a simplex hundreds of times narrower along that angle,
+#: and the polish spends its first steps widening it.
+NM_STEP = 0.3
 #: Simplex convergence tolerances of the polish of every start, on the
 #: vertices (in radians) and on the values (in units of the game's scale,
 #: as every value tolerance here is, see _scale).  The polish only has to
 #: reach the basin of a maximum; the Newton finish (see _newton) finds the
 #: maximum itself.
-NM_XATOL = 1e-3
+NM_XATOL = 3e-3
 NM_FATOL = 1e-4
 #: The tolerances of the polish that replaces a failed Newton finish (see
 #: PlanarSearch.refine), in the same units.
@@ -173,9 +182,10 @@ def _nelder_mead(
 
     This is SciPy 1.17's ``minimize(lambda x: -objective(x), x0,
     method="Nelder-Mead")`` with the given xatol and fatol, maxiter
-    NM_MAX_ITER and maxfev 4 * NM_MAX_ITER, run with
+    NM_MAX_ITER, maxfev 4 * NM_MAX_ITER and an ``initial_simplex`` of x0
+    and, for k = 0..3, x0 with NM_STEP added to coordinate k, run with
     ``np.argsort(kind="stable")`` in place of ``np.argsort``, in four
-    dimensions on Python floats: the same initial simplex, the same steps
+    dimensions on Python floats: that initial simplex, the same steps
     with the coefficients rho = 1, chi = 2, psi = sigma = 1/2 substituted
     into SciPy's expressions, and the same vertex order, so every point and
     value is the same float as SciPy's on every CPU, on objectives that
@@ -196,7 +206,7 @@ def _nelder_mead(
     vertices = [tuple(start)]
     for k in range(4):
         y = list(start)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        y[k] += NM_STEP
         vertices.append(tuple(y))
     # 5 evaluations, within budget
     fsim = [-objective(v) for v in vertices]
@@ -761,10 +771,11 @@ def maximize_planar(
     On the equator only the triple correlator survives, so each payoff is
     const_i + sum_x coef_i[x] sin(a(x_A) + b(x_B) + c(x_C)) with constants
     and coefficients read off the game's GHZ weights.  The top points of a
-    grid scan and as many seeded random points start Nelder-Mead polishes
-    at the loose tolerances NM_XATOL and NM_FATOL, which only choose each
-    start's basin; the random points take four draws each of
-    random.Random(config.seed).uniform(-pi, pi), in order.  Each distinct
+    grid scan and as many seeded random points start Nelder-Mead polishes,
+    each from a simplex of edge NM_STEP, at the loose tolerances NM_XATOL
+    and NM_FATOL, which only choose each start's basin; the random points
+    take four draws each of random.Random(config.seed).uniform(-pi, pi), in
+    order.  Each distinct
     maximum among the best runs is then found by Newton's method on the
     KKT system of the least payoff (see PlanarSearch.best and _newton),
     and the reported angles are its.  ``converged`` is that point's KKT
