@@ -37,8 +37,9 @@ setting run on the exact engine alone.
 Exit codes: 0 success, 2 validation failure (also when ``optimize`` or
 ``check`` reads a game outside the GHZ engine's magnitude rule,
 quantum.MAGNITUDE_LIMIT), 3 non-convergence (``optimize``'s optimum failed
-the KKT test, and the tight polish that replaced it ran out of
-iterations; see optimize.PlanarSearch.refine), 4 I/O.
+the KKT test, and the tight polish that replaced it ran out of its
+evaluation budget, optimize.NM_MAX_FEV; see optimize.PlanarSearch.refine),
+4 I/O.
 """
 
 from __future__ import annotations
@@ -379,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
             "scan and Nelder-Mead polishes find each maximum's basin, and "
             "Newton's method on the KKT system finds the maximum. Exit 3 "
             "(not converged) means the reported optimum failed the KKT test "
-            "and the tight polish that replaced it ran out of iterations."
+            "and the tight polish that replaced it ran out of its evaluation "
+            "budget."
         ),
     )
     add_common(p)

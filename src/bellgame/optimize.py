@@ -18,10 +18,11 @@ two that each planar row is divided by once, exactly, as it comes in (see
 PlanarSearch).  The grid, the polishes, the Newton finish and the tie-break
 all compare values of the divided rows with plain constants, so no stop
 rule and no choice among runs depends on the utility unit.  The scale is
-applied again only on the way out, to the reported value and to the
-equilibrium threshold of best_response_check, and both products are exact:
-a game whose utilities are 2**k times another's gets the same angles,
-exactly 2**k times its value and threshold, and the same verdicts.
+applied again only on the way out, to the reported value, and the product
+is exact.  The equilibrium threshold of best_response_check takes its own
+power-of-two unit in the same way, over every weight the certificate
+reads.  So a game whose utilities are 2**k times another's gets the same
+angles, exactly 2**k times its value and threshold, and the same verdicts.
 
 The polish is in-house and works in four dimensions only, on 4-tuples and
 scalar locals: it follows the path of SciPy's Nelder-Mead with a stable
@@ -34,8 +35,9 @@ never does (see _planar_rows).  Tied vertices keep their order, as tied
 grid points do (see _grid_starts), so the path is the same on every CPU;
 the Newton finish runs in pure Python in a fixed order, and is too.  A step
 that replaces only the worst vertex puts the new one in place by
-bisection; the whole simplex is sorted only after a shrink or when the
-evaluation budget runs out.
+bisection; the whole simplex is sorted only after a shrink.  A polish has
+one budget, NM_MAX_FEV evaluations, read at the top of each step, and
+every step runs to its end.
 
 The seed only chooses the random starts, drawn with random.Random(seed):
 four azimuths per start, each uniform in [-pi, pi], from the Mersenne
@@ -84,8 +86,8 @@ from .game import (
 from .quantum import MeasurementSetting, ghz_payoffs, wrap_angle
 
 #: A candidate counts as a numerical equilibrium when no player can gain
-#: more than this many units of the game's scale (see _scale) by a
-#: unilateral change of their own observables.
+#: this many units (see best_response_check) by a unilateral change of
+#: their own observables.
 EQUILIBRIUM_IMPROVEMENT_TOL = 1e-6
 
 
@@ -114,9 +116,9 @@ class OptimumReport(NamedTuple):
 #: Points per free angle of the grid scan: it holds GRID**4 floats per
 #: distinct player payoff.
 GRID = 16
-#: Iteration cap of one Nelder-Mead polish; it may evaluate the objective
-#: four times as often.
-NM_MAX_ITER = 2000
+#: The evaluation budget of one Nelder-Mead polish: no step starts once it
+#: is spent (see _nelder_mead).
+NM_MAX_FEV = 8000
 #: The edge of the polish's first simplex, in radians: the start and the
 #: start with NM_STEP added to one azimuth, for each azimuth in turn.  The
 #: objective is 2 pi-periodic in every angle, so one fixed step suits every
@@ -152,10 +154,6 @@ NEWTON_MAX_ITER = 30
 Azimuths = tuple[float, float, float, float]
 
 
-class _Exhausted(Exception):
-    """The evaluation budget of a polish ran out."""
-
-
 def _sort_simplex(
     fsim: list[float], sim: list[Azimuths]
 ) -> tuple[list[float], list[Azimuths]]:
@@ -178,44 +176,44 @@ def _nelder_mead(
     fatol: float,
 ) -> tuple[list[float], float, bool]:
     """Maximize ``objective`` over the four free azimuths from ``x0``;
-    returns (x, value, converged).
+    returns (x, value, converged), converged if the tolerance test stopped
+    the run.
 
-    This is SciPy 1.17's ``minimize(lambda x: -objective(x), x0,
-    method="Nelder-Mead")`` with the given xatol and fatol, maxiter
-    NM_MAX_ITER, maxfev 4 * NM_MAX_ITER and an ``initial_simplex`` of x0
-    and, for k = 0..3, x0 with NM_STEP added to coordinate k, run with
-    ``np.argsort(kind="stable")`` in place of ``np.argsort``, in four
-    dimensions on Python floats: that initial simplex, the same steps
-    with the coefficients rho = 1, chi = 2, psi = sigma = 1/2 substituted
-    into SciPy's expressions, and the same vertex order, so every point and
-    value is the same float as SciPy's on every CPU, on objectives that
-    never return NaN.  The value is that of the returned vertex, the first
-    of the final simplex.  The simplex is two parallel lists, the values
-    ``fsim`` and the vertices ``sim`` as 4-tuples, kept in the order of
-    _sort_simplex after every step.  Each step unpacks the vertices into
-    scalar locals; the centroid is (b + p + q + s) / 4 per coordinate,
-    summed left to right as SciPy's column sum does for these four rows.  A
-    step that replaces only the worst vertex puts the new one in place by
-    bisection, after the survivors it ties.  After a shrink and after the
-    budget runs out, _sort_simplex sorts the whole simplex.  ``objective``
+    The budget is read once per step: a step starts while fewer than
+    NM_MAX_FEV evaluations have been made, and runs to its end, so a run
+    makes fewer than NM_MAX_FEV + 6 of them (a shrink step makes six).
+    That is SciPy 1.17's ``minimize(lambda x: -objective(x), x0,
+    method="Nelder-Mead")`` with the given xatol and fatol, maxiter inf,
+    maxfev the larger of NM_MAX_FEV and the evaluations the run made, and
+    an ``initial_simplex`` of x0 and, for k = 0..3, x0 with NM_STEP added
+    to coordinate k, run with ``np.argsort(kind="stable")`` in place of
+    ``np.argsort``, in four dimensions on Python floats: that initial
+    simplex, the same steps with the coefficients rho = 1, chi = 2, psi =
+    sigma = 1/2 substituted into SciPy's expressions, and the same vertex
+    order, so every point and value is the same float as SciPy's on every
+    CPU, on objectives that never return NaN.  The value is that of the
+    returned vertex, the first of the final simplex.  The simplex is two
+    parallel lists, the values ``fsim`` and the vertices ``sim`` as
+    4-tuples, kept in the order of _sort_simplex after every step.  Each
+    step unpacks the vertices into scalar locals; the centroid is (b + p +
+    q + s) / 4 per coordinate, summed left to right as SciPy's column sum
+    does for these four rows.  A step that replaces only the worst vertex
+    puts the new one in place by bisection, after the survivors it ties;
+    after a shrink, _sort_simplex sorts the whole simplex.  ``objective``
     gets each point as a 4-tuple.
     """
-    max_fev = 4 * NM_MAX_ITER
-
     start = [float(v) for v in x0]
     vertices = [tuple(start)]
     for k in range(4):
         y = list(start)
         y[k] += NM_STEP
         vertices.append(tuple(y))
-    # 5 evaluations, within budget
     fsim = [-objective(v) for v in vertices]
     nfev = 5
     # SciPy sorts twice here; a stable sort leaves a sorted simplex as it is.
     fsim, sim = _sort_simplex(fsim, vertices)
 
-    nit = 1
-    while nfev < max_fev and nit < NM_MAX_ITER:
+    while nfev < NM_MAX_FEV:
         best, p, q, s, worst = sim
         b0, b1, b2, b3 = best
         w0, w1, w2, w3 = worst
@@ -242,76 +240,58 @@ def _nelder_mead(
         c2 = (b2 + p2 + q2 + s2) / 4
         c3 = (b3 + p3 + q3 + s3) / 4
         shrink = False
-        try:
-            xr = (2 * c0 - w0, 2 * c1 - w1, 2 * c2 - w2, 2 * c3 - w3)
-            # The loop runs while the budget lasts, so the reflection is
-            # evaluated.  As SciPy's wrapper does, a later evaluation past
-            # the budget raises instead, and the step ends there.
+        xr = (2 * c0 - w0, 2 * c1 - w1, 2 * c2 - w2, 2 * c3 - w3)
+        fxr = -objective(xr)
+        nfev += 1
+        if fxr < fbest:
+            xe = (
+                3 * c0 - 2 * w0, 3 * c1 - 2 * w1,
+                3 * c2 - 2 * w2, 3 * c3 - 2 * w3,
+            )
+            fxe = -objective(xe)
             nfev += 1
-            fxr = -objective(xr)
-            if fxr < fbest:
-                xe = (
-                    3 * c0 - 2 * w0, 3 * c1 - 2 * w1,
-                    3 * c2 - 2 * w2, 3 * c3 - 2 * w3,
-                )
-                if nfev == max_fev:
-                    raise _Exhausted
-                nfev += 1
-                fxe = -objective(xe)
-                fsim[4], sim[4] = (fxe, xe) if fxe < fxr else (fxr, xr)
-            elif fxr < fsim[3]:
-                fsim[4], sim[4] = fxr, xr
-            elif fxr < fworst:
-                xc = (
-                    1.5 * c0 - 0.5 * w0, 1.5 * c1 - 0.5 * w1,
-                    1.5 * c2 - 0.5 * w2, 1.5 * c3 - 0.5 * w3,
-                )
-                if nfev == max_fev:
-                    raise _Exhausted
-                nfev += 1
-                fxc = -objective(xc)
-                if fxc <= fxr:
-                    fsim[4], sim[4] = fxc, xc
-                else:
-                    shrink = True
+            fsim[4], sim[4] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < fsim[3]:
+            fsim[4], sim[4] = fxr, xr
+        elif fxr < fworst:
+            xc = (
+                1.5 * c0 - 0.5 * w0, 1.5 * c1 - 0.5 * w1,
+                1.5 * c2 - 0.5 * w2, 1.5 * c3 - 0.5 * w3,
+            )
+            fxc = -objective(xc)
+            nfev += 1
+            if fxc <= fxr:
+                fsim[4], sim[4] = fxc, xc
             else:
-                xcc = (
-                    0.5 * c0 + 0.5 * w0, 0.5 * c1 + 0.5 * w1,
-                    0.5 * c2 + 0.5 * w2, 0.5 * c3 + 0.5 * w3,
+                shrink = True
+        else:
+            xcc = (
+                0.5 * c0 + 0.5 * w0, 0.5 * c1 + 0.5 * w1,
+                0.5 * c2 + 0.5 * w2, 0.5 * c3 + 0.5 * w3,
+            )
+            fxcc = -objective(xcc)
+            nfev += 1
+            if fxcc < fworst:
+                fsim[4], sim[4] = fxcc, xcc
+            else:
+                shrink = True
+        if shrink:
+            for j, (v0, v1, v2, v3) in enumerate((p, q, s, worst), 1):
+                sim[j] = x = (
+                    b0 + 0.5 * (v0 - b0), b1 + 0.5 * (v1 - b1),
+                    b2 + 0.5 * (v2 - b2), b3 + 0.5 * (v3 - b3),
                 )
-                if nfev == max_fev:
-                    raise _Exhausted
-                nfev += 1
-                fxcc = -objective(xcc)
-                if fxcc < fworst:
-                    fsim[4], sim[4] = fxcc, xcc
-                else:
-                    shrink = True
-            if shrink:
-                for j, (v0, v1, v2, v3) in enumerate((p, q, s, worst), 1):
-                    # As in SciPy, a vertex whose evaluation exhausts the
-                    # budget moves but keeps its old value.
-                    sim[j] = x = (
-                        b0 + 0.5 * (v0 - b0), b1 + 0.5 * (v1 - b1),
-                        b2 + 0.5 * (v2 - b2), b3 + 0.5 * (v3 - b3),
-                    )
-                    if nfev == max_fev:
-                        raise _Exhausted
-                    nfev += 1
-                    fsim[j] = -objective(x)
-            nit += 1
-        except _Exhausted:
-            shrink = True  # a step cut short is sorted in full, as a shrink is
-        if not shrink:
+                fsim[j] = -objective(x)
+            nfev += 4
+            fsim, sim = _sort_simplex(fsim, sim)
+        else:
             # Only the worst vertex changed, and the survivors fsim[:4] are
             # in order.  A stable sort puts it after the survivors it ties.
             i = bisect_right(fsim, fsim[4], 0, 4)
             fsim.insert(i, fsim.pop())
             sim.insert(i, sim.pop())
-        else:
-            fsim, sim = _sort_simplex(fsim, sim)
 
-    return list(sim[0]), -float(fsim[0]), nfev < max_fev and nit < NM_MAX_ITER
+    return list(sim[0]), -float(fsim[0]), nfev < NM_MAX_FEV
 
 
 #: Refined runs whose values lie within this window of the best are treated
@@ -673,15 +653,19 @@ def _same_point(x: Azimuths, y: Azimuths) -> bool:
 
 class PlanarSearch:
     """The part of maximize_planar on one game that the seed does not
-    choose: the game's unit, the planar rows and objective in it, and the
-    runs of the grid starts.
+    choose: the game's unit, the planar rows and objective in it, the
+    equilibrium threshold of best_response_check, and the runs of the grid
+    starts.
 
     The unit is the scale of the planar rows (see _scale), and ``rows`` are
     _planar_rows divided by it, exactly, once.  The grid scan, the objective,
     both polishes, the Newton finish and the tie-break (see best) all run on
     them with the module's constants as they stand, so every value in a run
     is in the game's unit; maximize_planar multiplies the reported value by
-    ``scale``, and best_response_check its threshold.
+    ``scale``.  ``threshold`` is best_response_check's, in the unit of the
+    planar rows and the pair weights, which the certificate reads as well:
+    a game whose planar rows vanish has the scale 1 at any size of its pair
+    weights.
 
     The seed only chooses the random starts; the grid scan and the polishes
     of its best points depend on the game alone.  So each game object keeps
@@ -695,7 +679,7 @@ class PlanarSearch:
     allowed.  A seed sweep on one game object therefore polishes the grid
     once, and each call reports the same floats as on a fresh object.  The
     kept runs are those of the polish, before the Newton finish, and assume
-    the module's search constants (GRID, NM_MAX_ITER and the NM_*
+    the module's search constants (GRID, the budget NM_MAX_FEV and the NM_*
     tolerances) as they were when the runs were made.
     """
 
@@ -705,6 +689,8 @@ class PlanarSearch:
         # exact: the scale is a power of two
         self.rows = [tuple(v / self.scale for v in row) for row in rows]
         self.objective = _planar_objective(self.rows)
+        pairs = weights[:, :, 1:4].ravel().tolist()
+        self.threshold = EQUILIBRIUM_IMPROVEMENT_TOL * _scale([*rows, pairs])
         self._runs: list[Run] = []
 
     def polish(self, starts: Sequence[Sequence[float]]) -> list[Run]:
@@ -775,14 +761,14 @@ def maximize_planar(
     each from a simplex of edge NM_STEP, at the loose tolerances NM_XATOL
     and NM_FATOL, which only choose each start's basin; the random points
     take four draws each of random.Random(config.seed).uniform(-pi, pi), in
-    order.  Each distinct
-    maximum among the best runs is then found by Newton's method on the
-    KKT system of the least payoff (see PlanarSearch.best and _newton),
-    and the reported angles are its.  ``converged`` is that point's KKT
-    test, or the flag of the tight polish that replaces a failed one.  So
-    the float-for-float SciPy contract of _nelder_mead covers the polish
-    only, and the reported optimum does not depend on the seed once its
-    basin is found.  More restarts can only improve the reported value (up
+    order.  Each distinct maximum among the best runs is then found by
+    Newton's method on the KKT system of the least payoff (see
+    PlanarSearch.best and _newton), and the reported angles are its.
+    ``converged`` is that point's KKT test, or, where that fails, whether
+    the tight polish that replaces it stopped by its tolerance test before
+    its budget of NM_MAX_FEV evaluations ran out.  So the float-for-float
+    SciPy contract of _nelder_mead covers the polish only, and the
+    reported optimum does not depend on the seed once its basin is found.  More restarts can only improve the reported value (up
     to the tie window).  The search runs in the game's unit, and the value
     is the objective there times the scale, exactly (see PlanarSearch).
     The runs of the grid starts are kept on the game object.
@@ -819,7 +805,7 @@ class BestResponseVerdict(NamedTuple):
     mode: str  # "planar" | "full_sphere"
     baseline: PayoffTriple
     responses: tuple[PlayerBestResponse, PlayerBestResponse, PlayerBestResponse]
-    threshold: float  # EQUILIBRIUM_IMPROVEMENT_TOL times the game's scale
+    threshold: float  # EQUILIBRIUM_IMPROVEMENT_TOL in the certificate's unit
 
     @property
     def max_improvement(self) -> float:
@@ -858,9 +844,10 @@ def best_response_check(
     -W[p, x, 4] (Im P, Re P) with P = (q_x + i q_y)(r_x + i r_y).
 
     The candidate is an equilibrium when no improvement reaches the
-    threshold, EQUILIBRIUM_IMPROVEMENT_TOL times the game's scale (see
-    PlanarSearch): a unit-free test, which gives a game whose utilities are
-    2**k times another's the same verdict.
+    threshold (see PlanarSearch): EQUILIBRIUM_IMPROVEMENT_TOL times the unit
+    (see _scale) of every weight the certificate reads, the planar rows and
+    the pair weights W[:, :, 1:4].  It is a unit-free test, which gives a
+    game whose utilities are 2**k times another's the same verdict.
     """
     if mode not in ("planar", "full_sphere"):
         raise ValidationError(f"unknown best-response mode {mode!r}")
@@ -907,7 +894,7 @@ def best_response_check(
         mode=mode,
         baseline=PayoffTriple(*baseline),
         responses=tuple(responses),
-        threshold=EQUILIBRIUM_IMPROVEMENT_TOL * game.planar_search.scale,
+        threshold=game.planar_search.threshold,
     )
 
 

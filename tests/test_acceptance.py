@@ -1,5 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL line (run with ``pytest tests/test_acceptance.py -s``).
+PASS/FAIL line (run with ``pytest tests/test_acceptance.py -s``), and one
+labelled finding on nonuniform_game that is not a criterion.
 
 Tolerances are pinned here and nowhere else: exact rational comparison on
 the classical path, 1e-12 for algebraic identities, 1e-10 for the GHZ
@@ -345,6 +346,33 @@ BEST_RESPONSE_ROUNDS = 100
 SETTLED_CLASSES = {"table1": (11, 9), "affine_game": (7, 13), "relabelled-0": (7, 13)}
 
 
+def _settled_settings(game):
+    """Criterion 12's dynamics on ``game``: from 20 full-sphere settings
+    drawn with random.Random(SEED), players move in turn to their exact
+    best response while one gains more than 1e-13.  Yields, per start, the
+    setting it settles on, or None if it does not settle within
+    BEST_RESPONSE_ROUNDS."""
+    rng = random.Random(SEED)
+    for _ in range(20):
+        angles = [
+            (math.acos(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi))
+            for _ in range(6)
+        ]
+        theta, phi = np.reshape(angles, (3, 2, 2)).transpose(2, 0, 1)
+        setting = MeasurementSetting(theta, phi)
+        for _ in range(BEST_RESPONSE_ROUNDS):
+            moved = False
+            for p in Player:
+                response = best_response_check(game, setting, "full_sphere").responses[p]
+                if response.improvement > 1e-13:
+                    setting, moved = response.deviation, True
+            if not moved:
+                yield setting
+                break
+        else:
+            yield None
+
+
 def test_criterion_12_best_response_dynamics_settle_on_fair_equilibria(table1, affine_game):
     """Only fair equilibria: from 20 seeded full-sphere settings per game,
     players move in turn to their exact best response while one gains more
@@ -369,24 +397,9 @@ def test_criterion_12_best_response_dynamics_settle_on_fair_equilibria(table1, a
     settled = {}
     for name, (game, scale_by, shift_by) in games.items():
         values = [float(scale_by) * v + float(shift_by) for v in classes]
-        rng = random.Random(SEED)
         counts = [0, 0]
-        for start in range(20):
-            angles = [
-                (math.acos(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi))
-                for _ in range(6)
-            ]
-            theta, phi = np.reshape(angles, (3, 2, 2)).transpose(2, 0, 1)
-            setting = MeasurementSetting(theta, phi)
-            for _ in range(BEST_RESPONSE_ROUNDS):
-                moved = False
-                for p in Player:
-                    response = best_response_check(game, setting, "full_sphere").responses[p]
-                    if response.improvement > 1e-13:
-                        setting, moved = response.deviation, True
-                if not moved:
-                    break
-            else:
+        for start, setting in enumerate(_settled_settings(game)):
+            if setting is None:
                 report("criterion 12: dynamics settle", False, f"{name}: start {start}")
             verdicts = [
                 best_response_check(game, setting, mode) for mode in ("planar", "full_sphere")
@@ -412,3 +425,40 @@ def test_criterion_12_best_response_dynamics_settle_on_fair_equilibria(table1, a
             f"{name}: {lo} at c/3, {hi} at (c + 4r)/3" for name, (lo, hi) in settled.items()
         ),
     )
+
+
+#: The payoff classes on which criterion 12's dynamics settle on
+#: nonuniform_game, with their counts of starts: the all-z setting's
+#: rational payoffs, and a class whose observables lie near the equator.
+NONUNIFORM_CLASSES = {
+    (F(29, 54), F(23, 54), F(10, 27)): 17,
+    (0.8027774211, 0.7333329766, 0.6986107544): 3,
+}
+
+
+def test_nonuniform_game_best_response_dynamics_settle_on_unfair_equilibria(
+    nonuniform_game,
+):
+    """A finding, not a release criterion: criterion 12's dynamics on
+    nonuniform_game (table1's utilities under a non-uniform prior).  Every
+    start settles within BEST_RESPONSE_ROUNDS on a setting certified in
+    both modes, in one of the two classes of NONUNIFORM_CLASSES (each
+    payoff within 1e-9), with the pinned counts.  Both classes are unfair:
+    their payoffs differ by more than 0.1."""
+    settled = dict.fromkeys(NONUNIFORM_CLASSES, 0)
+    for start, setting in enumerate(_settled_settings(nonuniform_game)):
+        assert setting is not None, f"start {start} does not settle"
+        verdicts = [
+            best_response_check(nonuniform_game, setting, mode)
+            for mode in ("planar", "full_sphere")
+        ]
+        assert all(v.is_equilibrium for v in verdicts), f"start {start}"
+        payoffs = verdicts[0].baseline
+        (kind,) = [
+            kind for kind in NONUNIFORM_CLASSES
+            if max(abs(float(v) - p) for v, p in zip(kind, payoffs)) <= 1e-9
+        ]
+        settled[kind] += 1
+    assert settled == NONUNIFORM_CLASSES
+    for kind in NONUNIFORM_CLASSES:
+        assert max(kind) - min(kind) > 0.1

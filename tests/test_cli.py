@@ -594,15 +594,15 @@ class TestOptimizeCommand:
         assert "unrecognized arguments: --grid 2" in capsys.readouterr().err
 
     def test_polish_cut_short_exits_3(self, capsys, monkeypatch, tmp_path, table1):
-        """Polishes cut short at 5 iterations still reach the optimum by the
-        Newton finish, and exit 0.  With the finish failed as well, the
+        """Polishes cut short at 20 evaluations still reach the optimum by
+        the Newton finish, and exit 0.  With the finish failed as well, the
         tight polish that replaces it is cut short too, and the command
         exits 3.  On a game file, which is read into a new object: the
         shared table1 object may hold grid runs made under the real
-        NM_MAX_ITER, and must not keep runs made under the patched one."""
+        NM_MAX_FEV, and must not keep runs made under the patched one."""
         path = tmp_path / "table1.json"
         path.write_text(json.dumps(game_to_json_dict(table1)))
-        monkeypatch.setattr(optimize, "NM_MAX_ITER", 5)
+        monkeypatch.setattr(optimize, "NM_MAX_FEV", 20)
         code, report = run_cli(capsys, "optimize", "--restarts", "1", "--game", str(path))
         assert code == 0 and report["results"]["optimum"]["converged"] is True
         assert report["results"]["optimum"]["value"] == fmt_real(ANALYTIC_OPTIMUM)

@@ -262,15 +262,18 @@ def _initial_simplex(x0) -> list[list[float]]:
     return simplex
 
 
-def _scipy_nelder_mead(objective, x0, xatol, fatol, default_simplex=False):
+def _scipy_nelder_mead(objective, x0, xatol, fatol, maxfev=None, default_simplex=False):
     """scipy.optimize.minimize's Nelder-Mead on -objective with the options
     of the in-house polish at the given tolerances, its initial simplex
-    among them (see _initial_simplex), and with np.argsort made stable for
-    this call only, so that tied vertices keep their order on every CPU:
-    that polish's oracle.  With ``default_simplex`` SciPy builds its own
-    first simplex, 5% of each nonzero coordinate: the search of the
-    best-response oracle, and the tight polish of _tight_polish_values.
-    Skips the test without SciPy."""
+    among them (see _initial_simplex), no iteration cap and the evaluation
+    budget ``maxfev`` (NM_MAX_FEV by default), and with np.argsort made
+    stable for this call only, so that tied vertices keep their order on
+    every CPU: that polish's oracle, with ``maxfev`` the larger of
+    NM_MAX_FEV and the evaluations the polish made (the polish finishes the
+    step in which its budget runs out).  With ``default_simplex`` SciPy
+    builds its own first simplex, 5% of each nonzero coordinate: the search
+    of the best-response oracle, and the tight polish of
+    _tight_polish_values.  Skips the test without SciPy."""
     minimize = pytest.importorskip("scipy.optimize").minimize
     argsort = np.argsort
 
@@ -280,8 +283,8 @@ def _scipy_nelder_mead(objective, x0, xatol, fatol, default_simplex=False):
     options = {
         "xatol": xatol,
         "fatol": fatol,
-        "maxiter": optimize.NM_MAX_ITER,
-        "maxfev": 4 * optimize.NM_MAX_ITER,
+        "maxiter": math.inf,
+        "maxfev": optimize.NM_MAX_FEV if maxfev is None else maxfev,
     }
     if not default_simplex:
         options["initial_simplex"] = _initial_simplex(x0)
@@ -587,6 +590,39 @@ class TestBestResponse:
             assert response.payoff == verdict.baseline[response.player]
             assert np.array_equal(response.deviation.theta, theta)
             assert np.array_equal(response.deviation.phi, setting.phi)
+
+    @pytest.mark.parametrize("mode", ["planar", "full_sphere"])
+    def test_the_verdict_has_no_unit_on_a_pair_only_game(self, mode):
+        """Every player's utility is +-1 by whether y_A = y_B, times 2 when
+        x_C = 1, under the uniform prior: the planar rows vanish, so the
+        search's unit is 1 at any size, and the certificate reads only pair
+        weights.  The threshold's unit covers them, so at 2**-40, 1 and
+        2**40 times these utilities the threshold and max_improvement are
+        exactly the unit times the unscaled game's, and the verdict at this
+        tilted candidate is the same: on the full sphere a player gains
+        0.926 of the unit, and it is no equilibrium."""
+        candidate = MeasurementSetting([[0.3, 1.0], [0.7, 2.0], [0.4, 0.1]], np.zeros((3, 2)))
+
+        def pair_only(unit):
+            return GameDefinition(
+                table_from_function(
+                    lambda i, x, y: unit * (1 if y[0] == y[1] else -1) * (2 if x[2] else 1)
+                ),
+                make_uniform_prior(),
+            )
+
+        want = best_response_check(pair_only(1), candidate, mode)
+        assert want.threshold == EQUILIBRIUM_IMPROVEMENT_TOL / 2  # pair weights 1/8, 1/4
+        assert want.is_equilibrium is (mode == "planar")
+        if mode == "full_sphere":
+            assert want.max_improvement == pytest.approx(0.926158235921537, abs=1e-12)
+        for k in (-40, 40):
+            game = pair_only(Fraction(2) ** k)
+            assert game.planar_search.scale == 1.0
+            got = best_response_check(game, candidate, mode)
+            assert got.threshold == math.ldexp(want.threshold, k)
+            assert got.max_improvement == math.ldexp(want.max_improvement, k)
+            assert got.is_equilibrium is want.is_equilibrium
 
     def test_unknown_mode_rejected(self, reference_angles, table1):
         with pytest.raises(ValidationError, match="mode"):
@@ -1083,7 +1119,9 @@ class TestNewtonFinish:
         _tight_polish_values) by more than 1e-15 of the game's scale.  Game
         25 gains 9.2e-10 at every seed: the tight polish stops short of its
         maximum.  At most NEWTON_FALLBACKS of the Newton finishes fail and
-        fall back to a tight polish."""
+        fall back to a tight polish.  Every polish, loose or tight,
+        converges within POLISH_EVALUATIONS evaluations, far inside the
+        budget NM_MAX_FEV: no run here reaches it."""
         assert _tight_polish_values(player_symmetric_game(25), 30, range(3)) == list(
             TIGHT_POLISH[25]
         )
@@ -1095,7 +1133,23 @@ class TestNewtonFinish:
             failed.append(x is None)
             return x
 
+        polishes = []  # (evaluations, converged) of each polish
+        real_nelder_mead = optimize._nelder_mead
+
+        def nelder_mead(objective, x0, xatol, fatol):
+            calls = 0
+
+            def counted(x):
+                nonlocal calls
+                calls += 1
+                return objective(x)
+
+            result = real_nelder_mead(counted, x0, xatol, fatol)
+            polishes.append((calls, result[2]))
+            return result
+
         monkeypatch.setattr(optimize, "_newton", newton)
+        monkeypatch.setattr(optimize, "_nelder_mead", nelder_mead)
         gains = {}
         for game_seed in range(30):
             game = player_symmetric_game(game_seed)
@@ -1108,6 +1162,8 @@ class TestNewtonFinish:
         for seed in range(3):
             assert gains[25, seed] == pytest.approx(GAME_25_GAIN, abs=1e-14)
         assert sum(failed) <= NEWTON_FALLBACKS
+        assert polishes and all(converged for _, converged in polishes)
+        assert max(calls for calls, _ in polishes) <= POLISH_EVALUATIONS
 
     def test_a_failed_finish_falls_back_to_a_tight_polish(self, table1, monkeypatch):
         """With every Newton finish failed, each point is polished again from
@@ -1136,6 +1192,8 @@ GAME_25_GAIN = 9.20873e-10
 #: Newton finishes that fail on the 30 player-symmetric games of
 #: test_never_below_the_tight_polish: 41 of 686.
 NEWTON_FALLBACKS = 41
+#: The most evaluations any polish of that test may make (886 measured).
+POLISH_EVALUATIONS = 1000
 
 
 class TestPolishEvaluations:
@@ -1289,18 +1347,21 @@ def _inf_edge(x: list[float]) -> float:
 class TestPolishMatchesScipy:
     """The in-house Nelder-Mead against scipy.optimize.minimize with the same
     options and a stable argsort, the oracle: the same point, value (the
-    first of the final simplex) and success flag, by == and by repr.  The
+    first of the final simplex) and success flag, by == and by repr, and as
+    many evaluations, fewer than NM_MAX_FEV + 6.  SciPy runs with no
+    iteration cap and maxfev the larger of NM_MAX_FEV and the polish's
+    evaluations, so the two agree on runs the budget cuts short too.  The
     objectives never return NaN, as the planar objective never does.  Each
     case runs at both tolerance pairs of TOLERANCES."""
 
     @staticmethod
     def oracle_at(pair: str):
         """SciPy's Nelder-Mead at the tolerance pair of that name, which it
-        keeps as its ``tolerances``."""
+        keeps as its ``tolerances``, with an evaluation budget."""
         tolerances = TOLERANCES[pair]
 
-        def oracle(objective, x0):
-            return _scipy_nelder_mead(objective, x0, *tolerances)
+        def oracle(objective, x0, maxfev):
+            return _scipy_nelder_mead(objective, x0, *tolerances, maxfev)
 
         oracle.tolerances = tolerances
         return oracle
@@ -1310,18 +1371,28 @@ class TestPolishMatchesScipy:
         return self.oracle_at(request.param)
 
     @staticmethod
-    def assert_same_paths(oracle, polishes) -> list:
-        results = []
-        for objective, x0 in polishes:
-            res = oracle(objective, x0)
-            got = optimize._nelder_mead(objective, x0, *oracle.tolerances)
-            expected = (
-                res.x.tolist(), -float(res.final_simplex[1][0]), bool(res.success)
-            )
-            assert repr(got) == repr(expected)  # the signs of zeros
-            assert got == expected
-            results.append(res)
-        return results
+    def assert_same_path(oracle, objective, x0, scipy_objective=None):
+        """The polish of ``objective`` from ``x0`` against SciPy's run on
+        ``scipy_objective`` (a fresh copy of a stateful objective; by
+        default the same one); returns SciPy's result."""
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return objective(x)
+
+        got = optimize._nelder_mead(counted, x0, *oracle.tolerances)
+        res = oracle(scipy_objective or objective, x0, max(optimize.NM_MAX_FEV, calls))
+        expected = (res.x.tolist(), -float(res.final_simplex[1][0]), bool(res.success))
+        assert repr(got) == repr(expected)  # the signs of zeros
+        assert got == expected
+        assert res.nfev == calls < optimize.NM_MAX_FEV + 6
+        return res
+
+    @classmethod
+    def assert_same_paths(cls, oracle, polishes) -> list:
+        return [cls.assert_same_path(oracle, objective, x0) for objective, x0 in polishes]
 
     # Each search runs on a fresh copy of its game, which keeps no grid
     # runs yet, so that every grid and random polish is compared.
@@ -1371,110 +1442,61 @@ class TestPolishMatchesScipy:
         self.assert_same_paths(oracle, polishes)
 
     def test_run_to_the_evaluation_limit(self, oracle, monkeypatch):
-        """Runs that stop at a limit, not converged.  At the tight pair some
-        runs from these starts spend the whole evaluation budget.  At the
-        loose pair every run converges within 300 evaluations and 125
-        iterations, so there the iteration cap is cut to 60, and some runs
-        stop at it."""
-        loose = oracle.tolerances == TOLERANCES["loose"]
-        if loose:
-            monkeypatch.setattr(optimize, "NM_MAX_ITER", 60)
+        """Runs that stop at the budget, not converged.  At the tight pair
+        some runs from these starts spend the whole evaluation budget.  At
+        the loose pair every run converges within 252 to 275 evaluations, so
+        there the budget is cut to 260: some runs stop at it, and others
+        converge first."""
+        if oracle.tolerances == TOLERANCES["loose"]:
+            monkeypatch.setattr(optimize, "NM_MAX_FEV", 260)
         rng = np.random.default_rng(7)
         polishes = [
             (_hash_noise, list(x0))
             for x0 in rng.uniform(-3, 3, size=(8, 4))
         ]
         results = self.assert_same_paths(oracle, polishes)
-        limited = [
-            r for r in results
-            if (r.nit == optimize.NM_MAX_ITER if loose else r.nfev == 4 * optimize.NM_MAX_ITER)
-        ]
+        limited = [r for r in results if r.nfev >= optimize.NM_MAX_FEV]
         assert limited and not any(r.success for r in limited)
+        assert len(limited) < len(results)
 
-    def test_shrink_that_exhausts_the_budget_moves_its_vertex(self, oracle, monkeypatch):
-        """A flat objective ties everywhere, so every step in 4-D is a
-        shrink of 6 evaluations.  With a budget of 40 the sixth shrink runs
-        out at the last vertex: as in SciPy, that vertex has moved and keeps
-        its old value, and the final simplexes agree vertex for vertex."""
-        monkeypatch.setattr(optimize, "NM_MAX_ITER", 10)
-        real_sort = optimize._sort_simplex
-        sorts = []
-
-        def spy(fsim, sim):
-            ordered = real_sort(fsim, sim)
-            sorts.append(list(zip(*ordered)))  # the port then edits ordered in place
-            return ordered
-
-        monkeypatch.setattr(optimize, "_sort_simplex", spy)
-
-        def flat(x: list[float]) -> float:
-            return 0.0
-
-        x0 = [0.3, -1.2, 2.0, 0.7]
-        (res,) = self.assert_same_paths(oracle, [(flat, x0)])
-        assert res.nfev == 4 * optimize.NM_MAX_ITER and res.nit == 6
-        vertices, values = res.final_simplex
-        assert sorts[-1] == list(zip(values.tolist(), map(tuple, vertices.tolist())))
-        # the last vertex before the sixth shrink, and where that shrink put it
-        (_, best), (value, vertex) = sorts[-2][0], sorts[-2][-1]
-        moved = tuple(b + 0.5 * (v - b) for v, b in zip(vertex, best))
-        assert (value, moved) in sorts[-1] and (value, vertex) not in sorts[-1]
-
-    def test_budget_runs_out_at_every_step(self, oracle, monkeypatch):
-        """With NM_MAX_ITER 6, and so a budget of 24 evaluations, scripted
-        objectives run out of it at each step that evaluates after the
-        reflection: the expansion, the outside and the inside contraction,
-        and a shrink.  (The reflection is the first evaluation of a step,
-        and a step begins only while the budget lasts; a fifth script runs
-        out at the end of a step, and the loop ends there.)  Each script
-        gives the values to be minimized (the negated objective) call by
-        call, then 100, no better than any vertex.  A step whose reflection
-        and inside contraction do no better than the worst vertex shrinks
-        the simplex: six evaluations.  Each run ends where SciPy's does, and
-        the four that run out inside a step stop at the port's four budget
-        exits, in source order."""
-        monkeypatch.setattr(optimize, "NM_MAX_ITER", 6)
-        exits = []
-
-        class Exhausted(optimize._Exhausted):
-            def __init__(self):
-                exits.append(sys._getframe(1).f_lineno)
-
-        monkeypatch.setattr(optimize, "_Exhausted", Exhausted)
+    def test_the_budget_runs_out_inside_every_kind_of_step(self, oracle, monkeypatch):
+        """With a budget of 24 evaluations, scripted objectives spend it
+        inside each kind of step that evaluates after the reflection: the
+        expansion, the outside and the inside contraction, and a shrink (with
+        a budget of 20).  Each step runs to its end, and the run equals
+        SciPy's with maxfev set to its own evaluation count, which is below
+        NM_MAX_FEV + 6.  A fifth script spends the budget at the end of a
+        step, and no further step starts.  Each script gives the values to be
+        minimized (the negated objective) call by call, then 100, no better
+        than any vertex.  A step whose reflection and inside contraction do
+        no better than the worst vertex shrinks the simplex: six
+        evaluations."""
         start, shrink = [1, 2, 3, 4, 5], [100, 100, 2, 3, 4, 5]
         scripts = {
             # one step keeps its reflection, three shrink at 100: 6 + 18
-            "end of a step": start + [1.5],
+            "end of a step": (24, start + [1.5], 24),
             # three steps shrink at 100, then the reflection beats the best
-            "expansion": start + [100] * 18 + [0],
-            # three finite shrinks, then a reflection between the two worst
-            "outside contraction": start + shrink * 3 + [4.5],
+            "expansion": (24, start + [100] * 18 + [0], 25),
+            # three finite shrinks, then a reflection between the two worst;
+            # its contraction does worse, and the simplex shrinks
+            "outside contraction": (24, start + shrink * 3 + [4.5], 29),
             # the same, then a reflection no better than the worst
-            "inside contraction": start + shrink * 3 + [100],
-            # 100 everywhere with a budget of 20: the third step shrinks
-            "shrink": [],
+            "inside contraction": (24, start + shrink * 3 + [100], 29),
+            # 100 everywhere: the third step starts at 17 evaluations, and
+            # its shrink's second vertex is the 21st
+            "shrink": (20, [], 23),
         }
-        for step, script in scripts.items():
-            if step == "shrink":
-                monkeypatch.setattr(optimize, "NM_MAX_ITER", 5)
+        for step, (budget, script, evaluations) in scripts.items():
+            monkeypatch.setattr(optimize, "NM_MAX_FEV", budget)
 
             def scripted(script=script):
                 values = iter(script)
                 return lambda x: -next(values, 100)
 
-            res = oracle(scripted(), [0.3, -1.2, 2.0, 0.7])
-            before = len(exits)
-            got = optimize._nelder_mead(
-                scripted(), [0.3, -1.2, 2.0, 0.7], *oracle.tolerances
+            res = self.assert_same_path(
+                oracle, scripted(), [0.3, -1.2, 2.0, 0.7], scripted()
             )
-            expected = (
-                res.x.tolist(), -float(res.final_simplex[1][0]), bool(res.success)
-            )
-            assert repr(got) == repr(expected), step
-            assert got[0] == expected[0] and res.nfev == 4 * optimize.NM_MAX_ITER
-            assert not got[2] and res.nit < optimize.NM_MAX_ITER, step
-            assert len(exits) - before == (step != "end of a step"), step
-        assert len(exits) == 4 and exits == sorted(set(exits))
+            assert res.nfev == evaluations and not res.success, step
 
     def test_tied_values_keep_their_order(self, oracle, monkeypatch):
         """Tied vertices keep the order they stand in, as
@@ -1529,7 +1551,7 @@ class TestPolishMatchesScipy:
         results = self.assert_same_paths(oracle, polishes)
         assert not all(map(math.isfinite, values))
         assert any(r.success for r in results)
-        assert any(r.nfev == 4 * optimize.NM_MAX_ITER for r in results)
+        assert any(r.nfev >= optimize.NM_MAX_FEV and not r.success for r in results)
 
     def test_converge_with_a_tie_at_the_minimum_only(self):
         """Runs that stop with some, not all, vertex values tied: scipy
